@@ -282,7 +282,7 @@ def cmd_table1(args) -> int:
     t0 = time.perf_counter()
     big = args.big or args.big_global
     cells = planar_mod.table1(args.a_min, args.a_max, big=big,
-                              seed=args.seed, threads=args.threads)
+                              seed=args.seed)
     if args.json:
         _emit(args, {"cells": cells}, [], t0)
         return 0
@@ -368,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized early-rejection paths")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for independent cells (advisory)")
     ap.add_argument("--big", dest="big_global", action="store_true",
                     help="allow the larger desk-scale computations")
     sub = ap.add_subparsers(dest="cmd", required=True)

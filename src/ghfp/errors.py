@@ -37,6 +37,14 @@ class NotAGroup(GHFPError):
     pass
 
 
+class NotAssociative(NotAGroup):
+    """Carries a triple (g, h, k) with (gh)k != g(hk), g a generator."""
+
+    def __init__(self, g, h, k):
+        self.triple = (g, h, k)
+        super().__init__(f"associativity fails at ({g},{h},{k})")
+
+
 class LengthMismatch(GHFPError):
     pass
 
@@ -61,7 +69,8 @@ class NotNormalized(GHFPError):
 
 
 class CocycleIdentityViolated(GHFPError):
-    """Carries the first violating triple of group indices as .triple."""
+    """Carries a violating triple (g, h, k) of group indices as .triple; g is
+    a generator of the group, the only g the identity is checked at."""
 
     def __init__(self, g, h, k):
         self.triple = (g, h, k)

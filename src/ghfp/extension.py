@@ -65,18 +65,11 @@ class ExtensionGroup:
     def is_abelian(self) -> bool:
         return self.group.is_abelian and (self.psi.table == self.psi.table.T).all()
 
-    def center_contains_coefficients(self, limit: int = TABULATE_MAX) -> bool:
-        """(u, 1) commutes with everything; exhaustive when small, else
-        sampled over (u, g) pairs."""
-        if self.order <= limit:
-            pairs = [((u, 0), (w, h)) for u in range(self.q)
-                     for w in range(self.q) for h in range(self.v)]
-        else:
-            rng = np.random.default_rng(0)
-            pairs = [((int(rng.integers(0, self.q)), 0),
-                      (int(rng.integers(0, self.q)), int(rng.integers(0, self.v))))
-                     for _ in range(10 ** 5)]
-        return all(self.mul(a, b) == self.mul(b, a) for a, b in pairs)
+    def center_contains_coefficients(self) -> bool:
+        """(u, 1) commutes with everything, exactly: (u,1)(w,h) and (w,h)(u,1)
+        differ only in psi(1,h) against psi(h,1)."""
+        t = self.psi.table
+        return bool((t[0] == t[:, 0]).all())
 
     def as_group(self) -> Group:
         """Materialized Cayley table, gated to small orders.

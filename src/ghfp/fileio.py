@@ -89,11 +89,20 @@ def read_cay(path) -> Group:
 # -- .coc ------------------------------------------------------------------------
 
 def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
+    """Without group_path, a group other than read_coc's default is written
+    beside the file as <stem>.cay and named in a group= line."""
+    path = Path(path)
     lines = [field_header(psi.field), f"v={psi.v}"]
+    if group_path is None:
+        default = _default_group(psi.v, psi.field.p)
+        if default is None or not np.array_equal(default.table,
+                                                 psi.group.table):
+            group_path = path.with_suffix(".cay").name
+            write_cay(path.parent / group_path, psi.group)
     if group_path is not None:
         lines.append(f"group={group_path}")
     lines += [" ".join(str(int(x)) for x in row) for row in psi.table]
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def read_coc(path) -> Cocycle:
@@ -104,15 +113,13 @@ def read_coc(path) -> Cocycle:
     _expect(lines[1].startswith("v="), "missing v= line", 2)
     v = int(lines[1][2:])
     row_start = 2
-    group: Optional[Group] = None
     if len(lines) > 2 and lines[2].startswith("group="):
         group = read_cay(path.parent / lines[2][len("group="):])
         row_start = 3
-    if group is None:
-        k = _power_exponent(v, field.p)
-        _expect(k is not None,
+    else:
+        group = _default_group(v, field.p)
+        _expect(group is not None,
                 f"v={v} is not a power of p={field.p}; supply group=", 2)
-        group = elementary_abelian(field.p, k)
     _expect(group.order == v, f"group order {group.order} != v={v}", 2)
     table = _parse_rows(lines[row_start:row_start + v], row_start + 1, v, field.q)
     from .cocycles import check_cocycle
@@ -120,12 +127,14 @@ def read_coc(path) -> Cocycle:
     return check_cocycle(table, group, field)
 
 
-def _power_exponent(v: int, p: int) -> Optional[int]:
+def _default_group(v: int, p: int) -> Optional[Group]:
+    """The group a .coc without group= is read against: Z_p^k in
+    lexicographic order, or None when v is not a power of p."""
     k = 0
     while v > 1 and v % p == 0:
         v //= p
         k += 1
-    return k if v == 1 and k >= 1 else None
+    return elementary_abelian(p, k) if v == 1 and k >= 1 else None
 
 
 # -- .ghm ------------------------------------------------------------------------

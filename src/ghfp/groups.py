@@ -10,7 +10,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NotAbelian, NotAGroup, NotPrime
+from .errors import (LengthMismatch, NotAbelian, NotAGroup, NotAssociative,
+                     NotPrime)
 from .fields import Field, is_prime
 
 
@@ -91,9 +92,6 @@ class Perm:
 class Group:
     """Finite group on indices 0..v-1 given by its Cayley table."""
 
-    # Exhaustive associativity up to this order; random triples above.
-    ASSOC_EXHAUSTIVE_MAX = 512
-
     def __init__(self, table, labels: Optional[List[str]] = None, check: bool = True):
         table = np.asarray(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -106,6 +104,7 @@ class Group:
         self.inv = np.empty(self.order, dtype=np.int64)
         rows, cols = np.nonzero(table == 0)
         self.inv[rows] = cols
+        self._generators: Optional[List[int]] = None
 
     def _check_latin_identity(self):
         v = self.order
@@ -117,26 +116,41 @@ class Group:
         if not (np.sort(self.table, axis=0) == ar[:, None]).all():
             raise NotAGroup("a column is not a permutation")
 
-    def check_associativity(self, samples: int = 10 ** 6, seed: int = 0) -> None:
-        """Exhaustive for order <= 512, random triples above; raises NotAGroup."""
-        v, t = self.order, self.table
-        if v <= self.ASSOC_EXHAUSTIVE_MAX:
-            for g in range(v):
-                lhs = t[t[g], :]
-                rhs = t[g][t]
-                if not (lhs == rhs).all():
-                    h, k = map(int, np.argwhere(lhs != rhs)[0])
-                    raise NotAGroup(f"associativity fails at ({g},{h},{k})")
-        else:
-            rng = np.random.default_rng(seed)
-            gs = rng.integers(0, v, size=samples)
-            hs = rng.integers(0, v, size=samples)
-            ks = rng.integers(0, v, size=samples)
-            bad = t[t[gs, hs], ks] != t[gs, t[hs, ks]]
-            if bad.any():
-                i = int(np.nonzero(bad)[0][0])
-                raise NotAGroup(
-                    f"associativity fails at ({gs[i]},{hs[i]},{ks[i]})")
+    def generators(self) -> List[int]:
+        """A greedy generating set, computed once: take the smallest element
+        not yet reached, close the reached set under left multiplication by
+        the chosen elements, repeat.  A group of order v gets at most log_2 v
+        elements, as each one at least doubles the subgroup reached."""
+        if self._generators is None:
+            t = self.table
+            gens: List[int] = []
+            reached = np.zeros(self.order, dtype=bool)
+            reached[0] = True
+            while not reached.all():
+                gens.append(int(np.argmin(reached)))
+                reached[gens[-1]] = True
+                frontier = np.flatnonzero(reached)
+                while frontier.size:
+                    new = np.unique(t[np.ix_(gens, frontier)])
+                    frontier = new[~reached[new]]
+                    reached[frontier] = True
+            self._generators = gens
+        return self._generators
+
+    def check_associativity(self) -> None:
+        """Exact; raises NotAssociative with a failing triple.
+
+        Light's test, as in Cocycle._check_identity: the left nucleus
+        {a : (ab)c = a(bc) for all b, c} is closed under products, since
+        ((aa')b)c = a((a'b)c) = (aa')(bc), so it is everything once it holds
+        the generators."""
+        t = self.table
+        for g in self.generators():
+            lhs = t[t[g], :]
+            rhs = t[g][t]
+            if not (lhs == rhs).all():
+                h, k = map(int, np.argwhere(lhs != rhs)[0])
+                raise NotAssociative(g, h, k)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -171,9 +185,8 @@ class Group:
 
     def direct_product(self, other: "Group") -> "Group":
         v1, v2 = self.order, other.order
-        t = (self.table[:, :, None, None] * v2 + other.table[None, None, :, :])
-        t = t.transpose(0, 2, 1, 3).reshape(v1 * v2, v1 * v2)
-        return Group(t, check=False)
+        t = self.table[:, None, :, None] * v2 + other.table[None, :, None, :]
+        return Group(t.reshape(v1 * v2, v1 * v2), check=False)
 
     def relabel(self, perm: Perm) -> "Group":
         """Conjugate the table by a relabeling that keeps 0 fixed."""
@@ -202,18 +215,12 @@ def elementary_abelian(p: int, k: int) -> Group:
         raise NotPrime(f"p={p} is not prime")
     if k < 1:
         raise NotPrime(f"k={k} must be >= 1")
-    v = p ** k
-    a = np.arange(v)
-    table = np.zeros((v, v), dtype=np.int64)
-    i = a[:, None]
-    j = a[None, :]
-    mul = 1
-    for _ in range(k):
-        table = table + ((i + j) % p) * mul
-        i = i // p
-        j = j // p
-        mul *= p
-    return Group(table, check=False)
+    z = np.arange(p, dtype=np.int64)
+    cyclic = Group((z[:, None] + z[None, :]) % p, check=False)
+    out = cyclic
+    for _ in range(k - 1):
+        out = out.direct_product(cyclic)
+    return out
 
 
 def additive_group_of(field: Field, ordering: str = "encoding") -> Group:

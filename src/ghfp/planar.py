@@ -85,17 +85,15 @@ def conjectured_rank(b: int) -> int:
 
 
 def table1(a_min: int = 4, a_max: int = 7, big: bool = False,
-           seed: int = 0, threads: int = 1) -> List[Dict[str, object]]:
+           seed: int = 0) -> List[Dict[str, object]]:
     """Rank/kernel of the codes C_(a,b) for every admissible pair in range.
 
     Cells above the budget (a > 6, or a > 7 with big) are reported as
     skipped rather than attempted; inadmissible (a, b) combinations are
-    labeled as such so the table shape matches the published one.  Cells
-    are independent jobs and can run on a small worker pool.
+    labeled as such so the table shape matches the published one.
     """
     cap = BUDGET_BIG_MAX_A if big else BUDGET_DEFAULT_MAX_A
     out: List[Dict[str, object]] = []
-    jobs = []
     for a in range(a_min, a_max + 1):
         bs = admissible_pairs(a)
         for b in range(3, a, 2):
@@ -106,22 +104,10 @@ def table1(a_min: int = 4, a_max: int = 7, big: bool = False,
             elif a > cap:
                 cell["status"] = "skipped(budget)"
             else:
-                jobs.append(cell)
-
-    def run(cell):
-        t0 = time.perf_counter()
-        cell.update(_table1_cell(cell["a"], cell["b"], seed))
-        cell["seconds"] = round(time.perf_counter() - t0, 3)
-        cell["status"] = "ok"
-
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, jobs))
-    else:
-        for cell in jobs:
-            run(cell)
+                t0 = time.perf_counter()
+                cell.update(_table1_cell(a, b, seed))
+                cell["seconds"] = round(time.perf_counter() - t0, 3)
+                cell["status"] = "ok"
     return out
 
 

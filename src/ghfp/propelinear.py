@@ -21,14 +21,13 @@ import numpy as np
 
 from .cocycles import Cocycle, is_orthogonal, tensor
 from .codes import GHCode
-from .errors import FieldMismatch, NotACodeword, NotOrthogonal
+from .errors import FieldMismatch, NotACodeword, NotAssociative, NotOrthogonal
 from .ghmatrix import GHMatrix
 from .groups import Perm, abelian_invariants
 
-# Pairwise structure checks run over all coset pairs up to this order,
-# random samples above.
+# Codes up to this size get the materialized regular-action check and the
+# longer run of star-associativity trials.
 PAIR_EXHAUSTIVE_MAX = 10 ** 4
-PAIR_SAMPLES = 10 ** 5
 
 
 class PropelinearCode:
@@ -161,7 +160,9 @@ def oplus(field, a, b) -> np.ndarray:
 def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tuple]:
     """Axioms and structural lemmas, one (ok, witness) entry per check.
 
-    Exhaustive over coset pairs when the code is small; random pairs above.
+    Axioms (i) and (ii) and fullness are exact.  Coset constancy and
+    inverses are tried on the first 64 rows; star associativity and distance
+    compatibility on seeded random trials.
     """
     rng = np.random.default_rng(seed)
     f, v, q = P.field, P.v, P.q
@@ -198,17 +199,13 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
             break
     report["axiom_i_preserves_code"] = (ok, witness)
 
-    # axiom (ii): pi_x o pi_y = pi_{x*y}, over group parts
-    ok, witness = True, None
-    exhaustive = q * v <= PAIR_EXHAUSTIVE_MAX
-    pairs = ((g, h) for g in range(v) for h in range(v)) if exhaustive else (
-        (int(rng.integers(0, v)), int(rng.integers(0, v)))
-        for _ in range(min(PAIR_SAMPLES, v * v)))
-    for g, h in pairs:
-        if not (gt[g][gt[h]] == gt[gt[g, h]]).all():
-            ok, witness = False, (g, h)
-            break
-    report["axiom_ii_homomorphism"] = (ok, witness)
+    # axiom (ii): pi_x o pi_y = pi_{x*y}; pi is left translation by the
+    # group part, so this is associativity of G's table, checked exactly
+    try:
+        P.group.check_associativity()
+        report["axiom_ii_homomorphism"] = (True, None)
+    except NotAssociative as e:
+        report["axiom_ii_homomorphism"] = (False, e.triple)
 
     # fullness: fixed-point-free off C_1, identity on C_1
     ok, witness = True, None
@@ -226,7 +223,7 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
         if not (P.star(P.star_inverse(x), x) == zero).all():
             ok, witness = False, ("inverse", i)
             break
-    trials = 200 if not exhaustive else 500
+    trials = 500 if q * v <= PAIR_EXHAUSTIVE_MAX else 200
     for _ in range(trials):
         a = P.encode(int(rng.integers(0, q)), int(rng.integers(0, v)))
         b = P.encode(int(rng.integers(0, q)), int(rng.integers(0, v)))

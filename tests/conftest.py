@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -64,6 +65,17 @@ def order4_cocycle(gf4):
 @pytest.fixture(scope="session")
 def dphi43(gf81):
     return planar_coboundary(4, 3, gf81)
+
+
+@pytest.fixture(scope="session")
+def loop5():
+    """A Latin square of order 5 with two-sided identity 0 that is not
+    associative: a loop, not a group."""
+    return np.array([[0, 1, 2, 3, 4],
+                     [1, 0, 3, 4, 2],
+                     [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1],
+                     [4, 3, 1, 2, 0]])
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,8 @@ from ghfp.errors import (
     FieldMismatch,
     NotNormalized,
 )
-from ghfp.ghmatrix import is_gh
+from ghfp.ghmatrix import is_gh, sylvester_power_cocycle
+from ghfp.planar import planar_coboundary
 
 import paper_data
 
@@ -40,6 +41,96 @@ def test_corrupted_entry_violates_identity(gf3):
     with pytest.raises(CocycleIdentityViolated) as exc:
         check_cocycle(t, elementary_abelian(3, 2), gf3)
     assert len(exc.value.triple) == 3
+
+
+def identity_violations(table, group, field):
+    """Brute-force oracle: the v x v x v mask of triples (g, h, k) with
+    psi(g,h) + psi(gh,k) != psi(g,hk) + psi(h,k)."""
+    t, gt, f = np.asarray(table), group.table, field
+    return np.array([f.vadd(t[g][:, None], t[gt[g], :])
+                     != f.vadd(t[g][gt], t) for g in range(group.order)])
+
+
+def small_cocycles(gf3, gf4, gf8):
+    return [
+        multiplication_cocycle(gf8, "primitive-power"),  # order 8, q = 8
+        check_cocycle(paper_data.H_ORDER9, elementary_abelian(3, 2), gf3),
+        sylvester_power_cocycle(gf4, 2),  # order 16, q = 4
+    ]
+
+
+def agreement_counts(tables, group, field):
+    """Run the generator-set check and the oracle on every table; assert
+    they agree and that every witness is a violation.  Returns the number
+    of accepted and rejected tables."""
+    seen = {True: 0, False: 0}
+    for t in tables:
+        bad = identity_violations(t, group, field)
+        try:
+            check_cocycle(t, group, field)
+            accepted = True
+        except CocycleIdentityViolated as exc:
+            accepted = False
+            assert bad[exc.triple]
+        assert accepted == (not bad.any())
+        seen[accepted] += 1
+    return seen
+
+
+def test_generator_check_matches_oracle(gf3, gf4, gf8):
+    """Every single-entry corruption of the order-8, 9 and 16 cocycles, and
+    valid coboundary perturbations of them."""
+    for psi in small_cocycles(gf3, gf4, gf8):
+        f, g, v, q = psi.field, psi.group, psi.v, psi.q
+        tables = []
+        for r in range(1, v):
+            for c in range(1, v):
+                for d in range(1, q):
+                    t = psi.table.copy()
+                    t[r, c] = f.add(int(t[r, c]), d)
+                    tables.append(t)
+        for x in range(1, v):
+            phi = np.zeros(v, dtype=np.int64)
+            phi[x] = 1 + x % (q - 1)
+            tables.append(f.vadd(psi.table, coboundary(phi, g, f).table))
+        seen = agreement_counts(tables, g, f)
+        assert seen[True] == v - 1 and seen[False] == len(tables) - v + 1
+
+
+def test_generator_check_matches_oracle_exhaustive(gf3):
+    """Every normalized GF(2) table over Z_2^2, and every normalized GF(3)
+    table over Z_3 summed with S_3 in each tensor position over Z_3^2.  A
+    single changed entry is seen at every g; these tables can fail at one
+    generator and pass at the others."""
+    gf2 = Field(2, 1)
+    tables = []
+    for bits in range(2 ** 9):
+        t = np.zeros((4, 4), dtype=np.int64)
+        t[1:, 1:] = np.array([(bits >> i) & 1 for i in range(9)]).reshape(3, 3)
+        tables.append(t)
+    seen = agreement_counts(tables, elementary_abelian(2, 2), gf2)
+    assert seen[True] and seen[False]
+    s3 = multiplication_cocycle(gf3).table
+    tables = []
+    for code in range(3 ** 4):
+        b = np.zeros((3, 3), dtype=np.int64)
+        b[1:, 1:] = np.array([code // 3 ** i % 3 for i in range(4)]).reshape(2, 2)
+        for left, right in ((b, s3), (s3, b)):
+            t = gf3.vadd(left[:, None, :, None], right[None, :, None, :])
+            tables.append(t.reshape(9, 9))
+    seen = agreement_counts(tables, elementary_abelian(3, 2), gf3)
+    assert seen[True] and seen[False]
+
+
+def test_corrupted_order729_cocycle_gives_true_witness():
+    psi = planar_coboundary(6, 5)
+    f, gt, t = psi.field, psi.group.table, psi.table.copy()
+    t[500, 300] = f.add(int(t[500, 300]), 1)
+    with pytest.raises(CocycleIdentityViolated) as exc:
+        check_cocycle(t, psi.group, f)
+    g, h, k = exc.value.triple
+    assert f.add(int(t[g, h]), int(t[gt[g, h], k])) != \
+        f.add(int(t[g, gt[h, k]]), int(t[h, k]))
 
 
 def test_unnormalized_rejected(gf3):

@@ -7,7 +7,7 @@ import pytest
 
 from ghfp import Field, elementary_abelian, matrix_of
 from ghfp.cli import main
-from ghfp.errors import ParseError
+from ghfp.errors import NotAGroup, ParseError
 from ghfp.fileio import (
     field_header,
     read_cay,
@@ -40,9 +40,21 @@ def test_cay_roundtrip(tmp_path):
 def test_coc_roundtrip_default_group(tmp_path, s9_cocycle):
     path = tmp_path / "s9.coc"
     write_coc(path, s9_cocycle)
+    assert "group=" not in path.read_text()
+    assert not (tmp_path / "s9.cay").exists()
     psi = read_coc(path)
     assert (psi.table == s9_cocycle.table).all()
     assert (psi.group.table == s9_cocycle.group.table).all()
+
+
+def test_coc_roundtrip_writes_its_own_group(tmp_path, s8_cocycle):
+    # without group_path, a non-default group goes to <stem>.cay
+    path = tmp_path / "s8.coc"
+    write_coc(path, s8_cocycle)
+    assert path.read_text().splitlines()[2] == "group=s8.cay"
+    psi = read_coc(path)
+    assert (psi.table == s8_cocycle.table).all()
+    assert (psi.group.table == s8_cocycle.group.table).all()
 
 
 def test_coc_roundtrip_explicit_group(tmp_path, s8_cocycle):
@@ -55,6 +67,14 @@ def test_coc_roundtrip_explicit_group(tmp_path, s8_cocycle):
     psi = read_coc(path)
     assert (psi.table == s8_cocycle.table).all()
     assert (psi.group.table == s8_cocycle.group.table).all()
+
+
+def test_read_cay_rejects_a_loop(tmp_path, loop5):
+    path = tmp_path / "loop.cay"
+    path.write_text("cay 1\nv=5\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in loop5))
+    with pytest.raises(NotAGroup):
+        read_cay(path)
 
 
 def test_ghm_roundtrip(tmp_path, dphi43):
@@ -112,6 +132,38 @@ def test_cli_build_planar_is_published_matrix(tmp_path, capsys, dphi43):
     capsys.readouterr()
     m = read_ghm(tmp_path / "p43.ghm")
     assert (m.entries == dphi43.table).all()
+
+
+BUILDS = {
+    "sylvester": ["--q", "8"],
+    "sylvester-power": ["--q", "4", "--t", "2"],
+    "gen-sylvester": ["--p", "3", "--m", "1", "--k", "2"],
+    "planar": ["--a", "4", "--b", "3"],
+}
+
+
+@pytest.mark.parametrize("ordering", ["encoding", "primitive-power"])
+@pytest.mark.parametrize("construction", sorted(BUILDS) + ["kronecker"])
+def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
+    args = ["--ordering", ordering, "--out", str(tmp_path)]
+    if construction == "kronecker":
+        # the factors are Sylvester files built with the same ordering
+        main(["build", "--construction", "sylvester", "--q", "8",
+              "--name", "s8", *args])
+        s8 = str(tmp_path / "s8.coc")
+        opts = ["--left", s8, "--right", s8]
+    else:
+        opts = BUILDS[construction]
+    assert main(["build", "--construction", construction, *opts,
+                 "--name", "x", *args]) == 0
+    capsys.readouterr()
+    psi = read_coc(tmp_path / "x.coc")
+    assert (psi.table == read_ghm(tmp_path / "x.ghm").entries).all()
+    if construction == "kronecker":
+        left = read_coc(tmp_path / "s8.coc")
+        assert (psi.group.table == left.group.direct_product(
+            left.group).table).all()
+    assert main(["verify", str(tmp_path / "x.coc")]) == 0
 
 
 def test_cli_code_json(tmp_path, capsys):

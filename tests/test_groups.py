@@ -9,7 +9,13 @@ from ghfp import (
     elementary_abelian,
     group_descriptor,
 )
-from ghfp.errors import LengthMismatch, NotAbelian, NotAGroup, NotPrime
+from ghfp.errors import (
+    LengthMismatch,
+    NotAbelian,
+    NotAGroup,
+    NotAssociative,
+    NotPrime,
+)
 from ghfp.groups import Group
 
 import paper_data
@@ -37,6 +43,80 @@ def test_latin_and_identity_checks():
     assert (np.sort(g.table, axis=1) == np.arange(v)).all()
     assert (g.table[0] == np.arange(v)).all()
     g.check_associativity()
+
+
+def non_associative_triples(table):
+    """Brute-force oracle: every (g, h, k) with (gh)k != g(hk)."""
+    t = np.asarray(table)
+    return {tuple(map(int, x)) for x in np.argwhere(t[t] != t[:, t])}
+
+
+def s3_table():
+    """S_3 as a Cayley table: elements e, r, r2, s, sr, sr2."""
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.zeros((6, 6), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[tuple(p[q[k]] for k in range(3))]
+    return table
+
+
+def test_generators_generate():
+    rng = np.random.default_rng(5)
+    z27 = elementary_abelian(3, 3)
+    images = np.concatenate(([0], 1 + rng.permutation(26)))
+    groups = [elementary_abelian(2, 4), z27, z27.relabel(Perm(images)),
+              additive_group_of(Field(2, 3), "primitive-power"),
+              Group(s3_table()),
+              elementary_abelian(2, 1).direct_product(elementary_abelian(3, 2))]
+    for g in groups:
+        gens = g.generators()
+        assert gens is g.generators()  # cached
+        assert 2 ** len(gens) <= g.order
+        reached, frontier = {0}, [0]
+        while frontier:
+            frontier = [int(g.table[s, x]) for s in gens for x in frontier
+                        if int(g.table[s, x]) not in reached]
+            reached.update(frontier)
+        assert reached == set(range(g.order))
+    assert elementary_abelian(3, 4).generators() == [1, 3, 9, 27]
+
+
+def test_loop_is_not_associative(loop5):
+    g = Group(loop5)  # Latin, with a two-sided identity
+    with pytest.raises(NotAGroup) as exc:
+        g.check_associativity()
+    assert isinstance(exc.value, NotAssociative)
+    assert exc.value.triple in non_associative_triples(loop5)
+
+
+def test_associativity_matches_oracle_on_extension_magmas(gf3):
+    """E_psi for psi = b (+) S_3 and S_3 (+) b over Z_3^2, b any normalized
+    GF(3) table over Z_3: a Latin square with identity, associative exactly
+    when psi is a cocycle, and able to fail at one generator only."""
+    from ghfp import Cocycle, ExtensionGroup, multiplication_cocycle
+
+    s3 = multiplication_cocycle(gf3).table
+    z9 = elementary_abelian(3, 2)
+    seen = {True: 0, False: 0}
+    for code in range(3 ** 4):
+        b = np.zeros((3, 3), dtype=np.int64)
+        b[1:, 1:] = np.array([code // 3 ** i % 3 for i in range(4)]).reshape(2, 2)
+        for left, right in ((b, s3), (s3, b)):
+            t = gf3.vadd(left[:, None, :, None], right[None, :, None, :])
+            psi = Cocycle(z9, gf3, t.reshape(9, 9), check="skip")
+            table = ExtensionGroup(psi).as_group().table
+            bad = non_associative_triples(table)
+            try:
+                Group(table).check_associativity()
+                accepted = True
+            except NotAssociative as exc:
+                accepted = False
+                assert exc.triple in bad
+            assert accepted == (not bad)
+            seen[accepted] += 1
+    assert seen[True] and seen[False]
 
 
 def test_bad_tables_rejected():
@@ -130,17 +210,7 @@ def test_abelian_invariants_relabel_invariant():
 
 
 def test_nonabelian_descriptor():
-    # S_3 as a Cayley table: elements e, r, r2, s, sr, sr2
-    import itertools
-
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
-    index = {p: i for i, p in enumerate(perms)}
-    table = np.zeros((6, 6), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[k]] for k in range(3))
-            table[i, j] = index[comp]
-    g = Group(table)
+    g = Group(s3_table())
     g.check_associativity()
     with pytest.raises(NotAbelian) as exc:
         abelian_invariants(g)

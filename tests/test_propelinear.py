@@ -131,6 +131,10 @@ def test_fullness_witness_on_corruption():
     report = verify_full_propelinear(P)
     ok, witness = report["fullness"]
     assert not ok and witness is not None
+    # the table is no longer associative; axiom (ii) names a failing triple
+    ok, (g, h, k) = report["axiom_ii_homomorphism"]
+    gt = P.group.table
+    assert not ok and gt[gt[g, h], k] != gt[g, gt[h, k]]
 
 
 def test_pi_homomorphism_exhaustive(p9):
