@@ -53,7 +53,6 @@ from .monomial import (
     factor_monomial,
     is_matrix_automorphism,
     pair_for_codeword,
-    regular_row_action_check,
 )
 from .planar import admissible_pairs, planar_coboundary, planar_map, table1
 from .propelinear import (

@@ -29,12 +29,9 @@ from .fields import Field
 from .fileio import read_coc, read_ghm, sha256_of, write_coc, write_ghm
 from .ghmatrix import is_gh, normalize, sylvester_cocycle, \
     sylvester_power_cocycle
-from .monomial import (
-    automorphisms_from_star,
-    regular_row_action_check,
-    scalar_pairs_are_automorphisms,
-)
-from .propelinear import PropelinearCode, verify_full_propelinear
+from .monomial import automorphisms_from_star, scalar_pairs_are_automorphisms
+from .propelinear import (PropelinearCode, regular_subgroup_check,
+                          verify_full_propelinear)
 
 
 def _run_record(args, inputs: List[str], seconds: float) -> Dict[str, object]:
@@ -269,7 +266,7 @@ def cmd_autcheck(args) -> int:
     report = automorphisms_from_star(P, sample=sample, seed=args.seed)
     report["scalar_pairs_ok"] = scalar_pairs_are_automorphisms(P)
     if args.expanded:
-        report["expanded_regular"] = regular_row_action_check(P)
+        report["expanded_regular"] = regular_subgroup_check(P)
         report["expanded_order"] = P.q * P.v
     ok = bool(report["homomorphism_ok"] and report["central_pairs_ok"]
               and report["scalar_pairs_ok"]

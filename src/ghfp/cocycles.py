@@ -18,7 +18,7 @@ from .errors import (
     NotNormalized,
     OrderMismatch,
 )
-from .fields import Field
+from .fields import Field, row_histograms
 from .groups import Group, additive_group_of
 
 
@@ -125,9 +125,7 @@ def is_orthogonal(psi: Cocycle) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     if v % q:
         raise DivisibilityViolated(f"q={q} does not divide v={v}")
     lam = v // q
-    rows = psi.table[1:]
-    keys = (np.arange(1, v, dtype=np.int64)[:, None] - 1) * q + rows
-    counts = np.bincount(keys.ravel(), minlength=(v - 1) * q).reshape(v - 1, q)
+    counts = row_histograms(psi.table[1:], q)
     bad = counts != lam
     if bad.any():
         g, u = map(int, np.argwhere(bad)[0])

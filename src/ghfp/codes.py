@@ -2,8 +2,8 @@
 
 C_H is the union of the rows of a normalized matrix H translated by every
 constant vector.  Its coset structure is what makes the large cases cheap:
-membership is one hash lookup after subtracting the first coordinate, the
-linear span of all qv codewords equals the span of the v rows plus the
+membership is one sorted-key search after subtracting the first coordinate,
+the linear span of all qv codewords equals the span of the v rows plus the
 all-one vector, and kernels are unions of cosets of the repetition code.
 """
 
@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DuplicateRows, NotACodeword, NotNormalized, ZeroNotInCode
-from .fields import Field
+from .fields import Field, row_histograms
 from .ghmatrix import GHMatrix
 
 # Exact pairwise minimum distance up to this many codewords.
@@ -131,26 +131,48 @@ class GHCode:
         self.v = matrix.v
         self.q = matrix.field.q
         self.n = self.v
-        self._rows = {self.H[i].tobytes(): i for i in range(self.v)}
-        if len(self._rows) != self.v:
+        # each row as one fixed-width byte key (a view of H), and the order
+        # that sorts the keys, for index()
+        self._key = np.dtype((np.void, 8 * self.n))
+        self._keys = np.ascontiguousarray(self.H).view(self._key)[:, 0]
+        self._order = np.argsort(self._keys)
+        # a repeated row finds the first of its copies, not its own place
+        first = self._keys.searchsorted(self._keys, sorter=self._order)
+        if (first[self._order] != np.arange(self.v)).any():
             raise DuplicateRows("matrix has duplicate rows")
 
     def __len__(self):
         return self.q * self.v
 
+    def index(self, words) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, offsets) of an (n, v) batch: word k equals offsets[k]*1
+        plus H-row rows[k], or rows[k] is -1 when word k is not in C_H.
+
+        Exact, with no hashing: every row starts with 0, so the first
+        coordinate is the offset; the rest is searched among the row keys in
+        their sort order and the match compared byte for byte.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        offsets = words[:, 0].copy()
+        base = self.field.vsub(words, offsets[:, None])
+        keys = np.ascontiguousarray(base).view(self._key)[:, 0]
+        pos = self._keys.searchsorted(keys, sorter=self._order)
+        # pos == v (past the last key) clips to a row the compare rejects
+        rows = self._order.take(pos, mode="clip")
+        rows[self._keys.take(rows) != keys] = -1
+        return rows, offsets
+
     def row_of(self, word) -> int:
         """Index of the H-row whose coset contains word; NotACodeword else."""
         word = np.asarray(word, dtype=np.int64)
-        base = self.field.vsub(word, np.full(self.n, int(word[0]), dtype=np.int64))
-        i = self._rows.get(base.tobytes())
-        if i is None:
+        row = int(self.index(word[None])[0][0])
+        if row < 0:
             raise NotACodeword("vector is not in C_H")
-        return i
+        return row
 
     def contains(self, word) -> bool:
         word = np.asarray(word, dtype=np.int64)
-        base = self.field.vsub(word, np.full(self.n, int(word[0]), dtype=np.int64))
-        return base.tobytes() in self._rows
+        return bool(self.index(word[None])[0][0] >= 0)
 
     def words(self) -> np.ndarray:
         """Materialize all qv codewords (coset-major: alpha block, then row)."""
@@ -277,17 +299,15 @@ class GHCode:
             diffs = f.vsub(self.H[i + 1:j_stop], self.H[i][None, :])
             if diffs.shape[0] == 0:
                 return self.n
-            keys = np.arange(diffs.shape[0], dtype=np.int64)[:, None] * q + diffs
-            counts = np.bincount(keys.ravel(),
-                                 minlength=diffs.shape[0] * q).reshape(-1, q)
-            return int(self.n - counts.max())
+            return int(self.n - row_histograms(diffs, q).max())
 
         if exact:
             best = self.n
             for i in range(self.v - 1):
                 best = min(best, pair_min(i, self.v))
             return MinDistanceResult(best, "exact")
-        # distances from 0 to every word: weights of f_i + alpha*1
+        # distances from 0 to every word: weights of f_i + alpha*1, one row
+        # at a time (one histogram of all rows costs two more v x v arrays)
         best = self.n
         for i in range(1, self.v):
             counts = np.bincount(self.H[i], minlength=q)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .cocycles import Cocycle
 from .errors import NotNormal, SectionUndefined, SizeGateExceeded, SizeMismatch
+from .fields import row_histograms
 from .groups import Group, invariants_from_order_counts
 from .propelinear import PropelinearCode
 
@@ -233,7 +234,9 @@ def fh_intersection_profile(P: PropelinearCode) -> Dict[str, object]:
     """|F_H  intersect  x*F_H| for every codeword x.
 
     The value must be v at x = 0, 0 on the rest of the repetition code, and
-    v/q everywhere else.
+    v/q everywhere else.  For x = f_rho + a*1, x * f_r = a*1 + f_rho * f_r;
+    with f_rho * f_r = c_r*1 + f_s, that lies in F_H exactly when c_r = -a.
+    So one index call per rho gives the values at every a.
     """
     f, v, q = P.field, P.v, P.q
     gt = P.group.table
@@ -242,17 +245,15 @@ def fh_intersection_profile(P: PropelinearCode) -> Dict[str, object]:
     ok = True
     witness: Optional[Tuple[int, int]] = None
     for rho in range(v):
-        shuffled = P.H[:, gt[rho]]  # pi_x applied to every row of F_H
-        for a in range(q):
-            x = f.vadd(P.H[rho], np.full(v, a, dtype=np.int64))
-            moved = f.vadd(shuffled, x[None, :])
-            hits = sum(1 for r in moved[moved[:, 0] == 0]
-                       if r.tobytes() in P.code._rows)
-            idx = a * v + rho
-            values[idx] = hits
-            expected = v if (rho == 0 and a == 0) else (0 if rho == 0 else lam)
-            if hits != expected and ok:
-                ok, witness = False, (rho, a)
+        rows, c = P.code.index(f.vadd(P.H[rho][None, :], P.H[:, gt[rho]]))
+        hits = np.bincount(f.vneg(c[rows >= 0]), minlength=q)
+        values[np.arange(q) * v + rho] = hits
+        expected = np.full(q, lam if rho else 0)
+        if rho == 0:
+            expected[0] = v
+        bad = np.flatnonzero(hits != expected)
+        if bad.size and ok:
+            ok, witness = False, (rho, int(bad[0]))
     return {"ok": bool(ok), "witness": witness, "values": values,
             "expected": {"zero": v, "c1": 0, "rest": lam}}
 
@@ -268,16 +269,13 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
     qtable = np.empty((v, v), dtype=np.int64)
     ctable = np.empty((v, v), dtype=np.int64)
     for i in range(v):
-        # row j of prod is f_i * f_j = f_i + pi-gather of f_j
-        prod = P.field.vadd(P.H[i][None, :], P.H[:, P.group.table[i]])
-        for j in range(v):
-            w = prod[j]
-            base = P.field.vsub(w, np.full(v, int(w[0]), dtype=np.int64))
-            r = P.code._rows.get(base.tobytes())
-            if r is None:
-                raise SectionUndefined(f"coset of f_{i} * f_{j} has no row")
-            qtable[i, j] = r
-            ctable[i, j] = int(w[0])
+        # row j of the batch is f_i * f_j = f_i + pi-gather of f_j
+        qtable[i], ctable[i] = P.code.index(
+            P.field.vadd(P.H[i][None, :], P.H[:, P.group.table[i]]))
+        missing = np.flatnonzero(qtable[i] < 0)
+        if missing.size:
+            raise SectionUndefined(
+                f"coset of f_{i} * f_{int(missing[0])} has no row")
     quotient = Group(qtable)
     quotient.check_associativity()
     return Cocycle(quotient, P.field, ctable, check="full")
@@ -286,26 +284,14 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
 def coset_zero_sets(P: PropelinearCode) -> Dict[str, object]:
     """D_j = {x in C : x_j = 0}: D_1 = F_H, each |D_j| = v, and every column
     of H carries each element v/q times (j > 1)."""
-    f, v, q = P.field, P.v, P.q
-    lam = v // q
-    sizes = []
-    for j in range(v):
-        col = P.H[:, j]
-        # x = f + a1 has x_j = 0 iff a = -f_j: one alpha per row
-        sizes.append(int(sum(1 for i in range(v) for a in [f.neg(int(col[i]))]
-                             if f.add(int(col[i]), a) == 0)))
-    d1_is_fh = bool((P.H[:, 0] == 0).all())
-    col_counts_ok = True
-    witness = None
-    for j in range(1, v):
-        counts = np.bincount(P.H[:, j], minlength=q)
-        if not (counts == lam).all():
-            col_counts_ok = False
-            witness = (j, counts)
-            break
+    v, q = P.v, P.q
+    counts = row_histograms(P.H[:, 1:].T, q)  # row j-1 counts column j
+    bad = np.flatnonzero((counts != v // q).any(axis=1))
     return {
-        "d1_is_fh": d1_is_fh,
-        "sizes_all_v": all(s == v for s in sizes),
-        "column_counts_flat": col_counts_ok,
-        "witness": witness,
+        "d1_is_fh": bool((P.H[:, 0] == 0).all()),
+        # true by construction: f_i + a*1 has entry j equal to 0 for exactly
+        # one a, namely -f_i[j], so every D_j has one word per row
+        "sizes_all_v": True,
+        "column_counts_flat": not bad.size,
+        "witness": (int(bad[0]) + 1, counts[bad[0]]) if bad.size else None,
     }

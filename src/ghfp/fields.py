@@ -364,6 +364,15 @@ def field_new(p: int, m: int, poly: Optional[Sequence[int]] = None) -> Field:
     return Field(p, m, poly)
 
 
+def row_histograms(rows, q: int) -> np.ndarray:
+    """(n, q) counts of an (n, k) array of encodings: [i, u] is how often u
+    occurs in row i.  One bincount over keys i*q + u."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[0]
+    keys = np.arange(n, dtype=np.int64)[:, None] * q + rows
+    return np.bincount(keys.ravel(), minlength=n * q).reshape(n, q)
+
+
 class FieldElement:
     """An element of a Field, wrapping its integer encoding."""
 

@@ -39,6 +39,18 @@ def _expect(cond: bool, msg: str, lineno: int, column: Optional[int] = None):
         raise ParseError(msg, line=lineno, column=column)
 
 
+def _parse_v(line: str, lineno: int) -> int:
+    """The order from a v=<order> line; ParseError unless it is a positive
+    integer."""
+    _expect(line.startswith("v="), "missing v= line", lineno)
+    try:
+        v = int(line[2:])
+    except ValueError:
+        raise ParseError(f"bad order {line[2:]!r}", line=lineno) from None
+    _expect(v > 0, f"order v={v} is not positive", lineno)
+    return v
+
+
 def _parse_rows(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
     rows = []
     for k, line in enumerate(lines):
@@ -78,8 +90,7 @@ def read_cay(path) -> Group:
     lines = Path(path).read_text().splitlines()
     _expect(len(lines) >= 2 and lines[0].strip() == "cay 1",
             "missing 'cay 1' magic", 1)
-    _expect(lines[1].startswith("v="), "missing v= line", 2)
-    v = int(lines[1][2:])
+    v = _parse_v(lines[1], 2)
     table = _parse_rows(lines[2:2 + v], 3, v, v)
     group = Group(table)
     group.check_associativity()
@@ -110,8 +121,7 @@ def read_coc(path) -> Cocycle:
     lines = path.read_text().splitlines()
     _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
     field = parse_field_header(lines[0], 1)
-    _expect(lines[1].startswith("v="), "missing v= line", 2)
-    v = int(lines[1][2:])
+    v = _parse_v(lines[1], 2)
     row_start = 2
     if len(lines) > 2 and lines[2].startswith("group="):
         group = read_cay(path.parent / lines[2][len("group="):])
@@ -150,8 +160,7 @@ def read_ghm(path) -> GHMatrix:
     _expect(len(lines) >= 3 and lines[0].strip() == "ghm 1",
             "missing 'ghm 1' magic", 1)
     field = parse_field_header(lines[1], 2)
-    _expect(lines[2].startswith("v="), "missing v= line", 3)
-    v = int(lines[2][2:])
+    v = _parse_v(lines[2], 3)
     entries = _parse_rows(lines[3:3 + v], 4, v, field.q)
     return GHMatrix(field, entries)
 

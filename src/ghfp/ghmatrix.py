@@ -17,7 +17,7 @@ from .errors import (
     NotSquare,
     OrderMismatch,
 )
-from .fields import Field
+from .fields import Field, row_histograms
 from .groups import Group
 
 # Full row-pair scan up to this order; random row pairs above.
@@ -90,7 +90,7 @@ def is_gh(matrix: GHMatrix, mode: str = "auto", seed: int = 0,
     if mode == "full" or (mode == "auto" and v <= GH_EXHAUSTIVE_MAX):
         for i in range(v - 1):
             diffs = f.vsub(M[i + 1:], M[i][None, :])
-            counts = _row_bincounts(diffs, q)
+            counts = row_histograms(diffs, q)
             bad = counts != lam
             if bad.any():
                 r, u = map(int, np.argwhere(bad)[0])
@@ -107,12 +107,6 @@ def is_gh(matrix: GHMatrix, mode: str = "auto", seed: int = 0,
             u = int(np.argwhere(bad)[0][0])
             return False, (i, j, u, int(counts[u]))
     return True, None
-
-
-def _row_bincounts(rows: np.ndarray, q: int) -> np.ndarray:
-    n = rows.shape[0]
-    keys = np.arange(n, dtype=np.int64)[:, None] * q + rows
-    return np.bincount(keys.ravel(), minlength=n * q).reshape(n, q)
 
 
 def normalize(matrix: GHMatrix) -> GHMatrix:

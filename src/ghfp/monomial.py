@@ -146,24 +146,19 @@ def pair_for_codeword(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
     row-side M is solved coordinate-wise: each transformed row must land on
     an H-row up to a constant, which pins its permutation and diagonal.
     """
-    f, v = P.field, P.v
+    f = P.field
     x = np.asarray(x, dtype=np.int64)
     rho = P.row_of(x)
     sigma = P.group.table[rho]  # index map of Q = pi_x^{-1} images
     N = MonomialMatrix(f, sigma, f.vneg(x))
-    perm = np.empty(v, dtype=np.int64)
-    diag = np.empty(v, dtype=np.int64)
     ginv_row = P.group.table[int(P.group.inv[rho])]
-    for i in range(v):
-        w = f.vsub(P.H[i], x)[ginv_row]  # w_t = z_{sigma^{-1}(t)}
-        d = int(w[0])
-        r = P.code._rows.get(f.vsub(w, np.full(v, d, dtype=np.int64)).tobytes())
-        if r is None:
-            raise AutomorphismCheckFailed(f"row {i} does not map to a row")
-        perm[i] = r
-        diag[i] = d
-    M = MonomialMatrix(f, perm, diag)
-    return M, N
+    # row i is w with w_t = z_{sigma^{-1}(t)}, z = f_i - x
+    perm, diag = P.code.index(f.vsub(P.H, x[None, :])[:, ginv_row])
+    missing = np.flatnonzero(perm < 0)
+    if missing.size:
+        raise AutomorphismCheckFailed(
+            f"row {int(missing[0])} does not map to a row")
+    return MonomialMatrix(f, perm, diag), N
 
 
 def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
@@ -244,40 +239,3 @@ def expanded_matrix(H: GHMatrix) -> np.ndarray:
         row = f.vadd(f.vadd(ks[i], ks)[:, None, None], H.entries[None, :, :])
         out[i * v:(i + 1) * v] = row.transpose(1, 0, 2).reshape(v, q * v)
     return out
-
-
-def regular_row_action_check(P: PropelinearCode) -> bool:
-    """star acts on the qv row labels of the expanded matrix regularly.
-
-    Labels are (d, r) for the codeword k_d + f_r; the action of a sends a
-    label to the label of a * codeword.  Regular = transitive + free.
-    """
-    f, v, q = P.field, P.v, P.q
-    if q * v > EXPANDED_MAX:
-        raise SizeGateExceeded(f"qv = {q * v} > {EXPANDED_MAX}")
-    labels = [(d, r) for d in range(q) for r in range(v)]
-    index = {}
-    for d, r in labels:
-        w = f.vadd(np.full(v, d, dtype=np.int64), P.H[r])
-        index[w.tobytes()] = (d, r)
-    images = {}
-    for d, r in labels:
-        a = f.vadd(np.full(v, d, dtype=np.int64), P.H[r])
-        img = [index[P.star(a, f.vadd(np.full(v, dd, dtype=np.int64),
-                                      P.H[rr]).astype(np.int64)).tobytes()]
-               for dd, rr in labels]
-        images[(d, r)] = img
-        if len(set(img)) != len(labels):
-            return False
-    # transitive: orbit of the zero label covers everything
-    zero = (0, 0)
-    orbit = {im[labels.index(zero)] for im in images.values()}
-    if len(orbit) != len(labels):
-        return False
-    # free: only the identity label fixes anything
-    for lab, img in images.items():
-        if lab == zero:
-            continue
-        if any(l == i for l, i in zip(labels, img)):
-            return False
-    return True

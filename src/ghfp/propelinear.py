@@ -21,11 +21,12 @@ import numpy as np
 
 from .cocycles import Cocycle, is_orthogonal, tensor
 from .codes import GHCode
-from .errors import FieldMismatch, NotACodeword, NotAssociative, NotOrthogonal
+from .errors import (FieldMismatch, NotAGroup, NotAssociative, NotOrthogonal,
+                     SizeGateExceeded)
 from .ghmatrix import GHMatrix
-from .groups import Perm, abelian_invariants
+from .groups import Group, Perm, abelian_invariants
 
-# Codes up to this size get the materialized regular-action check and the
+# Codes up to this size get the tabulated regular-action check and the
 # longer run of star-associativity trials.
 PAIR_EXHAUSTIVE_MAX = 10 ** 4
 
@@ -191,11 +192,11 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
         if not (P.star(x, np.zeros(v, dtype=np.int64)) == x).all():
             ok, witness = False, ("x*0 != x", rho)
             break
-        for j in range(v):
-            if not P.code.contains(P.star(x, P.H[j])):
-                ok, witness = False, ("x*f not in C", rho, j)
-                break
-        if not ok:
+        # row j is x * f_j = x + pi-gather of f_j
+        rows, _ = P.code.index(f.vadd(x[None, :], P.H[:, gt[rho]]))
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            ok, witness = False, ("x*f not in C", rho, int(missing[0]))
             break
     report["axiom_i_preserves_code"] = (ok, witness)
 
@@ -223,12 +224,18 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
         if not (P.star(P.star_inverse(x), x) == zero).all():
             ok, witness = False, ("inverse", i)
             break
+    # random triples a, b, c with a = k*1 + f_r, in batches of v trials:
+    # x * y gathers y along the permutation of x's row
     trials = 500 if q * v <= PAIR_EXHAUSTIVE_MAX else 200
-    for _ in range(trials):
-        a = P.encode(int(rng.integers(0, q)), int(rng.integers(0, v)))
-        b = P.encode(int(rng.integers(0, q)), int(rng.integers(0, v)))
-        c = P.encode(int(rng.integers(0, q)), int(rng.integers(0, v)))
-        if not (P.star(P.star(a, b), c) == P.star(a, P.star(b, c))).all():
+    for start in range(0, trials, v):
+        rs = rng.integers(0, v, size=(3, min(v, trials - start)))
+        a, b, c = f.vadd(rng.integers(0, q, size=rs.shape + (1,)), P.H[rs])
+        ab = f.vadd(a, np.take_along_axis(b, gt[rs[0]], axis=1))
+        bc = f.vadd(b, np.take_along_axis(c, gt[rs[1]], axis=1))
+        rab, _ = P.code.index(ab)
+        lhs = f.vadd(ab, np.take_along_axis(c, gt[rab], axis=1))
+        rhs = f.vadd(a, np.take_along_axis(bc, gt[rs[0]], axis=1))
+        if (rab < 0).any() or (lhs != rhs).any():
             ok, witness = False, ("associativity",)
             break
     report["group_axioms"] = (ok, witness)
@@ -267,34 +274,30 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
 
 
 def regular_subgroup_check(P: PropelinearCode) -> bool:
-    """The maps rho_x: y -> x*y form a regular transitive isometry group.
+    """The maps y -> x*y form a regular permutation group on C, exactly.
 
-    Materializes the action, so gated to small codes.
+    That holds exactly when the star table of C is a group table: Latin with
+    identity 0 and associative (checked by Light's test).  Codeword
+    a*1 + f_r gets label a*v + r, and as (a*1 + f_rho) * (b*1 + f_r) =
+    (a + b)*1 + f_rho * f_r, the table needs only the v^2 products of rows.
+    Tabulated, so gated to small codes.
     """
-    size = P.q * P.v
-    if size > PAIR_EXHAUSTIVE_MAX:
-        raise NotACodeword(f"regular check gated to {PAIR_EXHAUSTIVE_MAX} words")
-    words = P.codewords()
-    index = {w.tobytes(): i for i, w in enumerate(words)}
-    perms = np.empty((size, size), dtype=np.int64)
-    for i, x in enumerate(words):
-        for j, y in enumerate(words):
-            perms[i, j] = index[P.star(x, y).tobytes()]
-    # bijections, homomorphism, transitivity, trivial stabilizers
-    ar = np.arange(size)
-    if not (np.sort(perms, axis=1) == ar).all():
+    f, v, q = P.field, P.v, P.q
+    if q * v > PAIR_EXHAUSTIVE_MAX:
+        raise SizeGateExceeded(f"qv = {q * v} > {PAIR_EXHAUSTIVE_MAX}")
+    gt = P.group.table
+    rows = np.empty((v, v), dtype=np.int64)
+    offsets = np.empty((v, v), dtype=np.int64)
+    for rho in range(v):
+        rows[rho], offsets[rho] = P.code.index(
+            f.vadd(P.H[rho][None, :], P.H[:, gt[rho]]))
+    if (rows < 0).any():
+        return False  # some x*y is not in C
+    a = np.arange(q, dtype=np.int64)
+    ab = f.vadd(a[:, None], a[None, :])[:, None, :, None]
+    table = f.vadd(ab, offsets[None, :, None, :]) * v + rows[None, :, None, :]
+    try:
+        Group(table.reshape(q * v, q * v)).check_associativity()
+    except NotAGroup:
         return False
-    zero_col = int(np.nonzero((words == 0).all(axis=1))[0][0])
-    if len(set(int(x) for x in perms[:, zero_col])) != size:
-        return False  # not transitive on C
-    for i in range(size):
-        fixed = perms[i] == ar
-        if fixed.any() and i != zero_col:
-            return False  # nontrivial stabilizer
-    rng = np.random.default_rng(1)
-    for _ in range(min(4 * size, 2000)):
-        i, j = map(int, rng.integers(0, size, size=2))
-        k = index[P.star(words[i], words[j]).tobytes()]
-        if not (perms[i][perms[j]] == perms[k]).all():
-            return False
     return True

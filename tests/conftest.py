@@ -79,6 +79,32 @@ def loop5():
 
 
 @pytest.fixture(scope="session")
+def non_cocycles(gf3, gf4):
+    """Orthogonal tables with distinct rows read over the cyclic group, where
+    none is a cocycle.  In gf2_over_z4, C_H is closed under star but its star
+    table is not a Latin square; in the others some x*y leaves C_H, and the
+    GF(5) one has an intersection profile that changes under a -> -a."""
+    from ghfp import Cocycle, Group
+
+    def over_cyclic(table, field):
+        a = np.arange(len(table))
+        group = Group((a[:, None] + a[None, :]) % len(table))
+        return Cocycle(group, field, table, check="skip")
+
+    return {
+        "h4_over_z4": over_cyclic(paper_data.H_ORDER4, gf4),
+        "h9_over_z9": over_cyclic(paper_data.H_ORDER9, gf3),
+        "gf2_over_z4": over_cyclic(np.array([[0, 0, 0, 0], [0, 0, 1, 1],
+                                             [0, 1, 1, 0], [0, 1, 0, 1]]),
+                                   Field(2, 1)),
+        "gf5_over_z5": over_cyclic(np.array([[0, 0, 0, 0, 0], [0, 4, 2, 1, 3],
+                                             [0, 3, 2, 4, 1], [0, 3, 1, 2, 4],
+                                             [0, 2, 1, 3, 4]]),
+                                   Field(5, 1)),
+    }
+
+
+@pytest.fixture(scope="session")
 def corpus(gf3, s3_cocycle, s9_cocycle, s8_cocycle, order4_cocycle, dphi43, gf81):
     """Named cocycles for the equivalence suite: base constructions plus
     tensors (lifting GF(3) factors into GF(81) where fields differ)."""

@@ -36,9 +36,9 @@ from ghfp import (
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.monomial import (
     automorphisms_from_star,
-    regular_row_action_check,
     scalar_pairs_are_automorphisms,
 )
+from ghfp.propelinear import regular_subgroup_check
 from ghfp.planar import planar_coboundary
 
 import paper_data
@@ -307,9 +307,7 @@ def _in_kernel(P, i):
     stable = True
     for a in range(1, P.q):
         y = f.vsmul(a, P.H[i])
-        w = f.vsub(y, np.full(P.v, int(y[0]), dtype=np.int64))
-        j = P.code._rows.get(w.tobytes())
-        if j is None:
+        if not P.code.contains(y):
             return False
         for k in range(P.v):
             if not P.code.contains(f.vadd(P.H[k], y)):
@@ -333,7 +331,7 @@ def test_criterion_9_monomial_slice():
             assert report["homomorphism_ok"] and report["central_pairs_ok"]
             assert report["row_action_transitive"]
             assert scalar_pairs_are_automorphisms(P)
-            assert regular_row_action_check(P)
+            assert regular_subgroup_check(P)
         planar = ghfp_from_cocycle(planar_coboundary(
             4, 3, Field(3, 4, paper_data.POLY_81)))
         report = automorphisms_from_star(planar, sample=512)

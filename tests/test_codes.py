@@ -64,6 +64,11 @@ def test_code_from_gh_rejects_bad_input(gf3, gf4):
             [[1, 1, 1, 1], [0, 1, 3, 2], [0, 3, 2, 1], [0, 2, 1, 3]])))
     with pytest.raises(DuplicateRows):
         code_from_gh(GHMatrix(gf3, np.zeros((3, 3), dtype=np.int64)))
+    # GHCode alone, with one repeated row among distinct ones
+    twice = paper_data.H_ORDER9.copy()
+    twice[8] = twice[4]
+    with pytest.raises(DuplicateRows):
+        GHCode(GHMatrix(gf3, twice))
 
 
 def test_rank_published_values(code4, code9, code81):
@@ -182,3 +187,50 @@ def test_row_of_and_not_a_codeword(code9):
 def test_generic_code_duplicate_rejected(gf3):
     with pytest.raises(DuplicateRows):
         Code(gf3, np.zeros((2, 3), dtype=np.int64))
+
+
+@pytest.fixture(scope="module")
+def index_codes(gf3, gf4, gf8, dphi43):
+    """Codes of orders 4 to 81, plus a bare normalized matrix with distinct
+    rows that is neither GH nor cocyclic."""
+    from ghfp import multiplication_cocycle
+
+    bare = np.random.default_rng(3).integers(0, 5, size=(7, 7))
+    bare[0] = 0
+    bare[:, 0] = 0
+    return {
+        "order4": GHCode(GHMatrix(gf4, paper_data.H_ORDER4)),
+        "order8": GHCode(matrix_of(multiplication_cocycle(gf8,
+                                                          "primitive-power"))),
+        "order9": GHCode(GHMatrix(gf3, paper_data.H_ORDER9)),
+        "order16": GHCode(sylvester_power(gf4, 2)),
+        "order27": GHCode(sylvester_power(gf3, 3)),
+        "order81": GHCode(matrix_of(dphi43)),
+        "bare": GHCode(GHMatrix(Field(5, 1), bare)),
+    }
+
+
+@pytest.mark.parametrize("name", ["order4", "order8", "order9", "order16",
+                                  "order27", "order81", "bare"])
+def test_index_matches_code_oracle(index_codes, name):
+    code = index_codes[name]
+    f, v, q = code.field, code.v, code.q
+    words = code.words()
+    rows, offsets = code.index(words)
+    # words()[a*v + r] is a*1 + f_r
+    assert rows.tolist() == list(range(v)) * q
+    assert offsets.tolist() == [a for a in range(q) for _ in range(v)]
+    # members, random vectors and codewords with one entry changed, mixed
+    rng = np.random.default_rng(1)
+    changed = words[rng.integers(0, len(words), size=100)]
+    at = (np.arange(100), rng.integers(0, v, size=100))
+    changed[at] = f.vadd(changed[at], rng.integers(1, q, size=100))
+    batch = np.concatenate([words[rng.integers(0, len(words), size=50)],
+                            rng.integers(0, q, size=(100, v)), changed])
+    rows, offsets = code.index(batch)
+    oracle = code.as_code()
+    for w, r, a in zip(batch, rows, offsets):
+        assert (r >= 0) == oracle.contains(w)
+        if r >= 0:
+            assert (f.vadd(a, code.H[r]) == w).all()
+    assert (rows[:50] >= 0).all() and (rows[150:] < 0).any()

@@ -112,6 +112,31 @@ def test_fh_intersection_profile(order4_cocycle, s9_cocycle, s8_cocycle):
         assert int((values == v // q).sum()) == q * v - q
 
 
+def test_fh_intersection_profile_matches_brute_force(order4_cocycle,
+                                                     s9_cocycle, s8_cocycle,
+                                                     non_cocycles):
+    from ghfp import Code
+
+    for psi in (order4_cocycle, s9_cocycle, s8_cocycle,
+                *non_cocycles.values()):
+        P = ghfp_from_cocycle(psi)
+        v, q = P.v, P.q
+        fh = Code(P.field, P.H)
+        prof = fh_intersection_profile(P)
+        want = [sum(fh.contains(P.star(x, f)) for f in P.H)
+                for x in P.code.words()]  # x = a*1 + f_rho at a*v + rho
+        assert np.asarray(prof["values"]).tolist() == want
+        expected = [v if k == 0 else (0 if k % v == 0 else v // q)
+                    for k in range(q * v)]
+        bad = sorted((k % v, k // v) for k in range(q * v)
+                     if want[k] != expected[k])
+        assert prof["ok"] == (not bad)
+        assert prof["witness"] == (bad[0] if bad else None)
+    for name in ("h4_over_z4", "h9_over_z9"):
+        P = ghfp_from_cocycle(non_cocycles[name])
+        assert not fh_intersection_profile(P)["ok"], name
+
+
 def test_cocycle_from_code_roundtrip(corpus):
     for name, psi in corpus.items():
         if psi.v == 1 or psi.v % psi.q:
@@ -125,6 +150,17 @@ def test_cocycle_from_code_roundtrip(corpus):
         assert E1.order == E2.order, name
         if E1.is_abelian:
             assert E1.abelian_invariants() == E2.abelian_invariants(), name
+
+
+def test_cocycle_from_code_names_first_product_outside_code(non_cocycles):
+    from ghfp.errors import SectionUndefined
+
+    for name in ("h4_over_z4", "h9_over_z9", "gf5_over_z5"):
+        P = ghfp_from_cocycle(non_cocycles[name])
+        i, j = next((i, j) for i in range(P.v) for j in range(P.v)
+                    if not P.code.contains(P.star(P.H[i], P.H[j])))
+        with pytest.raises(SectionUndefined, match=rf"f_{i} \* f_{j} has"):
+            cocycle_from_code(P)
 
 
 def test_cocycle_from_code_trivial_point(gf3):
@@ -143,3 +179,23 @@ def test_coset_zero_sets(order4_cocycle, s9_cocycle, s8_cocycle):
         assert report["d1_is_fh"]
         assert report["sizes_all_v"]
         assert report["column_counts_flat"], report["witness"]
+
+
+def test_coset_zero_sets_witness_is_first_unflat_column(gf3):
+    from ghfp import Cocycle
+
+    # flat rows (orthogonal), distinct; the columns are not flat
+    rng = np.random.default_rng(2)
+    rest = np.array([0, 0, 1, 1, 1, 2, 2, 2])
+    t = np.zeros((9, 9), dtype=np.int64)
+    for i in range(1, 9):
+        t[i, 1:] = rng.permutation(rest)
+    P = ghfp_from_cocycle(Cocycle(elementary_abelian(3, 2), gf3, t,
+                                  check="skip"))
+    report = coset_zero_sets(P)
+    flat = [(np.bincount(t[:, j], minlength=3) == 3).all() for j in range(9)]
+    j = flat.index(False, 1)
+    assert not report["column_counts_flat"]
+    assert report["witness"][0] == j
+    assert report["witness"][1].tolist() == np.bincount(t[:, j],
+                                                        minlength=3).tolist()

@@ -278,6 +278,47 @@ def test_cli_rds_force_gate(tmp_path, capsys):
     assert rc == 0 and "equivalence_agree=True" in out
 
 
+_GOOD_FILES = {
+    "coc": ["p=3 m=1 poly=0,1", "v=3", "0 0 0", "0 1 2", "0 2 1"],
+    "cay": ["cay 1", "v=3", "0 1 2", "1 2 0", "2 0 1"],
+    "ghm": ["ghm 1", "p=3 m=1 poly=0,1", "v=3", "0 0 0", "0 1 2", "0 2 1"],
+}
+_HEADER_LINE = {"coc": 0, "cay": 0, "ghm": 1}
+_BAD_HEADER = {"coc": "p=x m=1 poly=0,1", "cay": "cay 2",
+               "ghm": "p=3 m=1 poly=0,x"}
+_READERS = {"coc": read_coc, "cay": read_cay, "ghm": read_ghm}
+
+
+@pytest.mark.parametrize("suffix", ["coc", "cay", "ghm"])
+@pytest.mark.parametrize("case", ["truncated", "bad header", "out of range",
+                                  "v=x", "v=", "v=3.5", "v=0"])
+def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, case):
+    lines = list(_GOOD_FILES[suffix])
+    good = tmp_path / f"good.{suffix}"
+    good.write_text("\n".join(lines) + "\n")
+    _READERS[suffix](good)
+    h = _HEADER_LINE[suffix]
+    if case == "truncated":
+        del lines[-1]
+    elif case == "bad header":
+        lines[h] = _BAD_HEADER[suffix]
+    elif case == "out of range":
+        lines[-1] = "0 2 3"
+    else:
+        lines[h + 1] = case
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError):
+        _READERS[suffix](path)
+    if suffix == "cay":
+        # verify reads a .cay through the group= line of a .coc
+        path = tmp_path / "uses_bad.coc"
+        path.write_text("p=3 m=1 poly=0,1\nv=3\ngroup=bad.cay\n"
+                        "0 0 0\n0 1 2\n0 2 1\n")
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ghm"
     bad.write_text("garbage\n")

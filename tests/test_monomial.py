@@ -11,7 +11,7 @@ from ghfp import (
     is_matrix_automorphism,
     matrix_of,
     pair_for_codeword,
-    regular_row_action_check,
+    regular_subgroup_check,
 )
 from ghfp.errors import NotMonomial, SizeGateExceeded
 from ghfp.monomial import dense_mul_oracle, scalar_pairs_are_automorphisms
@@ -139,7 +139,7 @@ def test_expanded_matrix_blocks(order4_cocycle, gf4):
 
 def test_expanded_row_action_regular(order4_cocycle, s9_cocycle, s8_cocycle):
     for psi in (order4_cocycle, s9_cocycle, s8_cocycle):
-        assert regular_row_action_check(ghfp_from_cocycle(psi))
+        assert regular_subgroup_check(ghfp_from_cocycle(psi))
 
 
 def test_expanded_gate(corpus):
@@ -157,4 +157,23 @@ def test_trivial_point_expanded(gf3):
     P = ghfp_from_cocycle(trivial_cocycle(point, gf3))
     E = expanded_matrix(matrix_of(P.psi))
     assert E.shape == (3, 3)
-    assert regular_row_action_check(P)
+    assert regular_subgroup_check(P)
+
+
+def test_pair_for_codeword_names_first_row_off_the_matrix(non_cocycles):
+    from ghfp import Code
+    from ghfp.errors import AutomorphismCheckFailed
+
+    for name in ("h4_over_z4", "h9_over_z9"):
+        P = ghfp_from_cocycle(non_cocycles[name])
+        f, code = P.field, Code(P.field, P.codewords())
+        for x in P.codewords():
+            ginv_row = P.group.table[P.group.inv[P.row_of(x)]]
+            bad = [i for i in range(P.v)
+                   if not code.contains(f.vsub(P.H[i], x)[ginv_row])]
+            if not bad:
+                pair_for_codeword(P, x)
+                continue
+            with pytest.raises(AutomorphismCheckFailed,
+                               match=f"row {bad[0]} does"):
+                pair_for_codeword(P, x)

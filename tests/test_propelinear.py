@@ -11,7 +11,7 @@ from ghfp import (
     trivial_cocycle,
     verify_full_propelinear,
 )
-from ghfp.errors import NotACodeword, NotOrthogonal
+from ghfp.errors import NotACodeword, NotOrthogonal, SizeGateExceeded
 from ghfp.groups import Group
 from ghfp.propelinear import oplus
 
@@ -181,6 +181,56 @@ def test_regular_subgroup(p4, p9, p8):
     assert regular_subgroup_check(p4)
     assert regular_subgroup_check(p9)
     assert regular_subgroup_check(p8)
+
+
+def test_regular_subgroup_rejects_non_cocycles(non_cocycles):
+    # star leaves C_H, or C_H is closed but its star table is no group
+    for name, psi in non_cocycles.items():
+        assert not regular_subgroup_check(ghfp_from_cocycle(psi)), name
+
+
+def test_verify_full_propelinear_reports_non_cocycles(non_cocycles):
+    """A code that star takes out of C_H is reported, not raised: axiom (i)
+    names the first x*f outside C, and the sampled group axioms fail."""
+    for name, psi in non_cocycles.items():
+        P = ghfp_from_cocycle(psi)
+        report = verify_full_propelinear(P)
+        bad = next(((rho, j) for rho in range(P.v) for j in range(P.v)
+                    if not P.code.contains(P.star(P.H[rho], P.H[j]))), None)
+        want = (True, None) if bad is None else (False, ("x*f not in C", *bad))
+        assert report["axiom_i_preserves_code"] == want, name
+        assert report["group_axioms"] == (False, ("associativity",)), name
+
+
+def test_regular_subgroup_decides_on_the_row_product_table(gf3, loop5):
+    """The check reads only the table of row products f_rho * f_r (v index
+    calls, in rho order).  Feeding it a group, a loop (Latin, not
+    associative) and a monoid (associative, not Latin) as that table pins
+    the rule: regular exactly when the star table is a group table."""
+    from types import SimpleNamespace
+
+    def fake(rows):
+        v = len(rows)
+        calls = iter(rows)
+        zeros = np.zeros((v, v), dtype=np.int64)
+        code = SimpleNamespace(
+            index=lambda words: (np.asarray(next(calls)), zeros[0]))
+        return SimpleNamespace(field=gf3, v=v, q=3, H=zeros, code=code,
+                               group=SimpleNamespace(table=zeros))
+
+    a = np.arange(5)
+    assert regular_subgroup_check(fake((a[:, None] + a[None, :]) % 5))
+    assert not regular_subgroup_check(fake(loop5))
+    assert not regular_subgroup_check(fake(np.maximum(a[:, None], a[None, :])))
+
+
+def test_regular_subgroup_gate():
+    from ghfp import Field, multiplication_cocycle
+
+    # S_128: q*v = 128 * 128 = 16384 codewords, over the 10^4 gate
+    P = ghfp_from_cocycle(multiplication_cocycle(Field(2, 7)))
+    with pytest.raises(SizeGateExceeded):
+        regular_subgroup_check(P)
 
 
 def test_kernel_closed_under_star(p4, p9, p81):
