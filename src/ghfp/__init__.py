@@ -21,7 +21,6 @@ from .cocycles import (
 from .codes import Code, GHCode, code_from_gh, rank_of_rows
 from .extension import (
     ExtensionGroup,
-    cocycle_from_code,
     coset_zero_sets,
     extension_group,
     fh_intersection_profile,
@@ -57,6 +56,7 @@ from .monomial import (
 from .planar import admissible_pairs, planar_coboundary, planar_map, table1
 from .propelinear import (
     PropelinearCode,
+    cocycle_from_code,
     ghfp_from_cocycle,
     kronecker_propelinear,
     regular_subgroup_check,

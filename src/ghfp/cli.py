@@ -216,7 +216,7 @@ def cmd_propelinear(args) -> int:
         out["group"] = P.group_invariants()
         out["pi_group"] = P.pi_group_invariants()
     if args.verify:
-        report = verify_full_propelinear(P, seed=args.seed)
+        report = verify_full_propelinear(P)
         for k, (passed, witness) in report.items():
             out[f"check_{k}"] = passed
             ok = ok and passed
@@ -331,7 +331,7 @@ def consolidated_report(path, seed: int = 0) -> Dict[str, object]:
             P = PropelinearCode(psi)
             out["group"] = P.group_invariants()
             out["pi_group"] = P.pi_group_invariants()
-            report = verify_full_propelinear(P, seed=seed)
+            report = verify_full_propelinear(P)
             out["propelinear"] = all(p for p, _ in report.values())
             prof = fh_intersection_profile(P)
             out["profile"] = prof["ok"]

@@ -1,5 +1,5 @@
 """The canonical central extension E_psi, relative difference sets, and the
-cocycle-from-code reconstruction.
+F_H intersection profile and coset zero sets of C_H.
 
 E_psi lives on pairs (u, g) with (u,g)(w,h) = (u + w + psi(g,h), gh); the
 coefficient copy U x {1} is central and T(psi) = {(0, g)} is a normalized
@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cocycles import Cocycle
-from .errors import NotNormal, SectionUndefined, SizeGateExceeded, SizeMismatch
+from .errors import NotNormal, SizeGateExceeded, SizeMismatch
 from .fields import row_histograms
 from .groups import Group, invariants_from_order_counts
 from .propelinear import PropelinearCode
@@ -185,10 +185,12 @@ def is_relative_difference_set(R: List[Pair], E: ExtensionGroup,
         for x in forbidden:
             if E.mul(z, x) not in zset:
                 raise NotNormal("forbidden set not closed under product")
-    rng = np.random.default_rng(0)
-    for _ in range(min(64, E.order)):
-        g = (int(rng.integers(0, E.q)), int(rng.integers(0, E.v)))
-        for z in list(zset)[:8]:
+    # The normalizer of Z is a subgroup of E.  It holds the central (u, 1),
+    # as psi is normalized, and so it is all of E once it holds (0, h) for
+    # the generators h of G: (u, g) = (u', 1)(0, h_1)...(0, h_n).
+    for h in E.group.generators():
+        g = (0, h)
+        for z in forbidden:
             if E.mul(E.mul(g, z), E.inverse(g)) not in zset:
                 raise NotNormal("forbidden subgroup is not normal")
     k = len(R)
@@ -235,50 +237,24 @@ def fh_intersection_profile(P: PropelinearCode) -> Dict[str, object]:
 
     The value must be v at x = 0, 0 on the rest of the repetition code, and
     v/q everywhere else.  For x = f_rho + a*1, x * f_r = a*1 + f_rho * f_r;
-    with f_rho * f_r = c_r*1 + f_s, that lies in F_H exactly when c_r = -a.
-    So one index call per rho gives the values at every a.
+    with f_rho * f_r = c*1 + f_s, that lies in F_H exactly when c = -a.
+    So the row-product table gives the values at every a.
     """
     f, v, q = P.field, P.v, P.q
-    gt = P.group.table
     lam = v // q
-    values = np.empty(q * v, dtype=np.int64)
-    ok = True
-    witness: Optional[Tuple[int, int]] = None
-    for rho in range(v):
-        rows, c = P.code.index(f.vadd(P.H[rho][None, :], P.H[:, gt[rho]]))
-        hits = np.bincount(f.vneg(c[rows >= 0]), minlength=q)
-        values[np.arange(q) * v + rho] = hits
-        expected = np.full(q, lam if rho else 0)
-        if rho == 0:
-            expected[0] = v
-        bad = np.flatnonzero(hits != expected)
-        if bad.size and ok:
-            ok, witness = False, (rho, int(bad[0]))
-    return {"ok": bool(ok), "witness": witness, "values": values,
+    rows, c = P.row_products()
+    rhos = np.broadcast_to(np.arange(v)[:, None], (v, v))
+    hit = rows >= 0
+    values = np.bincount(f.vneg(c[hit]) * v + rhos[hit], minlength=q * v)
+    expected = np.full(q * v, lam, dtype=np.int64)
+    expected[np.arange(q) * v] = 0
+    expected[0] = v
+    # (rho, a) pairs in rho-major order
+    bad = np.argwhere((values != expected).reshape(q, v).T)
+    return {"ok": not bad.size,
+            "witness": tuple(map(int, bad[0])) if bad.size else None,
+            "values": values,
             "expected": {"zero": v, "c1": 0, "rest": lam}}
-
-
-def cocycle_from_code(P: PropelinearCode) -> Cocycle:
-    """Reconstruct psi_{F_H} over G = C/C_1 from the star operation.
-
-    Cosets are labeled by H-row index, the section picks the F_H
-    representative of each coset, and psi(g, h) is the constant c with
-    sigma(g) * sigma(h) in c*1 + F_H (read off the first coordinate).
-    """
-    v = P.v
-    qtable = np.empty((v, v), dtype=np.int64)
-    ctable = np.empty((v, v), dtype=np.int64)
-    for i in range(v):
-        # row j of the batch is f_i * f_j = f_i + pi-gather of f_j
-        qtable[i], ctable[i] = P.code.index(
-            P.field.vadd(P.H[i][None, :], P.H[:, P.group.table[i]]))
-        missing = np.flatnonzero(qtable[i] < 0)
-        if missing.size:
-            raise SectionUndefined(
-                f"coset of f_{i} * f_{int(missing[0])} has no row")
-    quotient = Group(qtable)
-    quotient.check_associativity()
-    return Cocycle(quotient, P.field, ctable, check="full")
 
 
 def coset_zero_sets(P: PropelinearCode) -> Dict[str, object]:

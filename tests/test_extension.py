@@ -99,6 +99,32 @@ def test_general_rds_rejects_non_subgroup(s9_cocycle):
         is_relative_difference_set(E.transversal(), E, [(1, 0), (2, 0)], 3)
 
 
+def test_general_rds_normality_matches_brute_force(gf3):
+    """Over the trivial cocycle on S_3 (generators r and s), {e, s} is a
+    subgroup that r does not normalize and the diagonal {(k, r^k)} one that
+    s does not; the rotations are normal.  The generator-only test agrees
+    with conjugating by every element of E."""
+    from ghfp.groups import Group
+    from test_groups import s3_table
+
+    E = ExtensionGroup(trivial_cocycle(Group(s3_table()), gf3))
+    everything = list(E.elements())
+
+    def normal(Z):
+        return all(E.mul(E.mul(g, z), E.inverse(g)) in Z
+                   for g in everything for z in Z)
+
+    assert E.group.generators() == [1, 3]
+    rotations = [(0, 0), (0, 1), (0, 2)]
+    assert normal(set(rotations))
+    for Z in ([(0, 0), (0, 3)], [(0, 0), (1, 1), (2, 2)]):
+        assert not normal(set(Z))
+        with pytest.raises(NotNormal, match="not normal"):
+            is_relative_difference_set(E.transversal(), E, Z, 1)
+    for Z in (rotations, E.coefficient_subgroup()):
+        is_relative_difference_set(E.transversal(), E, Z, 1)
+
+
 def test_fh_intersection_profile(order4_cocycle, s9_cocycle, s8_cocycle):
     for psi, v, q in ((order4_cocycle, 4, 4), (s9_cocycle, 9, 3),
                       (s8_cocycle, 8, 8)):

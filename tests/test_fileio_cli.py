@@ -226,6 +226,18 @@ def test_cli_autcheck(tmp_path, capsys):
     assert "expanded_regular=True" in out
 
 
+def test_cli_autcheck_expanded_has_no_gate(tmp_path, capsys):
+    # S_128: q*v = 16384 codewords, over the old 10^4 gate
+    main(["build", "--construction", "sylvester", "--q", "128",
+          "--out", str(tmp_path), "--name", "s128"])
+    capsys.readouterr()
+    rc = main(["--json", "autcheck", str(tmp_path / "s128.coc"), "--expanded"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["expanded_regular"] is True
+    assert payload["expanded_order"] == 16384
+
+
 def test_cli_report_order4(tmp_path, capsys, order4_cocycle):
     gpath = tmp_path / "z22.cay"
     write_cay(gpath, order4_cocycle.group)

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from ghfp import (
+    Field,
     PropelinearCode,
+    check_cocycle,
+    cocycle_from_code,
+    fh_intersection_profile,
     ghfp_from_cocycle,
     kronecker_propelinear,
     lift,
@@ -11,7 +15,9 @@ from ghfp import (
     trivial_cocycle,
     verify_full_propelinear,
 )
-from ghfp.errors import NotACodeword, NotOrthogonal, SizeGateExceeded
+from ghfp.errors import CocycleIdentityViolated, NotACodeword, NotAGroup, \
+    NotOrthogonal
+from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
 from ghfp.propelinear import oplus
 
@@ -183,6 +189,34 @@ def test_regular_subgroup(p4, p9, p8):
     assert regular_subgroup_check(p8)
 
 
+def star_table_is_group(P) -> bool:
+    """Test oracle: tabulate the (qv)^2 star table on the labels of
+    P.codewords() (the zero word is label 0) and check it is a group."""
+    words = P.codewords()
+    label = {w.tobytes(): i for i, w in enumerate(words)}
+    table = np.empty((len(words), len(words)), dtype=np.int64)
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            k = label.get(P.star(x, y).tobytes())
+            if k is None:
+                return False
+            table[i, j] = k
+    try:
+        Group(table).check_associativity()
+    except NotAGroup:
+        return False
+    return True
+
+
+def test_regular_subgroup_matches_star_table_oracle(p4, p8, p9, non_cocycles):
+    s16 = ghfp_from_cocycle(sylvester_power_cocycle(Field(2, 1), 4))
+    cases = {"p4": p4, "p8": p8, "p9": p9, "s2^4": s16,
+             **{name: ghfp_from_cocycle(psi)
+                for name, psi in non_cocycles.items()}}
+    for name, P in cases.items():
+        assert regular_subgroup_check(P) == star_table_is_group(P), name
+
+
 def test_regular_subgroup_rejects_non_cocycles(non_cocycles):
     # star leaves C_H, or C_H is closed but its star table is no group
     for name, psi in non_cocycles.items():
@@ -191,46 +225,130 @@ def test_regular_subgroup_rejects_non_cocycles(non_cocycles):
 
 def test_verify_full_propelinear_reports_non_cocycles(non_cocycles):
     """A code that star takes out of C_H is reported, not raised: axiom (i)
-    names the first x*f outside C, and the sampled group axioms fail."""
+    names the first x*f outside C, and group_axioms names what fails, which
+    brute force confirms."""
     for name, psi in non_cocycles.items():
         P = ghfp_from_cocycle(psi)
+        H, v = P.H, P.v
         report = verify_full_propelinear(P)
-        bad = next(((rho, j) for rho in range(P.v) for j in range(P.v)
-                    if not P.code.contains(P.star(P.H[rho], P.H[j]))), None)
+        bad = next(((rho, j) for rho in range(v) for j in range(v)
+                    if not P.code.contains(P.star(H[rho], H[j]))), None)
         want = (True, None) if bad is None else (False, ("x*f not in C", *bad))
         assert report["axiom_i_preserves_code"] == want, name
-        assert report["group_axioms"] == (False, ("associativity",)), name
+        ok, witness = report["group_axioms"]
+        assert not ok, name
+        if bad is not None:
+            assert witness == want[1], name
+            continue
+        # C is closed under star: the cosets of the row products must fail
+        # to form a group table
+        s = np.array([[P.code.row_of(P.star(H[i], H[j])) for j in range(v)]
+                      for i in range(v)])
+        with pytest.raises(NotAGroup, match=witness[1]):
+            Group(s)
+        assert witness[0] == "not a group", name
+
+
+def test_group_axioms_witness_is_a_failing_triple(gf3, loop5, non_cocycles):
+    """When the row products are a loop, or a group with constants that
+    break the cocycle identity, group_axioms names a triple of rows whose
+    star products associate wrongly."""
+    P = ghfp_from_cocycle(sylvester_power_cocycle(gf3, 2))
+    rows, offsets = P.row_products()
+    offsets = offsets.copy()
+    offsets[4, 5] = (offsets[4, 5] + 1) % 3
+    P.row_products = lambda: (rows, offsets)
+    ok, (kind, g, h, k) = verify_full_propelinear(P)["group_axioms"]
+    assert not ok and kind == "cocycle identity"
+    lhs = offsets[g, h] + offsets[rows[g, h], k]
+    rhs = offsets[h, k] + offsets[g, rows[h, k]]
+    assert (lhs - rhs) % 3
+
+    P = ghfp_from_cocycle(non_cocycles["gf5_over_z5"])
+    P.row_products = lambda: (loop5, np.zeros_like(loop5))
+    ok, (kind, g, h, k) = verify_full_propelinear(P)["group_axioms"]
+    assert not ok and kind == "associativity"
+    assert loop5[loop5[g, h], k] != loop5[g, loop5[h, k]]
+
+
+def test_one_row_product_table_serves_every_check(s9_cocycle):
+    P = ghfp_from_cocycle(s9_cocycle)
+    sizes = []
+    index = P.code.index
+
+    def counted(words):
+        sizes.append(len(words))
+        return index(words)
+
+    P.code.index = counted
+    verify_full_propelinear(P)
+    cocycle_from_code(P)
+    fh_intersection_profile(P)
+    regular_subgroup_check(P)
+    assert sizes == [P.v] * P.v
+
+
+def test_permutation_witnesses_name_first_bad_row_and_column(gf3):
+    """distance_compatibility names the first row of G's table that is no
+    permutation, unit_vector_preimages the first such column; the named
+    row really changes a distance, and the named column really collides."""
+    P = ghfp_from_cocycle(sylvester_power_cocycle(gf3, 2))
+    gt = P.group.table
+    gt[4, 2] = gt[4, 5]  # breaks row 4 and column 2
+    gt[6, 1] = gt[6, 3]  # breaks row 6 and column 1
+    report = verify_full_propelinear(P)
+    assert report["distance_compatibility"] == (
+        False, ("row not a permutation", 4))
+    assert report["unit_vector_preimages"] == (
+        False, ("collision across cosets", 1))
+    missed = next(j for j in range(P.v) if j not in gt[4])
+    e = np.eye(P.v, dtype=np.int64)[missed]
+    zero = np.zeros(P.v, dtype=np.int64)
+    assert (P.star(P.H[4], e) == P.star(P.H[4], zero)).all()
+    assert len(set(gt[:, 1].tolist())) < P.v
 
 
 def test_regular_subgroup_decides_on_the_row_product_table(gf3, loop5):
-    """The check reads only the table of row products f_rho * f_r (v index
-    calls, in rho order).  Feeding it a group, a loop (Latin, not
-    associative) and a monoid (associative, not Latin) as that table pins
-    the rule: regular exactly when the star table is a group table."""
+    """The check reads only the table of row products f_rho * f_r.  Feeding
+    it a group, a loop (Latin, not associative) and a monoid (associative,
+    not Latin) as that table, and a group with offsets that are not a
+    normalized cocycle, pins the rule: regular exactly when the star table
+    is a group table."""
     from types import SimpleNamespace
 
-    def fake(rows):
-        v = len(rows)
-        calls = iter(rows)
-        zeros = np.zeros((v, v), dtype=np.int64)
-        code = SimpleNamespace(
-            index=lambda words: (np.asarray(next(calls)), zeros[0]))
-        return SimpleNamespace(field=gf3, v=v, q=3, H=zeros, code=code,
-                               group=SimpleNamespace(table=zeros))
+    def fake(rows, offsets=None):
+        rows = np.asarray(rows)
+        if offsets is None:
+            offsets = np.zeros_like(rows)
+        return SimpleNamespace(field=gf3,
+                               row_products=lambda: (rows, offsets))
 
     a = np.arange(5)
-    assert regular_subgroup_check(fake((a[:, None] + a[None, :]) % 5))
+    z5 = (a[:, None] + a[None, :]) % 5
+    assert regular_subgroup_check(fake(z5))
     assert not regular_subgroup_check(fake(loop5))
     assert not regular_subgroup_check(fake(np.maximum(a[:, None], a[None, :])))
+    # one entry off zero: normalized, but no cocycle
+    bent = np.zeros((5, 5), dtype=np.int64)
+    bent[1, 1] = 1
+    with pytest.raises(CocycleIdentityViolated):
+        check_cocycle(bent, Group(z5), gf3)
+    assert not regular_subgroup_check(fake(z5, bent))
+    # a coboundary of phi with phi(0) != 0 is a cocycle identity solution
+    # that is not normalized: label 0 is then no identity of the star table
+    phi = np.array([1, 0, 2, 0, 1])
+    unnormalized = (phi[z5] - phi[:, None] - phi[None, :]) % 3
+    assert unnormalized[0].any()
+    assert not regular_subgroup_check(fake(z5, unnormalized))
 
 
 def test_regular_subgroup_gate():
-    from ghfp import Field, multiplication_cocycle
+    """No gate: S_128 (q*v = 128 * 128 = 16384 codewords, over the old 10^4
+    gate) is checked exactly on its 128 x 128 row-product table."""
+    from ghfp import multiplication_cocycle
 
-    # S_128: q*v = 128 * 128 = 16384 codewords, over the 10^4 gate
     P = ghfp_from_cocycle(multiplication_cocycle(Field(2, 7)))
-    with pytest.raises(SizeGateExceeded):
-        regular_subgroup_check(P)
+    assert regular_subgroup_check(P)
 
 
 def test_kernel_closed_under_star(p4, p9, p81):
