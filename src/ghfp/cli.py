@@ -160,14 +160,18 @@ def cmd_verify(args) -> int:
     path = Path(args.file)
     if path.suffix == ".ghm":
         M = read_ghm(path)
+        ok, witness = is_gh(M, mode="full" if args.full else "auto")
     else:
-        M = matrix_of(read_coc(path))
-    ok, witness = is_gh(M, mode="full" if args.full else "auto")
+        # decides is_gh exactly, witness included (see GHCode.min_distance)
+        psi = read_coc(path)
+        M = matrix_of(psi)
+        ok, witness = is_orthogonal(psi)
+        witness = None if ok else (0, *witness)
     if args.json:
         _emit(args, {"gh": ok, "q": M.q, "lambda": M.lam if ok else None,
                      "witness": witness}, [str(path)], t0)
     elif ok:
-        print(f"GH({M.q},{M.v // M.q}) OK")
+        print(f"GH({M.q},{M.lam}) OK")
     else:
         i, j, u, count = witness
         print(f"FAIL rows ({i},{j}): element {u} appears {count} times, "
@@ -196,9 +200,7 @@ def cmd_code(args) -> int:
         out["min_distance"] = md.value
         out["min_distance_mode"] = md.mode
     if "rank" in out and "kernel" in out:
-        dim = out["rank"]
-        out["linear"] = bool(
-            out["rank"] == out["kernel"] and code.q ** dim == len(code))
+        out["linear"] = code.is_linear()
     _emit(args, out, [str(path)], t0)
     return 0
 
@@ -318,9 +320,8 @@ def consolidated_report(path, seed: int = 0) -> Dict[str, object]:
         "kernel": code.kernel(seed=seed).dim,
         "p_kernel": code.p_kernel(seed=seed),
         "min_distance": code.min_distance().value,
+        "linear": code.is_linear(),
     }
-    dim_ok = code.q ** out["rank"] == len(code)
-    out["linear"] = bool(out["rank"] == out["kernel"] and dim_ok)
     if psi is not None:
         orth, _ = is_orthogonal(psi)
         rds_ok, params = transversal_rds_check(psi)

@@ -18,7 +18,7 @@ from .errors import (
     NotNormalized,
     OrderMismatch,
 )
-from .fields import Field, row_histograms
+from .fields import Field, row_blocks, row_histograms
 from .groups import Group, additive_group_of
 
 
@@ -57,11 +57,12 @@ class Cocycle:
         """
         t, gt, f = self.table, self.group.table, self.field
         for g in self.group.generators():
-            lhs = f.vadd(t[g][:, None], t[gt[g], :])
-            rhs = f.vadd(t[g][gt], t)
-            if not (lhs == rhs).all():
-                h, k = map(int, np.argwhere(lhs != rhs)[0])
-                raise CocycleIdentityViolated(g, h, k)
+            for b in row_blocks(self.v, self.v):
+                lhs = f.vadd(t[g][b, None], t[gt[g, b], :])
+                rhs = f.vadd(t[g][gt[b]], t[b])
+                if not (lhs == rhs).all():
+                    h, k = map(int, np.argwhere(lhs != rhs)[0])
+                    raise CocycleIdentityViolated(g, b.start + h, k)
 
     @property
     def q(self) -> int:

@@ -15,12 +15,11 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import DuplicateRows, NotACodeword, NotNormalized, ZeroNotInCode
-from .fields import Field, row_histograms
+from .cocycles import Cocycle
+from .errors import (CocycleIdentityViolated, DuplicateRows, NotACodeword,
+                     NotNormalized, OrderMismatch, ZeroNotInCode)
+from .fields import Field, row_blocks, row_histograms
 from .ghmatrix import GHMatrix
-
-# Exact pairwise minimum distance up to this many codewords.
-EXACT_DISTANCE_MAX = 10 ** 4
 
 
 class KernelResult(NamedTuple):
@@ -31,7 +30,7 @@ class KernelResult(NamedTuple):
 
 class MinDistanceResult(NamedTuple):
     value: int
-    mode: str  # "exact" or "verified-theoretical"
+    mode: str  # "theorem" (weights only) or "exhaustive"; both exact
 
 
 def rank_of_rows(field: Field, rows) -> int:
@@ -52,14 +51,6 @@ def _reduce_rows(field: Field, rows) -> List[Tuple[int, np.ndarray]]:
             c = int(nz[0])
             pivots.append((c, field.vsmul(field.inv(int(r[c])), r)))
     return pivots
-
-
-def span_contains(field: Field, pivots, vec) -> bool:
-    vec = np.asarray(vec, dtype=np.int64).copy()
-    for c, pr in pivots:
-        if vec[c]:
-            vec = field.vsub(vec, field.vsmul(int(vec[c]), pr))
-    return not vec.any()
 
 
 class Code:
@@ -116,7 +107,7 @@ class Code:
         for i in range(len(words) - 1):
             d = (words[i + 1:] != words[i][None, :]).sum(axis=1).min()
             best = min(best, int(d))
-        return MinDistanceResult(best, "exact")
+        return MinDistanceResult(best, "exhaustive")
 
 
 class GHCode:
@@ -192,10 +183,10 @@ class GHCode:
         return np.repeat(np.arange(self.q, dtype=np.int64), self.n).reshape(self.q, self.n)
 
     def _span_pivots(self):
-        """Cached row reduction of span(C_H) = span(rows of H, all-one)."""
+        """Cached row reduction of span(C_H) = span(all-one, rows of H); the
+        all-one vector goes first, so it is the first pivot row."""
         if not hasattr(self, "_pivots"):
-            rows = [self.H[i] for i in range(self.v)] + [self.ones]
-            self._pivots = _reduce_rows(self.field, rows)
+            self._pivots = _reduce_rows(self.field, [self.ones, *self.H])
         return self._pivots
 
     def rank(self) -> int:
@@ -244,8 +235,11 @@ class GHCode:
 
         K_p is a union of cosets of the repetition code, so it is q times the
         number of stable rows; the value is dim_p(K_p) / m and can be a
-        genuine fraction when K_p is not F_q-closed.
+        genuine fraction when K_p is not F_q-closed.  A linear code is its
+        own p-kernel, of dimension rank.
         """
+        if self.is_linear():
+            return Fraction(self.rank())
         stable = self._stable_rows(seed)
         dim_p = self.field.m + _integer_log(len(stable), self.field.p)
         return Fraction(dim_p, self.field.m)
@@ -253,67 +247,64 @@ class GHCode:
     def kernel(self, seed: int = 0) -> KernelResult:
         """K(C) = {x : C + alpha x = C for all alpha}; dimension over F_q.
 
-        Restricting candidates to rows of H is valid because 0 is a codeword
+        A linear code is its own kernel: dimension rank, basis the span
+        pivots, the all-one vector first, each in span(C) = C.  Otherwise,
+        restricting candidates to rows of H is valid because 0 is a codeword
         (so K(C) is inside C) and K is a union of repetition-code cosets.
         """
+        if self.is_linear():
+            return KernelResult(self.rank(),
+                                [pr for _, pr in self._span_pivots()], seed)
         f = self.field
         stable = set(self._stable_rows(seed))
         J, lookup = self._span_projection()
-        members = []
-        for i in stable:
-            ok = True
-            for a in range(2, f.q):
-                # scalar multiples of codewords stay in the span
-                y = f.vsmul(a, self.H[i][J])
-                j = lookup.get(y.tobytes())
-                if j is None or j not in stable:
-                    ok = False
-                    break
-            if ok:
-                members.append(i)
+        # scalar multiples of codewords stay in the span
+        members = [i for i in stable
+                   if all(lookup.get(f.vsmul(a, self.H[i][J]).tobytes())
+                          in stable for a in range(2, f.q))]
         dim = 1 + _integer_log(len(members), self.q)
         basis_rows = [self.H[i] for i in members if i != 0]
         basis = [self.ones] + [pr for _, pr in _reduce_rows(f, basis_rows)]
         return KernelResult(dim, basis, seed)
 
     def is_linear(self) -> bool:
-        """rank == kernel == log_q |C|, all three equal exactly for linear."""
-        dim = _integer_log(len(self), self.q)
-        return self.rank() == dim and self.kernel().dim == dim
+        """C_H lies in its span, which has q^rank words, so C_H is linear
+        exactly when q^rank = |C_H|."""
+        return self.q ** self.rank() == len(self)
 
     # -- distance -----------------------------------------------------------------
 
     def min_distance(self) -> MinDistanceResult:
-        """Exact for |C| <= 10^4 via the coset reduction; above that, the
-        distances from 0 to every word plus one full coset pair are checked
-        and the result is flagged verified-theoretical.
+        """Exact at every order, by one scan of row pairs (i, j), i < j.
 
-        d(f_i + a1, f_j + b1) = n - #{t : (f_i - f_j)_t = b - a}, so the
-        pair (i, j) contributes n minus the largest multiplicity in the row
-        difference; within one coset every distance is n.
+        d(f_i + a1, f_j + b1) = n - #{t : (f_j - f_i)_t = a - b}, so the pair
+        (i, j) contributes n minus the largest multiplicity in f_j - f_i, and
+        two words of one coset are n apart.  The pairs (0, j) give the
+        weights, as f_0 = 0.  The scan stops there ("theorem") when every
+        distance is a weight:
+        - C_H is linear: d(x, y) = wt(y - x) and y - x is in C_H;
+        - H is a cocycle psi over matrix.group, by the full identity check
+          (the group alone proves nothing), with rows f_g = psi(g, .): the
+          identity at (gk^-1, k, h) reads psi(g,h) - psi(k,h) =
+          psi(gk^-1, kh) - psi(gk^-1, k), so f_g - f_k is row gk^-1 with
+          its coordinates permuted and a constant added.
+        Otherwise every pair is scanned ("exhaustive"), in row blocks.
         """
-        f, q = self.field, self.q
-        exact = len(self) <= EXACT_DISTANCE_MAX
-
-        def pair_min(i: int, j_stop: int) -> int:
-            diffs = f.vsub(self.H[i + 1:j_stop], self.H[i][None, :])
-            if diffs.shape[0] == 0:
-                return self.n
-            return int(self.n - row_histograms(diffs, q).max())
-
-        if exact:
-            best = self.n
-            for i in range(self.v - 1):
-                best = min(best, pair_min(i, self.v))
-            return MinDistanceResult(best, "exact")
-        # distances from 0 to every word: weights of f_i + alpha*1, one row
-        # at a time (one histogram of all rows costs two more v x v arrays)
-        best = self.n
-        for i in range(1, self.v):
-            counts = np.bincount(self.H[i], minlength=q)
-            best = min(best, int(self.n - counts.max()))
-        best = min(best, pair_min(0, 2))
-        return MinDistanceResult(best, "verified-theoretical")
+        f, q, n = self.field, self.q, self.n
+        theorem = self.matrix.group is not None
+        if theorem:
+            try:
+                Cocycle(self.matrix.group, f, self.H)
+            except (OrderMismatch, CocycleIdentityViolated):
+                theorem = False
+        theorem = theorem or self.is_linear()
+        best = n
+        for i in range(1 if theorem else self.v - 1):
+            rest = self.H[i + 1:]
+            for b in row_blocks(len(rest), max(n, q)):
+                diffs = f.vsub(rest[b], self.H[i][None, :])
+                best = min(best, n - int(row_histograms(diffs, q).max()))
+        return MinDistanceResult(best, "theorem" if theorem else "exhaustive")
 
 
 def code_from_gh(matrix: GHMatrix) -> Tuple[Code, GHCode]:

@@ -373,6 +373,13 @@ def row_histograms(rows, q: int) -> np.ndarray:
     return np.bincount(keys.ravel(), minlength=n * q).reshape(n, q)
 
 
+def row_blocks(n: int, width: int):
+    """Consecutive slices covering range(n), of max(1, 2^16 // width) rows
+    each, so a block of rows width wide holds about 2^16 entries."""
+    step = max(1, (1 << 16) // width)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
 class FieldElement:
     """An element of a Field, wrapping its integer encoding."""
 

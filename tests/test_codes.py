@@ -8,7 +8,12 @@ from ghfp import (
     Field,
     GHCode,
     GHMatrix,
+    Group,
+    coboundary,
     code_from_gh,
+    elementary_abelian,
+    gen_sylvester,
+    lift,
     matrix_of,
     rank_of_rows,
     sylvester,
@@ -32,6 +37,47 @@ def code9(gf3):
 @pytest.fixture(scope="module")
 def code81(dphi43):
     return GHCode(matrix_of(dphi43))
+
+
+@pytest.fixture(scope="module")
+def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
+    """name -> (small code, the mode min_distance must report).
+
+    Linear codes, with or without a group; nonlinear cocyclic codes over
+    Z_p^k and S_3 (random coboundaries, lifted S_3); the same tables without
+    their group; a table linear over a group it is not a cocycle over; and
+    tables whose group is set but that are no cocycle over it, one of them
+    ("trap") with a least weight of 3 and two rows at distance 1.
+    """
+    from test_groups import s3_table
+
+    rng = np.random.default_rng(0)
+    s3 = Group(s3_table())
+    cyclic6 = Group(np.add.outer(np.arange(6), np.arange(6)) % 6)
+    trap = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 2, 2],
+                     [0, 0, 1, 1, 2, 1], [0, 1, 2, 0, 1, 2],
+                     [0, 2, 1, 0, 2, 1], [0, 1, 2, 2, 1, 0]])
+    cases = {
+        "order4": (GHMatrix(gf4, paper_data.H_ORDER4), "theorem"),
+        "order8": (matrix_of(s8_cocycle), "theorem"),
+        "order9": (GHMatrix(gf3, paper_data.H_ORDER9), "theorem"),
+        "order16": (sylvester_power(gf4, 2), "theorem"),
+        "order27": (sylvester_power(gf3, 3), "theorem"),
+        "s2^4": (sylvester_power(Field(2, 1), 4), "theorem"),
+        "d_2_1_3": (gen_sylvester(2, 1, 3), "theorem"),
+        "lift_s3_gf9": (matrix_of(lift(s3_cocycle, Field(3, 2))), "theorem"),
+        "lift_s3_gf81": (matrix_of(lift(s3_cocycle, gf81)), "theorem"),
+        "h4_over_z4": (matrix_of(non_cocycles["h4_over_z4"]), "theorem"),
+        "gf5_over_z5": (matrix_of(non_cocycles["gf5_over_z5"]),
+                        "exhaustive"),
+        "trap": (GHMatrix(gf3, trap, group=cyclic6), "exhaustive"),
+    }
+    for name, group in [("z3^2", elementary_abelian(3, 2)),
+                        ("z3^3", elementary_abelian(3, 3)), ("s3", s3)]:
+        psi = coboundary(rng.integers(0, 3, size=group.order), group, gf3)
+        cases[f"cob_{name}"] = (matrix_of(psi), "theorem")
+        cases[f"cob_{name}_bare"] = (GHMatrix(gf3, psi.table), "exhaustive")
+    return {name: (GHCode(M), mode) for name, (M, mode) in cases.items()}
 
 
 def test_code_sizes(code4, code9, code81):
@@ -101,10 +147,20 @@ def test_kernel_basis_spans_kernel(code9):
     assert rank_of_rows(code9.field, res.basis) == res.dim
 
 
-def test_kernel_matches_bruteforce_oracle(code4, code9):
-    for code in (code4, code9):
+def test_kernel_matches_bruteforce_oracle(oracle_codes):
+    """kernel, is_linear and the kernel basis against the brute-force Code;
+    a linear code takes all three from its rank."""
+    for name, (code, _) in oracle_codes.items():
+        if name == "lift_s3_gf81":
+            continue  # the brute-force kernel of its 243 words takes 7 s
         oracle = code.as_code().kernel()
-        assert code.kernel().dim == oracle.dim
+        res = code.kernel()
+        assert res.dim == oracle.dim, name
+        assert code.is_linear() == (code.q ** oracle.dim == len(code)), name
+        assert len(res.basis) == res.dim, name
+        assert (res.basis[0] == 1).all(), name
+        assert all(code.contains(b) for b in res.basis), name
+        assert rank_of_rows(code.field, res.basis) == res.dim, name
 
 
 def test_kernel_of_planar_is_repetition_code(code81):
@@ -128,9 +184,11 @@ def test_p_kernel_values(code4, code9, code81, s8_cocycle):
     assert code81.p_kernel() == 1
 
 
-def test_p_kernel_matches_bruteforce(code4, code9):
-    for code in (code4, code9):
-        assert code.p_kernel() == code.as_code().p_kernel()
+def test_p_kernel_matches_bruteforce(oracle_codes):
+    for name, (code, _) in oracle_codes.items():
+        assert code.p_kernel() == code.as_code().p_kernel(), name
+    assert oracle_codes["lift_s3_gf81"][0].p_kernel() == Fraction(5, 4)
+    assert not oracle_codes["lift_s3_gf81"][0].is_linear()
 
 
 def test_p_kernel_bound(code4, code9, code81, s8_cocycle):
@@ -157,23 +215,30 @@ def test_p_kernel_can_be_fractional(s3_cocycle, gf81):
 
 
 def test_min_distance_published(code4, code9, code81):
-    assert code4.min_distance() == (3, "exact")
-    assert code9.min_distance() == (6, "exact")
-    assert code81.min_distance() == (80, "exact")
+    # linear (code4, code9) or cocyclic (code81): the weights decide
+    assert code4.min_distance() == (3, "theorem")
+    assert code9.min_distance() == (6, "theorem")
+    assert code81.min_distance() == (80, "theorem")
 
 
-def test_min_distance_matches_bruteforce(code4, code9):
-    for code in (code4, code9):
-        assert code.min_distance().value == code.as_code().min_distance().value
+def test_min_distance_matches_bruteforce(oracle_codes):
+    for name, (code, mode) in oracle_codes.items():
+        assert code.min_distance() == (code.as_code().min_distance().value,
+                                       mode), name
+    # the trap's weights say 3, its rows 1 and 2 are at distance 1: trusting
+    # the group it carries would give the weights
+    trap = oracle_codes["trap"][0]
+    words = trap.words()
+    assert min(int((w != 0).sum()) for w in words if w.any()) == 3
+    assert trap.min_distance().value == 1
 
 
 def test_min_distance_modes(gf3):
-    # 729 codewords stays on the exact path; the verified-theoretical mode
-    # kicks in past 1e4 codewords (exercised on the (7,3) planar cell in
-    # the acceptance suite)
+    # a linear code of 729 words takes its distance from its weights; the
+    # mode says how the exact value was reached, not whether it is exact
     code = GHCode(sylvester_power(gf3, 5))
     assert len(code) == 729
-    assert code.min_distance() == (243 - 81, "exact")
+    assert code.min_distance() == (243 - 81, "theorem")
 
 
 def test_row_of_and_not_a_codeword(code9):

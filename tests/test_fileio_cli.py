@@ -340,6 +340,51 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.fixture(scope="module")
+def verify_cocycles(gf3, s9_cocycle, s8_cocycle, dphi43):
+    """Orthogonal cocycles, and non-orthogonal coboundaries over Z_3^k and
+    S_3 (the first unbalanced row is not always row 1)."""
+    from ghfp import Group, coboundary
+    from test_groups import s3_table
+
+    rng = np.random.default_rng(0)
+    out = {"s9": s9_cocycle, "s8": s8_cocycle, "dphi43": dphi43}
+    for name, group in [("z3^2", elementary_abelian(3, 2)),
+                        ("z3^3", elementary_abelian(3, 3)),
+                        ("s3", Group(s3_table()))]:
+        for k in range(4):
+            phi = rng.integers(0, 3, size=group.order)
+            out[f"cob_{name}_{k}"] = coboundary(phi, group, gf3)
+    return out
+
+
+@pytest.mark.parametrize("name", ["s9", "s8", "dphi43"] + [
+    f"cob_{g}_{k}" for g in ("z3^2", "z3^3", "s3") for k in range(4)])
+def test_cli_verify_coc_matches_is_gh(tmp_path, capsys, verify_cocycles,
+                                      name):
+    """verify on a .coc decides by orthogonality; verdict, witness, text and
+    --json are what the full row-pair scan of is_gh gives."""
+    from ghfp import is_gh
+
+    psi = verify_cocycles[name]
+    write_coc(tmp_path / "x.coc", psi)
+    ok, witness = is_gh(matrix_of(psi), mode="full")
+    lam = psi.v // psi.q
+    rc = main(["verify", str(tmp_path / "x.coc")])
+    out = capsys.readouterr().out
+    if ok:
+        assert (rc, out) == (0, f"GH({psi.q},{lam}) OK\n")
+    else:
+        i, j, u, count = witness
+        assert (rc, out) == (1, f"FAIL rows ({i},{j}): element {u} appears "
+                                f"{count} times, expected {lam}\n")
+    assert main(["--json", "verify", str(tmp_path / "x.coc")]) == rc
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gh"] is ok and payload["q"] == psi.q
+    assert payload["lambda"] == (lam if ok else None)
+    assert payload["witness"] == (None if ok else list(witness))
+
+
 def test_cli_verify_fails_on_corrupted(tmp_path, capsys, gf3):
     from ghfp import GHMatrix
 
