@@ -158,15 +158,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.file)
-    if path.suffix == ".ghm":
-        M = read_ghm(path)
-        ok, witness = is_gh(M, mode="full" if args.full else "auto")
-    else:
-        # decides is_gh exactly, witness included (see GHCode.min_distance)
-        psi = read_coc(path)
-        M = matrix_of(psi)
-        ok, witness = is_orthogonal(psi)
-        witness = None if ok else (0, *witness)
+    M = read_ghm(path) if path.suffix == ".ghm" else matrix_of(read_coc(path))
+    ok, witness = is_gh(M)
     if args.json:
         _emit(args, {"gh": ok, "q": M.q, "lambda": M.lam if ok else None,
                      "witness": witness}, [str(path)], t0)
@@ -226,16 +219,9 @@ def cmd_propelinear(args) -> int:
     return 0 if ok else 1
 
 
-RDS_FORCE_GATE = 3 ** 6
-
-
 def cmd_rds(args) -> int:
     t0 = time.perf_counter()
     psi = _load_cocycle(args.file)
-    if psi.v >= RDS_FORCE_GATE and not args.force:
-        print(f"order {psi.v} >= {RDS_FORCE_GATE}: difference-multiset scan "
-              f"is quadratic; rerun with --force", file=sys.stderr)
-        return 1
     orth, wit_o = is_orthogonal(psi)
     gh_ok, wit_g = is_gh(matrix_of(psi))
     rds_ok, params = transversal_rds_check(psi)
@@ -391,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vcmd = sub.add_parser("verify", help="GH check of a .ghm or .coc file")
     vcmd.add_argument("file")
-    vcmd.add_argument("--full", action="store_true")
     vcmd.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("code", help="rank/kernel/distance of the GH code")
@@ -413,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rds", help="orthogonal / GH / difference-set report")
     r.add_argument("file")
     r.add_argument("--profile", action="store_true")
-    r.add_argument("--force", action="store_true")
     r.set_defaults(fn=cmd_rds)
 
     a = sub.add_parser("autcheck", help="monomial automorphisms from star")

@@ -18,7 +18,7 @@ from .errors import (
     NotNormalized,
     OrderMismatch,
 )
-from .fields import Field, row_blocks, row_histograms
+from .fields import Field, block_rows, row_histograms
 from .groups import Group, additive_group_of
 
 
@@ -27,7 +27,7 @@ class Cocycle:
 
     def __init__(self, group: Group, field: Field, table, check: str = "full"):
         """check: "full" verifies the cocycle identity exactly, or "skip" for
-        construction paths that guarantee it."""
+        construction paths that guarantee it; checked records which."""
         table = np.asarray(table, dtype=np.int64)
         v = group.order
         if table.shape != (v, v):
@@ -38,7 +38,8 @@ class Cocycle:
         self.v = v
         if table[0].any() or table[:, 0].any():
             raise NotNormalized("row 0 and column 0 must be identity")
-        if check != "skip":
+        self.checked = check != "skip"
+        if self.checked:
             self._check_identity()
 
     def _check_identity(self):
@@ -55,14 +56,16 @@ class Cocycle:
         and every element of G is a product of generators, (0,g) lies in it
         for every g once it does for the generators.
         """
-        t, gt, f = self.table, self.group.table, self.field
+        t, gt, f, v = self.table, self.group.table, self.field, self.v
+        step = block_rows(v)
         for g in self.group.generators():
-            for b in row_blocks(self.v, self.v):
+            for h0 in range(0, v, step):
+                b = slice(h0, h0 + step)
                 lhs = f.vadd(t[g][b, None], t[gt[g, b], :])
                 rhs = f.vadd(t[g][gt[b]], t[b])
                 if not (lhs == rhs).all():
                     h, k = map(int, np.argwhere(lhs != rhs)[0])
-                    raise CocycleIdentityViolated(g, b.start + h, k)
+                    raise CocycleIdentityViolated(g, h0 + h, k)
 
     @property
     def q(self) -> int:
@@ -160,7 +163,13 @@ def lift(psi: Cocycle, field: Field) -> Cocycle:
 
 
 def matrix_of(psi: Cocycle):
-    """The cocyclic matrix M_psi as a GHMatrix candidate (indexing retained)."""
+    """The cocyclic matrix M_psi as a GHMatrix candidate (indexing retained).
+
+    A checked psi is its matrix's cocycle() verdict, so the identity is not
+    checked again."""
     from .ghmatrix import GHMatrix
 
-    return GHMatrix(psi.field, psi.table, group=psi.group)
+    M = GHMatrix(psi.field, psi.table, group=psi.group)
+    if psi.checked:
+        M._cocycle = psi
+    return M

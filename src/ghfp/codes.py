@@ -15,11 +15,9 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .cocycles import Cocycle
-from .errors import (CocycleIdentityViolated, DuplicateRows, NotACodeword,
-                     NotNormalized, OrderMismatch, ZeroNotInCode)
-from .fields import Field, row_blocks, row_histograms
-from .ghmatrix import GHMatrix
+from .errors import DuplicateRows, NotACodeword, NotNormalized, ZeroNotInCode
+from .fields import Field
+from .ghmatrix import GHMatrix, row_pair_counts
 
 
 class KernelResult(NamedTuple):
@@ -64,15 +62,25 @@ class Code:
         self.field = field
         self.words = words
         self.n = int(words.shape[1])
-        self._index = {w.tobytes(): i for i, w in enumerate(words)}
-        if len(self._index) != words.shape[0]:
+        # the words as sorted fixed-width byte keys, for _members
+        self._key = np.dtype((np.void, 8 * self.n))
+        self._keys = np.sort(np.ascontiguousarray(words).view(self._key)[:, 0])
+        if (self._keys[1:] == self._keys[:-1]).any():
             raise DuplicateRows("duplicate words")
 
     def __len__(self):
         return int(self.words.shape[0])
 
+    def _members(self, batch) -> np.ndarray:
+        """Which vectors of a batch are words: one search of the sorted keys
+        and a byte compare of the match."""
+        batch = np.ascontiguousarray(batch, dtype=np.int64).reshape(-1, self.n)
+        keys = batch.view(self._key)[:, 0]
+        pos = self._keys.searchsorted(keys)
+        return self._keys.take(pos, mode="clip") == keys
+
     def contains(self, word) -> bool:
-        return np.asarray(word, dtype=np.int64).tobytes() in self._index
+        return bool(self._members(word)[0])
 
     def rank(self) -> int:
         return rank_of_rows(self.field, self.words)
@@ -99,7 +107,7 @@ class Code:
         return Fraction(_integer_log(count, self.field.p), self.field.m)
 
     def _translate_fixes(self, x) -> bool:
-        return all(self.contains(self.field.vadd(w, x)) for w in self.words)
+        return bool(self._members(self.field.vadd(self.words, x)).all())
 
     def min_distance(self) -> MinDistanceResult:
         words = self.words
@@ -281,29 +289,14 @@ class GHCode:
         (i, j) contributes n minus the largest multiplicity in f_j - f_i, and
         two words of one coset are n apart.  The pairs (0, j) give the
         weights, as f_0 = 0.  The scan stops there ("theorem") when every
-        distance is a weight:
-        - C_H is linear: d(x, y) = wt(y - x) and y - x is in C_H;
-        - H is a cocycle psi over matrix.group, by the full identity check
-          (the group alone proves nothing), with rows f_g = psi(g, .): the
-          identity at (gk^-1, k, h) reads psi(g,h) - psi(k,h) =
-          psi(gk^-1, kh) - psi(gk^-1, k), so f_g - f_k is row gk^-1 with
-          its coordinates permuted and a constant added.
-        Otherwise every pair is scanned ("exhaustive"), in row blocks.
+        distance is a weight: when C_H is linear (d(x, y) = wt(y - x) and
+        y - x is in C_H), or when H is a cocycle over its group (see
+        GHMatrix.cocycle).  Otherwise every pair is scanned ("exhaustive").
         """
-        f, q, n = self.field, self.q, self.n
-        theorem = self.matrix.group is not None
-        if theorem:
-            try:
-                Cocycle(self.matrix.group, f, self.H)
-            except (OrderMismatch, CocycleIdentityViolated):
-                theorem = False
-        theorem = theorem or self.is_linear()
-        best = n
-        for i in range(1 if theorem else self.v - 1):
-            rest = self.H[i + 1:]
-            for b in row_blocks(len(rest), max(n, q)):
-                diffs = f.vsub(rest[b], self.H[i][None, :])
-                best = min(best, n - int(row_histograms(diffs, q).max()))
+        theorem = self.matrix.cocycle() is not None or self.is_linear()
+        best = self.n
+        for _, _, counts in row_pair_counts(self.matrix, lambda: theorem):
+            best = min(best, self.n - int(counts.max()))
         return MinDistanceResult(best, "theorem" if theorem else "exhaustive")
 
 

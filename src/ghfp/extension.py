@@ -9,7 +9,6 @@ is tabulated unless the order is small.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .cocycles import Cocycle
 from .errors import NotNormal, SizeGateExceeded, SizeMismatch
 from .fields import row_histograms
-from .groups import Group, invariants_from_order_counts
+from .groups import Group, _prime_factors, invariants_from_order_counts
 from .propelinear import PropelinearCode
 
 TABULATE_MAX = 10 ** 4
@@ -109,11 +108,11 @@ class ExtensionGroup:
         if not self.is_abelian:
             from .errors import NotAbelian
 
-            exp = self._exponent_bound()
-            raise NotAbelian(self.order, exp)
+            raise NotAbelian(self.order, self._exponent())
         return invariants_from_order_counts(self.order, self._count_killed)
 
-    def _count_killed(self, r: int, k: int) -> int:
+    def _count_killed(self, r: int, k: int = 1) -> int:
+        """#{x : x^(r^k) = 1}."""
         n = r ** k
         U, G = self._all_powers(n)
         return int(((U == 0) & (G == 0)).sum())
@@ -136,19 +135,14 @@ class ExtensionGroup:
                 bG = gt[bG, bG]
         return outU, outG
 
-    def _exponent_bound(self) -> int:
-        orders = set()
-        for a in [(u, g) for u in range(min(self.q, 32))
-                  for g in range(min(self.v, 32))]:
-            n, x = 1, a
-            while x != self.identity():
-                x = self.mul(x, a)
-                n += 1
-            orders.add(n)
-        out = 1
-        for n in orders:
-            out = out * n // math.gcd(out, n)
-        return out
+    def _exponent(self) -> int:
+        """The least n with x^n = 1 for every x.  It divides |E|, so start
+        at |E| and divide out each prime r while every x^(n/r) is 1."""
+        n = self.order
+        for r in _prime_factors(self.order):
+            while n % r == 0 and self._count_killed(n // r) == self.order:
+                n //= r
+        return n
 
     def __repr__(self):
         return f"ExtensionGroup(order={self.order})"

@@ -6,23 +6,21 @@ the entrywise difference multiset hits each field element exactly v/q times.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cocycles import Cocycle, multiplication_cocycle, tensor
 from .errors import (
+    CocycleIdentityViolated,
     DivisibilityViolated,
     FieldMismatch,
+    NotNormalized,
     NotSquare,
     OrderMismatch,
 )
-from .fields import Field, row_histograms
+from .fields import Field, block_rows, row_histograms
 from .groups import Group
-
-# Full row-pair scan up to this order; random row pairs above.
-GH_EXHAUSTIVE_MAX = 1024
-GH_SAMPLE_PAIRS = 10 ** 5
 
 
 class GHMatrix:
@@ -51,6 +49,30 @@ class GHMatrix:
     def is_normalized(self) -> bool:
         return not (self.entries[0].any() or self.entries[:, 0].any())
 
+    def cocycle(self) -> Optional[Cocycle]:
+        """The Cocycle that H is over self.group, or None; decided once.
+
+        The group alone proves nothing: the identity is checked in full, at
+        most once per matrix, and not at all for matrix_of of a checked
+        Cocycle.  When it holds, with rows f_g = psi(g, .), the identity at
+        (gk^-1, k, h) reads psi(g,h) - psi(k,h) = psi(gk^-1, kh) -
+        psi(gk^-1, k): row g minus row k is row gk^-1 with its coordinates
+        permuted and a constant added.  So the difference multiset of every
+        row pair is that of a pair (0, j) shifted by a constant, and the
+        pairs (0, j) decide every row-pair question (GH, distances); a
+        failing pair (k, g) also makes (0, gk^-1) fail.
+        """
+        if not hasattr(self, "_cocycle"):
+            self._cocycle = None
+            if self.group is not None:
+                try:
+                    self._cocycle = Cocycle(self.group, self.field,
+                                            self.entries)
+                except (OrderMismatch, NotNormalized,
+                        CocycleIdentityViolated):
+                    pass
+        return self._cocycle
+
     def lift(self, field: Field) -> "GHMatrix":
         return GHMatrix(field, field.lift_from_prime(self.entries), group=self.group)
 
@@ -70,42 +92,40 @@ class GHMatrix:
 Witness = Tuple[int, int, int, int]
 
 
-def is_gh(matrix: GHMatrix, mode: str = "auto", seed: int = 0,
-          check_transpose: bool = False) -> Tuple[bool, Optional[Witness]]:
-    """Check the GH row-pair condition.
-
-    Returns (True, None) or (False, (i, j, u, count)) naming the violated row
-    pair, the element and its multiplicity.  mode "auto" scans all pairs up
-    to order 1024 and samples 1e5 random pairs above; "full" forces the scan.
-    check_transpose also runs the scan on H^T (a GH again, columns as rows).
-    """
-    if check_transpose:
-        ok, witness = is_gh(matrix.transpose(), mode=mode, seed=seed)
-        if not ok:
-            return ok, witness
+def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
+                    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Difference histograms of the row pairs (i, j), i < j, in row-major
+    order and in row blocks: yields (i, j0, counts) with counts[r, u] the
+    multiplicity of u in row j0 + r minus row i.  first_row_decides() is
+    asked once the pairs (0, j) are done, and True stops the scan there."""
     f, M, v, q = matrix.field, matrix.entries, matrix.v, matrix.q
+    step = block_rows(max(v, q))
+    for i in range(v - 1):
+        if i == 1 and first_row_decides():
+            return
+        for j0 in range(i + 1, v, step):
+            diffs = f.vsub(M[j0:j0 + step], M[i][None, :])
+            yield i, j0, row_histograms(diffs, q)
+
+
+def is_gh(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
+    """Check the GH row-pair condition, exactly at every order.
+
+    Returns (True, None) or (False, (i, j, u, count)) for the first violated
+    row pair in row-major order, the first element and its multiplicity.
+    When the pairs (0, j) pass and matrix.cocycle() holds, every pair does;
+    otherwise every pair is scanned.
+    """
+    v, q = matrix.v, matrix.q
     if v % q:
         raise DivisibilityViolated(f"q={q} does not divide order v={v}")
     lam = v // q
-    if mode == "full" or (mode == "auto" and v <= GH_EXHAUSTIVE_MAX):
-        for i in range(v - 1):
-            diffs = f.vsub(M[i + 1:], M[i][None, :])
-            counts = row_histograms(diffs, q)
-            bad = counts != lam
-            if bad.any():
-                r, u = map(int, np.argwhere(bad)[0])
-                return False, (i, i + 1 + r, u, int(counts[r, u]))
-        return True, None
-    rng = np.random.default_rng(seed)
-    for _ in range(GH_SAMPLE_PAIRS):
-        i, j = sorted(map(int, rng.integers(0, v, size=2)))
-        if i == j:
-            continue
-        counts = np.bincount(f.vsub(M[j], M[i]), minlength=q)
+    for i, j0, counts in row_pair_counts(
+            matrix, lambda: matrix.cocycle() is not None):
         bad = counts != lam
         if bad.any():
-            u = int(np.argwhere(bad)[0][0])
-            return False, (i, j, u, int(counts[u]))
+            r, u = map(int, np.argwhere(bad)[0])
+            return False, (i, j0 + r, u, int(counts[r, u]))
     return True, None
 
 

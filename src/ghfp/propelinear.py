@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cocycles import Cocycle, is_orthogonal, tensor
+from .cocycles import Cocycle, is_orthogonal, matrix_of, tensor
 from .codes import GHCode
 from .errors import (CocycleIdentityViolated, FieldMismatch, NotAGroup,
                      NotAssociative, NotNormalized, NotOrthogonal,
                      SectionUndefined)
-from .ghmatrix import GHMatrix
 from .groups import Group, Perm, abelian_invariants
 
 
@@ -43,7 +42,7 @@ class PropelinearCode:
         self.H = psi.table
         self.v = psi.v
         self.q = psi.field.q
-        self.code = GHCode(GHMatrix(psi.field, psi.table, group=psi.group))
+        self.code = GHCode(matrix_of(psi))
 
     # -- codeword <-> extension element -------------------------------------------
 

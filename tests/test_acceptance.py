@@ -181,8 +181,7 @@ def test_criterion_6_equivalence_suite():
         agree = {}
         for name, psi in _corpus().items():
             orth, _ = is_orthogonal(psi)
-            mode = "full" if psi.v <= 243 else "auto"
-            gh, _ = is_gh(matrix_of(psi), mode=mode)
+            gh, _ = is_gh(matrix_of(psi))
             rds, _ = transversal_rds_check(psi)
             assert orth == gh == rds, (name, orth, gh, rds)
             agree[name] = orth

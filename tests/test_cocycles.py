@@ -131,6 +131,14 @@ def test_corrupted_order729_cocycle_gives_true_witness():
     g, h, k = exc.value.triple
     assert f.add(int(t[g, h]), int(t[gt[g, h], k])) != \
         f.add(int(t[g, gt[h, k]]), int(t[h, k]))
+    # the first failing (h, k) in row-major order at the first failing
+    # generator, from one unblocked v x v comparison per generator
+    for g in psi.group.generators():
+        bad = np.argwhere(f.vadd(t[g][:, None], t[gt[g]]) !=
+                          f.vadd(t[g][gt], t))
+        if bad.size:
+            break
+    assert exc.value.triple == (g, *map(int, bad[0]))
 
 
 def test_unnormalized_rejected(gf3):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ghfp import (
+    Cocycle,
     ExtensionGroup,
+    Field,
     cocycle_from_code,
     coset_zero_sets,
     extension_group,
@@ -13,7 +15,7 @@ from ghfp import (
     transversal_rds_check,
     trivial_cocycle,
 )
-from ghfp.errors import NotNormal
+from ghfp.errors import NotAbelian, NotNormal
 from ghfp.groups import abelian_invariants, elementary_abelian
 
 import paper_data
@@ -47,6 +49,22 @@ def test_extension_invariants_published(order4_cocycle, s9_cocycle, s8_cocycle,
     assert ExtensionGroup(s9_cocycle).abelian_invariants() == [3, 3, 3]
     assert ExtensionGroup(s8_cocycle).abelian_invariants() == [4, 4, 4]
     assert ExtensionGroup(dphi43).abelian_invariants() == [3] * 8
+
+
+@pytest.mark.parametrize("k, a, b", [(6, 5, 4), (2, 1, 0), (2, 0, 1)])
+def test_not_abelian_names_the_exact_exponent(k, a, b):
+    """psi(g, h) = g_a h_b over GF(2), with g_a the base-2 digit a of g's
+    index.  Over Z_2^6 with the two highest digits every element of order 4
+    has index >= 48; over Z_2^2 the extension is D_4."""
+    idx = np.arange(2 ** k)
+    ga, hb = (idx >> a) & 1, (idx >> b) & 1
+    psi = Cocycle(elementary_abelian(2, k), Field(2, 1),
+                  ga[:, None] * hb[None, :])
+    E = ExtensionGroup(psi)
+    with pytest.raises(NotAbelian) as exc:
+        E.abelian_invariants()
+    assert exc.value.order == E.order
+    assert exc.value.exponent == E.as_group().exponent == 4
 
 
 def test_extension_invariants_match_tabulated(order4_cocycle, s9_cocycle,

@@ -279,13 +279,11 @@ def test_cli_build_refuses_unverifiable_object(tmp_path, capsys):
 
 
 def test_cli_rds_force_gate(tmp_path, capsys):
+    """Order 729 needs no flag: the GH check of a .coc is quadratic."""
     main(["build", "--construction", "sylvester-power", "--q", "3", "--t", "6",
           "--out", str(tmp_path), "--name", "s729"])
     capsys.readouterr()
     rc = main(["rds", str(tmp_path / "s729.coc")])
-    err = capsys.readouterr().err
-    assert rc == 1 and "--force" in err
-    rc = main(["rds", str(tmp_path / "s729.coc"), "--force"])
     out = capsys.readouterr().out
     assert rc == 0 and "equivalence_agree=True" in out
 
@@ -362,13 +360,13 @@ def verify_cocycles(gf3, s9_cocycle, s8_cocycle, dphi43):
     f"cob_{g}_{k}" for g in ("z3^2", "z3^3", "s3") for k in range(4)])
 def test_cli_verify_coc_matches_is_gh(tmp_path, capsys, verify_cocycles,
                                       name):
-    """verify on a .coc decides by orthogonality; verdict, witness, text and
-    --json are what the full row-pair scan of is_gh gives."""
-    from ghfp import is_gh
+    """verify on a .coc stops after the pairs (0, j); verdict, witness, text
+    and --json are what the full row-pair scan of the bare matrix gives."""
+    from ghfp import GHMatrix, is_gh
 
     psi = verify_cocycles[name]
     write_coc(tmp_path / "x.coc", psi)
-    ok, witness = is_gh(matrix_of(psi), mode="full")
+    ok, witness = is_gh(GHMatrix(psi.field, psi.table))
     lam = psi.v // psi.q
     rc = main(["verify", str(tmp_path / "x.coc")])
     out = capsys.readouterr().out
@@ -416,3 +414,40 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "11" in proc.stdout
+
+
+def test_cocycle_identity_checked_once_per_coc(tmp_path, capsys, monkeypatch,
+                                               s9_cocycle, gf3):
+    """code, report, verify and rds check a .coc's identity once, in
+    read_coc.  report on an orthogonal cocycle also checks the cocycle of
+    the star group, rebuilt from the code (cocycle_from_code)."""
+    import traceback
+
+    from ghfp import Cocycle, coboundary
+    from ghfp.cli import consolidated_report
+
+    rng = np.random.default_rng(2)
+    write_coc(tmp_path / "s9.coc", s9_cocycle)
+    write_coc(tmp_path / "cob.coc", coboundary(
+        rng.integers(0, 3, size=27), elementary_abelian(3, 3), gf3))
+    calls = []
+    real = Cocycle._check_identity
+
+    def counting(self):
+        calls.append({fr.name for fr in traceback.extract_stack()})
+        return real(self)
+
+    monkeypatch.setattr(Cocycle, "_check_identity", counting)
+    for stem, orthogonal in [("s9", True), ("cob", False)]:
+        path = str(tmp_path / f"{stem}.coc")
+        for name, run in [("code", lambda: main(["code", path])),
+                          ("verify", lambda: main(["verify", path])),
+                          ("rds", lambda: main(["rds", path])),
+                          ("report", lambda: consolidated_report(path))]:
+            calls.clear()
+            run()
+            star = [c for c in calls if "cocycle_from_code" in c]
+            own = [c for c in calls if "cocycle_from_code" not in c]
+            assert len(star) == (name == "report" and orthogonal), name
+            assert ["read_coc" in c for c in own] == [True], (stem, name)
+    capsys.readouterr()
