@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DuplicateRows, NotACodeword, NotNormalized, ZeroNotInCode
-from .fields import Field
+from .fields import Field, block_rows
 from .ghmatrix import GHMatrix, row_pair_counts
 
 
@@ -37,7 +37,8 @@ def rank_of_rows(field: Field, rows) -> int:
 
 
 def _reduce_rows(field: Field, rows) -> List[Tuple[int, np.ndarray]]:
-    """Gaussian elimination; returns (pivot column, normalized row) pairs."""
+    """Gaussian elimination, one row at a time; returns (pivot column,
+    normalized row) pairs.  The oracle next to _spin_up."""
     pivots: List[Tuple[int, np.ndarray]] = []
     for r in rows:
         r = np.asarray(r, dtype=np.int64).copy()
@@ -48,6 +49,76 @@ def _reduce_rows(field: Field, rows) -> List[Tuple[int, np.ndarray]]:
         if len(nz):
             c = int(nz[0])
             pivots.append((c, field.vsmul(field.inv(int(r[c])), r)))
+    return pivots
+
+
+def _spin_up(field: Field, rows, maps) -> List[Tuple[int, np.ndarray]]:
+    """Echelon pivots of the smallest subspace that holds rows and is closed
+    under x -> x[m] for every index map m in maps.
+
+    Returns (pivot column, row) pairs as _reduce_rows does: each row is 1 at
+    its column and 0 at the columns of the pivots before it, and a first
+    row with a nonzero first entry is the first pivot, at column 0.  With
+    no maps this is plain elimination of rows.  Otherwise the translates
+    x[m] of every pivot are reduced as well (the Meataxe spin-up; R. A.
+    Parker, "The computer calculation of modular characters", 1984).  The
+    pivots span everything reduced so far, and the maps are linear, so once
+    no pivot has translates left to reduce the span is closed.
+
+    Rows go through in blocks of block_rows(n), each reduced against the
+    pivots so far, one vectorized step X - X[:, c] (x) p per pivot, and then
+    against its own new pivots; the products go through the log/exp tables.
+    """
+    n = len(rows[0])
+    step = block_rows(n)
+    q = field.q
+    # exp indexed by a sum of two logs, with log 0 set past every such sum
+    # of nonzero elements, so a product with 0 lands in the zero tail
+    zero = 2 * (q - 1)
+    exp = np.zeros(2 * zero + 1, dtype=np.int64)
+    exp[:zero] = field.exp[:zero]
+    log = field.log.copy()
+    log[0] = zero
+    if q <= Field.ADD_TABLE_MAX_Q:
+        add = field._tables()[0].ravel()
+
+        def plus(x, y):
+            # the add table read flat, one gather of x*q + y (under half
+            # the time of add[x, y] at q = 729); x's memory holds x*q + y
+            x *= q
+            x += y
+            return add.take(x)
+    else:
+        plus = field.vadd
+    pivots: List[Tuple[int, np.ndarray]] = []
+    neg_logs: List[np.ndarray] = []  # log of -p for each pivot row p
+
+    def eliminate(X, c, neg_log):
+        return plus(X, exp.take(log.take(X[:, c])[:, None] + neg_log))
+
+    def reduce(X):
+        for (c, _), neg_log in zip(pivots, neg_logs):
+            X = eliminate(X, c, neg_log)
+        for i in range(len(X)):
+            nz = np.flatnonzero(X[i])
+            if nz.size:
+                c = int(nz[0])
+                row = field.vsmul(field.inv(int(X[i, c])), X[i])
+                pivots.append((c, row))
+                neg_logs.append(log[field.vneg(row)])
+                X[i + 1:] = eliminate(X[i + 1:], c, neg_logs[-1])
+
+    for b in range(0, len(rows), step):
+        reduce(np.array(rows[b:b + step], dtype=np.int64))
+    maps = np.asarray(maps, dtype=np.int64).reshape(-1, n)
+    if len(maps):
+        take = max(1, step // len(maps))  # pivots translated per block
+        done = 0
+        while done < len(pivots):
+            end = min(done + take, len(pivots))
+            reduce(np.concatenate([pivots[i][1][maps]
+                                   for i in range(done, end)]))
+            done = end
     return pivots
 
 
@@ -191,10 +262,27 @@ class GHCode:
         return np.repeat(np.arange(self.q, dtype=np.int64), self.n).reshape(self.q, self.n)
 
     def _span_pivots(self):
-        """Cached row reduction of span(C_H) = span(all-one, rows of H); the
-        all-one vector goes first, so it is the first pivot row."""
+        """Cached echelon pivots of span(C_H) = span(all-one, rows of H);
+        the all-one vector goes first, so it is the first pivot row.
+
+        When H is a cocycle psi over its group (see GHMatrix.cocycle), the
+        span is spun up from the all-one vector and the rows f_s of the
+        group's generators s, under the maps x -> x[L_s] with L_s(k) = sk.
+        The identity at (g, s, k) reads f_gs = f_g o L_s + f_s - psi(g,s)1,
+        so the span is closed under each map, and the spun-up subspace,
+        which holds 1 and f_s and is closed under the maps, holds f_gs once
+        it holds f_g: by induction on word length it holds every row.  Any
+        other matrix reduces the all-one vector and every row.
+        """
         if not hasattr(self, "_pivots"):
-            self._pivots = _reduce_rows(self.field, [self.ones, *self.H])
+            psi = self.matrix.cocycle()
+            if psi is None:
+                rows, maps = [self.ones, *self.H], []
+            else:
+                gens = psi.group.generators()
+                rows = [self.ones, *self.H[gens]]
+                maps = psi.group.table[gens]
+            self._pivots = _spin_up(self.field, rows, maps)
         return self._pivots
 
     def rank(self) -> int:
@@ -216,7 +304,14 @@ class GHCode:
             self._proj = (J, lookup)
         return self._proj
 
-    def _stable_rows(self, seed: int, probes: int = 8) -> List[int]:
+    def _stable_rows(self, seed: int) -> List[int]:
+        """Rows f with C + f = C, swept once per code: the probes only
+        reject rows early, so the seed of the first call decides nothing."""
+        if not hasattr(self, "_stable"):
+            self._stable = self._sweep_stable_rows(seed)
+        return self._stable
+
+    def _sweep_stable_rows(self, seed: int, probes: int = 8) -> List[int]:
         """Rows f with C + f = C, by early random probes then a full sweep.
 
         Every vector tested is a sum of two codewords, hence in span(C),
@@ -272,7 +367,7 @@ class GHCode:
                           in stable for a in range(2, f.q))]
         dim = 1 + _integer_log(len(members), self.q)
         basis_rows = [self.H[i] for i in members if i != 0]
-        basis = [self.ones] + [pr for _, pr in _reduce_rows(f, basis_rows)]
+        basis = [pr for _, pr in _spin_up(f, [self.ones, *basis_rows], [])]
         return KernelResult(dim, basis, seed)
 
     def is_linear(self) -> bool:

@@ -80,7 +80,23 @@ def planar_coboundary(a: int, b: int, field: Optional[Field] = None) -> Cocycle:
 
 
 def conjectured_rank(b: int) -> int:
-    """The reported rank pattern 3 * 2^(b-1) - 1, evaluated, never assumed."""
+    """The reported rank pattern 3 * 2^(b-1) - 1; table1 evaluates the rank
+    and reports this value beside it.
+
+    It is a theorem.  Over GF(p^m), the code of the coboundary of
+    phi(x) = x^e, 1 <= e <= q - 1, has rank prod(e_i + 1) - 1 over the
+    base-p digits e_i of e.  Write d <= e when every base-p digit of d is
+    at most the matching digit of e.  By Lucas's theorem (1878) the
+    binomial C(e, d) is nonzero mod p exactly when d <= e, so the row of g,
+    phi(g + x) - phi(g) - phi(x), is the sum of C(e, d) g^(e-d) x^d over
+    the d <= e with 0 < d < e.  The maps g -> g^k, 0 <= k < q, are
+    linearly independent functions on GF(q), and the exponents e - d are
+    distinct and below q, so the rows span exactly the monomials x^d with
+    d <= e and 0 < d < e.  With the all-one vector x^0 the span is that of
+    the monomials x^d with d <= e and d != e; there are prod(e_i + 1) - 1 of
+    them, and they are independent.  The planar exponent (3^b + 1) / 2 has
+    the base-3 digits 2, then b - 1 ones, so its rank is 3 * 2^(b-1) - 1.
+    """
     return 3 * 2 ** (b - 1) - 1
 
 

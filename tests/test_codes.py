@@ -135,6 +135,90 @@ def test_rank_shortcut_equals_full_span(code4, code9, s8_cocycle, code81):
         assert code.rank() == full
 
 
+def _assert_echelon_span(field, pivots, rows):
+    """pivots are (column, row) in echelon order, led by the all-one vector
+    at column 0, and span what rows span (reduced one row at a time)."""
+    rank = rank_of_rows(field, rows)
+    assert len(pivots) == rank
+    assert pivots[0][0] == 0 and (pivots[0][1] == 1).all()
+    cols = [c for c, _ in pivots]
+    for k, (c, row) in enumerate(pivots):
+        assert row[c] == 1 and not row[cols[:k]].any()
+    assert rank_of_rows(field, [*rows, *(row for _, row in pivots)]) == rank
+
+
+# the oracle_codes that carry a group they are a cocycle over; the others
+# (order4, order9, every _bare table, h4_over_z4, gf5_over_z5, trap) are not
+SPUN_UP = {"order8", "order16", "order27", "s2^4", "d_2_1_3", "lift_s3_gf9",
+           "lift_s3_gf81", "cob_z3^2", "cob_z3^3", "cob_s3"}
+
+
+@pytest.mark.parametrize("step", [None, 1, 4])
+def test_span_pivots_match_elimination(oracle_codes, monkeypatch, step):
+    """_span_pivots against elimination of all v + 1 rows: the same rank and
+    row space, in echelon order.  Grouped cocycles spin up from 1 and the
+    generators' rows under the generators' translations; every other matrix
+    reduces the all-one vector and every row, with no maps.  step shrinks
+    the row blocks so that these orders run through many of them."""
+    from ghfp import codes
+
+    if step:
+        monkeypatch.setattr(codes, "block_rows", lambda n: step)
+    runs = []
+    real = codes._spin_up
+    monkeypatch.setattr(codes, "_spin_up", lambda f, rows, maps: (
+        runs.append((len(rows), len(maps))) or real(f, rows, maps)))
+    for name, (code, _) in oracle_codes.items():
+        pivots = GHCode(code.matrix)._span_pivots()
+        _assert_echelon_span(code.field, pivots, [code.ones, *code.H])
+        if name in SPUN_UP:
+            gens = code.matrix.group.generators()
+            assert runs == [(1 + len(gens), len(gens))], name
+        else:
+            assert runs == [(code.v + 1, 0)], name
+        runs.clear()
+
+
+@pytest.mark.parametrize("step", [None, 1, 4])
+def test_spin_up_on_random_coboundaries(gf3, monkeypatch, step):
+    """Spin-up from 1 and the generators' rows spans all rows of random
+    coboundaries over Z_3^3 and S_3 (called directly: such a table can
+    repeat rows, which GHCode rejects)."""
+    from ghfp import codes
+    from test_groups import s3_table
+
+    if step:
+        monkeypatch.setattr(codes, "block_rows", lambda n: step)
+    rng = np.random.default_rng(5)
+    for group in (elementary_abelian(3, 3), Group(s3_table())):
+        gens = group.generators()
+        ones = np.ones(group.order, dtype=np.int64)
+        for _ in range(6):
+            psi = coboundary(rng.integers(0, 3, size=group.order), group, gf3)
+            pivots = codes._spin_up(gf3, [ones, *psi.table[gens]],
+                                    group.table[gens])
+            _assert_echelon_span(gf3, pivots, [ones, *psi.table])
+
+
+def test_stable_rows_swept_once(monkeypatch, oracle_codes):
+    """kernel and p_kernel share one sweep for stable rows, whose result
+    does not depend on the seed of the probes."""
+    calls = []
+    real = GHCode._sweep_stable_rows
+    monkeypatch.setattr(GHCode, "_sweep_stable_rows", lambda self, seed: (
+        calls.append(seed) or real(self, seed)))
+    for name in ("lift_s3_gf81", "cob_z3^3", "trap"):
+        oracle = oracle_codes[name][0].as_code()
+        fresh = GHCode(oracle_codes[name][0].matrix)
+        assert not fresh.is_linear(), name
+        assert fresh.kernel(seed=1).dim == oracle.kernel().dim, name
+        assert fresh.p_kernel(seed=2) == oracle.p_kernel(), name
+        assert calls == [1], name
+        assert all(real(fresh, seed) == fresh._stable_rows(1)
+                   for seed in range(4)), name
+        calls.clear()
+
+
 def test_kernel_published_values(code4, code9, code81):
     assert code4.kernel().dim == paper_data.KERNEL_ORDER4
     assert code9.kernel().dim == paper_data.KERNEL_ORDER9

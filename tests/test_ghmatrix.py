@@ -244,8 +244,9 @@ def test_is_gh_witness_in_a_later_row_block():
 
 
 def test_cocycle_is_decided_once(monkeypatch, s9_cocycle, non_cocycles):
-    """is_gh then min_distance check the identity at most once per matrix,
-    and not at all on matrix_of of a checked Cocycle."""
+    """is_gh then min_distance, or rank, kernel, p_kernel and min_distance,
+    check the identity at most once per matrix, and not at all on
+    matrix_of of a checked Cocycle."""
     from ghfp import Cocycle, GHCode, check_cocycle
 
     calls = []
@@ -258,6 +259,14 @@ def test_cocycle_is_decided_once(monkeypatch, s9_cocycle, non_cocycles):
         GHCode(M).min_distance()
         assert len(calls) == 1
         assert (M.cocycle() is not None) == (psi is s9_cocycle)
+        calls.clear()
+        code = GHCode(GHMatrix(psi.field, psi.table, psi.group))
+        code.rank()
+        assert len(calls) == 1
+        code.kernel()
+        code.p_kernel()
+        code.min_distance()
+        assert len(calls) == 1
         calls.clear()
     M = matrix_of(check_cocycle(s9_cocycle.table, s9_cocycle.group,
                                 s9_cocycle.field))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ghfp import Field, GHCode, admissible_pairs, is_orthogonal, matrix_of, \
-    planar_coboundary, planar_map, table1
+from ghfp import Field, GHCode, additive_group_of, admissible_pairs, \
+    coboundary, is_orthogonal, matrix_of, planar_coboundary, planar_map, table1
 from ghfp.errors import InadmissibleParams
 from ghfp.planar import conjectured_rank, is_planar, planar_exponent
 
@@ -77,6 +77,43 @@ def test_planar_nonlinearity_from_kernel(dphi43):
 
 def test_conjectured_rank_values():
     assert [conjectured_rank(b) for b in (3, 5, 7, 9)] == [11, 47, 191, 767]
+
+
+def _lucas_rank(e: int, p: int) -> int:
+    """prod(e_i + 1) - 1 over the base-p digits e_i of e."""
+    out = 1
+    while e:
+        out *= e % p + 1
+        e //= p
+    return out - 1
+
+
+def _power_map_rank(field: Field, e: int) -> int:
+    """Rank of the code of the coboundary of x -> x^e, by spin-up from 1
+    and the generators' rows (called directly: for most e the table repeats
+    rows, which GHCode rejects)."""
+    from ghfp.codes import _spin_up
+
+    q = field.q
+    phi = np.zeros(q, dtype=np.int64)
+    phi[1:] = field.exp[(field.log[1:] * e) % (q - 1)]
+    group = additive_group_of(field, "encoding")
+    psi = coboundary(phi, group, field)
+    gens = group.generators()
+    ones = np.ones(q, dtype=np.int64)
+    return len(_spin_up(field, [ones, *psi.table[gens]], group.table[gens]))
+
+
+def test_power_map_rank_is_lucas():
+    """The rank theorem of conjectured_rank, for every exponent over GF(27)
+    and GF(81) and for the planar exponents at a = 5 and a = 6."""
+    for field in (Field(3, 3), Field(3, 4)):
+        for e in range(1, field.q):
+            assert _power_map_rank(field, e) == _lucas_rank(e, 3), (field, e)
+    for a, b in [(5, 3), (6, 5)]:
+        e = planar_exponent(b)
+        assert _power_map_rank(Field(3, a), e) == _lucas_rank(e, 3) \
+            == conjectured_rank(b)
 
 
 def test_table1_desk_slice_small():
