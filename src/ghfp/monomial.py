@@ -24,7 +24,7 @@ from .errors import (
     OrderMismatch,
     SizeGateExceeded,
 )
-from .fields import Field
+from .fields import Field, block_rows
 from .ghmatrix import GHMatrix
 from .groups import Perm
 from .propelinear import PropelinearCode
@@ -142,10 +142,20 @@ def pair_for_codeword(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
                                                       MonomialMatrix]:
     """The automorphism pair (M_x, N_x) of phi(H) induced by x acting by star.
 
-    N is the monomial D_{-x} Q where Q's column action realizes pi_x; the
-    row-side M is solved coordinate-wise: each transformed row must land on
-    an H-row up to a constant, which pins its permutation and diagonal.
+    N is the monomial D_{-x} Q where Q's column action realizes pi_x, and M
+    maps each row of H - x, permuted by pi_x^{-1}, onto an H-row up to a
+    constant.  On a cocycle both are read from the row-product table (see
+    _pair_arrays); any other matrix searches C_H for each row.
     """
+    x = np.asarray(x, dtype=np.int64)
+    (mp,), (md,), (np_,), (nd,) = _pair_arrays(P, [P.row_of(x)], x[:1])
+    return MonomialMatrix(P.field, mp, md), MonomialMatrix(P.field, np_, nd)
+
+
+def _pair_by_index(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
+                                                   MonomialMatrix]:
+    """pair_for_codeword by search: each transformed row must land on an
+    H-row up to a constant, which pins M's permutation and diagonal."""
     f = P.field
     x = np.asarray(x, dtype=np.int64)
     rho = P.row_of(x)
@@ -161,60 +171,148 @@ def pair_for_codeword(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
     return MonomialMatrix(f, perm, diag), N
 
 
+def _codewords(P: PropelinearCode, rho, lam) -> np.ndarray:
+    """The codewords f_rho + lam*1, one row each."""
+    return P.field.vadd(P.H[rho], np.asarray(lam)[:, None])
+
+
+def _pair_arrays(P: PropelinearCode, rho, lam) -> Tuple[np.ndarray, ...]:
+    """(M perms, M diagonals, N perms, N diagonals) of the codewords
+    x = f_rho + lam*1, one row per codeword.
+
+    On a cocycle, with rows and offsets the row-product table, M is
+    (rows[rho^-1], offsets[rho^-1] - (offsets[rho^-1, rho] + lam)*1) and N
+    is (gt[rho], -x): row i of M's search is t -> psi(i, rho^-1 t) -
+    psi(rho, rho^-1 t) - lam, and the identity at (i, rho^-1, t) and at
+    (rho, rho^-1, t) turns it into psi(i, rho^-1) - psi(rho, rho^-1) - lam
+    plus f_{i rho^-1}.  Any other matrix takes _pair_by_index per codeword.
+    """
+    f, gt = P.field, P.group.table
+    rho = np.asarray(rho, dtype=np.int64)
+    lam = np.asarray(lam, dtype=np.int64)
+    if P.code.matrix.cocycle() is None:
+        pairs = [_pair_by_index(P, x) for x in _codewords(P, rho, lam)]
+        return tuple(np.array([getattr(pair[side], part) for pair in pairs])
+                     for side in (0, 1) for part in ("perm", "diag"))
+    rows, offsets = P.row_products()
+    rinv = P.group.inv[rho]
+    return (rows[rinv],
+            f.vsub(offsets[rinv], f.vadd(offsets[rinv, rho], lam)[:, None]),
+            gt[rho],
+            f.vneg(_codewords(P, rho, lam)))
+
+
+def _first_non_automorphism(P: PropelinearCode, mp, md, np_, nd
+                            ) -> Optional[int]:
+    """The first pair with PMQ* != phi(H), or None.  Entry (i, j) of PMQ*
+    is md[i] + H[mp[i], np_[j]] - nd[j], compared with H[i, j] as
+    md[i] + H[mp[i], np_[j]] against H[i, j] + nd[j]; the rows of every
+    pair are checked in blocks of block_rows(v) rows."""
+    f, H, v = P.field, P.H, P.v
+    flat = H.ravel()
+    step = block_rows(v)
+    for r0 in range(0, mp.size, step):
+        b, i = np.divmod(np.arange(r0, min(r0 + step, mp.size)), v)
+        got = f.vadd(md[b, i][:, None], flat[mp[b, i][:, None] * v + np_[b]])
+        bad = (got != f.vadd(H[i], nd[b])).any(axis=1)
+        if bad.any():
+            return int(b[np.argmax(bad)])
+    return None
+
+
+def _homomorphism_holds(P: PropelinearCode, left, right, a, b) -> bool:
+    """f(x_a * y_b) = f(x_a) f(y_b) for every k, with x = left[a[k]] and
+    y = right[b[k]]; left and right are (rho, lam, pair arrays).
+
+    The products are computed by star on codewords and located with one
+    index call per block, so the check does not read the pair formula."""
+    gt, step = P.group.table, block_rows(P.v)
+    (rl, ll, L), (rr, lr, R) = left, right
+    for k0 in range(0, len(a), step):
+        ia, ib = a[k0:k0 + step], b[k0:k0 + step]
+        xy = P.field.vadd(_codewords(P, rl[ia], ll[ia]),
+                          np.take_along_axis(_codewords(P, rr[ib], lr[ib]),
+                                             gt[rl[ia]], axis=1))
+        rc, lc = P.code.index(xy)
+        if (rc < 0).any():
+            return False
+        C = _pair_arrays(P, rc, lc)
+        for side in (0, 2):  # M, then N
+            pa, da = L[side][ia], L[side + 1][ia]
+            pb, db = R[side][ib], R[side + 1][ib]
+            if not ((np.take_along_axis(pb, pa, axis=1) == C[side]).all()
+                    and (P.field.vadd(da, np.take_along_axis(db, pa, axis=1))
+                         == C[side + 1]).all()):
+                return False
+    return True
+
+
 def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
                             seed: int = 0) -> Dict[str, object]:
     """Verified (M_a, N_a) pairs for the codewords of P.
 
-    Every pair must satisfy PMQ* = phi(H); the map is checked to be a
-    homomorphism on a sample of products, the repetition codewords must give
-    constant-diagonal pairs, and the row action must be transitive.
-    sample limits how many codewords are processed (None = all q*v).
+    With sample=None on a cocycle the check is exhaustive ("mode":
+    "exhaustive").  The pair of f_rho + lam*1 is the pair of f_rho times the
+    scalar pair -lam*I, and scalars cancel in PMQ*, so PMQ* = phi(H) is
+    checked on the v coset representatives f_rho.  The homomorphism law is
+    checked on x * s for every f_rho and every generator s of (C, star):
+    the rows f_g of the generators g of G, and lam*1 for an additive basis
+    of F_q.  As scalars are central in (C, star) and among the pairs, that
+    gives f(x s) = f(x) f(s) for every x, and f(xy) = f(x) f(y) follows by
+    induction on the length of y as a word in the generators.
+
+    Otherwise ("mode": "sampled") PMQ* is checked on sample codewords drawn
+    with seed (all q*v when sample is None), and the law on up to 200 random
+    products of them.  Either way the repetition codewords must give
+    constant-diagonal pairs, and with sample=None the row action must be
+    transitive.
     """
     f, v, q = P.field, P.v, P.q
     rng = np.random.default_rng(seed)
-    H = GHMatrix(f, P.H, group=P.group)
-    if sample is None:
-        coords = [(k, g) for k in range(q) for g in range(v)]
+    exhaustive = sample is None and P.code.matrix.cocycle() is not None
+    if exhaustive:
+        rho, lam = np.arange(v), np.zeros(v, dtype=np.int64)
+        gens = P.group.generators()
+        gen_rho = np.array(gens + [0] * f.m, dtype=np.int64)
+        gen_lam = np.concatenate([np.zeros(len(gens), dtype=np.int64),
+                                  f.p ** np.arange(f.m)])
+        a, b = np.divmod(np.arange(v * len(gen_rho)), len(gen_rho))
+        verified = q * v
     else:
-        coords = [(int(rng.integers(0, q)), int(rng.integers(0, v)))
-                  for _ in range(sample)]
-    pairs = {}
-    for k, g in coords:
-        x = P.encode(k, g)
-        M, N = pair_for_codeword(P, x)
-        if not is_matrix_automorphism(M, N, H):
-            raise AutomorphismCheckFailed(f"PMQ* != phi(H) at (k,g)=({k},{g})")
-        pairs[(k, g)] = (M, N)
-    # homomorphism on sampled products of verified pairs
-    keys = list(pairs)
-    hom_ok = True
-    for _ in range(min(200, len(keys) ** 2)):
-        ka, kb = keys[int(rng.integers(0, len(keys)))], keys[
-            int(rng.integers(0, len(keys)))]
-        xa, xb = P.encode(*ka), P.encode(*kb)
-        xc = P.star(xa, xb)
-        Mc, Nc = pair_for_codeword(P, xc)
-        Ma, Na = pairs[ka]
-        Mb, Nb = pairs[kb]
-        if not (Ma * Mb == Mc and Na * Nb == Nc):
-            hom_ok = False
-            break
+        if sample is None:
+            ks, gs = np.divmod(np.arange(q * v), v)
+        else:
+            ks, gs = np.divmod(np.unique(rng.integers(0, q, size=sample) * v
+                                         + rng.integers(0, v, size=sample)), v)
+        # (k, g) is the codeword -(k + psi(g, g^-1))*1 + f_{g^-1}
+        rho = P.group.inv[gs]
+        lam = f.vneg(f.vadd(ks, P.psi.table[gs, rho]))
+        n = len(rho)
+        a = rng.integers(0, n, size=min(200, n * n))
+        b = rng.integers(0, n, size=a.size)
+        verified = n
+    pairs = _pair_arrays(P, rho, lam)
+    bad = _first_non_automorphism(P, *pairs)
+    if bad is not None:
+        k, g = P.decode(_codewords(P, rho[bad:bad + 1], lam[bad:bad + 1])[0])
+        raise AutomorphismCheckFailed(f"PMQ* != phi(H) at (k,g)=({k},{g})")
+    left = right = (rho, lam, pairs)
+    if exhaustive:
+        right = (gen_rho, gen_lam, _pair_arrays(P, gen_rho, gen_lam))
+    hom_ok = _homomorphism_holds(P, left, right, a, b)
     # repetition codewords give (phi(-lambda) I, phi(-lambda) I)
-    central_ok = True
-    for lam in range(q):
-        M, N = pair_for_codeword(P, np.full(v, lam, dtype=np.int64))
-        want = MonomialMatrix.scalar(f, v, f.neg(lam))
-        if not (M == want and N == want):
-            central_ok = False
-            break
-    row_orbit = set()
-    for (k, g), (M, N) in pairs.items():
-        row_orbit.add(int(M.perm[0]))
+    lams = np.arange(q)
+    mp, md, np_, nd = _pair_arrays(P, np.zeros(q, dtype=np.int64), lams)
+    ident, minus = np.arange(v), f.vneg(lams)[:, None]
+    central_ok = bool((mp == ident).all() and (np_ == ident).all()
+                      and (md == minus).all() and (nd == minus).all())
     return {
-        "pairs_verified": len(pairs),
+        "pairs_verified": verified,
+        "mode": "exhaustive" if exhaustive else "sampled",
         "homomorphism_ok": hom_ok,
         "central_pairs_ok": central_ok,
-        "row_action_transitive": len(row_orbit) == v if sample is None else None,
+        "row_action_transitive": (len(np.unique(pairs[0][:, 0])) == v
+                                  if sample is None else None),
     }
 
 

@@ -12,7 +12,8 @@ for rho the H-row index of x.  The composition route through the
 correspondence map (decode both factors, multiply in the extension, encode)
 is kept as a test oracle only.  Every group-level check (axiom (i), the
 group axioms, the regular action, the cocycle of the star group and the F_H
-profile) reads one v x v table, the products f_rho * f_r of the H-rows.
+profile) reads one v x v table, the products f_rho * f_r of the H-rows,
+which the cocycle identity gives without searching the code.
 """
 
 from __future__ import annotations
@@ -86,16 +87,27 @@ class PropelinearCode:
     def row_products(self) -> Tuple[np.ndarray, np.ndarray]:
         """The row-product table, computed once: f_rho * f_r equals
         offsets[rho, r]*1 + f_{rows[rho, r]}, or rows[rho, r] is -1 when the
-        product is not in C.  One index call per rho; the arrays are
-        read-only."""
+        product is not in C.  The arrays are read-only and C-contiguous.
+
+        When H is a cocycle over G (the matrix's cocycle() verdict) the
+        table is G's table and psi, transposed, and no word is searched:
+        entry j of f_rho * f_r is psi(rho,j) + psi(r,rho j), and the
+        identity at (r, rho, j) reads psi(rho,j) + psi(r,rho j) =
+        psi(r,rho) + psi(r rho,j), so f_rho * f_r = psi(r,rho)*1 + f_{r rho}.
+        Any other table is looked up, one index call per rho, which finds
+        every product outside C."""
         if not hasattr(self, "_row_products"):
-            f, gt, v = self.field, self.group.table, self.v
-            rows = np.empty((v, v), dtype=np.int64)
-            offsets = np.empty((v, v), dtype=np.int64)
-            for rho in range(v):
-                # row r of the batch is f_rho + pi-gather of f_r
-                rows[rho], offsets[rho] = self.code.index(
-                    f.vadd(self.H[rho][None, :], self.H[:, gt[rho]]))
+            psi = self.code.matrix.cocycle()
+            if psi is not None:
+                rows, offsets = psi.group.table.T.copy(), psi.table.T.copy()
+            else:
+                f, gt, v = self.field, self.group.table, self.v
+                rows = np.empty((v, v), dtype=np.int64)
+                offsets = np.empty((v, v), dtype=np.int64)
+                for rho in range(v):
+                    # row r of the batch is f_rho + pi-gather of f_r
+                    rows[rho], offsets[rho] = self.code.index(
+                        f.vadd(self.H[rho][None, :], self.H[:, gt[rho]]))
             rows.flags.writeable = offsets.flags.writeable = False
             self._row_products = (rows, offsets)
         return self._row_products
@@ -245,7 +257,14 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
         raise SectionUndefined(*map(int, bad[0]))
     quotient = Group(rows)
     quotient.check_associativity()
-    return Cocycle(quotient, P.field, offsets, check="full")
+    # psi^T over G^op satisfies the identity at (g, h, k) exactly when psi
+    # does at (k, h, g), so the theorem table of row_products is a cocycle
+    # already; any other table (not read from a checked psi) is checked
+    psi = P.code.matrix.cocycle() if isinstance(P, PropelinearCode) else None
+    by_theorem = (psi is not None and np.array_equal(rows, psi.group.table.T)
+                  and np.array_equal(offsets, psi.table.T))
+    return Cocycle(quotient, P.field, offsets,
+                   check="skip" if by_theorem else "full")
 
 
 def _star_group_failure(P: PropelinearCode) -> Optional[tuple]:

@@ -177,3 +177,68 @@ def test_pair_for_codeword_names_first_row_off_the_matrix(non_cocycles):
             with pytest.raises(AutomorphismCheckFailed,
                                match=f"row {bad[0]} does"):
                 pair_for_codeword(P, x)
+
+
+def test_table_pairs_equal_index_pairs(order4_cocycle, s8_cocycle, s9_cocycle,
+                                       dphi43):
+    """The pairs read from the row-product table are the pairs found by
+    searching C_H: every codeword of the order-4, 8 and 9 matrices, and
+    sampled codewords of P(4,3)."""
+    from ghfp.monomial import _pair_by_index
+
+    rng = np.random.default_rng(8)
+    for psi in (order4_cocycle, s8_cocycle, s9_cocycle, dphi43):
+        P = ghfp_from_cocycle(psi)
+        words = P.codewords()
+        if P.v > 9:
+            words = words[rng.choice(len(words), size=60, replace=False)]
+        for x in words:
+            assert pair_for_codeword(P, x) == _pair_by_index(P, x)
+
+
+def test_exhaustive_and_sampled_modes(s9_cocycle, non_cocycles):
+    """sample=None on a cocycle is exhaustive and counts all q*v pairs;
+    sample= and a non-cocycle sample, and say so."""
+    P = ghfp_from_cocycle(s9_cocycle)
+    assert automorphisms_from_star(P)["mode"] == "exhaustive"
+    report = automorphisms_from_star(P, sample=8, seed=3)
+    assert report["mode"] == "sampled"
+    assert 1 <= report["pairs_verified"] <= 8
+    assert report["row_action_transitive"] is None
+    report = automorphisms_from_star(
+        ghfp_from_cocycle(non_cocycles["gf2_over_z4"]))
+    assert report["mode"] == "sampled" and report["pairs_verified"] == 8
+
+
+def test_exhaustive_mode_rejects_a_broken_table(s9_cocycle):
+    """A wrong offset in the row-product table gives one coset
+    representative a pair that fails PMQ* = phi(H), and the check names
+    its codeword."""
+    from ghfp.errors import AutomorphismCheckFailed
+
+    P = ghfp_from_cocycle(s9_cocycle)
+    rows, offsets = P.row_products()
+    bent = offsets.copy()
+    bent[P.group.inv[4], 2] = (bent[P.group.inv[4], 2] + 1) % 3
+    P.row_products = lambda: (rows, bent)
+    k, g = P.decode(P.H[4])
+    with pytest.raises(AutomorphismCheckFailed,
+                       match=rf"at \(k,g\)=\({k},{g}\)"):
+        automorphisms_from_star(P)
+
+
+def test_exhaustive_mode_finds_a_map_that_is_no_homomorphism(s9_cocycle,
+                                                             monkeypatch):
+    """Composing the pair map with a swap of two cosets keeps every pair an
+    automorphism, but no longer respects star; the products with the
+    generators show it."""
+    from ghfp import monomial
+
+    real = monomial._pair_arrays
+    swap = np.arange(9)
+    swap[[1, 2]] = [2, 1]
+    monkeypatch.setattr(monomial, "_pair_arrays", lambda P, rho, lam: real(
+        P, swap[np.asarray(rho)], lam))
+    report = automorphisms_from_star(ghfp_from_cocycle(s9_cocycle))
+    assert report["mode"] == "exhaustive" and report["central_pairs_ok"]
+    assert not report["homomorphism_ok"]

@@ -271,8 +271,8 @@ def test_group_axioms_witness_is_a_failing_triple(gf3, loop5, non_cocycles):
     assert loop5[loop5[g, h], k] != loop5[g, loop5[h, k]]
 
 
-def test_one_row_product_table_serves_every_check(s9_cocycle):
-    P = ghfp_from_cocycle(s9_cocycle)
+def _counted_index(P):
+    """Record the batch size of every P.code.index call from now on."""
     sizes = []
     index = P.code.index
 
@@ -281,11 +281,87 @@ def test_one_row_product_table_serves_every_check(s9_cocycle):
         return index(words)
 
     P.code.index = counted
+    return sizes
+
+
+def test_one_row_product_table_serves_every_check(s9_cocycle, non_cocycles):
+    """On a cocycle the row-product table and every automorphism pair are
+    read from the identity, with no search of the code; without the
+    verdict, the table takes one index call of v words per row."""
+    from ghfp import automorphisms_from_star
+    from ghfp.monomial import _pair_arrays
+
+    P = ghfp_from_cocycle(s9_cocycle)
+    sizes = _counted_index(P)
     verify_full_propelinear(P)
     cocycle_from_code(P)
     fh_intersection_profile(P)
     regular_subgroup_check(P)
+    ks, rhos = np.divmod(np.arange(P.q * P.v), P.v)
+    _pair_arrays(P, rhos, ks)
+    assert sizes == []
+    # the exhaustive automorphism check locates its v * (|gens| + m) star
+    # products in one batch, and searches nothing else
+    automorphisms_from_star(P)
+    assert sizes == [P.v * (len(P.group.generators()) + P.field.m)]
+
+    P = ghfp_from_cocycle(non_cocycles["h9_over_z9"])
+    sizes = _counted_index(P)
+    verify_full_propelinear(P)
+    fh_intersection_profile(P)
+    regular_subgroup_check(P)
     assert sizes == [P.v] * P.v
+
+
+def _searched(psi) -> PropelinearCode:
+    """P with its cocycle verdict withheld, so row_products searches C_H."""
+    P = ghfp_from_cocycle(psi)
+    P.code.matrix._cocycle = None
+    return P
+
+
+def test_theorem_table_equals_index_table(gf3, s9_cocycle, s8_cocycle, dphi43):
+    """(gt^T, psi^T) is the table the index path finds, on lexicographic,
+    primitive-power and relabeled (non-lexicographic) groups."""
+    rng = np.random.default_rng(6)
+    s3_4 = sylvester_power_cocycle(gf3, 4)
+    img = np.concatenate(([0], 1 + rng.permutation(s3_4.v - 1)))
+    inv = np.argsort(img)
+    relabeled = check_cocycle(s3_4.table[inv][:, inv], Group(
+        img[s3_4.group.table[inv][:, inv]], check=False), gf3)
+    cases = {"s9": s9_cocycle, "s8": s8_cocycle, "s3^4": s3_4,
+             "dphi43": dphi43, "s3^4 relabeled": relabeled}
+    for name, psi in cases.items():
+        P = ghfp_from_cocycle(psi)
+        rows, offsets = P.row_products()
+        assert (rows == psi.group.table.T).all(), name
+        assert (offsets == psi.table.T).all(), name
+        assert not (rows.flags.writeable or offsets.flags.writeable), name
+        want_rows, want_offsets = _searched(psi).row_products()
+        assert (rows == want_rows).all(), name
+        assert (offsets == want_offsets).all(), name
+
+
+def test_row_product_identity_on_s3_coboundaries(gf3):
+    """f_rho * f_r = psi(r,rho)*1 + f_{r rho}, located by GHCode.index, for
+    random coboundaries over the non-abelian S_3 whose rows are distinct."""
+    from ghfp import GHCode, coboundary, matrix_of
+    from test_groups import s3_table
+
+    rng = np.random.default_rng(7)
+    s3 = Group(s3_table())
+    gt, tried = s3.table, 0
+    while tried < 6:
+        psi = coboundary(rng.integers(0, 3, size=6), s3, gf3)
+        if len(np.unique(psi.table, axis=0)) < 6:
+            continue
+        tried += 1
+        code = GHCode(matrix_of(psi))
+        for rho in range(6):
+            rows, offsets = code.index(
+                gf3.vadd(psi.table[rho][None, :], psi.table[:, gt[rho]]))
+            assert (rows == gt[:, rho]).all()
+            assert (offsets == psi.table[:, rho]).all()
 
 
 def test_permutation_witnesses_name_first_bad_row_and_column(gf3):
