@@ -147,6 +147,8 @@ def pair_for_codeword(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
     constant.  On a cocycle both are read from the row-product table (see
     _pair_arrays); any other matrix searches C_H for each row.
     """
+    if P.code.matrix.cocycle() is None:
+        return _pair_by_index(P, x)
     x = np.asarray(x, dtype=np.int64)
     (mp,), (md,), (np_,), (nd,) = _pair_arrays(P, [P.row_of(x)], x[:1])
     return MonomialMatrix(P.field, mp, md), MonomialMatrix(P.field, np_, nd)

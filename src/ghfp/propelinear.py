@@ -260,7 +260,7 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
     # psi^T over G^op satisfies the identity at (g, h, k) exactly when psi
     # does at (k, h, g), so the theorem table of row_products is a cocycle
     # already; any other table (not read from a checked psi) is checked
-    psi = P.code.matrix.cocycle() if isinstance(P, PropelinearCode) else None
+    psi = P.code.matrix.cocycle()
     by_theorem = (psi is not None and np.array_equal(rows, psi.group.table.T)
                   and np.array_equal(offsets, psi.table.T))
     return Cocycle(quotient, P.field, offsets,

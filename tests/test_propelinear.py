@@ -396,7 +396,9 @@ def test_regular_subgroup_decides_on_the_row_product_table(gf3, loop5):
         rows = np.asarray(rows)
         if offsets is None:
             offsets = np.zeros_like(rows)
-        return SimpleNamespace(field=gf3,
+        # no cocycle verdict: the table is read as a table, not a theorem
+        matrix = SimpleNamespace(cocycle=lambda: None)
+        return SimpleNamespace(field=gf3, code=SimpleNamespace(matrix=matrix),
                                row_products=lambda: (rows, offsets))
 
     a = np.arange(5)
