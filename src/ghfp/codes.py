@@ -44,11 +44,11 @@ def _reduce_rows(field: Field, rows) -> List[Tuple[int, np.ndarray]]:
         r = np.asarray(r, dtype=np.int64).copy()
         for c, pr in pivots:
             if r[c]:
-                r = field.vsub(r, field.vsmul(int(r[c]), pr))
+                r = field.vsub(r, field.vmul(int(r[c]), pr))
         nz = np.nonzero(r)[0]
         if len(nz):
             c = int(nz[0])
-            pivots.append((c, field.vsmul(field.inv(int(r[c])), r)))
+            pivots.append((c, field.vmul(field.inv(int(r[c])), r)))
     return pivots
 
 
@@ -66,47 +66,29 @@ def _spin_up(field: Field, rows, maps) -> List[Tuple[int, np.ndarray]]:
     no pivot has translates left to reduce the span is closed.
 
     Rows go through in blocks of block_rows(n), each reduced against the
-    pivots so far, one vectorized step X - X[:, c] (x) p per pivot, and then
-    against its own new pivots; the products go through the log/exp tables.
+    pivots so far, one vectorized step X + X[:, c] (x) (-p) per pivot (one
+    Field.vmul and one Field.vadd gather), and then against its own new
+    pivots.
     """
     n = len(rows[0])
     step = block_rows(n)
-    q = field.q
-    # exp indexed by a sum of two logs, with log 0 set past every such sum
-    # of nonzero elements, so a product with 0 lands in the zero tail
-    zero = 2 * (q - 1)
-    exp = np.zeros(2 * zero + 1, dtype=np.int64)
-    exp[:zero] = field.exp[:zero]
-    log = field.log.copy()
-    log[0] = zero
-    if q <= Field.ADD_TABLE_MAX_Q:
-        add = field._tables()[0].ravel()
-
-        def plus(x, y):
-            # the add table read flat, one gather of x*q + y (under half
-            # the time of add[x, y] at q = 729); x's memory holds x*q + y
-            x *= q
-            x += y
-            return add.take(x)
-    else:
-        plus = field.vadd
     pivots: List[Tuple[int, np.ndarray]] = []
-    neg_logs: List[np.ndarray] = []  # log of -p for each pivot row p
+    negs: List[np.ndarray] = []  # -p for each pivot row p
 
-    def eliminate(X, c, neg_log):
-        return plus(X, exp.take(log.take(X[:, c])[:, None] + neg_log))
+    def eliminate(X, c, neg):
+        return field.vadd(X, field.vmul(X[:, c, None], neg))
 
     def reduce(X):
-        for (c, _), neg_log in zip(pivots, neg_logs):
-            X = eliminate(X, c, neg_log)
+        for (c, _), neg in zip(pivots, negs):
+            X = eliminate(X, c, neg)
         for i in range(len(X)):
             nz = np.flatnonzero(X[i])
             if nz.size:
                 c = int(nz[0])
-                row = field.vsmul(field.inv(int(X[i, c])), X[i])
+                row = field.vmul(field.inv(int(X[i, c])), X[i])
                 pivots.append((c, row))
-                neg_logs.append(log[field.vneg(row)])
-                X[i + 1:] = eliminate(X[i + 1:], c, neg_logs[-1])
+                negs.append(field.vneg(row))
+                X[i + 1:] = eliminate(X[i + 1:], c, negs[-1])
 
     for b in range(0, len(rows), step):
         reduce(np.array(rows[b:b + step], dtype=np.int64))
@@ -163,7 +145,7 @@ class Code:
         f = self.field
         members = []
         for x in self.words:
-            if all(self._translate_fixes(f.vsmul(a, x)) for a in range(1, f.q)):
+            if all(self._translate_fixes(f.vmul(a, x)) for a in range(1, f.q)):
                 members.append(x)
         dim = _integer_log(len(members), f.q)
         basis = [pr for _, pr in _reduce_rows(f, members)]
@@ -363,7 +345,7 @@ class GHCode:
         J, lookup = self._span_projection()
         # scalar multiples of codewords stay in the span
         members = [i for i in stable
-                   if all(lookup.get(f.vsmul(a, self.H[i][J]).tobytes())
+                   if all(lookup.get(f.vmul(a, self.H[i][J]).tobytes())
                           in stable for a in range(2, f.q))]
         dim = 1 + _integer_log(len(members), self.q)
         basis_rows = [self.H[i] for i in members if i != 0]

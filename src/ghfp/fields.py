@@ -1,11 +1,15 @@
 """Exact arithmetic in GF(p^m) on integer encodings.
 
 A field element is the integer e = sum(coeffs[i] * p**i) built from its
-coefficients in the polynomial basis (little-endian).  Addition is digitwise
-mod p, multiplication goes through discrete log/antilog tables built once at
-construction.  This encoding is the wire format used by every file the
-library reads or writes.
-"""
+coefficients in the polynomial basis (little-endian).  This encoding is the
+wire format used by every file the library reads or writes.
+
+Field is the one owner of array arithmetic on encodings; construction builds
+every table once.  Addition and negation are single gathers of a flat q x q
+add table and a neg table (digitwise passes above ADD_TABLE_MAX_Q).
+Multiplication is one gather of the antilog table at a sum of two logs: log 0
+points into a zero tail of exp, so a product with 0 needs no mask.  The
+scalar digit loops add and neg, and _poly_mul, are the tests' oracle."""
 
 from __future__ import annotations
 
@@ -132,8 +136,8 @@ class Field:
         self.m = m
         self.q = p ** m
         self.poly = poly
-        self._powers = np.array([p ** i for i in range(m)], dtype=np.int64)
         self._build_log_tables()
+        self._build_add_tables()
 
     # -- scalar arithmetic on encodings ---------------------------------------
 
@@ -158,8 +162,6 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return int(self.exp[self.log[a] + self.log[b]])
 
     def inv(self, a: int) -> int:
@@ -181,16 +183,26 @@ class Field:
 
     # -- vectorized arithmetic on int arrays of encodings -----------------------
 
-    # one-gather addition via a q x q table; above this order fall back to
-    # digitwise passes (largest field in scope is 3^7 = 2187)
+    # one-gather addition via a flat q x q table; above this order fall back
+    # to digitwise passes (largest field in scope is 3^7 = 2187)
     ADD_TABLE_MAX_Q = 2400
 
-    def _tables(self):
-        if not hasattr(self, "_add_table"):
-            idx = np.arange(self.q, dtype=np.int64)
-            self._neg_table = self._vneg_digits(idx)
-            self._add_table = self._vadd_digits(idx[:, None], idx[None, :])
-        return self._add_table, self._neg_table
+    def _build_add_tables(self):
+        """The flat q*q add table and the neg table, or None above
+        ADD_TABLE_MAX_Q.  By the digit recursion e = e0 + p*e': GF(p^k)'s
+        table is GF(p^(k-1))'s table times p plus Z_p's, in p x p blocks."""
+        if self.q > self.ADD_TABLE_MAX_Q:
+            self._add = self._neg = None
+            return
+        p = self.p
+        zp = np.arange(p, dtype=np.int64)
+        add_p, neg_p = (zp[:, None] + zp) % p, -zp % p
+        add, neg = add_p, neg_p
+        for _ in range(self.m - 1):
+            n = len(neg) * p
+            add = (p * add[:, None, :, None] + add_p[:, None]).reshape(n, n)
+            neg = (p * neg[:, None] + neg_p).ravel()
+        self._add, self._neg = add.ravel(), neg
 
     def _vadd_digits(self, a, b):
         p = self.p
@@ -214,40 +226,30 @@ class Field:
         return out
 
     def vadd(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.q <= self.ADD_TABLE_MAX_Q:
-            add, _ = self._tables()
-            return add[a, b]
-        return self._vadd_digits(a, b)
+        """One gather of the flat add table at a*q + b, written into the
+        key's own memory (mode="clip" lets take do that without a buffer;
+        encodings are below q, so nothing is clipped)."""
+        if self._add is None:
+            return self._vadd_digits(np.asarray(a, dtype=np.int64),
+                                     np.asarray(b, dtype=np.int64))
+        key = np.asarray(np.multiply(a, self.q, dtype=np.int64))
+        try:
+            key += b
+        except ValueError:  # b broadcasts a*q to a larger shape
+            key = key + b
+        return self._add.take(key, out=key, mode="clip")
 
     def vneg(self, a):
         a = np.asarray(a, dtype=np.int64)
-        if self.q <= self.ADD_TABLE_MAX_Q:
-            _, neg = self._tables()
-            return neg[a]
-        return self._vneg_digits(a)
+        return self._vneg_digits(a) if self._neg is None else self._neg[a]
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
 
-    def vsmul(self, s, a):
-        """Scalar times array, through the log tables."""
-        a = np.asarray(a, dtype=np.int64)
-        if s == 0:
-            return np.zeros(a.shape, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = a != 0
-        out[nz] = self.exp[(int(self.log[s]) + self.log[a[nz]]) % (self.q - 1)]
-        return out
-
     def vmul(self, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
-                                   np.asarray(b, dtype=np.int64))
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self.exp[(self.log[a[nz]] + self.log[b[nz]]) % (self.q - 1)]
-        return out
+        """One gather of exp at log a + log b; log 0 lands in exp's zero
+        tail."""
+        return self.exp.take(self.log.take(a) + self.log.take(b))
 
     # -- element view -----------------------------------------------------------
 
@@ -339,14 +341,17 @@ class Field:
                 self.generator = 1
             else:
                 raise NotIrreducible(f"no generator found; {self.poly} is bad")
-        self.exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int64)
-        self.log = np.zeros(q, dtype=np.int64)
+        # exp is indexed by a sum of two logs: two periods, then a zero tail
+        # that log 0, set past every sum of two nonzero logs, lands in
+        zero = 2 * (q - 1)
+        self.exp = np.zeros(2 * zero + 1, dtype=np.int64)
+        self.log = np.full(q, zero, dtype=np.int64)
         e = 1
         for i in range(q - 1):
             self.exp[i] = e
             self.log[e] = i
             e = self._poly_mul(e, self.generator)
-        self.exp[q - 1:2 * (q - 1)] = self.exp[:q - 1]
+        self.exp[q - 1:zero] = self.exp[:q - 1]
 
     def __eq__(self, other):
         return (isinstance(other, Field)

@@ -70,6 +70,21 @@ def _parse_rows(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _read_lines(path, lineno: Optional[int] = None):
+    """The lines of a text file.  A file that cannot be opened or decoded is
+    a ParseError, at lineno when another file's line named it."""
+    try:
+        return Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path} ({e})", line=lineno) from None
+
+
+def _write_rows(path, header, table) -> None:
+    """The header lines, then one line of space-separated integers per row."""
+    rows = (" ".join(map(str, row)) for row in table.tolist())
+    Path(path).write_text("\n".join([*header, *rows]) + "\n")
+
+
 def _is_int(s: str) -> bool:
     try:
         int(s)
@@ -81,13 +96,14 @@ def _is_int(s: str) -> bool:
 # -- .cay ------------------------------------------------------------------------
 
 def write_cay(path, group: Group) -> None:
-    lines = ["cay 1", f"v={group.order}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in group.table]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, ["cay 1", f"v={group.order}"], group.table)
 
 
 def read_cay(path) -> Group:
-    lines = Path(path).read_text().splitlines()
+    return _parse_cay(_read_lines(path))
+
+
+def _parse_cay(lines) -> Group:
     _expect(len(lines) >= 2 and lines[0].strip() == "cay 1",
             "missing 'cay 1' magic", 1)
     v = _parse_v(lines[1], 2)
@@ -112,19 +128,19 @@ def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
             write_cay(path.parent / group_path, psi.group)
     if group_path is not None:
         lines.append(f"group={group_path}")
-    lines += [" ".join(str(int(x)) for x in row) for row in psi.table]
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, lines, psi.table)
 
 
 def read_coc(path) -> Cocycle:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
     field = parse_field_header(lines[0], 1)
     v = _parse_v(lines[1], 2)
     row_start = 2
     if len(lines) > 2 and lines[2].startswith("group="):
-        group = read_cay(path.parent / lines[2][len("group="):])
+        cay = path.parent / lines[2][len("group="):]
+        group = _parse_cay(_read_lines(cay, 3))
         row_start = 3
     else:
         group = _default_group(v, field.p)
@@ -150,13 +166,12 @@ def _default_group(v: int, p: int) -> Optional[Group]:
 # -- .ghm ------------------------------------------------------------------------
 
 def write_ghm(path, matrix: GHMatrix) -> None:
-    lines = ["ghm 1", field_header(matrix.field), f"v={matrix.v}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in matrix.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, ["ghm 1", field_header(matrix.field), f"v={matrix.v}"],
+                matrix.entries)
 
 
 def read_ghm(path) -> GHMatrix:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     _expect(len(lines) >= 3 and lines[0].strip() == "ghm 1",
             "missing 'ghm 1' magic", 1)
     field = parse_field_header(lines[1], 2)

@@ -20,7 +20,7 @@ from .errors import (
     OrderMismatch,
 )
 from .fields import Field, block_rows, row_histograms
-from .groups import Group
+from .groups import Group, elementary_abelian
 
 
 class GHMatrix:
@@ -180,7 +180,9 @@ def gen_sylvester(p: int, m: int, k: int,
         place = q ** (k - 1 - t)
         xs = (idx // place) % q
         entries = field.vadd(entries, field.vmul(xs[:, None], xs[None, :]))
-    group = _elementary_abelian_like(field, k)
+    # GF(q)^k in lex order adds the base-p digits of its indices mod p, as
+    # Z_p^(mk) in lex order does
+    group = elementary_abelian(p, m * k)
     return GHMatrix(field, entries, group=group)
 
 
@@ -189,22 +191,6 @@ def gen_sylvester_cocycle(p: int, m: int, k: int,
     """The dot-product table read as a cocycle over the additive group of V."""
     M = gen_sylvester(p, m, k, poly)
     return Cocycle(M.group, M.field, M.entries, check="skip")
-
-
-def _elementary_abelian_like(field: Field, k: int) -> Group:
-    """Additive group of GF(q)^k with lexicographic indexing."""
-    q = field.q
-    v = q ** k
-    i = np.arange(v, dtype=np.int64)[:, None]
-    j = np.arange(v, dtype=np.int64)[None, :]
-    table = np.zeros((v, v), dtype=np.int64)
-    mul = 1
-    for _ in range(k):
-        table = table + field.vadd(i % q, j % q) * mul
-        i = i // q
-        j = j // q
-        mul *= q
-    return Group(table, check=False)
 
 
 def kronecker_sum(H: GHMatrix,

@@ -305,7 +305,7 @@ def _in_kernel(P, i):
     f = P.field
     stable = True
     for a in range(1, P.q):
-        y = f.vsmul(a, P.H[i])
+        y = f.vmul(a, P.H[i])
         if not P.code.contains(y):
             return False
         for k in range(P.v):

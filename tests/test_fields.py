@@ -106,16 +106,33 @@ def test_inverse_and_division():
     assert f.pow(3, -1) == f.inv(3)
 
 
-def test_vectorized_matches_scalar():
-    f = Field(3, 4, paper_data.POLY_81)
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, f.q, size=200)
-    b = rng.integers(0, f.q, size=200)
-    assert (f.vadd(a, b) == [f.add(int(x), int(y)) for x, y in zip(a, b)]).all()
-    assert (f.vsub(a, b) == [f.sub(int(x), int(y)) for x, y in zip(a, b)]).all()
-    assert (f.vmul(a, b) == [f.mul(int(x), int(y)) for x, y in zip(a, b)]).all()
-    s = int(a[0])
-    assert (f.vsmul(s, b) == [f.mul(s, int(y)) for y in b]).all()
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                 (3, 3), (3, 4)])
+def test_vectorized_matches_scalar(p, m, monkeypatch):
+    """The table gathers against the scalar digit loops and _poly_mul, on
+    every pair (a, b) including 0; then the digitwise path of a field built
+    above ADD_TABLE_MAX_Q against the table path."""
+    f = Field(p, m)
+    q = f.q
+    a = np.repeat(np.arange(q), q)
+    b = np.tile(np.arange(q), q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert f.vneg(np.arange(q)).tolist() == [f.neg(x) for x in range(q)]
+    products = [f._poly_mul(x, y) for x, y in pairs]
+    assert f.vmul(a, b).tolist() == products
+    assert [int(f.vmul(x, y)) for x, y in pairs] == products
+    assert [f.mul(x, y) for x, y in pairs] == products
+    for s in range(q):
+        assert f.vmul(s, np.arange(q)).tolist() == products[s * q:(s + 1) * q]
+    monkeypatch.setattr(Field, "ADD_TABLE_MAX_Q", q - 1)
+    digits = Field(p, m)
+    assert digits._add is None and digits._neg is None
+    assert (digits.vadd(a, b) == f.vadd(a, b)).all()
+    e = np.arange(q)
+    assert (digits.vadd(e[:, None], e) == f.vadd(e[:, None], e)).all()
+    assert (digits.vneg(e) == f.vneg(e)).all()
 
 
 def test_element_wrapper_operators():

@@ -330,6 +330,32 @@ def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, case):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing group", "group is a directory",
+                                  "coc not utf-8", "cay not utf-8",
+                                  "ghm not utf-8", "no such file"])
+def test_unreadable_file_is_a_parse_error(tmp_path, capsys, case):
+    """A file that cannot be opened or decoded is a ParseError, located at
+    the group= line when a .coc names it."""
+    coc = tmp_path / "uses.coc"
+    coc.write_text("p=3 m=1 poly=0,1\nv=3\ngroup=z3.cay\n"
+                   "0 0 0\n0 1 2\n0 2 1\n")
+    path, line = coc, 3
+    if case == "group is a directory":
+        (tmp_path / "z3.cay").mkdir()
+    elif case == "cay not utf-8":
+        (tmp_path / "z3.cay").write_bytes(b"cay 1\nv=3\n0 1 2\xff\n")
+    elif case in ("coc not utf-8", "ghm not utf-8"):
+        path, line = tmp_path / f"bad.{case[:3]}", None
+        path.write_bytes(b"\xff\xfe garbage\n")
+    elif case == "no such file":
+        path, line = tmp_path / "absent.ghm", None
+    with pytest.raises(ParseError) as err:
+        _READERS[path.suffix[1:]](path)
+    assert err.value.line == line
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ghm"
     bad.write_text("garbage\n")

@@ -438,7 +438,7 @@ def test_kernel_closed_under_star(p4, p9, p81):
 
         span = [np.zeros(P.v, dtype=np.int64)]
         for b in members:
-            span = [P.field.vadd(s, P.field.vsmul(a, b))
+            span = [P.field.vadd(s, P.field.vmul(a, b))
                     for s in span for a in range(P.q)]
         byte_set = {s.tobytes() for s in span}
         assert len(byte_set) == P.q ** res.dim
