@@ -5,11 +5,12 @@ coefficients in the polynomial basis (little-endian).  This encoding is the
 wire format used by every file the library reads or writes.
 
 Field is the one owner of array arithmetic on encodings; construction builds
-every table once.  Addition and negation are single gathers of a flat q x q
-add table and a neg table (digitwise passes above ADD_TABLE_MAX_Q).
-Multiplication is one gather of the antilog table at a sum of two logs: log 0
-points into a zero tail of exp, so a product with 0 needs no mask.  The
-scalar digit loops add and neg, and _poly_mul, are the tests' oracle."""
+every table once, read-only.  Addition and negation are single gathers of a
+flat q x q add table and a neg table (digitwise passes above
+ADD_TABLE_MAX_Q).  Multiplication is one gather of the antilog table at a sum
+of two logs: log 0 points into a zero tail of exp, so a product with 0 needs
+no mask.  The scalar digit loops add and neg, and _poly_mul, are the tests'
+oracle."""
 
 from __future__ import annotations
 
@@ -138,6 +139,9 @@ class Field:
         self.poly = poly
         self._build_log_tables()
         self._build_add_tables()
+        for table in (self.exp, self.log, self._add, self._neg):
+            if table is not None:  # read-only, so a Field can be shared
+                table.setflags(write=False)
 
     # -- scalar arithmetic on encodings ---------------------------------------
 

@@ -2,12 +2,15 @@
 
 Every format is line-oriented ASCII.  Field header lines read
     p=<p> m=<m> poly=<c_0>,<c_1>,...,<c_m>
-and elements are serialized as their integer encodings.
+and elements are serialized as their integer encodings, unsigned ASCII
+decimal integers separated by spaces or tabs.  The Field of a header and the
+default group of an order are built once and shared, with read-only arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -28,10 +31,14 @@ def field_header(field: Field) -> str:
 def parse_field_header(line: str, lineno: int) -> Field:
     try:
         parts = dict(tok.split("=", 1) for tok in line.split())
-        return Field(int(parts["p"]), int(parts["m"]),
-                     [int(c) for c in parts["poly"].split(",")])
+        return _field(int(parts["p"]), int(parts["m"]),
+                      tuple(int(c) for c in parts["poly"].split(",")))
     except (KeyError, ValueError) as e:
         raise ParseError(f"bad field header ({e})", line=lineno) from None
+
+
+# shared by every file with the header; bounded: GF(3^7)'s add table is 38 MB
+_field = lru_cache(maxsize=32)(Field)
 
 
 def _expect(cond: bool, msg: str, lineno: int, column: Optional[int] = None):
@@ -39,29 +46,56 @@ def _expect(cond: bool, msg: str, lineno: int, column: Optional[int] = None):
         raise ParseError(msg, line=lineno, column=column)
 
 
+def _is_decimal(s: str) -> bool:
+    """Unsigned ASCII decimal, no longer than int() converts by default."""
+    return s.isascii() and s.isdigit() and len(s) <= 4300
+
+
 def _parse_v(line: str, lineno: int) -> int:
     """The order from a v=<order> line; ParseError unless it is a positive
     integer."""
     _expect(line.startswith("v="), "missing v= line", lineno)
-    try:
-        v = int(line[2:])
-    except ValueError:
-        raise ParseError(f"bad order {line[2:]!r}", line=lineno) from None
+    _expect(_is_decimal(line[2:].strip()), f"bad order {line[2:]!r}", lineno)
+    v = int(line[2:])
     _expect(v > 0, f"order v={v} is not positive", lineno)
     return v
 
 
+# byte classes of a body: digits 0, and odd codes, so that two touching
+# non-digits share bit 0: space and tab 1, newline 3, any other byte 7
+_BYTE_CLASS = np.full(256, 7, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = 0
+_BYTE_CLASS[[ord(" "), ord("\t")]] = 1
+_BYTE_CLASS[ord("\n")] = 3
+
+
 def _parse_rows(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
+    """The v x v table of the body lines, entries in [0, limit): by one
+    np.fromstring call when no two non-digits touch between newline sentinels
+    (so v - 1 separators make v tokens) and every value, saturated on
+    overflow, is in range; else by _parse_lines, which finds the ParseError.
+    """
+    body = ("\n" + "\n".join(lines) + "\n").encode("ascii", "replace")
+    cls = _BYTE_CLASS[np.frombuffer(body, dtype=np.uint8)]
+    if len(lines) == v and (cls < 7).all() and not (cls[1:] & cls[:-1]).any():
+        seps = np.add.reduceat(cls == 1, np.flatnonzero(cls == 3)[:-1],
+                               dtype=np.int64)
+        table = np.fromstring(body, dtype=np.int64, sep=" ")
+        if (seps == v - 1).all() and 0 <= table.min() and table.max() < limit:
+            return table.reshape(v, v)
+    return _parse_lines(lines, start_lineno, v, limit)
+
+
+def _parse_lines(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
+    """_parse_rows one line at a time: the same table, or the ParseError of
+    the first bad line."""
     rows = []
-    for k, line in enumerate(lines):
-        lineno = start_lineno + k
+    for lineno, line in enumerate(lines, start_lineno):
         vals = line.split()
         _expect(len(vals) == v, f"expected {v} entries, got {len(vals)}", lineno)
-        try:
-            row = [int(x) for x in vals]
-        except ValueError:
-            bad = next(i for i, x in enumerate(vals) if not _is_int(x))
-            raise ParseError("non-integer entry", line=lineno, column=bad + 1)
+        for column, x in enumerate(vals, 1):
+            _expect(_is_decimal(x), "non-integer entry", lineno, column)
+        row = [int(x) for x in vals]
         _expect(all(0 <= x < limit for x in row),
                 f"entry out of range [0, {limit})", lineno)
         rows.append(row)
@@ -80,17 +114,13 @@ def _read_lines(path, lineno: Optional[int] = None):
 
 
 def _write_rows(path, header, table) -> None:
-    """The header lines, then one line of space-separated integers per row."""
-    rows = (" ".join(map(str, row)) for row in table.tolist())
+    """The header lines, then one line of space-separated integers per row,
+    gathered from the decimal strings of lo..max and joined."""
+    lo = min(int(table.min()), 0)
+    decimal = np.array([str(x) for x in range(lo, int(table.max()) + 1)],
+                       dtype=object)
+    rows = map(" ".join, decimal[table - lo].tolist())
     Path(path).write_text("\n".join([*header, *rows]) + "\n")
-
-
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False
 
 
 # -- .cay ------------------------------------------------------------------------
@@ -153,14 +183,21 @@ def read_coc(path) -> Cocycle:
     return check_cocycle(table, group, field)
 
 
+@lru_cache(maxsize=32)
 def _default_group(v: int, p: int) -> Optional[Group]:
     """The group a .coc without group= is read against: Z_p^k in
-    lexicographic order, or None when v is not a power of p."""
+    lexicographic order, or None when v is not a power of p.  Built once per
+    (v, p), so its generators() are found once."""
     k = 0
     while v > 1 and v % p == 0:
         v //= p
         k += 1
-    return elementary_abelian(p, k) if v == 1 and k >= 1 else None
+    if v != 1 or k < 1:
+        return None
+    group = elementary_abelian(p, k)
+    group.table.setflags(write=False)
+    group.inv.setflags(write=False)
+    return group
 
 
 # -- .ghm ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ghfp import Field, elementary_abelian, matrix_of
+from ghfp import fileio
 from ghfp.cli import main
 from ghfp.errors import NotAGroup, ParseError
 from ghfp.fileio import (
@@ -159,6 +160,11 @@ def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
     capsys.readouterr()
     psi = read_coc(tmp_path / "x.coc")
     assert (psi.table == read_ghm(tmp_path / "x.ghm").entries).all()
+    # byte for byte what " ".join(map(str, row)) gives
+    _assert_written_per_row(tmp_path / "x.coc", psi.table)
+    _assert_written_per_row(tmp_path / "x.ghm", psi.table)
+    for cay in tmp_path.glob("*.cay"):
+        _assert_written_per_row(cay, read_cay(cay).table)
     if construction == "kronecker":
         left = read_coc(tmp_path / "s8.coc")
         assert (psi.group.table == left.group.direct_product(
@@ -300,9 +306,21 @@ _BAD_HEADER = {"coc": "p=x m=1 poly=0,1", "cay": "cay 2",
 _READERS = {"coc": read_coc, "cay": read_cay, "ghm": read_ghm}
 
 
+# int() reads these; entries and orders are unsigned ASCII decimal (and an
+# entry or order longer than int() converts, 9x5000, is not an integer)
+_NOT_DECIMAL = ["+1", "-0", "\u0663", "1_0", "9x5000"]
+_NOT_DECIMAL_ORDER = ["v=+3", "v=-0", "v=\u0663", "v=0_3", "v=9x5000"]
+
+
+def _expand(case):
+    return case.replace("9x5000", "9" * 5000)
+
+
 @pytest.mark.parametrize("suffix", ["coc", "cay", "ghm"])
 @pytest.mark.parametrize("case", ["truncated", "bad header", "out of range",
-                                  "v=x", "v=", "v=3.5", "v=0"])
+                                  "v=x", "v=", "v=3.5", "v=0"]
+                         + [f"entry {x}" for x in _NOT_DECIMAL]
+                         + _NOT_DECIMAL_ORDER)
 def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, case):
     lines = list(_GOOD_FILES[suffix])
     good = tmp_path / f"good.{suffix}"
@@ -315,12 +333,21 @@ def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, case):
         lines[h] = _BAD_HEADER[suffix]
     elif case == "out of range":
         lines[-1] = "0 2 3"
+    elif case.startswith("entry "):
+        lines[-1] = lines[-1][:-1] + _expand(case[len("entry "):])
     else:
-        lines[h + 1] = case
+        lines[h + 1] = _expand(case)
     path = tmp_path / f"bad.{suffix}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         _READERS[suffix](path)
+    if case.startswith("entry "):
+        assert (err.value.args[0].startswith("non-integer entry")
+                and (err.value.line, err.value.column) == (len(lines), 3))
+    elif case in _NOT_DECIMAL_ORDER:
+        order = _expand(case)[2:]
+        assert (err.value.args[0].startswith(f"bad order {order!r}")
+                and err.value.line == h + 2)
     if suffix == "cay":
         # verify reads a .cay through the group= line of a .coc
         path = tmp_path / "uses_bad.coc"
@@ -479,3 +506,122 @@ def test_cocycle_identity_checked_once_per_coc(tmp_path, capsys, monkeypatch,
             assert not star, name
             assert ["read_coc" in c for c in own] == [True], (stem, name)
     capsys.readouterr()
+
+
+# -- the one-pass parse against the per-line loop -----------------------------
+
+_FIXTURE_ORDERS = ["s3_cocycle", "order4_cocycle", "s8_cocycle", "s9_cocycle",
+                   "dphi43"]
+_TOKEN_MUTATIONS = _NOT_DECIMAL + ["x", "99999999999999999999"]
+_MUTATIONS = ([f"token {x}" for x in _TOKEN_MUTATIONS]
+              + ["good", "row short", "row long", "missing row", "extra row",
+                 "tabs", "trailing spaces", "crlf", "trailing blank line"])
+# inputs the one-pass parse must take itself: plain bodies (an extra row
+# lies past the v rows read)
+_PLAIN = {"good", "extra row", "tabs", "crlf", "trailing blank line"}
+
+
+def _mutated_body(tmp_path, table, mutation, rng):
+    """The body lines of the file text of table under one mutation, read
+    back as the readers read them."""
+    rows = [[str(x) for x in row] for row in table.tolist()]
+    i, j = (int(x) for x in rng.integers(0, len(rows), size=2))
+    sep, end = " ", "\n"
+    if mutation.startswith("token "):
+        rows[i][j] = _expand(mutation[len("token "):])
+    elif mutation == "row short":
+        del rows[i][j]
+    elif mutation == "row long":
+        rows[i].insert(j, rows[i][j])
+    elif mutation == "missing row":
+        del rows[i]
+    elif mutation == "extra row":
+        rows.append(rows[i])
+    elif mutation == "tabs":
+        sep = "\t"
+    elif mutation == "crlf":
+        end = "\r\n"
+    text = "".join(sep.join(row) + end for row in rows)
+    if mutation == "trailing spaces":
+        text = text.replace(end, "  " + end)
+    elif mutation == "trailing blank line":
+        text += end
+    path = tmp_path / "body.txt"
+    path.write_bytes(text.encode())
+    return fileio._read_lines(path)[:len(table)]
+
+
+def _outcome(parse, lines, v, limit):
+    try:
+        return parse(lines, 1, v, limit).tolist()
+    except ParseError as e:
+        return e.args[0], e.line, e.column
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+@pytest.mark.parametrize("name", _FIXTURE_ORDERS)
+def test_one_pass_parse_matches_per_line_loop(tmp_path, monkeypatch, request,
+                                               name, mutation):
+    """Every mutation of a fixture's table gives the same table, or the same
+    ParseError (message, line, column), through _parse_rows as through the
+    per-line loop alone; plain bodies never reach the loop."""
+    psi = request.getfixturevalue(name)
+    rng = np.random.default_rng(sum(map(ord, name + mutation)))
+    for _ in range(3):
+        lines = _mutated_body(tmp_path, psi.table, mutation, rng)
+        loop = _outcome(fileio._parse_lines, lines, psi.v, psi.q)
+        assert _outcome(fileio._parse_rows, lines, psi.v, psi.q) == loop
+        if mutation in _PLAIN:
+            with monkeypatch.context() as m:
+                m.setattr(fileio, "_parse_lines", None)
+                assert fileio._parse_rows(lines, 1, psi.v, psi.q).tolist() \
+                    == loop == psi.table.tolist()
+
+
+# -- the string-table writer against the per-row formatter --------------------
+
+def _per_row_text(header, table):
+    rows = (" ".join(map(str, row)) for row in table.tolist())
+    return "\n".join([*header, *rows]) + "\n"
+
+
+def _assert_written_per_row(path, table):
+    text = path.read_text()
+    header = text.splitlines()[:-len(table)]
+    assert text == _per_row_text(header, table)
+
+
+def test_writer_matches_per_row_format_on_zeros_and_cay(tmp_path, gf3):
+    """A trivial cocycle, whose largest entry is 0, and a .cay."""
+    from ghfp import trivial_cocycle
+
+    group = elementary_abelian(3, 2)
+    write_coc(tmp_path / "zero.coc", trivial_cocycle(group, gf3))
+    _assert_written_per_row(tmp_path / "zero.coc", np.zeros((9, 9), int))
+    write_cay(tmp_path / "z9.cay", group)
+    _assert_written_per_row(tmp_path / "z9.cay", group.table)
+
+
+# -- the shared Field and default group ---------------------------------------
+
+def test_shared_field_and_group_are_read_only(tmp_path, gf3, s9_cocycle):
+    """Two .coc files with one header share their Field and Z_3^2; writing
+    into a shared table raises, and a file's own table reaches no other."""
+    from ghfp import coboundary
+
+    group = elementary_abelian(3, 2)
+    cob = coboundary(np.arange(9) ** 2 % 3, group, gf3)
+    for name, psi in [("a", s9_cocycle), ("b", cob)]:
+        write_coc(tmp_path / f"{name}.coc", psi)
+    a, b = read_coc(tmp_path / "a.coc"), read_coc(tmp_path / "b.coc")
+    assert a.field == b.field == gf3
+    assert (a.group.table == b.group.table).all()
+    assert a.group.generators() == b.group.generators() == [1, 3]
+    shared = [a.group.table, a.group.inv, a.field.exp, a.field.log,
+              a.field._add, a.field._neg]
+    for table in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    a.table[1, 1] = 2
+    assert (b.table == cob.table).all()
+    assert (read_coc(tmp_path / "a.coc").table == s9_cocycle.table).all()
