@@ -30,9 +30,13 @@ def field_header(field: Field) -> str:
 
 def parse_field_header(line: str, lineno: int) -> Field:
     try:
-        parts = dict(tok.split("=", 1) for tok in line.split())
-        return _field(int(parts["p"]), int(parts["m"]),
-                      tuple(int(c) for c in parts["poly"].split(",")))
+        parts = dict(tok.split("=", 1) for tok in _tokens(line))
+        values = [parts["p"], parts["m"], *parts["poly"].split(",")]
+        bad = [x for x in values if not _is_decimal(x)]
+        if bad:
+            raise ValueError(f"{bad[0][:20]!r} is not unsigned decimal")
+        p, m, *poly = map(int, values)
+        return _field(p, m, tuple(poly))
     except (KeyError, ValueError) as e:
         raise ParseError(f"bad field header ({e})", line=lineno) from None
 
@@ -46,6 +50,11 @@ def _expect(cond: bool, msg: str, lineno: int, column: Optional[int] = None):
         raise ParseError(msg, line=lineno, column=column)
 
 
+def _tokens(line: str):
+    """The entries of a line: separated by ASCII spaces and tabs only."""
+    return [x for x in line.replace("\t", " ").split(" ") if x]
+
+
 def _is_decimal(s: str) -> bool:
     """Unsigned ASCII decimal, no longer than int() converts by default."""
     return s.isascii() and s.isdigit() and len(s) <= 4300
@@ -55,7 +64,8 @@ def _parse_v(line: str, lineno: int) -> int:
     """The order from a v=<order> line; ParseError unless it is a positive
     integer."""
     _expect(line.startswith("v="), "missing v= line", lineno)
-    _expect(_is_decimal(line[2:].strip()), f"bad order {line[2:]!r}", lineno)
+    _expect(_is_decimal(line[2:].strip(" \t")), f"bad order {line[2:]!r}",
+            lineno)
     v = int(line[2:])
     _expect(v > 0, f"order v={v} is not positive", lineno)
     return v
@@ -91,7 +101,7 @@ def _parse_lines(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
     the first bad line."""
     rows = []
     for lineno, line in enumerate(lines, start_lineno):
-        vals = line.split()
+        vals = _tokens(line)
         _expect(len(vals) == v, f"expected {v} entries, got {len(vals)}", lineno)
         for column, x in enumerate(vals, 1):
             _expect(_is_decimal(x), "non-integer entry", lineno, column)
@@ -105,12 +115,17 @@ def _parse_lines(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
 
 
 def _read_lines(path, lineno: Optional[int] = None):
-    """The lines of a text file.  A file that cannot be opened or decoded is
-    a ParseError, at lineno when another file's line named it."""
+    """The lines of a UTF-8 text file, split at line feeds only (no other
+    Unicode line break), each without a trailing carriage return.  A file
+    that cannot be opened or decoded is a ParseError, at lineno when another
+    file's line named it."""
     try:
-        return Path(path).read_text().splitlines()
+        lines = Path(path).read_bytes().decode().split("\n")
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path} ({e})", line=lineno) from None
+    if lines[-1] == "":  # the final newline ends the last line
+        lines.pop()
+    return [x[:-1] if x.endswith("\r") else x for x in lines]
 
 
 def _write_rows(path, header, table) -> None:
@@ -134,7 +149,7 @@ def read_cay(path) -> Group:
 
 
 def _parse_cay(lines) -> Group:
-    _expect(len(lines) >= 2 and lines[0].strip() == "cay 1",
+    _expect(len(lines) >= 2 and lines[0].strip(" \t") == "cay 1",
             "missing 'cay 1' magic", 1)
     v = _parse_v(lines[1], 2)
     table = _parse_rows(lines[2:2 + v], 3, v, v)
@@ -209,7 +224,7 @@ def write_ghm(path, matrix: GHMatrix) -> None:
 
 def read_ghm(path) -> GHMatrix:
     lines = _read_lines(path)
-    _expect(len(lines) >= 3 and lines[0].strip() == "ghm 1",
+    _expect(len(lines) >= 3 and lines[0].strip(" \t") == "ghm 1",
             "missing 'ghm 1' magic", 1)
     field = parse_field_header(lines[1], 2)
     v = _parse_v(lines[2], 3)

@@ -19,7 +19,7 @@ from .errors import (
     NotSquare,
     OrderMismatch,
 )
-from .fields import Field, block_rows, row_histograms
+from .fields import Field, block_rows, is_prime, row_histograms
 from .groups import Group, elementary_abelian
 
 
@@ -108,25 +108,118 @@ def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
             yield i, j0, row_histograms(diffs, q)
 
 
+# Characters replace the pair scan when q < v, up to this q.  In all they
+# cost about (q - 1) v^3 multiply-adds in BLAS, against v^3/2 histogram
+# entries for the scan; measured, they win at q = 32, v = 1024 and lose at
+# q = v = 49 (table in CHANGES.md).
+MAX_CHARACTER_Q = 32
+
+
 def is_gh(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
     """Check the GH row-pair condition, exactly at every order.
 
     Returns (True, None) or (False, (i, j, u, count)) for the first violated
     row pair in row-major order, the first element and its multiplicity.
-    When the pairs (0, j) pass and matrix.cocycle() holds, every pair does;
-    otherwise every pair is scanned.
+    The pairs (0, j) are counted first.  When they pass and matrix.cocycle()
+    holds, every pair does.  Otherwise a small field against v is checked
+    by characters (_gh_by_characters), and any other matrix by scanning
+    every pair.
+
+    The characters of (F_q, +) = Z_p^m, digit by digit, are chi_c(x) =
+    omega^<c, x> for c in Z_p^m.  For a pair (i, j) with N_u the
+    multiplicity of u in row j minus row i, sum_k chi_c(h_jk - h_ik) =
+    sum_u N_u chi_c(u) = (chi_c(H) chi_{-c}(H)^T)_ji: the pair is balanced
+    exactly when this transform vanishes at every c != 0.  For p = 2, chi_c
+    is +-1 and the product is an integer matrix that float64 holds exactly.
+    For odd p the characters take values in GF(l), l prime, l = 1 mod p, l >
+    v, where omega has order p; every partial sum of a product is an integer
+    below v*l^2 < 2^53, so float64 and fmod reduce it exactly.  If every
+    transform vanishes mod l, the inverse transform gives q*N_u = v mod l,
+    and as 0 <= N_u <= v < l, N_u = v/q.  c and -c give transposed
+    products, so one product per pair {c, -c} suffices.
     """
     v, q = matrix.v, matrix.q
     if v % q:
         raise DivisibilityViolated(f"q={q} does not divide order v={v}")
     lam = v // q
+    characters = q < v and q <= MAX_CHARACTER_Q
     for i, j0, counts in row_pair_counts(
-            matrix, lambda: matrix.cocycle() is not None):
+            matrix, lambda: characters or matrix.cocycle() is not None):
         bad = counts != lam
         if bad.any():
             r, u = map(int, np.argwhere(bad)[0])
             return False, (i, j0 + r, u, int(counts[r, u]))
+    if characters and matrix.cocycle() is None:
+        return _gh_by_characters(matrix)
     return True, None
+
+
+def _character_tables(field: Field, v: int):
+    """[(chi_c, chi_-c)] as float64 rows indexed by encoding, one c of each
+    pair {c, -c} (its lowest nonzero digit at most p/2), and the modulus l:
+    +-1 and None for p = 2, else powers of an omega of order p in GF(l)."""
+    p, m, q = field.p, field.m, field.q
+    digits = np.arange(q)[:, None] // p ** np.arange(m) % p
+    lowest = digits[np.arange(q), np.argmax(digits > 0, axis=1)]
+    cs = digits[(lowest > 0) & (lowest <= p // 2)]
+    dots = cs @ digits.T % p
+    if p == 2:
+        return [(a, a) for a in 1.0 - 2.0 * dots], None
+    ell = v + 1 + (-v) % p
+    while not is_prime(ell):
+        ell += p
+    assert v * ell * ell < 2 ** 53
+    omega = next(w for x in range(2, ell)
+                 if (w := pow(x, (ell - 1) // p, ell)) != 1)
+    powers = np.array([pow(omega, k, ell) for k in range(p)], dtype=float)
+    return list(zip(powers[dots], powers[-dots % p])), ell
+
+
+def _gh_by_characters(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
+    """is_gh by one product per character pair {c, -c}, in row blocks.
+
+    For each pair, the row blocks run until the first that fails, and no
+    further than the first failing row any earlier pair found; the first
+    failing pair over all characters is the scan's, and its histogram gives
+    the scan's (u, count)."""
+    f, H, v = matrix.field, matrix.entries, matrix.v
+    step = block_rows(v)
+    tables, ell = _character_tables(f, v)
+    first = None
+    for a, b in tables:
+        A = a[H]
+        B = A if b is a else b[H]
+        for r0 in range(0, v if first is None else first[0] + 1, step):
+            found = _first_failure(A, B, r0, min(r0 + step, v), ell)
+            if found is not None:
+                first = found if first is None else min(first, found)
+                break
+    if first is None:
+        return True, None
+    i, j = first
+    counts = np.bincount(f.vsub(H[j], H[i]), minlength=f.q)
+    u = int(np.flatnonzero(counts != v // f.q)[0])
+    return False, (i, j, u, int(counts[u]))
+
+
+def _first_failure(A, B, r0: int, r1: int, ell: Optional[int]
+                   ) -> Optional[Tuple[int, int]]:
+    """The first (i, j), r0 <= i < r1, i < j, with (A B^T)_ij or (A B^T)_ji
+    nonzero (mod ell), or None."""
+
+    def nonzero(X, Y):
+        P = X @ Y.T
+        return (P if ell is None else np.fmod(P, ell, out=P)) != 0
+
+    fail = nonzero(A[r0:r1], B[r0:])
+    if B is not A:
+        fail |= fail.T if r1 == len(A) else nonzero(B[r0:r1], A[r0:])
+    fail &= np.arange(r0, len(A)) > np.arange(r0, r1)[:, None]
+    k = int(np.argmax(fail))
+    if not fail.flat[k]:
+        return None
+    r, j = divmod(k, fail.shape[1])
+    return r0 + r, r0 + j
 
 
 def normalize(matrix: GHMatrix) -> GHMatrix:

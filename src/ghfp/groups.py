@@ -6,7 +6,7 @@ are 0-based internally; cycle forms print 1-based.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class Group:
         self.inv = np.empty(self.order, dtype=np.int64)
         rows, cols = np.nonzero(table == 0)
         self.inv[rows] = cols
-        self._generators: Optional[List[int]] = None
+        self._generators: Optional[Tuple[int, ...]] = None
 
     def _check_latin_identity(self):
         v = self.order
@@ -120,7 +120,9 @@ class Group:
         """A greedy generating set, computed once: take the smallest element
         not yet reached, close the reached set under left multiplication by
         the chosen elements, repeat.  A group of order v gets at most log_2 v
-        elements, as each one at least doubles the subgroup reached."""
+        elements, as each one at least doubles the subgroup reached.  Each
+        call returns a new list, so a caller cannot change a shared group's
+        set."""
         if self._generators is None:
             t = self.table
             gens: List[int] = []
@@ -134,8 +136,8 @@ class Group:
                     new = np.unique(t[np.ix_(gens, frontier)])
                     frontier = new[~reached[new]]
                     reached[frontier] = True
-            self._generators = gens
-        return self._generators
+            self._generators = tuple(gens)
+        return list(self._generators)
 
     def check_associativity(self) -> None:
         """Exact; raises NotAssociative with a failing triple.

@@ -625,3 +625,57 @@ def test_shared_field_and_group_are_read_only(tmp_path, gf3, s9_cocycle):
     a.table[1, 1] = 2
     assert (b.table == cob.table).all()
     assert (read_coc(tmp_path / "a.coc").table == s9_cocycle.table).all()
+
+
+def test_default_group_generators_are_not_shared(tmp_path, s9_cocycle):
+    """The generators of the Z_3^2 that every .coc of order 9 is read
+    against come back as a new list: appending to one cannot reach the
+    generating set of a later read_coc."""
+    write_coc(tmp_path / "a.coc", s9_cocycle)
+    fileio._default_group(9, 3).generators().append(4)
+    read_coc(tmp_path / "a.coc").group.generators().append(5)
+    assert read_coc(tmp_path / "a.coc").group.generators() == [1, 3]
+    assert fileio._default_group(9, 3).generators() == [1, 3]
+
+
+@pytest.mark.parametrize("suffix", ["coc", "ghm"])
+@pytest.mark.parametrize("header", [
+    "p=+3 m=\u0661 poly=0,1", "p=+3 m=1 poly=0,1", "p=3 m=\u0661 poly=0,1",
+    "p=0_3 m=1 poly=0,1", "p=3 m=1 poly=0,+1", "p=3 m=1 poly=-0,1",
+    "p=3 m=1 poly=0,1_0", "p=3 m=1 poly=0,\u0661", "p=3\u00a0m=1 poly=0,1",
+    "p=3 m=1 poly=0," + "9" * 5000])
+def test_non_decimal_field_header_is_a_parse_error(tmp_path, capsys, suffix,
+                                                   header):
+    """p, m and the poly coefficients are unsigned ASCII decimal, as entries
+    and v= are: int() would read each of these headers as GF(3)."""
+    lines = list(_GOOD_FILES[suffix])
+    h = _HEADER_LINE[suffix]
+    lines[h] = header
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        _READERS[suffix](path)
+    assert err.value.args[0].startswith("bad field header")
+    assert err.value.line == h + 1
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", ["coc", "cay", "ghm"])
+@pytest.mark.parametrize("sep", ["\u00a0", "\f", "\v", "\r", "\x1c", "\x85",
+                                 "\u2028", "\u3000"])
+def test_only_ascii_space_and_tab_separate_entries(tmp_path, suffix, sep):
+    """Lines end at "\\n" only (with an optional "\\r" before it), and
+    entries are separated by spaces and tabs only: any other Unicode space
+    or line break inside a row is a ParseError on that row's line."""
+    for row, msg, column in [("0" + sep + "1 2", "expected 3 entries, got 2",
+                              None),
+                             (sep + "0 1 2", "non-integer entry", 1)]:
+        lines = list(_GOOD_FILES[suffix])
+        lines[-2] = row
+        path = tmp_path / f"bad.{suffix}"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(ParseError) as err:
+            _READERS[suffix](path)
+        assert err.value.args[0].startswith(msg), (row, err.value)
+        assert (err.value.line, err.value.column) == (len(lines) - 1, column)

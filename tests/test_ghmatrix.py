@@ -243,6 +243,82 @@ def test_is_gh_witness_in_a_later_row_block():
         assert int((t[500] == u).sum()) == count != 243
 
 
+def _swapped(M, r, rng):
+    """M with two unequal entries of row r swapped: row r keeps its
+    multiset, so a normalized row 0 still passes."""
+    t = M.entries.copy()
+    a, b = rng.choice(np.flatnonzero(t[r] != t[r, 0])), 0
+    t[r, [a, b]] = t[r, [b, a]]
+    return GHMatrix(M.field, t)
+
+
+def test_characters_match_exhaustive_scan(grouped_matrices, monkeypatch,
+                                          gf3):
+    """_gh_by_characters, called whatever is_gh would pick, gives the
+    verdict and witness of the pair-by-pair scan on a bare copy of every
+    fixture and on entry swaps at an early, a middle and the last row, in
+    one row block and in blocks of 1 and 5 rows.  is_gh on a bare copy
+    takes the character path for p = 2 and for odd p, and only when q < v."""
+    from ghfp import ghmatrix
+
+    rng = np.random.default_rng(3)
+    cases = {}
+    for name, M in grouped_matrices.items():
+        bare = GHMatrix(M.field, M.entries)
+        cases[name] = bare
+        for r in sorted({1, bare.v // 2, bare.v - 1}):
+            if r and (bare.entries[r] != bare.entries[r, 0]).any():
+                cases[f"{name}_swap_{r}"] = _swapped(bare, r, rng)
+    # over GF(3) at v = 6, with l = 7, a pair whose differences are five 1s
+    # and a 2 (or five 2s and a 1) has one of its two transforms zero mod 7:
+    # only the other orientation of the product finds it
+    for r in ([1] * 5 + [2], [2] * 5 + [1]):
+        t = np.zeros((6, 6), dtype=np.int64)
+        t[1] = r
+        cases[f"one_orientation_{r[0]}"] = GHMatrix(gf3, t)
+    wants = {name: _scan_pairs(M) for name, M in cases.items()}
+    qs, late = set(), 0
+    for step in (None, 1, 5):
+        if step:
+            monkeypatch.setattr(ghmatrix, "block_rows", lambda n: step)
+        for name, M in cases.items():
+            assert ghmatrix._gh_by_characters(M) == wants[name], (name, step)
+            qs.add(M.q)
+            late += not wants[name][0] and wants[name][1][0] > 0
+    assert {2, 3, 4, 8, 81} <= qs and late >= 10
+
+    real, taken = ghmatrix._gh_by_characters, []
+    monkeypatch.setattr(ghmatrix, "_gh_by_characters",
+                        lambda M: taken.append(M) or real(M))
+    for name, M in cases.items():
+        assert is_gh(M) == wants[name], name
+    assert {2, 3} <= {M.field.p for M in taken}
+    assert all(M.q < M.v for M in taken)  # v = q takes the scan
+
+
+def test_characters_witness_in_a_later_row_block():
+    """At v = 729 the characters run in row blocks of 89.  Swapping columns
+    17 and 260 of row 500 of S_3^6 leaves every pair (i, 500), i < 243,
+    balanced, as those rows agree there; the first failing pair is (243,
+    500), in the third block, with and without the group."""
+    from ghfp.ghmatrix import _gh_by_characters, row_pair_counts
+
+    M = sylvester_power(Field(3, 1), 6)
+    t = M.entries.copy()
+    t[500, [17, 260]] = t[500, [260, 17]]
+    # the blocked scan, without the early stop, as the oracle
+    i, j0, counts = next((i, j0, c) for i, j0, c in row_pair_counts(
+        GHMatrix(M.field, t), lambda: False) if (c != 243).any())
+    r, u = map(int, np.argwhere(counts != 243)[0])
+    want = (False, (i, j0 + r, u, int(counts[r, u])))
+    for m in (GHMatrix(M.field, t, M.group), GHMatrix(M.field, t)):
+        got = _gh_by_characters(m)
+        assert got == is_gh(m) == want
+        ok, (i, j, u, count) = got
+        assert not ok and (i, j) == (243, 500)
+        assert count == int((M.field.vsub(t[500], t[243]) == u).sum()) != 243
+
+
 def test_cocycle_is_decided_once(monkeypatch, s9_cocycle, non_cocycles):
     """is_gh then min_distance, or rank, kernel, p_kernel and min_distance,
     check the identity at most once per matrix, and not at all on

@@ -72,7 +72,8 @@ def test_generators_generate():
               elementary_abelian(2, 1).direct_product(elementary_abelian(3, 2))]
     for g in groups:
         gens = g.generators()
-        assert gens is g.generators()  # cached
+        assert g._generators == tuple(gens)  # cached
+        assert g.generators() is not gens  # a new list on every call
         assert 2 ** len(gens) <= g.order
         reached, frontier = {0}, [0]
         while frontier:
