@@ -27,7 +27,7 @@ from .extension import (
     is_relative_difference_set,
     transversal_rds_check,
 )
-from .fields import Field, FieldElement, default_poly, field_new
+from .fields import Field, default_poly, field_new
 from .ghmatrix import (
     GHMatrix,
     gen_sylvester,

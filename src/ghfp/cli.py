@@ -183,9 +183,9 @@ def cmd_code(args) -> int:
     if args.rank or want_all:
         out["rank"] = code.rank()
     if args.kernel or want_all:
-        out["kernel"] = code.kernel(seed=args.seed).dim
+        out["kernel"] = code.kernel().dim
     if args.p_kernel or want_all:
-        out["p_kernel"] = code.p_kernel(seed=args.seed)
+        out["p_kernel"] = code.p_kernel()
     if args.min_distance or want_all:
         md = code.min_distance()
         out["min_distance"] = md.value
@@ -279,11 +279,11 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def consolidated_report(path, seed: int = 0) -> Dict[str, object]:
+def consolidated_report(path) -> Dict[str, object]:
     """Every check the library offers, against one .coc or .ghm file.
 
-    Deterministic for fixed input and seed; this is what the golden-file
-    suite freezes.
+    Deterministic for fixed input; this is what the golden-file suite
+    freezes.
     """
     path = Path(path)
     psi = None
@@ -301,8 +301,8 @@ def consolidated_report(path, seed: int = 0) -> Dict[str, object]:
         "q": M.q,
         "gh": gh_ok,
         "rank": code.rank(),
-        "kernel": code.kernel(seed=seed).dim,
-        "p_kernel": code.p_kernel(seed=seed),
+        "kernel": code.kernel().dim,
+        "p_kernel": code.p_kernel(),
         "min_distance": code.min_distance().value,
         "linear": code.is_linear(),
     }
@@ -337,7 +337,7 @@ def _report_ok(out: Dict[str, object]) -> bool:
 
 def cmd_report(args) -> int:
     t0 = time.perf_counter()
-    out = consolidated_report(args.file, seed=args.seed)
+    out = consolidated_report(args.file)
     _emit(args, out, [str(args.file)], t0)
     return 0 if _report_ok(out) else 1
 
@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "propelinear codes.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized early-rejection paths")
+                    help="seed of autcheck's codeword sample (above 10^4 "
+                         "codewords without --full); recorded in --json")
     ap.add_argument("--big", dest="big_global", action="store_true",
                     help="allow the larger desk-scale computations")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -416,8 +417,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the options each construction of `ghfp build` cannot do without
+BUILD_NEEDS = {
+    "sylvester": ("q",),
+    "sylvester-power": ("q",),
+    "gen-sylvester": ("p", "m", "k"),
+    "planar": ("a", "b"),
+    "kronecker": ("left", "right"),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.cmd == "build":
+        missing = [f"--{o}" for o in BUILD_NEEDS[args.construction]
+                   if getattr(args, o) is None]
+        if missing:
+            ap.error(f"build --construction {args.construction} needs "
+                     + " and ".join(missing))
     try:
         return args.fn(args)
     except ParseError as e:

@@ -23,7 +23,6 @@ from .ghmatrix import GHMatrix, row_pair_counts
 class KernelResult(NamedTuple):
     dim: int
     basis: List[np.ndarray]
-    seed: int
 
 
 class MinDistanceResult(NamedTuple):
@@ -149,7 +148,7 @@ class Code:
                 members.append(x)
         dim = _integer_log(len(members), f.q)
         basis = [pr for _, pr in _reduce_rows(f, members)]
-        return KernelResult(dim, basis, 0)
+        return KernelResult(dim, basis)
 
     def p_kernel(self) -> Fraction:
         """Additive p-kernel size, reported as an F_q-normalized dimension
@@ -171,6 +170,34 @@ class Code:
         return MinDistanceResult(best, "exhaustive")
 
 
+class _SortedRows:
+    """Distinct rows of an (n, w) array as fixed-width byte keys, argsorted
+    once; DuplicateRows if two rows are equal.
+
+    find(batch) maps each vector of a (k, w) batch to its row, or to -1 when
+    it is no row: exact, with no hashing, by one search of the keys in their
+    sort order and a byte compare of the match.
+    """
+
+    def __init__(self, rows):
+        self.rows = np.ascontiguousarray(rows, dtype=np.int64)
+        self._key = np.dtype((np.void, 8 * self.rows.shape[1]))
+        self._keys = self.rows.view(self._key)[:, 0]
+        self._order = np.argsort(self._keys)
+        # a repeated row finds the first of its copies, not its own place
+        first = self._keys.searchsorted(self._keys, sorter=self._order)
+        if (first[self._order] != np.arange(len(first))).any():
+            raise DuplicateRows("duplicate rows")
+
+    def find(self, batch) -> np.ndarray:
+        keys = np.ascontiguousarray(batch, dtype=np.int64).view(self._key)[:, 0]
+        pos = self._keys.searchsorted(keys, sorter=self._order)
+        # pos == n (past the last key) clips to a row the compare rejects
+        rows = self._order.take(pos, mode="clip")
+        rows[self._keys.take(rows) != keys] = -1
+        return rows
+
+
 class GHCode:
     """The code C_H of a normalized matrix H: all rows plus all constants."""
 
@@ -183,15 +210,7 @@ class GHCode:
         self.v = matrix.v
         self.q = matrix.field.q
         self.n = self.v
-        # each row as one fixed-width byte key (a view of H), and the order
-        # that sorts the keys, for index()
-        self._key = np.dtype((np.void, 8 * self.n))
-        self._keys = np.ascontiguousarray(self.H).view(self._key)[:, 0]
-        self._order = np.argsort(self._keys)
-        # a repeated row finds the first of its copies, not its own place
-        first = self._keys.searchsorted(self._keys, sorter=self._order)
-        if (first[self._order] != np.arange(self.v)).any():
-            raise DuplicateRows("matrix has duplicate rows")
+        self._rows = _SortedRows(self.H)
 
     def __len__(self):
         return self.q * self.v
@@ -200,18 +219,12 @@ class GHCode:
         """(rows, offsets) of an (n, v) batch: word k equals offsets[k]*1
         plus H-row rows[k], or rows[k] is -1 when word k is not in C_H.
 
-        Exact, with no hashing: every row starts with 0, so the first
-        coordinate is the offset; the rest is searched among the row keys in
-        their sort order and the match compared byte for byte.
+        Every row starts with 0, so the first coordinate is the offset; the
+        rest is searched among the rows.
         """
         words = np.asarray(words, dtype=np.int64)
         offsets = words[:, 0].copy()
-        base = self.field.vsub(words, offsets[:, None])
-        keys = np.ascontiguousarray(base).view(self._key)[:, 0]
-        pos = self._keys.searchsorted(keys, sorter=self._order)
-        # pos == v (past the last key) clips to a row the compare rejects
-        rows = self._order.take(pos, mode="clip")
-        rows[self._keys.take(rows) != keys] = -1
+        rows = self._rows.find(self.field.vsub(words, offsets[:, None]))
         return rows, offsets
 
     def row_of(self, word) -> int:
@@ -273,47 +286,50 @@ class GHCode:
 
     # -- kernels -----------------------------------------------------------------
 
-    def _span_projection(self):
-        """Pivot columns J of span(C) and the J-projection index of F_H.
+    def _span_projection(self) -> _SortedRows:
+        """The rows of H projected on the pivot columns J of span(C).
 
-        Inside span(C) the J-projection is injective, so for vectors known
-        to lie in the span (sums of codewords, scalar multiples of
-        codewords) membership reduces to one short-key lookup.  Cached.
+        Inside span(C) the J-projection is injective (each pivot row is 1 at
+        its column and 0 at the columns of the pivots before it), so for
+        vectors known to lie in the span (sums of codewords, scalar
+        multiples of codewords) membership reduces to a search of the
+        projected rows.  Cached.
         """
         if not hasattr(self, "_proj"):
-            J = np.array([c for c, _ in self._span_pivots()], dtype=np.int64)
-            lookup = {self.H[i][J].tobytes(): i for i in range(self.v)}
-            self._proj = (J, lookup)
+            J = [c for c, _ in self._span_pivots()]
+            self._proj = _SortedRows(self.H[:, J])
         return self._proj
 
-    def _stable_rows(self, seed: int) -> List[int]:
-        """Rows f with C + f = C, swept once per code: the probes only
-        reject rows early, so the seed of the first call decides nothing."""
-        if not hasattr(self, "_stable"):
-            self._stable = self._sweep_stable_rows(seed)
-        return self._stable
+    def _stable_rows(self) -> np.ndarray:
+        """The rows f_i with C + f_i = C, in increasing order; cached, so
+        kernel and p_kernel share one sweep.
 
-    def _sweep_stable_rows(self, seed: int, probes: int = 8) -> List[int]:
-        """Rows f with C + f = C, by early random probes then a full sweep.
-
-        Every vector tested is a sum of two codewords, hence in span(C),
-        so the projection shortcut applies throughout.
+        C + f_i = C exactly when f_i + f_j is in C_H for every row f_j, and
+        as rows start with 0, exactly when f_i + f_j is a row.  Sums of two
+        codewords lie in the span, so each is one projected search.  The
+        rows still standing meet f_j for j in [1, 2), [2, 4), [4, 8), ...
+        (f + f_0 = f), one vadd and one search per row block: the rows of
+        a nonlinear code mostly fall to the first probes.
         """
-        rng = np.random.default_rng(seed)
-        f = self.field
-        J, lookup = self._span_projection()
-        HJ = self.H[:, J]
-        out = []
-        for i in range(self.v):
-            js = rng.integers(0, self.v, size=probes)
-            # rows have first coordinate 0, so row + row is already based
-            if not all(f.vadd(HJ[i], HJ[int(j)]).tobytes() in lookup
-                       for j in js):
-                continue
-            shifted = f.vadd(HJ, HJ[i][None, :])
-            if all(r.tobytes() in lookup for r in shifted):
-                out.append(i)
-        return out
+        if not hasattr(self, "_stable"):
+            f = self.field
+            proj = self._span_projection()
+            HJ, width = proj.rows, proj.rows.shape[1]
+            standing = np.arange(self.v)
+            lo = 1
+            while lo < self.v:
+                probes = HJ[lo:2 * lo]
+                step = block_rows(len(probes) * width)
+                keep = np.ones(len(standing), dtype=bool)
+                for b in range(0, len(standing), step):
+                    sums = f.vadd(HJ[standing[b:b + step], None], probes)
+                    found = proj.find(sums.reshape(-1, width))
+                    keep[b:b + step] = (found.reshape(sums.shape[:2]) >= 0
+                                        ).all(axis=1)
+                standing = standing[keep]
+                lo *= 2
+            self._stable = standing
+        return self._stable
 
     def p_kernel(self, seed: int = 0) -> Fraction:
         """F_q-normalized dimension of K_p(C) = {x : C + x = C}.
@@ -321,11 +337,12 @@ class GHCode:
         K_p is a union of cosets of the repetition code, so it is q times the
         number of stable rows; the value is dim_p(K_p) / m and can be a
         genuine fraction when K_p is not F_q-closed.  A linear code is its
-        own p-kernel, of dimension rank.
+        own p-kernel, of dimension rank.  seed is unused and kept for
+        callers that pass it.
         """
         if self.is_linear():
             return Fraction(self.rank())
-        stable = self._stable_rows(seed)
+        stable = self._stable_rows()
         dim_p = self.field.m + _integer_log(len(stable), self.field.p)
         return Fraction(dim_p, self.field.m)
 
@@ -335,22 +352,34 @@ class GHCode:
         A linear code is its own kernel: dimension rank, basis the span
         pivots, the all-one vector first, each in span(C) = C.  Otherwise,
         restricting candidates to rows of H is valid because 0 is a codeword
-        (so K(C) is inside C) and K is a union of repetition-code cosets.
+        (so K(C) is inside C) and K is a union of repetition-code cosets: a
+        stable row is in K when its multiples by 2, ..., q - 1, which stay
+        in the span, are stable rows too.  seed is unused and kept for
+        callers that pass it.
         """
         if self.is_linear():
             return KernelResult(self.rank(),
-                                [pr for _, pr in self._span_pivots()], seed)
+                                [pr for _, pr in self._span_pivots()])
         f = self.field
-        stable = set(self._stable_rows(seed))
-        J, lookup = self._span_projection()
-        # scalar multiples of codewords stay in the span
-        members = [i for i in stable
-                   if all(lookup.get(f.vmul(a, self.H[i][J]).tobytes())
-                          in stable for a in range(2, f.q))]
+        proj = self._span_projection()
+        stable = self._stable_rows()
+        # a row of -1 (not found) reads the last entry, which stays False
+        is_stable = np.zeros(self.v + 1, dtype=bool)
+        is_stable[stable] = True
+        scalars = np.arange(2, self.q)[:, None, None]
+        width = proj.rows.shape[1]
+        step = block_rows(max(1, len(scalars)) * width)
+        keep = np.ones(len(stable), dtype=bool)
+        for b in range(0, len(stable), step):
+            multiples = f.vmul(scalars, proj.rows[stable[b:b + step]])
+            found = proj.find(multiples.reshape(-1, width))
+            keep[b:b + step] = is_stable[found].reshape(
+                multiples.shape[:2]).all(axis=0)
+        members = stable[keep]
         dim = 1 + _integer_log(len(members), self.q)
         basis_rows = [self.H[i] for i in members if i != 0]
         basis = [pr for _, pr in _spin_up(f, [self.ones, *basis_rows], [])]
-        return KernelResult(dim, basis, seed)
+        return KernelResult(dim, basis)
 
     def is_linear(self) -> bool:
         """C_H lies in its span, which has q^rank words, so C_H is linear

@@ -173,9 +173,6 @@ class Field:
             raise DivisionByZero("0 has no multiplicative inverse")
         return int(self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n == 0:
@@ -255,21 +252,7 @@ class Field:
         tail."""
         return self.exp.take(self.log.take(a) + self.log.take(b))
 
-    # -- element view -----------------------------------------------------------
-
-    def element(self, e: int) -> "FieldElement":
-        return FieldElement(self, int(e) % self.q)
-
-    def elements(self):
-        return (FieldElement(self, e) for e in range(self.q))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+    # -- coefficients ------------------------------------------------------------
 
     def coeffs(self, e: int) -> Tuple[int, ...]:
         return tuple(_decode(e, self.p, self.m))
@@ -288,18 +271,6 @@ class Field:
         if k == 1:
             return "x"
         return f"x^{k}"
-
-    def parse_power_string(self, s: str) -> int:
-        s = s.strip()
-        if s == "0":
-            return 0
-        if s == "1":
-            return 1
-        if s == "x":
-            return int(self.exp[1])
-        if s.startswith("x^"):
-            return int(self.exp[int(s[2:]) % (self.q - 1)])
-        return int(s)
 
     # -- subfield lift -------------------------------------------------------------
 
@@ -387,61 +358,3 @@ def block_rows(width: int) -> int:
     entries."""
     return max(1, (1 << 16) // width)
 
-
-class FieldElement:
-    """An element of a Field, wrapping its integer encoding."""
-
-    __slots__ = ("field", "enc")
-
-    def __init__(self, field: Field, enc: int):
-        self.field = field
-        self.enc = enc
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch("elements from different fields")
-            return other.enc
-        return int(other) % self.field.q
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.enc, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.enc, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.enc))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.enc, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.enc, self._coerce(other)))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.enc, int(n)))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.enc))
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.enc)
-
-    def __int__(self):
-        return self.enc
-
-    def __index__(self):
-        return self.enc
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.enc == other.enc
-        return self.enc == other
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.m, self.enc))
-
-    def __repr__(self):
-        return f"GF({self.field.q}):{self.enc}"

@@ -106,7 +106,8 @@ def table1(a_min: int = 4, a_max: int = 7, big: bool = False,
 
     Cells above the budget (a > 6, or a > 7 with big) are reported as
     skipped rather than attempted; inadmissible (a, b) combinations are
-    labeled as such so the table shape matches the published one.
+    labeled as such so the table shape matches the published one.  Each
+    computed cell records seed, which decides nothing.
     """
     cap = BUDGET_BIG_MAX_A if big else BUDGET_DEFAULT_MAX_A
     out: List[Dict[str, object]] = []
@@ -121,13 +122,14 @@ def table1(a_min: int = 4, a_max: int = 7, big: bool = False,
                 cell["status"] = "skipped(budget)"
             else:
                 t0 = time.perf_counter()
-                cell.update(_table1_cell(a, b, seed))
+                cell.update(_table1_cell(a, b))
+                cell["seed"] = seed
                 cell["seconds"] = round(time.perf_counter() - t0, 3)
                 cell["status"] = "ok"
     return out
 
 
-def _table1_cell(a: int, b: int, seed: int) -> Dict[str, object]:
+def _table1_cell(a: int, b: int) -> Dict[str, object]:
     from .codes import GHCode
 
     psi = planar_coboundary(a, b)
@@ -136,11 +138,10 @@ def _table1_cell(a: int, b: int, seed: int) -> Dict[str, object]:
         raise BudgetExceeded(f"coboundary unexpectedly not orthogonal: {witness}")
     code = GHCode(GHMatrix(psi.field, psi.table, group=psi.group))
     rank = code.rank()
-    ker = code.kernel(seed=seed).dim
+    ker = code.kernel().dim
     return {
         "rank": rank,
         "kernel": ker,
         "conjecture_r": conjectured_rank(b),
         "match": rank == conjectured_rank(b),
-        "seed": seed,
     }

@@ -41,7 +41,7 @@ def build_inputs(out: Path) -> None:
 
 def build_reports(out: Path) -> None:
     for name in ("e41", "e42", "e43", "e44"):
-        report = consolidated_report(out / f"{name}.coc", seed=0)
+        report = consolidated_report(out / f"{name}.coc")
         (out / f"{name}.report.json").write_text(
             json.dumps(report, sort_keys=True, indent=1, default=_jsonify)
             + "\n")

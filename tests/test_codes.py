@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from ghfp import (
     gen_sylvester,
     lift,
     matrix_of,
+    normalize,
     rank_of_rows,
     sylvester,
     sylvester_power,
@@ -39,15 +41,31 @@ def code81(dphi43):
     return GHCode(matrix_of(dphi43))
 
 
+def paley12() -> GHMatrix:
+    """The normalized Paley matrix of order 12 over GF(2) (+1 as 0, -1 as
+    1): I + S with S = [[0, 1], [-1, Q]] and Q[i, j] the quadratic
+    character of j - i mod 11, a GH(2, 6) that carries no group."""
+    chi = np.array([0] + [1 if pow(x, 5, 11) == 1 else -1
+                          for x in range(1, 11)])
+    S = np.zeros((12, 12), dtype=np.int64)
+    S[0, 1:], S[1:, 0] = 1, -1
+    S[1:, 1:] = chi[np.subtract.outer(np.arange(11), np.arange(11)) % 11].T
+    signs = np.eye(12, dtype=np.int64) + S
+    return normalize(GHMatrix(Field(2, 1), (1 - signs) // 2))
+
+
 @pytest.fixture(scope="module")
 def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
     """name -> (small code, the mode min_distance must report).
 
     Linear codes, with or without a group; nonlinear cocyclic codes over
     Z_p^k and S_3 (random coboundaries, lifted S_3); the same tables without
-    their group; a table linear over a group it is not a cocycle over; and
+    their group; a table linear over a group it is not a cocycle over;
     tables whose group is set but that are no cocycle over it, one of them
-    ("trap") with a least weight of 3 and two rows at distance 1.
+    ("trap") with a least weight of 3 and two rows at distance 1; the
+    Paley matrix of order 12, nonlinear over GF(2); and a group of rows
+    plus one row w ("lone_w", no GH matrix), so that w is the only row
+    that moves each other row out of the code.
     """
     from test_groups import s3_table
 
@@ -57,6 +75,10 @@ def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
     trap = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 2, 2],
                      [0, 0, 1, 1, 2, 1], [0, 1, 2, 0, 1, 2],
                      [0, 2, 1, 0, 2, 1], [0, 1, 2, 2, 1, 0]])
+    # the 8 rows of S_2^3 and a zero column, then the unit vector e_8
+    lone = np.zeros((9, 9), dtype=np.int64)
+    lone[:8, :8] = sylvester_power(Field(2, 1), 3).entries
+    lone[8, 8] = 1
     cases = {
         "order4": (GHMatrix(gf4, paper_data.H_ORDER4), "theorem"),
         "order8": (matrix_of(s8_cocycle), "theorem"),
@@ -71,6 +93,8 @@ def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
         "gf5_over_z5": (matrix_of(non_cocycles["gf5_over_z5"]),
                         "exhaustive"),
         "trap": (GHMatrix(gf3, trap, group=cyclic6), "exhaustive"),
+        "paley12": (paley12(), "exhaustive"),
+        "lone_w": (GHMatrix(Field(2, 1), lone), "exhaustive"),
     }
     for name, group in [("z3^2", elementary_abelian(3, 2)),
                         ("z3^3", elementary_abelian(3, 3)), ("s3", s3)]:
@@ -201,22 +225,48 @@ def test_spin_up_on_random_coboundaries(gf3, monkeypatch, step):
 
 
 def test_stable_rows_swept_once(monkeypatch, oracle_codes):
-    """kernel and p_kernel share one sweep for stable rows, whose result
-    does not depend on the seed of the probes."""
-    calls = []
-    real = GHCode._sweep_stable_rows
-    monkeypatch.setattr(GHCode, "_sweep_stable_rows", lambda self, seed: (
-        calls.append(seed) or real(self, seed)))
-    for name in ("lift_s3_gf81", "cob_z3^3", "trap"):
-        oracle = oracle_codes[name][0].as_code()
-        fresh = GHCode(oracle_codes[name][0].matrix)
-        assert not fresh.is_linear(), name
-        assert fresh.kernel(seed=1).dim == oracle.kernel().dim, name
-        assert fresh.p_kernel(seed=2) == oracle.p_kernel(), name
-        assert calls == [1], name
-        assert all(real(fresh, seed) == fresh._stable_rows(1)
-                   for seed in range(4)), name
-        calls.clear()
+    """kernel and p_kernel share one sweep, which draws no random numbers
+    and finds the brute-force {i : C + f_i = C} on every nonlinear code;
+    block sizes 1 and 4 run the sweep's and the scalar test's row blocks
+    many times, and rows 1, ..., v - 1 are swept in both orders (lone_w's
+    w is first or last).  The kernel basis spans the oracle's kernel."""
+    from ghfp import codes
+
+    nonlinear = {name: (code, code.as_code())
+                 for name, (code, _) in oracle_codes.items()
+                 if not code.is_linear()}
+    kernels = {name: (oracle.kernel(), oracle.p_kernel())
+               for name, (_, oracle) in nonlinear.items()}
+    assert {"lift_s3_gf81", "trap", "paley12", "lone_w"} <= set(nonlinear)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the kernel draws no random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    searches = []
+    real = codes._SortedRows.find
+    monkeypatch.setattr(codes._SortedRows, "find", lambda self, batch: (
+        searches.append(len(batch)) or real(self, batch)))
+    for step in (None, 1, 4):
+        if step:
+            monkeypatch.setattr(codes, "block_rows", lambda n: step)
+        for (name, (code, oracle)), flip in itertools.product(
+                nonlinear.items(), (False, True)):
+            H = code.H[[0, *range(code.v - 1, 0, -1)]] if flip else code.H
+            fresh = GHCode(GHMatrix(code.field, H))
+            want = [i for i in range(fresh.v)
+                    if oracle._translate_fixes(fresh.H[i])]
+            res = fresh.kernel()
+            searched = len(searches)
+            at = (name, step, flip)
+            expected, p_kernel = kernels[name]
+            assert fresh.p_kernel() == p_kernel, at
+            assert len(searches) == searched, at
+            assert fresh._stable_rows().tolist() == want, at
+            assert res.dim == expected.dim, at
+            assert len(res.basis) == res.dim, at
+            assert rank_of_rows(fresh.field,
+                                [*res.basis, *expected.basis]) == res.dim, at
 
 
 def test_kernel_published_values(code4, code9, code81):
@@ -231,18 +281,28 @@ def test_kernel_basis_spans_kernel(code9):
     assert rank_of_rows(code9.field, res.basis) == res.dim
 
 
-def test_kernel_matches_bruteforce_oracle(oracle_codes):
-    """kernel, is_linear and the kernel basis against the brute-force Code;
-    a linear code takes all three from its rank."""
-    for name, (code, _) in oracle_codes.items():
-        oracle = code.as_code().kernel()
-        res = code.kernel()
-        assert res.dim == oracle.dim, name
-        assert code.is_linear() == (code.q ** oracle.dim == len(code)), name
-        assert len(res.basis) == res.dim, name
-        assert (res.basis[0] == 1).all(), name
-        assert all(code.contains(b) for b in res.basis), name
-        assert rank_of_rows(code.field, res.basis) == res.dim, name
+def test_kernel_matches_bruteforce_oracle(oracle_codes, monkeypatch):
+    """kernel, is_linear and the kernel basis against the brute-force Code,
+    also in row blocks of 1 and 4 rows; a linear code takes all three from
+    its rank."""
+    from ghfp import codes
+
+    oracles = {name: code.as_code().kernel()
+               for name, (code, _) in oracle_codes.items()}
+    for step in (None, 1, 4):
+        if step:
+            monkeypatch.setattr(codes, "block_rows", lambda n: step)
+        for name, (code, _) in oracle_codes.items():
+            code, oracle, at = GHCode(code.matrix), oracles[name], (name, step)
+            res = code.kernel()
+            assert res.dim == oracle.dim, at
+            assert code.is_linear() == (code.q ** oracle.dim == len(code)), at
+            assert len(res.basis) == res.dim, at
+            assert (res.basis[0] == 1).all(), at
+            assert all(code.contains(b) for b in res.basis), at
+            assert rank_of_rows(code.field, res.basis) == res.dim, at
+            assert rank_of_rows(code.field,
+                                [*res.basis, *oracle.basis]) == res.dim, at
 
 
 def test_kernel_of_planar_is_repetition_code(code81):

@@ -172,6 +172,24 @@ def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
     assert main(["verify", str(tmp_path / "x.coc")]) == 0
 
 
+def test_cli_build_missing_option_is_usage_error(tmp_path, capsys):
+    """Each option a construction needs, dropped in turn, is a usage error
+    that names it: exit code 2 and nothing written (--t has a default)."""
+    builds = {**BUILDS, "kronecker": ["--left", "l.coc", "--right", "r.coc"]}
+    for construction, opts in builds.items():
+        pairs = [opts[i:i + 2] for i in range(0, len(opts), 2)]
+        for k, (dropped, _) in enumerate(pairs):
+            if dropped == "--t":
+                continue
+            rest = [x for j, pair in enumerate(pairs) if j != k for x in pair]
+            with pytest.raises(SystemExit) as exit_:
+                main(["build", "--construction", construction, *rest,
+                      "--out", str(tmp_path / "out")])
+            assert exit_.value.code == 2
+            assert dropped in capsys.readouterr().err, (construction, dropped)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_code_json(tmp_path, capsys):
     main(["build", "--construction", "planar", "--a", "4", "--b", "3",
           "--out", str(tmp_path), "--name", "p43"])
@@ -449,16 +467,21 @@ def test_cli_verify_fails_on_corrupted(tmp_path, capsys, gf3):
 
 
 def test_cli_determinism(tmp_path, capsys):
-    main(["build", "--construction", "sylvester", "--q", "3",
-          "--out", str(tmp_path), "--name", "s3"])
+    """A repeated run prints the same payload and run record; the seed,
+    which code does not use, changes only the run record."""
+    main(["build", "--construction", "planar", "--a", "4", "--b", "3",
+          "--out", str(tmp_path), "--name", "p43"])
     capsys.readouterr()
     outs = []
-    for _ in range(2):
-        main(["--json", "--seed", "7", "code", str(tmp_path / "s3.coc")])
+    for seed in ("7", "7", "1", "2"):
+        main(["--json", "--seed", seed, "code", str(tmp_path / "p43.coc")])
         payload = json.loads(capsys.readouterr().out)
         payload["run"].pop("seconds")
-        outs.append(json.dumps(payload, sort_keys=True))
+        outs.append(payload)
     assert outs[0] == outs[1]
+    assert outs[2]["run"]["seed"] == 1 and outs[3]["run"]["seed"] == 2
+    bodies = [{k: v for k, v in out.items() if k != "run"} for out in outs]
+    assert bodies[1:] == bodies[:1] * 3
 
 
 def test_console_entry_point(tmp_path):
