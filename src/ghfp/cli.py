@@ -99,8 +99,6 @@ def _parse_prime_power(q: int):
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     name = args.name
     if args.construction == "sylvester":
         p, m = _parse_prime_power(args.q)
@@ -137,6 +135,8 @@ def cmd_build(args) -> int:
     if not orth:
         raise GHFPError(f"built object fails its verifier (witness {witness}); "
                         f"nothing written")
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
     coc_path = out / f"{name}.coc"
     ghm_path = out / f"{name}.ghm"
     write_coc(coc_path, psi)

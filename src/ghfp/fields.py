@@ -4,16 +4,17 @@ A field element is the integer e = sum(coeffs[i] * p**i) built from its
 coefficients in the polynomial basis (little-endian).  This encoding is the
 wire format used by every file the library reads or writes.
 
-Field is the one owner of array arithmetic on encodings; construction builds
-every table once, read-only.  Addition and negation are single gathers of a
-flat q x q add table and a neg table (digitwise passes above
-ADD_TABLE_MAX_Q).  Multiplication is one gather of the antilog table at a sum
-of two logs: log 0 points into a zero tail of exp, so a product with 0 needs
-no mask.  The scalar digit loops add and neg, and _poly_mul, are the tests'
-oracle."""
+Field is the one owner of array arithmetic on encodings; every table is built
+once, read-only.  Addition and negation are single gathers of a flat q x q
+add table and a neg table, each built on its first use (digitwise passes
+above ADD_TABLE_MAX_Q).  Multiplication is one gather of the antilog table at
+a sum of two logs: log 0 points into a zero tail of exp, so a product with 0
+needs no mask.  The scalar digit loops add and neg, and _poly_mul, are the
+tests' oracle."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,10 +139,8 @@ class Field:
         self.q = p ** m
         self.poly = poly
         self._build_log_tables()
-        self._build_add_tables()
-        for table in (self.exp, self.log, self._add, self._neg):
-            if table is not None:  # read-only, so a Field can be shared
-                table.setflags(write=False)
+        for table in (self.exp, self.log):  # read-only, so a Field can be shared
+            table.setflags(write=False)
 
     # -- scalar arithmetic on encodings ---------------------------------------
 
@@ -188,22 +187,33 @@ class Field:
     # to digitwise passes (largest field in scope is 3^7 = 2187)
     ADD_TABLE_MAX_Q = 2400
 
-    def _build_add_tables(self):
-        """The flat q*q add table and the neg table, or None above
-        ADD_TABLE_MAX_Q.  By the digit recursion e = e0 + p*e': GF(p^k)'s
-        table is GF(p^(k-1))'s table times p plus Z_p's, in p x p blocks."""
+    @cached_property
+    def _add(self) -> Optional[np.ndarray]:
+        """The flat q*q add table, read-only, built on first use (GF(3^7)'s
+        is 38 MB), or None above ADD_TABLE_MAX_Q.  By the digit recursion
+        e = e0 + p*e': GF(p^k)'s table is GF(p^(k-1))'s table times p plus
+        Z_p's, in p x p blocks."""
         if self.q > self.ADD_TABLE_MAX_Q:
-            self._add = self._neg = None
-            return
+            return None
         p = self.p
         zp = np.arange(p, dtype=np.int64)
-        add_p, neg_p = (zp[:, None] + zp) % p, -zp % p
-        add, neg = add_p, neg_p
+        add_p = add = (zp[:, None] + zp) % p
         for _ in range(self.m - 1):
-            n = len(neg) * p
+            n = len(add) * p
             add = (p * add[:, None, :, None] + add_p[:, None]).reshape(n, n)
-            neg = (p * neg[:, None] + neg_p).ravel()
-        self._add, self._neg = add.ravel(), neg
+        add = add.ravel()
+        add.setflags(write=False)
+        return add
+
+    @cached_property
+    def _neg(self) -> Optional[np.ndarray]:
+        """The neg table, read-only, built on first use, or None above
+        ADD_TABLE_MAX_Q."""
+        if self.q > self.ADD_TABLE_MAX_Q:
+            return None
+        neg = self._vneg_digits(np.arange(self.q, dtype=np.int64))
+        neg.setflags(write=False)
+        return neg
 
     def _vadd_digits(self, a, b):
         p = self.p

@@ -152,9 +152,8 @@ def _parse_cay(lines) -> Group:
     _expect(len(lines) >= 2 and lines[0].strip(" \t") == "cay 1",
             "missing 'cay 1' magic", 1)
     v = _parse_v(lines[1], 2)
-    table = _parse_rows(lines[2:2 + v], 3, v, v)
-    group = Group(table)
-    group.check_associativity()
+    group = Group(_parse_rows(lines[2:2 + v], 3, v, v), check=False)
+    group.check()
     return group
 
 
@@ -209,10 +208,7 @@ def _default_group(v: int, p: int) -> Optional[Group]:
         k += 1
     if v != 1 or k < 1:
         return None
-    group = elementary_abelian(p, k)
-    group.table.setflags(write=False)
-    group.inv.setflags(write=False)
-    return group
+    return elementary_abelian(p, k)
 
 
 # -- .ghm ------------------------------------------------------------------------

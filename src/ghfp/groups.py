@@ -6,6 +6,7 @@ are 0-based internally; cycle forms print 1-based.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,31 +91,75 @@ class Perm:
 
 
 class Group:
-    """Finite group on indices 0..v-1 given by its Cayley table."""
+    """Finite group on indices 0..v-1 given by its Cayley table.
+
+    The table (the array passed in, not a copy) and the inverse map are made
+    read-only, so the group's verdict can be kept: identity plus Latin, and
+    associativity, each decided at most once per Group and read by every
+    check that needs it."""
 
     def __init__(self, table, labels: Optional[List[str]] = None, check: bool = True):
         table = np.asarray(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("Cayley table must be square")
+        table.setflags(write=False)
         self.table = table
         self.order = int(table.shape[0])
         self.labels = labels
-        if check:
-            self._check_latin_identity()
+        if check and self.latin_failure() is not None:
+            raise NotAGroup(self.latin_failure())
         self.inv = np.empty(self.order, dtype=np.int64)
         rows, cols = np.nonzero(table == 0)
         self.inv[rows] = cols
+        self.inv.setflags(write=False)
         self._generators: Optional[Tuple[int, ...]] = None
+        self._opposite: Optional[Group] = None
 
-    def _check_latin_identity(self):
-        v = self.order
-        ar = np.arange(v)
-        if not (self.table[0] == ar).all() or not (self.table[:, 0] == ar).all():
-            raise NotAGroup("index 0 is not a two-sided identity")
-        if not (np.sort(self.table, axis=1) == ar).all():
-            raise NotAGroup("a row is not a permutation")
-        if not (np.sort(self.table, axis=0) == ar[:, None]).all():
-            raise NotAGroup("a column is not a permutation")
+    def latin_failure(self) -> Optional[str]:
+        """Why index 0 is no two-sided identity of a Latin square, or None
+        when it is; decided once."""
+        if not hasattr(self, "_latin"):
+            t, ar = self.table, np.arange(self.order)
+            self._latin = None
+            if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
+                self._latin = "index 0 is not a two-sided identity"
+            elif not (np.sort(t, axis=1) == ar).all():
+                self._latin = "a row is not a permutation"
+            elif not (np.sort(t, axis=0) == ar[:, None]).all():
+                self._latin = "a column is not a permutation"
+        return self._latin
+
+    def associativity_failure(self) -> Optional[Tuple[int, int, int]]:
+        """A triple (g, h, k) with (gh)k != g(hk), g a generator, or None;
+        exact, and decided once.
+
+        Light's test, as in Cocycle._check_identity: the left nucleus
+        {a : (ab)c = a(bc) for all b, c} is closed under products, since
+        ((aa')b)c = a((a'b)c) = (aa')(bc), so it is everything once it holds
+        the generators."""
+        if not hasattr(self, "_associativity"):
+            t = self.table
+            self._associativity = None
+            for g in self.generators():
+                lhs = t[t[g], :]
+                rhs = t[g][t]
+                if not (lhs == rhs).all():
+                    h, k = map(int, np.argwhere(lhs != rhs)[0])
+                    self._associativity = (g, h, k)
+                    break
+        return self._associativity
+
+    def check(self) -> None:
+        """Raise NotAGroup, or NotAssociative with a failing triple, unless
+        the table is a group."""
+        if self.latin_failure() is not None:
+            raise NotAGroup(self.latin_failure())
+        self.check_associativity()
+
+    def check_associativity(self) -> None:
+        """Exact; raises NotAssociative with a failing triple."""
+        if self.associativity_failure() is not None:
+            raise NotAssociative(*self.associativity_failure())
 
     def generators(self) -> List[int]:
         """A greedy generating set, computed once: take the smallest element
@@ -139,20 +184,26 @@ class Group:
             self._generators = tuple(gens)
         return list(self._generators)
 
-    def check_associativity(self) -> None:
-        """Exact; raises NotAssociative with a failing triple.
+    def opposite(self) -> "Group":
+        """G^op, with a o b = ba, built once: its table is G's transposed,
+        read-only and C-contiguous, and its opposite is G again.
 
-        Light's test, as in Cocycle._check_identity: the left nucleus
-        {a : (ab)c = a(bc) for all b, c} is closed under products, since
-        ((aa')b)c = a((a'b)c) = (aa')(bc), so it is everything once it holds
-        the generators."""
-        t = self.table
-        for g in self.generators():
-            lhs = t[t[g], :]
-            rhs = t[g][t]
-            if not (lhs == rhs).all():
-                h, k = map(int, np.argwhere(lhs != rhs)[0])
-                raise NotAssociative(g, h, k)
+        It shares G's inverse map, generators and verdict, which G decides
+        first.  For a group that is exact: ab = 1 exactly when ba = 1; G^op
+        has G's subgroups, so G's generators generate it; transposing swaps
+        rows and columns, so G^op is Latin with identity 0 exactly when G
+        is; and (a o b) o c = c(ba), a o (b o c) = (cb)a, so G^op is
+        associative exactly when G is.  A failing verdict keeps G's message
+        and triple."""
+        if self._opposite is None:
+            self.latin_failure()
+            self.associativity_failure()
+            op = copy.copy(self)
+            op.table = np.ascontiguousarray(self.table.T)
+            op.table.setflags(write=False)
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])

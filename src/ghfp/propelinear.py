@@ -90,16 +90,16 @@ class PropelinearCode:
         product is not in C.  The arrays are read-only and C-contiguous.
 
         When H is a cocycle over G (the matrix's cocycle() verdict) the
-        table is G's table and psi, transposed, and no word is searched:
-        entry j of f_rho * f_r is psi(rho,j) + psi(r,rho j), and the
-        identity at (r, rho, j) reads psi(rho,j) + psi(r,rho j) =
-        psi(r,rho) + psi(r rho,j), so f_rho * f_r = psi(r,rho)*1 + f_{r rho}.
-        Any other table is looked up, one index call per rho, which finds
-        every product outside C."""
+        table is (G^op's table, psi^T), and no word is searched: entry j of
+        f_rho * f_r is psi(rho,j) + psi(r,rho j), and the identity at
+        (r, rho, j) reads psi(rho,j) + psi(r,rho j) = psi(r,rho) +
+        psi(r rho,j), so f_rho * f_r = psi(r,rho)*1 + f_{r rho}.  Any other
+        table is looked up, one index call per rho, which finds every
+        product outside C."""
         if not hasattr(self, "_row_products"):
             psi = self.code.matrix.cocycle()
             if psi is not None:
-                rows, offsets = psi.group.table.T.copy(), psi.table.T.copy()
+                rows, offsets = psi.group.opposite().table, psi.table.T.copy()
             else:
                 f, gt, v = self.field, self.group.table, self.v
                 rows = np.empty((v, v), dtype=np.int64)
@@ -108,7 +108,8 @@ class PropelinearCode:
                     # row r of the batch is f_rho + pi-gather of f_r
                     rows[rho], offsets[rho] = self.code.index(
                         f.vadd(self.H[rho][None, :], self.H[:, gt[rho]]))
-            rows.flags.writeable = offsets.flags.writeable = False
+                rows.flags.writeable = False
+            offsets.flags.writeable = False
             self._row_products = (rows, offsets)
         return self._row_products
 
@@ -189,14 +190,28 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
     """Axioms and structural lemmas, one (ok, witness) entry per check.
 
     Every entry is exact.  Axiom (i) and the group axioms of (C, star) are
-    decided on the row-product table (see regular_subgroup_check); axiom
-    (ii), fullness, distance compatibility and the unit-vector lemma on G's
+    decided on the row-product table (see regular_subgroup_check); the group
+    axioms are cocycle_from_code's answer, kept on P.  Axiom (ii), fullness,
+    distance compatibility and the unit-vector lemma are decided on G's
     table, whose row g is the permutation of the codewords with group part
-    g.  seed is unused and kept for callers that pass it.
+    g.  Axiom (ii) is G's associativity verdict, decided once per Group.
+    When G's table is Latin with identity 0 (its other verdict), four
+    entries hold by theorem and are not scanned:
+
+    - fullness: gx = x and 1x = x put x twice in column x unless g = 1, so
+      pi_g has no fixed point for g != 1;
+    - unit-vector preimages: every column of a Latin square is a
+      permutation;
+    - |Pi| = v: row g of G's table starts with g0 = g, so the v rows differ;
+    - distance compatibility: every row of a Latin square is a permutation.
+
+    Otherwise each of them names its first witness.  seed is unused and kept
+    for callers that pass it.
     """
     v = P.v
     gt = P.group.table
     ar = np.arange(v)
+    latin = P.group.latin_failure() is None
     report: Dict[str, tuple] = {}
 
     # pi_0 identity.  pi is constant on cosets by construction: index()
@@ -210,14 +225,12 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
 
     # axiom (ii): pi_x o pi_y = pi_{x*y}; pi is left translation by the
     # group part, so this is associativity of G's table, checked exactly
-    try:
-        P.group.check_associativity()
-        report["axiom_ii_homomorphism"] = (True, None)
-    except NotAssociative as e:
-        report["axiom_ii_homomorphism"] = (False, e.triple)
+    triple = P.group.associativity_failure()
+    report["axiom_ii_homomorphism"] = (triple is None, triple)
 
     # fullness: fixed-point-free off C_1, identity on C_1
-    report["fullness"] = _first("fixed point", (gt == ar).any(axis=1) & (ar > 0))
+    report["fullness"] = (True, None) if latin else _first(
+        "fixed point", (gt == ar).any(axis=1) & (ar > 0))
 
     # group axioms of (C, star), exactly; inverses follow from Latin rows
     witness = _star_group_failure(P)
@@ -225,18 +238,18 @@ def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tupl
 
     # Lemma: pi_x^{-1}(e_i) determines the coset (collision <=> same coset);
     # pi_g^{-1}(i) = index(g * g_i), so every column of G's table is injective
-    report["unit_vector_preimages"] = _first(
+    report["unit_vector_preimages"] = (True, None) if latin else _first(
         "collision across cosets", (np.sort(gt, axis=0) != ar[:, None]).any(axis=0))
 
     # Pi isomorphic to C/C_1: same size and same abelian invariants as G
-    distinct = len(np.unique(gt, axis=0))
+    distinct = v if latin else len(np.unique(gt, axis=0))
     report["pi_group_is_quotient"] = (
         (True, None) if distinct == v else (False, ("|Pi| != v", distinct)))
 
     # distance compatibility d(x*u, x*w) = d(u, w): x*u - x*w = pi_x(u - w)
     # gathers along a row of G's table, which keeps every weight exactly
     # when that row is a permutation
-    report["distance_compatibility"] = _first(
+    report["distance_compatibility"] = (True, None) if latin else _first(
         "row not a permutation", (np.sort(gt, axis=1) != ar).any(axis=1))
     return report
 
@@ -249,22 +262,46 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
     sigma(g) * sigma(h) in c*1 + F_H: the row-product table.  Raises
     SectionUndefined at the first product outside C (first rho, then r),
     NotAGroup for a quotient table that is no group, and NotNormalized or
-    CocycleIdentityViolated for constants that are no cocycle.
+    CocycleIdentityViolated for constants that are no cocycle.  The answer,
+    or the error, is kept on P for the arrays row_products returned.
+
+    On the table row_products reads from a cocycle psi over G, (G^op's
+    table, psi^T), the answer is psi^T over G^op, by theorem.  G^op is
+    Latin with identity 0, and associative, exactly when G is, so G's own
+    NotAGroup or NotAssociative is raised when G is no group.  psi^T
+    satisfies the identity at (g, h, k) over G^op exactly when psi does at
+    (k, h, g) over G, and psi is normalized, so it is a cocycle.  Any other
+    table (a search, or a table put in its place) is checked as a table:
+    Latin, associative, then the cocycle identity in full.
     """
     rows, offsets = P.row_products()
+    known = getattr(P, "_quotient", None)
+    if known is None or known[0] is not rows or known[1] is not offsets:
+        try:
+            found = _quotient_cocycle(P, rows, offsets)
+        except (SectionUndefined, NotAGroup, NotNormalized,
+                CocycleIdentityViolated) as e:
+            found = e
+        known = P._quotient = (rows, offsets, found)
+    if isinstance(known[2], Exception):
+        raise known[2].with_traceback(None)
+    return known[2]
+
+
+def _quotient_cocycle(P: PropelinearCode, rows: np.ndarray,
+                      offsets: np.ndarray) -> Cocycle:
+    """cocycle_from_code on the row-product arrays, decided afresh."""
+    psi = P.code.matrix.cocycle()
+    theorem = getattr(P, "_row_products", (None, None))
+    if psi is not None and rows is theorem[0] and offsets is theorem[1]:
+        psi.group.check()
+        return Cocycle(psi.group.opposite(), P.field, offsets, check="skip")
     bad = np.argwhere(rows < 0)
     if bad.size:
         raise SectionUndefined(*map(int, bad[0]))
     quotient = Group(rows)
     quotient.check_associativity()
-    # psi^T over G^op satisfies the identity at (g, h, k) exactly when psi
-    # does at (k, h, g), so the theorem table of row_products is a cocycle
-    # already; any other table (not read from a checked psi) is checked
-    psi = P.code.matrix.cocycle()
-    by_theorem = (psi is not None and np.array_equal(rows, psi.group.table.T)
-                  and np.array_equal(offsets, psi.table.T))
-    return Cocycle(quotient, P.field, offsets,
-                   check="skip" if by_theorem else "full")
+    return Cocycle(quotient, P.field, offsets)
 
 
 def _star_group_failure(P: PropelinearCode) -> Optional[tuple]:

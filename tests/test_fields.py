@@ -135,6 +135,28 @@ def test_vectorized_matches_scalar(p, m, monkeypatch):
     assert (digits.vneg(e) == f.vneg(e)).all()
 
 
+def test_add_tables_built_on_first_array_addition():
+    """GF(3^7) holds no add or neg table until array arithmetic needs one;
+    then both are single, read-only, and agree with the scalar digit loops
+    on random pairs and on every element."""
+    f = Field(3, 7)
+    assert "_add" not in vars(f) and "_neg" not in vars(f)
+    f.mul(5, 7)
+    f.vmul(np.arange(f.q), 3)
+    assert "_add" not in vars(f) and "_neg" not in vars(f)
+    rng = np.random.default_rng(8)
+    a, b = rng.integers(0, f.q, size=(2, 4000))
+    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in zip(a.tolist(),
+                                                                 b.tolist())]
+    add = f._add
+    assert add is not None and not add.flags.writeable
+    e = np.arange(f.q)
+    assert f.vneg(e).tolist() == [f.neg(x) for x in range(f.q)]
+    assert not f._neg.flags.writeable
+    f.vsub(a, b)
+    assert f._add is add
+
+
 def test_power_string_roundtrip():
     f = Field(2, 3)
     seen = {f.power_string(e) for e in range(f.q)}

@@ -303,6 +303,21 @@ def test_cli_build_refuses_unverifiable_object(tmp_path, capsys):
     assert not (tmp_path / "mixed.ghm").exists()
 
 
+def test_cli_failed_build_creates_no_directory(tmp_path, capsys):
+    """A build that fails (q = 6 is no prime power) creates no --out
+    directory, and leaves an existing one as it was."""
+    args = ["build", "--construction", "sylvester", "--q", "6"]
+    assert main([*args, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("x")
+    assert main([*args, "--out", str(kept)]) == 1
+    assert [f.name for f in kept.iterdir()] == ["note.txt"]
+    assert (kept / "note.txt").read_text() == "x"
+    assert "not a prime power" in capsys.readouterr().err
+
+
 def test_cli_rds_force_gate(tmp_path, capsys):
     """Order 729 needs no flag: the GH check of a .coc is quadratic."""
     main(["build", "--construction", "sylvester-power", "--q", "3", "--t", "6",

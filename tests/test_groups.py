@@ -68,7 +68,7 @@ def test_generators_generate():
     images = np.concatenate(([0], 1 + rng.permutation(26)))
     groups = [elementary_abelian(2, 4), z27, z27.relabel(Perm(images)),
               additive_group_of(Field(2, 3), "primitive-power"),
-              Group(s3_table()),
+              Group(s3_table()), Group(s3_table()).opposite(),
               elementary_abelian(2, 1).direct_product(elementary_abelian(3, 2))]
     for g in groups:
         gens = g.generators()
@@ -90,6 +90,30 @@ def test_loop_is_not_associative(loop5):
         g.check_associativity()
     assert isinstance(exc.value, NotAssociative)
     assert exc.value.triple in non_associative_triples(loop5)
+
+
+def test_opposite_is_the_transposed_group(loop5):
+    """G^op of the non-abelian S_3 is built once from G's table transposed,
+    read-only and C-contiguous, and is the group a fresh check of that
+    table finds, with G's inverse map (its generators are checked in
+    test_generators_generate).  A loop's opposite keeps the loop's verdict;
+    no table or inverse map can be written."""
+    g = Group(s3_table())
+    op = g.opposite()
+    assert op is g.opposite() and op.opposite() is g
+    assert (op.table == g.table.T).all() and (op.table != g.table).any()
+    assert op.table.flags.c_contiguous and not op.table.flags.writeable
+    fresh = Group(np.array(op.table))
+    fresh.check()
+    op.check()
+    assert op.inv is g.inv and (op.inv == fresh.inv).all()
+    for table in (g.table, g.inv, op.table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    loop = Group(loop5)
+    with pytest.raises(NotAssociative) as exc:
+        loop.opposite().check()
+    assert exc.value.triple == loop.associativity_failure()
 
 
 def test_associativity_matches_oracle_on_extension_magmas(gf3):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ghfp import (
+    Cocycle,
     Field,
     PropelinearCode,
     check_cocycle,
@@ -15,8 +16,9 @@ from ghfp import (
     trivial_cocycle,
     verify_full_propelinear,
 )
-from ghfp.errors import CocycleIdentityViolated, NotACodeword, NotAGroup, \
-    NotOrthogonal
+from ghfp.cocycles import is_orthogonal
+from ghfp.errors import CocycleIdentityViolated, GHFPError, NotACodeword, \
+    NotAGroup, NotAssociative, NotNormalized, NotOrthogonal, SectionUndefined
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
 from ghfp.propelinear import oplus
@@ -126,14 +128,29 @@ def test_verify_full_propelinear_all_pass(p4, p9, p8, p81):
         assert not failed
 
 
-def test_fullness_witness_on_corruption():
-    # replacing one pi entry by the identity must trip the fullness scan
-    from ghfp import Field
-    from ghfp.ghmatrix import sylvester_power_cocycle
+def _over_table(psi, table) -> PropelinearCode:
+    """P for psi's table read over the (possibly corrupted) group table."""
+    return PropelinearCode(Cocycle(Group(table, check=False), psi.field,
+                                   psi.table, check="skip"))
 
-    P = ghfp_from_cocycle(sylvester_power_cocycle(Field(3, 1), 2))
+
+def _corrupted_tables(gf3):
+    """The two corruptions of S_3^2's group table: row 1 replaced by the
+    identity row, and two entries repeated within rows 4 and 6."""
+    gt = sylvester_power_cocycle(gf3, 2).group.table
+    fixed, repeated = gt.copy(), gt.copy()
+    fixed[1] = np.arange(9)
+    repeated[4, 2] = repeated[4, 5]  # breaks row 4 and column 2
+    repeated[6, 1] = repeated[6, 3]  # breaks row 6 and column 1
+    return {"fixed point": fixed, "repeated entries": repeated}
+
+
+def test_fullness_witness_on_corruption(gf3):
+    # replacing one pi entry by the identity must trip the fullness scan
+    psi = sylvester_power_cocycle(gf3, 2)
+    P = ghfp_from_cocycle(psi)
     assert verify_full_propelinear(P)["fullness"][0]
-    P.group.table[1] = np.arange(9)
+    P = _over_table(psi, _corrupted_tables(gf3)["fixed point"])
     report = verify_full_propelinear(P)
     ok, witness = report["fullness"]
     assert not ok and witness is not None
@@ -368,10 +385,9 @@ def test_permutation_witnesses_name_first_bad_row_and_column(gf3):
     """distance_compatibility names the first row of G's table that is no
     permutation, unit_vector_preimages the first such column; the named
     row really changes a distance, and the named column really collides."""
-    P = ghfp_from_cocycle(sylvester_power_cocycle(gf3, 2))
+    P = _over_table(sylvester_power_cocycle(gf3, 2),
+                    _corrupted_tables(gf3)["repeated entries"])
     gt = P.group.table
-    gt[4, 2] = gt[4, 5]  # breaks row 4 and column 2
-    gt[6, 1] = gt[6, 3]  # breaks row 6 and column 1
     report = verify_full_propelinear(P)
     assert report["distance_compatibility"] == (
         False, ("row not a permutation", 4))
@@ -382,6 +398,112 @@ def test_permutation_witnesses_name_first_bad_row_and_column(gf3):
     zero = np.zeros(P.v, dtype=np.int64)
     assert (P.star(P.H[4], e) == P.star(P.H[4], zero)).all()
     assert len(set(gt[:, 1].tolist())) < P.v
+
+
+def cocycle_oracle(P) -> Cocycle:
+    """cocycle_from_code with the star group checked as a table: a fresh
+    Group of the row products, its associativity, and the identity in
+    full."""
+    rows, offsets = P.row_products()
+    bad = np.argwhere(rows < 0)
+    if bad.size:
+        raise SectionUndefined(*map(int, bad[0]))
+    quotient = Group(np.array(rows))
+    quotient.check_associativity()
+    return Cocycle(quotient, P.field, offsets)
+
+
+def verify_oracle(P) -> dict:
+    """verify_full_propelinear with every entry scanned: G's table entry by
+    entry, associativity on a fresh Group, and the star group through
+    cocycle_oracle."""
+    v, ar = P.v, np.arange(P.v)
+    gt = np.array(P.group.table)
+
+    def first(label, bad):
+        bad = np.argwhere(bad)
+        return (False, (label, *map(int, bad[0]))) if bad.size else (True, None)
+
+    try:
+        Group(gt, check=False).check_associativity()
+        axiom_ii = (True, None)
+    except NotAssociative as e:
+        axiom_ii = (False, e.triple)
+    try:
+        cocycle_oracle(P)
+        group_axioms = (True, None)
+    except SectionUndefined as e:
+        group_axioms = (False, ("x*f not in C", *e.pair))
+    except NotAssociative as e:
+        group_axioms = (False, ("associativity", *e.triple))
+    except CocycleIdentityViolated as e:
+        group_axioms = (False, ("cocycle identity", *e.triple))
+    except (NotAGroup, NotNormalized) as e:
+        group_axioms = (False, ("not a group", str(e)))
+    distinct = len(np.unique(gt, axis=0))
+    return {
+        "identity_and_coset_constancy": first("pi_0 moves", gt[0] != ar),
+        "axiom_i_preserves_code": first("x*f not in C",
+                                        P.row_products()[0] < 0),
+        "axiom_ii_homomorphism": axiom_ii,
+        "fullness": first("fixed point", (gt == ar).any(axis=1) & (ar > 0)),
+        "group_axioms": group_axioms,
+        "unit_vector_preimages": first(
+            "collision across cosets",
+            (np.sort(gt, axis=0) != ar[:, None]).any(axis=0)),
+        "pi_group_is_quotient": (True, None) if distinct == v
+        else (False, ("|Pi| != v", distinct)),
+        "distance_compatibility": first(
+            "row not a permutation", (np.sort(gt, axis=1) != ar).any(axis=1)),
+    }
+
+
+def _outcome(check, P):
+    """check(P), or the type and message of the GHFPError it raised."""
+    try:
+        return check(P)
+    except GHFPError as e:
+        return type(e), str(e)
+
+
+def test_group_verdict_path_matches_scan_oracle(gf3, corpus, non_cocycles,
+                                               loop5, monkeypatch):
+    """On every orthogonal corpus cocycle, every non-cocycle, a loop and a
+    monoid put in place of the row products, and the two corrupted group
+    tables: verify_full_propelinear's report is the scanned one,
+    cocycle_from_code is the cocycle of a freshly checked Group(rows), and
+    a second call of either checks no group again."""
+    cases = {}
+    for name, psi in {**corpus, **non_cocycles}.items():
+        if is_orthogonal(psi)[0]:
+            cases[name] = ghfp_from_cocycle(psi)
+    a = np.arange(5)
+    for name, rows in [("loop5", loop5),
+                       ("monoid", np.maximum(a[:, None], a[None, :]))]:
+        P = ghfp_from_cocycle(non_cocycles["gf5_over_z5"])
+        offsets = np.zeros_like(rows)
+        P.row_products = lambda rows=rows, offsets=offsets: (rows, offsets)
+        cases[name] = P
+    s9 = sylvester_power_cocycle(gf3, 2)
+    for name, table in _corrupted_tables(gf3).items():
+        cases[name] = _over_table(s9, table)
+    assert len(cases) == 15
+
+    calls = []
+    for method in ("generators", "check_associativity"):
+        def counted(self, method=method, real=getattr(Group, method)):
+            calls.append(method)
+            return real(self)
+        monkeypatch.setattr(Group, method, counted)
+    for name, P in cases.items():
+        want_report = verify_oracle(P)
+        want_cocycle = _outcome(cocycle_oracle, P)
+        assert verify_full_propelinear(P) == want_report, name
+        assert _outcome(cocycle_from_code, P) == want_cocycle, name
+        calls.clear()
+        assert verify_full_propelinear(P) == want_report, name
+        assert _outcome(cocycle_from_code, P) == want_cocycle, name
+        assert calls == [], name
 
 
 def test_regular_subgroup_decides_on_the_row_product_table(gf3, loop5):
