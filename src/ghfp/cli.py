@@ -246,10 +246,8 @@ def cmd_rds(args) -> int:
 
 def cmd_autcheck(args) -> int:
     t0 = time.perf_counter()
-    psi = _load_cocycle(args.file)
-    P = PropelinearCode(psi)
-    sample = None if (args.full or P.q * P.v <= 10 ** 4) else 512
-    report = automorphisms_from_star(P, sample=sample, seed=args.seed)
+    P = PropelinearCode(_load_cocycle(args.file))
+    report = automorphisms_from_star(P)
     report["scalar_pairs_ok"] = scalar_pairs_are_automorphisms(P)
     if args.expanded:
         report["expanded_regular"] = regular_subgroup_check(P)
@@ -349,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "propelinear codes.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed of autcheck's codeword sample (above 10^4 "
-                         "codewords without --full); recorded in --json")
+                    help="recorded in the --json run record; no result "
+                         "depends on it")
     ap.add_argument("--big", dest="big_global", action="store_true",
                     help="allow the larger desk-scale computations")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -401,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("autcheck", help="monomial automorphisms from star")
     a.add_argument("file")
-    a.add_argument("--full", action="store_true")
     a.add_argument("--expanded", action="store_true")
     a.set_defaults(fn=cmd_autcheck)
 

@@ -74,8 +74,8 @@ class Cocycle:
     def __eq__(self, other):
         return (isinstance(other, Cocycle)
                 and self.field == other.field
-                and (self.table == other.table).all()
-                and (self.group.table == other.group.table).all())
+                and np.array_equal(self.table, other.table)
+                and np.array_equal(self.group.table, other.group.table))
 
     def __repr__(self):
         return f"Cocycle(v={self.v}, q={self.q})"

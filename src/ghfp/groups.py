@@ -81,7 +81,8 @@ class Perm:
         return "".join(parts) if parts else "I"
 
     def __eq__(self, other):
-        return isinstance(other, Perm) and (self.images == other.images).all()
+        return (isinstance(other, Perm)
+                and np.array_equal(self.images, other.images))
 
     def __hash__(self):
         return hash(self.images.tobytes())

@@ -86,8 +86,8 @@ class MonomialMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, MonomialMatrix)
-                and (self.perm == other.perm).all()
-                and (self.diag == other.diag).all())
+                and np.array_equal(self.perm, other.perm)
+                and np.array_equal(self.diag, other.diag))
 
     def __repr__(self):
         return f"MonomialMatrix(n={self.n})"
@@ -147,8 +147,6 @@ def pair_for_codeword(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
     constant.  On a cocycle both are read from the row-product table (see
     _pair_arrays); any other matrix searches C_H for each row.
     """
-    if P.code.matrix.cocycle() is None:
-        return _pair_by_index(P, x)
     x = np.asarray(x, dtype=np.int64)
     (mp,), (md,), (np_,), (nd,) = _pair_arrays(P, [P.row_of(x)], x[:1])
     return MonomialMatrix(P.field, mp, md), MonomialMatrix(P.field, np_, nd)
@@ -253,31 +251,34 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
                             seed: int = 0) -> Dict[str, object]:
     """Verified (M_a, N_a) pairs for the codewords of P.
 
-    With sample=None on a cocycle the check is exhaustive ("mode":
-    "exhaustive").  The pair of f_rho + lam*1 is the pair of f_rho times the
-    scalar pair -lam*I, and scalars cancel in PMQ*, so PMQ* = phi(H) is
-    checked on the v coset representatives f_rho.  The homomorphism law is
-    checked on x * s for every f_rho and every generator s of (C, star):
-    the rows f_g of the generators g of G, and lam*1 for an additive basis
-    of F_q.  As scalars are central in (C, star) and among the pairs, that
-    gives f(x s) = f(x) f(s) for every x, and f(xy) = f(x) f(y) follows by
-    induction on the length of y as a word in the generators.
+    With sample=None on a cocycle the check is exact ("mode":
+    "exhaustive").  The law f(x s) = f(x) f(s) is checked for every coset
+    representative x = f_rho and generator s of (C, star): f_g for the
+    generators g of G, and lam*1 for an additive basis of F_q.  The pair of
+    f_rho + lam*1 is f_rho's times the central scalar pair -lam*I, so by
+    induction on y as a word in the generators f(xy) = f(x) f(y) for all x,
+    y, and every pair is a product of generator pairs.  As P1 P2 phi(H)
+    (Q1 Q2)* = P1 (P2 phi(H) Q2*) Q1*, PMQ* = phi(H) on the generator pairs
+    proves it on all q*v codewords.  If either check fails, PMQ* is scanned
+    on the v coset representatives (scalars cancel in PMQ*) to name the
+    first failing codeword.
 
-    Otherwise ("mode": "sampled") PMQ* is checked on sample codewords drawn
-    with seed (all q*v when sample is None), and the law on up to 200 random
-    products of them.  Either way the repetition codewords must give
+    Otherwise ("mode": "sampled") PMQ* is checked on sample >= 1 codewords
+    drawn with seed (all q*v when sample is None), and the law on up to 200
+    random products of them.  Either way the repetition codewords must give
     constant-diagonal pairs, and with sample=None the row action must be
     transitive.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample={sample} must be >= 1")
     f, v, q = P.field, P.v, P.q
     rng = np.random.default_rng(seed)
     exhaustive = sample is None and P.code.matrix.cocycle() is not None
     if exhaustive:
         rho, lam = np.arange(v), np.zeros(v, dtype=np.int64)
-        gens = P.group.generators()
-        gen_rho = np.array(gens + [0] * f.m, dtype=np.int64)
-        gen_lam = np.concatenate([np.zeros(len(gens), dtype=np.int64),
-                                  f.p ** np.arange(f.m)])
+        gen_rho = np.array(P.group.generators() + [0] * f.m, dtype=np.int64)
+        gen_lam = np.zeros_like(gen_rho)
+        gen_lam[-f.m:] = f.p ** np.arange(f.m)
         a, b = np.divmod(np.arange(v * len(gen_rho)), len(gen_rho))
         verified = q * v
     else:
@@ -294,14 +295,15 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
         b = rng.integers(0, n, size=a.size)
         verified = n
     pairs = _pair_arrays(P, rho, lam)
-    bad = _first_non_automorphism(P, *pairs)
-    if bad is not None:
-        k, g = P.decode(_codewords(P, rho[bad:bad + 1], lam[bad:bad + 1])[0])
-        raise AutomorphismCheckFailed(f"PMQ* != phi(H) at (k,g)=({k},{g})")
     left = right = (rho, lam, pairs)
     if exhaustive:
         right = (gen_rho, gen_lam, _pair_arrays(P, gen_rho, gen_lam))
     hom_ok = _homomorphism_holds(P, left, right, a, b)
+    gens_ok = exhaustive and _first_non_automorphism(P, *right[2]) is None
+    bad = None if hom_ok and gens_ok else _first_non_automorphism(P, *pairs)
+    if bad is not None:
+        k, g = P.decode(_codewords(P, rho[bad:bad + 1], lam[bad:bad + 1])[0])
+        raise AutomorphismCheckFailed(f"PMQ* != phi(H) at (k,g)=({k},{g})")
     # repetition codewords give (phi(-lambda) I, phi(-lambda) I)
     lams = np.arange(q)
     mp, md, np_, nd = _pair_arrays(P, np.zeros(q, dtype=np.int64), lams)

@@ -260,7 +260,18 @@ def test_cli_autcheck_expanded_has_no_gate(tmp_path, capsys):
     assert rc == 0
     assert payload["expanded_regular"] is True
     assert payload["expanded_order"] == 16384
-    assert payload["mode"] in ("exhaustive", "sampled")
+    assert payload["mode"] == "exhaustive"
+    assert payload["pairs_verified"] == 16384
+
+
+def test_cli_autcheck_has_no_full_option(tmp_path, capsys):
+    main(["build", "--construction", "sylvester-power", "--q", "3", "--t", "2",
+          "--out", str(tmp_path), "--name", "s9"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["autcheck", str(tmp_path / "s9.coc"), "--full"])
+    assert exit_.value.code == 2
+    assert "--full" in capsys.readouterr().err
 
 
 def test_cli_report_order4(tmp_path, capsys, order4_cocycle):

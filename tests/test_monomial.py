@@ -4,6 +4,7 @@ import pytest
 from ghfp import (
     GHMatrix,
     MonomialMatrix,
+    Perm,
     automorphisms_from_star,
     expanded_matrix,
     factor_monomial,
@@ -13,8 +14,16 @@ from ghfp import (
     pair_for_codeword,
     regular_subgroup_check,
 )
+from ghfp.cocycles import check_cocycle, is_orthogonal
 from ghfp.errors import NotMonomial, SizeGateExceeded
-from ghfp.monomial import dense_mul_oracle, scalar_pairs_are_automorphisms
+from ghfp.ghmatrix import sylvester_power_cocycle
+from ghfp.groups import Group
+from ghfp.monomial import (
+    _first_non_automorphism,
+    _pair_arrays,
+    dense_mul_oracle,
+    scalar_pairs_are_automorphisms,
+)
 
 import paper_data
 
@@ -242,3 +251,89 @@ def test_exhaustive_mode_finds_a_map_that_is_no_homomorphism(s9_cocycle,
     report = automorphisms_from_star(ghfp_from_cocycle(s9_cocycle))
     assert report["mode"] == "exhaustive" and report["central_pairs_ok"]
     assert not report["homomorphism_ok"]
+
+
+def test_sample_below_one_is_rejected(s9_cocycle):
+    P = ghfp_from_cocycle(s9_cocycle)
+    for sample in (0, -1):
+        with pytest.raises(ValueError, match="sample"):
+            automorphisms_from_star(P, sample=sample)
+
+
+def _spy_scans(monkeypatch, force: bool) -> list:
+    """Record how many pairs each _first_non_automorphism call checks; with
+    force, the first call (the generator pairs) reports pair 0 as failing,
+    so the check falls back to the per-representative scan."""
+    from ghfp import monomial
+
+    calls = []
+
+    def spy(P, mp, md, np_, nd):
+        calls.append(len(mp))
+        if force and len(calls) == 1:
+            return 0
+        return _first_non_automorphism(P, mp, md, np_, nd)
+
+    monkeypatch.setattr(monomial, "_first_non_automorphism", spy)
+    return calls
+
+
+def _relabeled(psi, seed):
+    """psi over its group with every non-identity element renamed."""
+    img = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(
+        psi.v - 1)))
+    inv = np.argsort(img)
+    return check_cocycle(psi.table[inv][:, inv], Group(
+        img[psi.group.table[inv][:, inv]], check=False), psi.field)
+
+
+def test_generator_pairs_give_the_scan_report(corpus, gf3, monkeypatch):
+    """On every orthogonal cocycle of the corpus and a relabeled group, the
+    exact check reads PMQ* only on the |gens| + m generator pairs, and
+    reports what the scan over all v coset representatives reports."""
+    cases = {name: psi for name, psi in corpus.items()
+             if is_orthogonal(psi)[0]}
+    cases["s3^3 relabeled"] = _relabeled(sylvester_power_cocycle(gf3, 3), 4)
+    assert {"order4", "s8", "s9", "dphi43"} <= set(cases)
+    for name, psi in cases.items():
+        P = ghfp_from_cocycle(psi)
+        calls = _spy_scans(monkeypatch, force=False)
+        report = automorphisms_from_star(P)
+        assert calls == [len(P.group.generators()) + P.field.m], name
+        calls = _spy_scans(monkeypatch, force=True)
+        assert automorphisms_from_star(P) == report, name
+        assert calls[1:] == [P.v], name
+        assert report["mode"] == "exhaustive" and report["homomorphism_ok"]
+
+
+def test_bent_generator_row_is_named_by_the_scan(gf3, monkeypatch):
+    """A wrong offset in a generator's own row-product row fails the
+    generator pairs; the fallback scan names the first failing coset
+    representative, which is that generator's row."""
+    from ghfp.errors import AutomorphismCheckFailed
+
+    P = ghfp_from_cocycle(_relabeled(sylvester_power_cocycle(gf3, 3), 4))
+    s = P.group.generators()[-1]
+    rows, offsets = P.row_products()
+    bent = offsets.copy()
+    bent[P.group.inv[s], 1] = (bent[P.group.inv[s], 1] + 1) % 3
+    P.row_products = lambda: (rows, bent)
+    reps = _pair_arrays(P, np.arange(P.v), np.zeros(P.v, dtype=np.int64))
+    assert _first_non_automorphism(P, *reps) == s
+    calls = _spy_scans(monkeypatch, force=False)
+    k, g = P.decode(P.H[s])
+    with pytest.raises(AutomorphismCheckFailed,
+                       match=rf"at \(k,g\)=\({k},{g}\)"):
+        automorphisms_from_star(P)
+    assert calls == [len(P.group.generators()) + P.field.m, P.v]
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: (Perm.identity(3), Perm.identity(4)),
+    lambda f: (MonomialMatrix.identity(f, 3), MonomialMatrix.identity(f, 4)),
+    lambda f: (sylvester_power_cocycle(f, 2), sylvester_power_cocycle(f, 3)),
+], ids=["Perm", "MonomialMatrix", "Cocycle"])
+def test_objects_of_different_sizes_are_unequal(make, gf3):
+    small, large = make(gf3)
+    assert small == small and large == large
+    assert small != large and large != small
