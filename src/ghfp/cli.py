@@ -261,8 +261,7 @@ def cmd_autcheck(args) -> int:
 
 def cmd_table1(args) -> int:
     t0 = time.perf_counter()
-    big = args.big or args.big_global
-    cells = planar_mod.table1(args.a_min, args.a_max, big=big,
+    cells = planar_mod.table1(args.a_min, args.a_max, big=args.big,
                               seed=args.seed)
     if args.json:
         _emit(args, {"cells": cells}, [], t0)
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0,
                     help="recorded in the --json run record; no result "
                          "depends on it")
-    ap.add_argument("--big", dest="big_global", action="store_true",
-                    help="allow the larger desk-scale computations")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("build", help="construct and write .coc/.ghm files")
@@ -405,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table1", help="rank/kernel table of the planar family")
     t.add_argument("--a-min", dest="a_min", type=int, default=4)
     t.add_argument("--a-max", dest="a_max", type=int, default=7)
-    t.add_argument("--big", action="store_true")
+    t.add_argument("--big", action="store_true",
+                   help="also compute a = 7, the larger desk-scale cells")
     t.set_defaults(fn=cmd_table1)
 
     rep = sub.add_parser("report", help="consolidated report for one file")

@@ -114,22 +114,14 @@ class Code:
         self.field = field
         self.words = words
         self.n = int(words.shape[1])
-        # the words as sorted fixed-width byte keys, for _members
-        self._key = np.dtype((np.void, 8 * self.n))
-        self._keys = np.sort(np.ascontiguousarray(words).view(self._key)[:, 0])
-        if (self._keys[1:] == self._keys[:-1]).any():
-            raise DuplicateRows("duplicate words")
+        self._rows = _SortedRows(words)
 
     def __len__(self):
         return int(self.words.shape[0])
 
     def _members(self, batch) -> np.ndarray:
-        """Which vectors of a batch are words: one search of the sorted keys
-        and a byte compare of the match."""
-        batch = np.ascontiguousarray(batch, dtype=np.int64).reshape(-1, self.n)
-        keys = batch.view(self._key)[:, 0]
-        pos = self._keys.searchsorted(keys)
-        return self._keys.take(pos, mode="clip") == keys
+        """Which vectors of a batch are words."""
+        return self._rows.find(np.reshape(batch, (-1, self.n))) >= 0
 
     def contains(self, word) -> bool:
         return bool(self._members(word)[0])

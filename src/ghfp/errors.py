@@ -145,10 +145,6 @@ class InadmissibleParams(GHFPError):
     pass
 
 
-class BudgetExceeded(GHFPError):
-    pass
-
-
 # -- file formats -----------------------------------------------------------------
 
 class ParseError(GHFPError):

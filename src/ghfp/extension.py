@@ -3,8 +3,9 @@ F_H intersection profile and coset zero sets of C_H.
 
 E_psi lives on pairs (u, g) with (u,g)(w,h) = (u + w + psi(g,h), gh); the
 coefficient copy U x {1} is central and T(psi) = {(0, g)} is a normalized
-transversal.  Elements are kept as pairs and multiplied on demand; nothing
-is tabulated unless the order is small.
+transversal.  Elements are kept as pairs, or as the labels u*v + g for
+array work, and multiplied on demand; nothing is tabulated unless the order
+is small.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cocycles import Cocycle
-from .errors import NotNormal, SizeGateExceeded, SizeMismatch
-from .fields import row_histograms
-from .groups import Group, _prime_factors, invariants_from_order_counts
+from .errors import NotAbelian, NotNormal, SizeGateExceeded, SizeMismatch
+from .fields import block_rows, row_histograms
+from .groups import Group, _exponent, _invariants
 from .propelinear import PropelinearCode
 
 TABULATE_MAX = 10 ** 4
@@ -34,9 +35,6 @@ class ExtensionGroup:
         self.v = psi.v
         self.q = psi.field.q
         self.order = self.q * self.v
-
-    def identity(self) -> Pair:
-        return (0, 0)
 
     def mul(self, a: Pair, b: Pair) -> Pair:
         (u, g), (w, h) = a, b
@@ -71,78 +69,32 @@ class ExtensionGroup:
         t = self.psi.table
         return bool((t[0] == t[:, 0]).all())
 
-    def as_group(self) -> Group:
-        """Materialized Cayley table, gated to small orders.
+    def _mul(self, a, b):
+        """The product of index arrays, elementwise, on the labels u*v + g
+        of (u, g): (u + w + psi(g, h))*v + gh.  The identity is label 0."""
+        f, v = self.field, self.v
+        (u, g), (w, h) = divmod(a, v), divmod(b, v)
+        return f.vadd(f.vadd(u, w), self.psi.table[g, h]) * v \
+            + self.group.table[g, h]
 
-        Element (u, g) gets index u*v + g after relabeling so the identity
-        is index 0 (it already is).
-        """
+    def as_group(self) -> Group:
+        """Materialized Cayley table on the labels u*v + g, gated to small
+        orders, computed in row blocks."""
         if self.order > TABULATE_MAX:
             raise SizeGateExceeded(f"order {self.order} > {TABULATE_MAX}")
-        f, gt, t, v = self.field, self.group.table, self.psi.table, self.v
-        us = np.arange(self.q, dtype=np.int64)
+        labels = np.arange(self.order)
         table = np.empty((self.order, self.order), dtype=np.int64)
-        for u in range(self.q):
-            for g in range(self.v):
-                uw = f.vadd(u, us)[:, None]     # u + w
-                uv = f.vadd(uw, t[g][None, :])  # + psi(g, h)
-                table[u * v + g] = (uv * v + gt[g][None, :]).reshape(-1)
+        step = block_rows(self.order)
+        for r0 in range(0, self.order, step):
+            table[r0:r0 + step] = self._mul(labels[r0:r0 + step, None], labels)
         return Group(table, check=False)
 
-    def power(self, a: Pair, n: int) -> Pair:
-        out = self.identity()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
     def abelian_invariants(self) -> List[int]:
-        """Invariant factors of E_psi, via solution counts of x^(r^k) = 1.
-
-        Works element-lazily: the n-th power map is vectorized over all
-        (u, g) at once, so no Cayley table is needed.
-        """
+        """Invariant factors of E_psi, from the powers of every label at
+        once, so no Cayley table is needed."""
         if not self.is_abelian:
-            from .errors import NotAbelian
-
-            raise NotAbelian(self.order, self._exponent())
-        return invariants_from_order_counts(self.order, self._count_killed)
-
-    def _count_killed(self, r: int, k: int = 1) -> int:
-        """#{x : x^(r^k) = 1}."""
-        n = r ** k
-        U, G = self._all_powers(n)
-        return int(((U == 0) & (G == 0)).sum())
-
-    def _all_powers(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(u, g)^n for every element, by square-and-multiply on arrays."""
-        f, gt, t, v = self.field, self.group.table, self.psi.table, self.v
-        us = np.repeat(np.arange(self.q, dtype=np.int64), v)
-        gs = np.tile(np.arange(v, dtype=np.int64), self.q)
-        outU = np.zeros_like(us)
-        outG = np.zeros_like(gs)
-        bU, bG = us, gs
-        while n:
-            if n & 1:
-                outU = f.vadd(f.vadd(outU, bU), t[outG, bG])
-                outG = gt[outG, bG]
-            n >>= 1
-            if n:
-                bU = f.vadd(f.vadd(bU, bU), t[bG, bG])
-                bG = gt[bG, bG]
-        return outU, outG
-
-    def _exponent(self) -> int:
-        """The least n with x^n = 1 for every x.  It divides |E|, so start
-        at |E| and divide out each prime r while every x^(n/r) is 1."""
-        n = self.order
-        for r in _prime_factors(self.order):
-            while n % r == 0 and self._count_killed(n // r) == self.order:
-                n //= r
-        return n
+            raise NotAbelian(self.order, _exponent(self._mul, self.order))
+        return _invariants(self._mul, self.order)
 
     def __repr__(self):
         return f"ExtensionGroup(order={self.order})"

@@ -59,9 +59,6 @@ class Perm:
         out[self.images] = v
         return out
 
-    def fixed_points(self) -> List[int]:
-        return [int(i) for i in np.nonzero(self.images == np.arange(self.n))[0]]
-
     def cycle_form(self) -> str:
         """1-based disjoint cycles, fixed points omitted; identity prints I."""
         seen = np.zeros(self.n, dtype=bool)
@@ -99,14 +96,13 @@ class Group:
     associativity, each decided at most once per Group and read by every
     check that needs it."""
 
-    def __init__(self, table, labels: Optional[List[str]] = None, check: bool = True):
+    def __init__(self, table, check: bool = True):
         table = np.asarray(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("Cayley table must be square")
         table.setflags(write=False)
         self.table = table
         self.order = int(table.shape[0])
-        self.labels = labels
         if check and self.latin_failure() is not None:
             raise NotAGroup(self.latin_failure())
         self.inv = np.empty(self.order, dtype=np.int64)
@@ -223,15 +219,13 @@ class Group:
             n += 1
         return n
 
-    def element_orders(self) -> np.ndarray:
-        return np.array([self.order_of(a) for a in range(self.order)])
-
     @property
     def exponent(self) -> int:
-        out = 1
-        for n in set(int(x) for x in self.element_orders()):
-            out = out * n // _gcd(out, n)
-        return out
+        return _exponent(self._mul, self.order)
+
+    def _mul(self, a, b):
+        """The product of index arrays, elementwise."""
+        return self.table[a, b]
 
     def center_size(self) -> int:
         t = self.table
@@ -250,17 +244,8 @@ class Group:
         inv = np.argsort(img)
         return Group(img[self.table[inv][:, inv]])
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
-
     def __repr__(self):
         return f"Group(order={self.order})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def elementary_abelian(p: int, k: int) -> Group:
@@ -286,54 +271,68 @@ def additive_group_of(field: Field, ordering: str = "encoding") -> Group:
     q = field.q
     if ordering == "encoding":
         elems = np.arange(q, dtype=np.int64)
-        labels = None
     elif ordering == "primitive-power":
         elems = np.concatenate(([0], field.exp[:q - 1].astype(np.int64)))
-        labels = ["0"] + [field.power_string(int(e)) for e in elems[1:]]
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
     pos = np.empty(q, dtype=np.int64)
     pos[elems] = np.arange(q)
     table = pos[field.vadd(elems[:, None], elems[None, :])]
-    return Group(table, labels=labels, check=False)
+    return Group(table, check=False)
 
 
 def abelian_invariants(group: Group) -> List[int]:
     """Invariant factors as a sorted multiset of prime powers, e.g. [4,4,4].
 
     Raises NotAbelian (with order/exponent/center descriptor) otherwise.
-    The partition per prime comes from counting solutions of x^{r^k} = 1.
     """
     if not group.is_abelian:
         raise NotAbelian(group.order, group.exponent, group.center_size())
-    orders = group.element_orders()
-    return invariants_from_order_counts(
-        group.order, lambda r, k: int(np.sum(r ** k % orders == 0)))
+    return _invariants(group._mul, group.order)
 
 
-def invariants_from_order_counts(order: int, count_killed) -> List[int]:
-    """Shared invariant-factor extraction.
+def _power(mul, x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every entry of the index array x, by square-and-multiply;
+    mul multiplies two index arrays elementwise, with identity 0."""
+    out = np.zeros_like(x)
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
 
-    count_killed(r, k) must return #{x : x^(r^k) = identity}.
+
+def _exponent(mul, n: int) -> int:
+    """The least e with x^e = 1 for all n elements.  It divides n, so start
+    at n and divide out each prime r while every x^(e/r) is 1."""
+    x, e = np.arange(n), n
+    for r in _prime_factors(n):
+        while e % r == 0 and not _power(mul, x, e // r).any():
+            e //= r
+    return e
+
+
+def _invariants(mul, n: int) -> List[int]:
+    """Invariant factors of an abelian group of order n, sorted.
+
+    For each prime r, r^(c_k) elements have x^(r^k) = 1, and c_k - c_(k-1)
+    factors have order at least r^k, so 2c_k - c_(k-1) - c_(k+1) have order
+    r^k.  k grows until the count reaches the r-part of n or stops growing.
     """
     out: List[int] = []
-    for r in _prime_factors(order):
-        c = [0]
-        k = 1
-        while True:
-            n = count_killed(r, k)
-            ck = _ilog(n, r)
-            if r ** ck != n:
-                raise NotAGroup(f"order-count {n} is not a power of {r}")
-            c.append(ck)
-            if r ** ck == _ppart(order, r) or c[-1] == c[-2]:
-                break
-            k += 1
-        # factors with exponent >= k: c[k] - c[k-1]
-        for k in range(1, len(c)):
-            ge_k = c[k] - c[k - 1]
-            ge_k1 = (c[k + 1] - c[k]) if k + 1 < len(c) else 0
-            out.extend([r ** k] * (ge_k - ge_k1))
+    x = np.arange(n)
+    for r in _prime_factors(n):
+        full, c = _ilog(_ppart(n, r), r), [0]
+        while len(c) < 2 or c[-2] < c[-1] < full:
+            killed = int(np.count_nonzero(_power(mul, x, r ** len(c)) == 0))
+            c.append(_ilog(killed, r))
+            if r ** c[-1] != killed:
+                raise NotAGroup(f"order-count {killed} is not a power of {r}")
+        c.append(c[-1])
+        for k in range(1, len(c) - 1):
+            out += [r ** k] * (2 * c[k] - c[k - 1] - c[k + 1])
     return sorted(out)
 
 

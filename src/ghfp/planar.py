@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .cocycles import Cocycle, coboundary, is_orthogonal
-from .errors import BudgetExceeded, InadmissibleParams
+from .errors import InadmissibleParams, NotOrthogonal
 from .fields import Field
 from .ghmatrix import GHMatrix
 from .groups import additive_group_of
@@ -135,7 +135,7 @@ def _table1_cell(a: int, b: int) -> Dict[str, object]:
     psi = planar_coboundary(a, b)
     ok, witness = is_orthogonal(psi)
     if not ok:
-        raise BudgetExceeded(f"coboundary unexpectedly not orthogonal: {witness}")
+        raise NotOrthogonal(f"coboundary unexpectedly not orthogonal: {witness}")
     code = GHCode(GHMatrix(psi.field, psi.table, group=psi.group))
     rank = code.rank()
     ker = code.kernel().dim

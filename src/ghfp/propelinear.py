@@ -50,10 +50,6 @@ class PropelinearCode:
     def row_of(self, x) -> int:
         return self.code.row_of(x)
 
-    def group_part(self, x) -> int:
-        """The G-component of the extension element encoding x."""
-        return int(self.group.inv[self.row_of(x)])
-
     def decode(self, x) -> Tuple[int, int]:
         """The (k, g) pair with encode(k, g) == x."""
         x = np.asarray(x, dtype=np.int64)
@@ -116,9 +112,6 @@ class PropelinearCode:
     def pi_for_group_element(self, g: int) -> Perm:
         """pi of the codewords with group part g: left translation by g."""
         return Perm(self.group.table[g])
-
-    def pi_of(self, x) -> Perm:
-        return self.pi_for_group_element(self.group_part(x))
 
     def pi_table(self) -> List[Perm]:
         """One permutation per table position, in the paper's listing order

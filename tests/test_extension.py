@@ -5,6 +5,8 @@ from ghfp import (
     Cocycle,
     ExtensionGroup,
     Field,
+    Group,
+    coboundary,
     cocycle_from_code,
     coset_zero_sets,
     extension_group,
@@ -19,6 +21,7 @@ from ghfp.errors import NotAbelian, NotNormal
 from ghfp.groups import abelian_invariants, elementary_abelian
 
 import paper_data
+from test_groups import s3_table
 
 
 def test_extension_order_and_identity(order4_cocycle):
@@ -74,6 +77,25 @@ def test_extension_invariants_match_tabulated(order4_cocycle, s9_cocycle,
         g = E.as_group()
         g.check_associativity()
         assert abelian_invariants(g) == E.abelian_invariants()
+
+
+def test_label_table_matches_pair_product(gf3, order4_cocycle, s9_cocycle):
+    """as_group(), on the label product that the invariants and the
+    exponent use, is E.mul on pairs: also for a cocycle that is not
+    symmetric and for a group that is not abelian."""
+    idx = np.arange(8)
+    digits = Cocycle(elementary_abelian(2, 3), Field(2, 1),
+                     ((idx >> 2) & 1)[:, None] * (idx & 1)[None, :])
+    phi = np.concatenate(([0], np.random.default_rng(3).integers(0, 3, 5)))
+    over_s3 = coboundary(phi, Group(s3_table()), gf3)
+    assert (digits.table != digits.table.T).any()
+    for psi in (order4_cocycle, s9_cocycle, digits, over_s3):
+        E = ExtensionGroup(psi)
+        table, v = E.as_group().table, E.v
+        for u, g in E.elements():
+            for w, h in E.elements():
+                k, x = E.mul((u, g), (w, h))
+                assert table[u * v + g, w * v + h] == k * v + x
 
 
 def test_transversal_rds_on_corpus(corpus):

@@ -234,6 +234,28 @@ def test_abelian_invariants_relabel_invariant():
         assert abelian_invariants(g.relabel(Perm(images))) == [3, 3, 3]
 
 
+def test_invariants_and_exponent_of_cyclic_products():
+    """Z_n1 x ... x Z_nk, relabeled at random, has the prime-power parts of
+    the n_i as invariants, and its exponent is the lcm of the element
+    orders that order_of walks one product at a time."""
+    rng = np.random.default_rng(7)
+    for ns, want in [([2, 4, 8], [2, 4, 8]), ([9, 3], [3, 9]),
+                     ([12, 2], [2, 3, 4]), ([25, 5, 2], [2, 5, 25]),
+                     ([4, 4, 2, 2], [2, 2, 4, 4]), ([7], [7])]:
+        g = None
+        for n in ns:
+            z = np.arange(n)
+            c = Group((z[:, None] + z[None, :]) % n)
+            g = c if g is None else g.direct_product(c)
+        images = np.concatenate(([0], 1 + rng.permutation(g.order - 1)))
+        g = g.relabel(Perm(images))
+        assert abelian_invariants(g) == want, ns
+        assert g.exponent == np.lcm.reduce(
+            [g.order_of(a) for a in range(g.order)]), ns
+    s3_x_z2z2 = Group(s3_table()).direct_product(elementary_abelian(2, 2))
+    assert s3_x_z2z2.exponent == 6
+
+
 def test_nonabelian_descriptor():
     g = Group(s3_table())
     g.check_associativity()

@@ -9,6 +9,7 @@ from ghfp import (
     expanded_matrix,
     factor_monomial,
     ghfp_from_cocycle,
+    is_gh,
     is_matrix_automorphism,
     matrix_of,
     pair_for_codeword,
@@ -21,6 +22,7 @@ from ghfp.groups import Group
 from ghfp.monomial import (
     _first_non_automorphism,
     _pair_arrays,
+    _star_products,
     dense_mul_oracle,
     scalar_pairs_are_automorphisms,
 )
@@ -79,6 +81,40 @@ def test_scalar_pairs_fix_every_corpus_matrix(order4_cocycle, s9_cocycle,
     for psi in (order4_cocycle, s9_cocycle, s8_cocycle, dphi43):
         P = ghfp_from_cocycle(psi)
         assert scalar_pairs_are_automorphisms(P)
+
+
+def test_scalar_pairs_fix_any_matrix(gf8):
+    """The proof scalar_pairs_are_automorphisms states, k + h_ij - k = h_ij,
+    checked by computing on a random matrix that is not GH."""
+    rng = np.random.default_rng(4)
+    H = GHMatrix(gf8, rng.integers(0, 8, size=(16, 16)))
+    assert not is_gh(H)[0]
+    for k in range(8):
+        kI = MonomialMatrix.scalar(gf8, 16, k)
+        assert is_matrix_automorphism(kI, kI, H)
+
+
+def test_star_products_match_index_oracle(corpus, non_cocycles):
+    """The product the row-product table gives equals the star product
+    located by a search of C, on random label pairs, cocycle or not."""
+    rng = np.random.default_rng(9)
+    outside = 0
+    for name, psi in [*corpus.items(), *non_cocycles.items()]:
+        if not is_orthogonal(psi)[0]:
+            continue
+        P = ghfp_from_cocycle(psi)
+        rho, r = rng.integers(0, P.v, size=(2, 64))
+        lam, mu = rng.integers(0, P.q, size=(2, 64))
+        rows, offsets = _star_products(P, rho, lam, r, mu)
+        x = P.field.vadd(P.H[rho], lam[:, None])
+        y = P.field.vadd(P.H[r], mu[:, None])
+        want_rows, want_offsets = P.code.index(
+            np.array([P.star(a, b) for a, b in zip(x, y)]))
+        assert (rows == want_rows).all(), name
+        hit = rows >= 0
+        assert (offsets[hit] == want_offsets[hit]).all(), name
+        outside += int((~hit).sum())
+    assert outside  # some products of the non-cocycles leave C
 
 
 def test_identity_pair_is_automorphism(s9_cocycle, gf3):

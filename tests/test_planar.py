@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ghfp import Field, GHCode, additive_group_of, admissible_pairs, \
-    coboundary, is_orthogonal, matrix_of, planar_coboundary, planar_map, table1
-from ghfp.errors import InadmissibleParams
+    coboundary, is_orthogonal, matrix_of, planar_coboundary, planar_map, \
+    table1, trivial_cocycle
+from ghfp.errors import InadmissibleParams, NotOrthogonal
 from ghfp.planar import conjectured_rank, is_planar, planar_exponent
 
 import paper_data
@@ -136,6 +137,17 @@ def test_table1_marks_inadmissible_and_budget():
     # a = 7 and 8 exceed the default budget
     assert by_key[(7, 3)]["status"] == "skipped(budget)"
     assert by_key[(8, 3)]["status"] == "skipped(budget)"
+
+
+def test_table1_rejects_a_non_orthogonal_coboundary(monkeypatch):
+    """A computed cell whose coboundary is not orthogonal is NotOrthogonal."""
+    def trivial(a, b, field=None):
+        field = field or Field(3, a)
+        return trivial_cocycle(additive_group_of(field), field)
+
+    monkeypatch.setattr("ghfp.planar.planar_coboundary", trivial)
+    with pytest.raises(NotOrthogonal):
+        table1(4, 4)
 
 
 @pytest.mark.slow
