@@ -63,8 +63,9 @@ class Cocycle:
                 b = slice(h0, h0 + step)
                 lhs = f.vadd(t[g][b, None], t[gt[g, b], :])
                 rhs = f.vadd(t[g][gt[b]], t[b])
-                if not (lhs == rhs).all():
-                    h, k = map(int, np.argwhere(lhs != rhs)[0])
+                bad = lhs != rhs
+                if bad.any():
+                    h, k = divmod(int(bad.argmax()), v)
                     raise CocycleIdentityViolated(g, h0 + h, k)
 
     @property

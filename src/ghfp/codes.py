@@ -345,8 +345,13 @@ class GHCode:
         pivots, the all-one vector first, each in span(C) = C.  Otherwise,
         restricting candidates to rows of H is valid because 0 is a codeword
         (so K(C) is inside C) and K is a union of repetition-code cosets: a
-        stable row is in K when its multiples by 2, ..., q - 1, which stay
-        in the span, are stable rows too.  seed is unused and kept for
+        stable row f is in K when every multiple a*f lies in K_p(C) = {y :
+        C + y = C}.  As a*f starts with 0, it lies in K_p exactly when it is
+        a stable row.  K_p is closed under addition, so {a : a*f in K_p} is
+        an additive subgroup of F_q; it holds 1, so it is F_q once it holds
+        x, x^2, ..., x^(m-1) (encodings p, ..., p^(m-1)), an F_p-basis with
+        1.  So the m - 1 multiples by those, which stay in the span, are
+        searched, and none over a prime field.  seed is unused and kept for
         callers that pass it.
         """
         if self.is_linear():
@@ -358,7 +363,7 @@ class GHCode:
         # a row of -1 (not found) reads the last entry, which stays False
         is_stable = np.zeros(self.v + 1, dtype=bool)
         is_stable[stable] = True
-        scalars = np.arange(2, self.q)[:, None, None]
+        scalars = f.p ** np.arange(1, f.m)[:, None, None]
         width = proj.rows.shape[1]
         step = block_rows(max(1, len(scalars)) * width)
         keep = np.ones(len(stable), dtype=bool)

@@ -7,9 +7,10 @@ wire format used by every file the library reads or writes.
 Field is the one owner of array arithmetic on encodings; every table is built
 once, read-only.  Addition and negation are single gathers of a flat q x q
 add table and a neg table, each built on its first use (digitwise passes
-above ADD_TABLE_MAX_Q).  Multiplication is one gather of the antilog table at
-a sum of two logs: log 0 points into a zero tail of exp, so a product with 0
-needs no mask.  The scalar digit loops add and neg, and _poly_mul, are the
+above ADD_TABLE_MAX_Q); the row-pair scan gathers from a narrow subtraction
+table built the same way.  Multiplication is one gather of the antilog table
+at a sum of two logs: log 0 points into a zero tail of exp, so a product with
+0 needs no mask.  The scalar digit loops add and neg, and _poly_mul, are the
 tests' oracle."""
 
 from __future__ import annotations
@@ -190,20 +191,34 @@ class Field:
     @cached_property
     def _add(self) -> Optional[np.ndarray]:
         """The flat q*q add table, read-only, built on first use (GF(3^7)'s
-        is 38 MB), or None above ADD_TABLE_MAX_Q.  By the digit recursion
+        is 38 MB), or None above ADD_TABLE_MAX_Q."""
+        return self._digitwise_table(np.add, np.int64)
+
+    @cached_property
+    def _sub(self) -> Optional[np.ndarray]:
+        """The flat q*q subtraction table, a - b at a*q + b, in uint8 up to
+        q = 256 and uint16 above, read-only, built on first use; or None
+        above ADD_TABLE_MAX_Q.  Narrow, so a row-pair scan gathers from a
+        table that stays in cache (64 KB at q = 256)."""
+        return self._digitwise_table(
+            np.subtract, np.uint8 if self.q <= 256 else np.uint16)
+
+    def _digitwise_table(self, op, dtype) -> Optional[np.ndarray]:
+        """The flat q*q table of a digitwise op (mod p) at a*q + b, in dtype,
+        read-only, or None above ADD_TABLE_MAX_Q.  By the digit recursion
         e = e0 + p*e': GF(p^k)'s table is GF(p^(k-1))'s table times p plus
         Z_p's, in p x p blocks."""
         if self.q > self.ADD_TABLE_MAX_Q:
             return None
         p = self.p
         zp = np.arange(p, dtype=np.int64)
-        add_p = add = (zp[:, None] + zp) % p
+        op_p = table = (op.outer(zp, zp) % p).astype(dtype)
         for _ in range(self.m - 1):
-            n = len(add) * p
-            add = (p * add[:, None, :, None] + add_p[:, None]).reshape(n, n)
-        add = add.ravel()
-        add.setflags(write=False)
-        return add
+            n = len(table) * p
+            table = (p * table[:, None, :, None] + op_p[:, None]).reshape(n, n)
+        table = table.ravel()
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def _neg(self) -> Optional[np.ndarray]:

@@ -199,9 +199,9 @@ def read_coc(path) -> Cocycle:
 
 @lru_cache(maxsize=32)
 def _default_group(v: int, p: int) -> Optional[Group]:
-    """The group a .coc without group= is read against: Z_p^k in
-    lexicographic order, or None when v is not a power of p.  Built once per
-    (v, p), so its generators() are found once."""
+    """The group a .coc without group= and every .ghm are read against:
+    Z_p^k in lexicographic order, or None when v is not a power of p.  Built
+    once per (v, p), so its generators() are found once."""
     k = 0
     while v > 1 and v % p == 0:
         v //= p
@@ -219,13 +219,16 @@ def write_ghm(path, matrix: GHMatrix) -> None:
 
 
 def read_ghm(path) -> GHMatrix:
+    """The matrix over read_coc's default group Z_p^k (None when v is no
+    power of p).  The group is a proposal: GHMatrix.cocycle() checks the
+    identity in full, once, and a table that fails it reads as bare."""
     lines = _read_lines(path)
     _expect(len(lines) >= 3 and lines[0].strip(" \t") == "ghm 1",
             "missing 'ghm 1' magic", 1)
     field = parse_field_header(lines[1], 2)
     v = _parse_v(lines[2], 3)
     entries = _parse_rows(lines[3:3 + v], 4, v, field.q)
-    return GHMatrix(field, entries)
+    return GHMatrix(field, entries, group=_default_group(v, field.p))
 
 
 def sha256_of(path) -> str:

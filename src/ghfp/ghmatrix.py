@@ -19,7 +19,7 @@ from .errors import (
     NotSquare,
     OrderMismatch,
 )
-from .fields import Field, block_rows, is_prime, row_histograms
+from .fields import Field, block_rows, is_prime
 from .groups import Group, elementary_abelian
 
 
@@ -97,15 +97,34 @@ def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
     """Difference histograms of the row pairs (i, j), i < j, in row-major
     order and in row blocks: yields (i, j0, counts) with counts[r, u] the
     multiplicity of u in row j0 + r minus row i.  first_row_decides() is
-    asked once the pairs (0, j) are done, and True stops the scan there."""
-    f, M, v, q = matrix.field, matrix.entries, matrix.v, matrix.q
-    step = block_rows(max(v, q))
+    asked once the pairs (0, j) are done, and True stops the scan there.
+
+    Each block is one fused gather: the subtraction table at q*H[j] + H[i],
+    plus the row offsets r*q in place, then one bincount.  The key and
+    difference buffers are allocated once per scan, and no scaled copy of
+    H is kept, so a scan of the pairs (0, j) adds no v x v array.  Above
+    ADD_TABLE_MAX_Q it subtracts digitwise."""
+    f, H, v, q = matrix.field, matrix.entries, matrix.v, matrix.q
+    step = min(block_rows(max(v, q)), v)
+    sub = f._sub
+    keys = np.empty((step, v), dtype=np.int64)
+    diffs = None if sub is None else np.empty((step, v), dtype=sub.dtype)
+    offsets = np.arange(0, step * q, q)[:, None]
     for i in range(v - 1):
         if i == 1 and first_row_decides():
             return
         for j0 in range(i + 1, v, step):
-            diffs = f.vsub(M[j0:j0 + step], M[i][None, :])
-            yield i, j0, row_histograms(diffs, q)
+            n = min(step, v - j0)
+            key = keys[:n]
+            if sub is None:
+                diff = f.vsub(H[j0:j0 + n], H[i])
+            else:
+                np.multiply(H[j0:j0 + n], q, out=key)
+                key += H[i]
+                diff = sub.take(key, out=diffs[:n], mode="clip")
+            np.add(diff, offsets[:n], out=key)
+            yield i, j0, np.bincount(key.ravel(),
+                                     minlength=n * q).reshape(n, q)
 
 
 # Characters replace the pair scan when q < v, up to this q.  In all they
@@ -178,48 +197,57 @@ def _character_tables(field: Field, v: int):
 def _gh_by_characters(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
     """is_gh by one product per character pair {c, -c}, in row blocks.
 
-    For each pair, the row blocks run until the first that fails, and no
-    further than the first failing row any earlier pair found; the first
-    failing pair over all characters is the scan's, and its histogram gives
-    the scan's (u, count)."""
+    Each pair keeps the least failing row pair so far (_least_failure), so
+    the first failing pair over all characters is the scan's, and its
+    histogram gives the scan's (u, count)."""
     f, H, v = matrix.field, matrix.entries, matrix.v
     step = block_rows(v)
     tables, ell = _character_tables(f, v)
-    first = None
+    least = None
     for a, b in tables:
         A = a[H]
-        B = A if b is a else b[H]
-        for r0 in range(0, v if first is None else first[0] + 1, step):
-            found = _first_failure(A, B, r0, min(r0 + step, v), ell)
-            if found is not None:
-                first = found if first is None else min(first, found)
-                break
-    if first is None:
+        least = _least_failure(A, A if b is a else b[H], ell, step, least)
+    if least is None:
         return True, None
-    i, j = first
+    i, j = least
     counts = np.bincount(f.vsub(H[j], H[i]), minlength=f.q)
     u = int(np.flatnonzero(counts != v // f.q)[0])
     return False, (i, j, u, int(counts[u]))
 
 
-def _first_failure(A, B, r0: int, r1: int, ell: Optional[int]
+def _least_failure(A, B, ell: Optional[int], step: int,
+                   least: Optional[Tuple[int, int]]
                    ) -> Optional[Tuple[int, int]]:
-    """The first (i, j), r0 <= i < r1, i < j, with (A B^T)_ij or (A B^T)_ji
-    nonzero (mod ell), or None."""
+    """The least (i, j), i < j, in row-major order, with (A B^T)_ij or
+    (A B^T)_ji nonzero (mod ell), if it comes before least; else least.
 
-    def nonzero(X, Y):
-        P = X @ Y.T
-        return (P if ell is None else np.fmod(P, ell, out=P)) != 0
-
-    fail = nonzero(A[r0:r1], B[r0:])
-    if B is not A:
-        fail |= fail.T if r1 == len(A) else nonzero(B[r0:r1], A[r0:])
-    fail &= np.arange(r0, len(A)) > np.arange(r0, r1)[:, None]
-    k = int(np.argmax(fail))
-    if not fail.flat[k]:
-        return None
-    r, j = divmod(k, fail.shape[1])
-    return r0 + r, r0 + j
+    One product per row block [r0, r1).  When B is A the product is
+    symmetric: the block against the columns from r0 holds every pair with
+    i in the block, so the first block that fails holds the least pair.
+    Otherwise the block runs against every column, and a nonzero entry
+    (r, c) names the pair (min(r, c), max(r, c)): the (j, i) orientation
+    of a pair is read from j's block, so the sweep goes on to the last
+    block, and a block past row i of the least pair found needs only the
+    columns up to i."""
+    v = len(A)
+    for r0 in range(0, v, step):
+        cut = v if least is None else least[0] + 1
+        if B is A and r0 >= cut:
+            break
+        c0 = r0 if B is A else 0
+        P = A[r0:r0 + step] @ B[c0:v if r0 < cut else cut].T
+        if ell is not None:
+            np.fmod(P, ell, out=P)
+        fail = P != 0
+        np.fill_diagonal(fail[:, r0 - c0:], False)  # entry (r, r) is v
+        if fail.any():
+            r, c = np.nonzero(fail)
+            r += r0
+            c += c0
+            key = int((np.minimum(r, c) * v + np.maximum(r, c)).min())
+            if least is None or key < least[0] * v + least[1]:
+                least = divmod(key, v)
+    return least
 
 
 def normalize(matrix: GHMatrix) -> GHMatrix:

@@ -114,15 +114,20 @@ class Group:
 
     def latin_failure(self) -> Optional[str]:
         """Why index 0 is no two-sided identity of a Latin square, or None
-        when it is; decided once."""
+        when it is; decided once.
+
+        Counted, not sorted (_each_row_once on the table and on its
+        transpose).  An entry outside [0, v) leaves its row no
+        permutation."""
         if not hasattr(self, "_latin"):
-            t, ar = self.table, np.arange(self.order)
+            t, v = self.table, self.order
+            ar = np.arange(v)
             self._latin = None
             if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
                 self._latin = "index 0 is not a two-sided identity"
-            elif not (np.sort(t, axis=1) == ar).all():
+            elif t.min() < 0 or t.max() >= v or not _each_row_once(t):
                 self._latin = "a row is not a permutation"
-            elif not (np.sort(t, axis=0) == ar[:, None]).all():
+            elif not _each_row_once(t.T):
                 self._latin = "a column is not a permutation"
         return self._latin
 
@@ -246,6 +251,21 @@ class Group:
 
     def __repr__(self):
         return f"Group(order={self.order})"
+
+
+def _each_row_once(t: np.ndarray) -> bool:
+    """Whether every row of a v x v table with entries in [0, v) holds each
+    value once: per block of rows r, the keys r*v + t[r, c] fill every bin
+    of one bincount.  Blocks of about 2^14 entries keep each count array
+    small; one v^2 array at v = 256 cost more to allocate than a sort."""
+    v = len(t)
+    step = max(1, (1 << 14) // v)
+    for r0 in range(0, v, step):
+        block = t[r0:r0 + step]
+        keys = block + np.arange(0, len(block) * v, v)[:, None]
+        if not np.bincount(keys.ravel(), minlength=keys.size).all():
+            return False
+    return True
 
 
 def elementary_abelian(p: int, k: int) -> Group:

@@ -16,10 +16,12 @@ from ghfp import (
     gen_sylvester,
     lift,
     matrix_of,
+    multiplication_cocycle,
     normalize,
     rank_of_rows,
     sylvester,
     sylvester_power,
+    tensor,
 )
 from ghfp.errors import DuplicateRows, NotACodeword, NotNormalized
 
@@ -59,8 +61,9 @@ def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
     """name -> (small code, the mode min_distance must report).
 
     Linear codes, with or without a group; nonlinear cocyclic codes over
-    Z_p^k and S_3 (random coboundaries, lifted S_3); the same tables without
-    their group; a table linear over a group it is not a cocycle over;
+    Z_p^k and S_3 (random coboundaries, lifted S_3, and S_9 (+) S_3 over
+    GF(9), whose kernel keeps 9 of its 27 stable rows); the same tables
+    without their group; a table linear over a group it is not a cocycle over;
     tables whose group is set but that are no cocycle over it, one of them
     ("trap") with a least weight of 3 and two rows at distance 1; the
     Paley matrix of order 12, nonlinear over GF(2); and a group of rows
@@ -70,6 +73,7 @@ def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
     from test_groups import s3_table
 
     rng = np.random.default_rng(0)
+    gf9 = Field(3, 2)
     s3 = Group(s3_table())
     cyclic6 = Group(np.add.outer(np.arange(6), np.arange(6)) % 6)
     trap = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 2, 2],
@@ -89,6 +93,8 @@ def oracle_codes(gf3, gf4, gf81, s3_cocycle, s8_cocycle, non_cocycles):
         "d_2_1_3": (gen_sylvester(2, 1, 3), "theorem"),
         "lift_s3_gf9": (matrix_of(lift(s3_cocycle, Field(3, 2))), "theorem"),
         "lift_s3_gf81": (matrix_of(lift(s3_cocycle, gf81)), "theorem"),
+        "s9_x_lift_s3": (matrix_of(tensor(multiplication_cocycle(gf9),
+                                          lift(s3_cocycle, gf9))), "theorem"),
         "h4_over_z4": (matrix_of(non_cocycles["h4_over_z4"]), "theorem"),
         "gf5_over_z5": (matrix_of(non_cocycles["gf5_over_z5"]),
                         "exhaustive"),
@@ -174,7 +180,7 @@ def _assert_echelon_span(field, pivots, rows):
 # the oracle_codes that carry a group they are a cocycle over; the others
 # (order4, order9, every _bare table, h4_over_z4, gf5_over_z5, trap) are not
 SPUN_UP = {"order8", "order16", "order27", "s2^4", "d_2_1_3", "lift_s3_gf9",
-           "lift_s3_gf81", "cob_z3^2", "cob_z3^3", "cob_s3"}
+           "lift_s3_gf81", "s9_x_lift_s3", "cob_z3^2", "cob_z3^3", "cob_s3"}
 
 
 @pytest.mark.parametrize("step", [None, 1, 4])
@@ -331,6 +337,10 @@ def test_p_kernel_matches_bruteforce(oracle_codes):
         assert code.p_kernel() == code.as_code().p_kernel(), name
     assert oracle_codes["lift_s3_gf81"][0].p_kernel() == Fraction(5, 4)
     assert not oracle_codes["lift_s3_gf81"][0].is_linear()
+    # K_p > K over GF(9): the kernel's multiples by x reject 18 stable rows
+    mixed = oracle_codes["s9_x_lift_s3"][0]
+    assert mixed.p_kernel() == Fraction(5, 2) and mixed.kernel().dim == 2
+    assert len(mixed._stable_rows()) == 27
 
 
 def test_p_kernel_bound(code4, code9, code81, s8_cocycle):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -203,6 +204,71 @@ def test_cli_code_json(tmp_path, capsys):
     assert payload["min_distance"] == 80
     assert payload["linear"] is False
     assert "run" in payload and payload["run"]["seed"] == 0
+
+
+def test_cli_code_on_planar_ghm_by_theorem(tmp_path, capsys):
+    """A bare .ghm of P(4,3) is read over Z_3^4, on which it is a cocycle:
+    code reports what it reports for the .coc, and min_distance stops at
+    the weights."""
+    main(["build", "--construction", "planar", "--a", "4", "--b", "3",
+          "--out", str(tmp_path), "--name", "p43"])
+    capsys.readouterr()
+    bodies = []
+    for suffix in ("coc", "ghm"):
+        assert main(["--json", "code", str(tmp_path / f"p43.{suffix}")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("run")
+        bodies.append(payload)
+    assert bodies[0] == bodies[1]
+    assert bodies[1]["min_distance_mode"] == "theorem"
+    assert bodies[1]["rank"] == 11 and bodies[1]["min_distance"] == 80
+
+
+def test_read_ghm_decides_like_the_bare_matrix(tmp_path, corpus, gf3):
+    """read_ghm reads a .ghm over _default_group(v, p), and is_gh gives the
+    verdict and witness of the group-less matrix on tables that are
+    cocycles over Z_p^k, relabeled (as a .coc with a .cay would be),
+    corrupted, not normalized, and of an order that is no power of p.  The
+    pairs (0, j) decide exactly the tables that are cocycles over Z_p^k."""
+    from ghfp import GHMatrix, is_gh
+    from ghfp.fileio import _default_group
+    from test_codes import paley12
+
+    rng = np.random.default_rng(4)
+    cases = {}
+    for name in ("s3", "s9", "s8", "order4", "dphi43", "s3xs9"):
+        psi = corpus[name]
+        t = psi.table
+        v = psi.v
+        img = np.concatenate(([0], 1 + rng.permutation(v - 1)))
+        inv = np.argsort(img)
+        corrupt = t.copy()
+        corrupt[v - 1, v // 2] = psi.field.add(int(t[v - 1, v // 2]), 1)
+        cases[name] = (psi.field, t)
+        cases[f"{name}_relabeled"] = (psi.field, t[inv][:, inv])
+        cases[f"{name}_corrupt"] = (psi.field, corrupt)
+        cases[f"{name}_unnormalized"] = (psi.field,
+                                         psi.field.vadd(t, t[:, 1:2]))
+    trap = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 2, 2],
+                     [0, 1, 2, 0, 1, 2], [0, 2, 1, 0, 2, 1],
+                     [0, 1, 2, 2, 1, 0], [0, 2, 0, 2, 1, 1]])
+    cases["order6"] = (gf3, trap)
+    cases["paley12"] = (Field(2, 1), paley12().entries)
+    decided = set()
+    for name, (field, t) in cases.items():
+        path = tmp_path / f"{name}.ghm"
+        write_ghm(path, GHMatrix(field, t))
+        M = read_ghm(path)
+        assert M.group is _default_group(M.v, field.p), name
+        assert is_gh(M) == is_gh(GHMatrix(field, t)), name
+        if M.cocycle() is not None:
+            decided.add(name)
+    # s8 is in primitive-power order, no cocycle over Z_2^3; a relabeling
+    # of Z_3 or Z_2^2 that fixes 0 is an automorphism
+    assert decided == {"s3", "s9", "order4", "dphi43", "s3xs9",
+                       "s3_relabeled", "order4_relabeled"}
+    assert _default_group(6, 3) is None and _default_group(12, 2) is None
+    assert is_gh(read_ghm(tmp_path / "paley12.ghm")) == (True, None)
 
 
 def test_cli_code_text_output(tmp_path, capsys):
@@ -522,18 +588,22 @@ def test_console_entry_point(tmp_path):
 def test_cocycle_identity_checked_once_per_coc(tmp_path, capsys, monkeypatch,
                                                s9_cocycle, gf3):
     """code, report, verify and rds check a .coc's identity once, in
-    read_coc.  report on an orthogonal cocycle also rebuilds the cocycle of
-    the star group from the code (cocycle_from_code), which is the
-    transpose of a checked one and is not checked again."""
+    read_coc, and code, report and verify check a .ghm's at most once, in
+    GHMatrix.cocycle over the default group.  report on an orthogonal
+    cocycle also rebuilds the cocycle of the star group from the code
+    (cocycle_from_code), which is the transpose of a checked one and is not
+    checked again."""
     import traceback
 
     from ghfp import Cocycle, coboundary
     from ghfp.cli import consolidated_report
 
     rng = np.random.default_rng(2)
-    write_coc(tmp_path / "s9.coc", s9_cocycle)
-    write_coc(tmp_path / "cob.coc", coboundary(
-        rng.integers(0, 3, size=27), elementary_abelian(3, 3), gf3))
+    cob = coboundary(rng.integers(0, 3, size=27), elementary_abelian(3, 3),
+                     gf3)
+    for stem, psi in (("s9", s9_cocycle), ("cob", cob)):
+        write_coc(tmp_path / f"{stem}.coc", psi)
+        write_ghm(tmp_path / f"{stem}.ghm", matrix_of(psi))
     calls = []
     real = Cocycle._check_identity
 
@@ -542,18 +612,25 @@ def test_cocycle_identity_checked_once_per_coc(tmp_path, capsys, monkeypatch,
         return real(self)
 
     monkeypatch.setattr(Cocycle, "_check_identity", counting)
-    for stem in ("s9", "cob"):
-        path = str(tmp_path / f"{stem}.coc")
-        for name, run in [("code", lambda: main(["code", path])),
-                          ("verify", lambda: main(["verify", path])),
-                          ("rds", lambda: main(["rds", path])),
-                          ("report", lambda: consolidated_report(path))]:
+    for stem, suffix in itertools.product(("s9", "cob"), ("coc", "ghm")):
+        path = str(tmp_path / f"{stem}.{suffix}")
+        checker = "read_coc" if suffix == "coc" else "cocycle"
+        runs = [("code", lambda: main(["code", path])),
+                ("verify", lambda: main(["verify", path])),
+                ("report", lambda: consolidated_report(path))]
+        if suffix == "coc":
+            runs.append(("rds", lambda: main(["rds", path])))
+        for name, run in runs:
             calls.clear()
             run()
             star = [c for c in calls if "cocycle_from_code" in c]
             own = [c for c in calls if "cocycle_from_code" not in c]
             assert not star, name
-            assert ["read_coc" in c for c in own] == [True], (stem, name)
+            # verify of cob.ghm, no GH matrix, fails at the pairs (0, j),
+            # before the verdict is asked for
+            want = [] if (stem, suffix, name) == ("cob", "ghm", "verify") \
+                else [True]
+            assert [checker in c for c in own] == want, (stem, suffix, name)
     capsys.readouterr()
 
 

@@ -243,6 +243,60 @@ def test_is_gh_witness_in_a_later_row_block():
         assert int((t[500] == u).sum()) == count != 243
 
 
+@pytest.mark.parametrize("p,m,v", [(2, 1, 6), (3, 1, 7), (2, 2, 8),
+                                   (3, 2, 9), (2, 8, 10), (7, 3, 12)])
+def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
+    """Every histogram row_pair_counts yields equals the bincount of the
+    pair's digitwise difference, on a random bare matrix: in one row block
+    and in blocks of 1 and 3 rows, through the narrow subtraction table
+    (uint8 up to q = 256, uint16 above) and digitwise above
+    ADD_TABLE_MAX_Q.  The pairs come in row-major order, each once, and a
+    True first_row_decides() stops after row 0."""
+    from ghfp import ghmatrix
+    from ghfp.ghmatrix import row_pair_counts
+
+    f = Field(p, m)
+    H = np.random.default_rng(v).integers(0, f.q, size=(v, v))
+    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    want = [np.bincount(f._vadd_digits(H[j], f._vneg_digits(H[i])),
+                        minlength=f.q) for i, j in pairs]
+
+    def scan(field, stop):
+        out = []
+        for i, j0, counts in row_pair_counts(GHMatrix(field, H),
+                                             lambda: stop):
+            out += [((i, j0 + r), c) for r, c in enumerate(counts)]
+        return out
+
+    assert f._sub.dtype == (np.uint8 if f.q <= 256 else np.uint16)
+    monkeypatch.setattr(Field, "ADD_TABLE_MAX_Q", f.q - 1)
+    digits = Field(p, m)
+    assert digits._sub is None
+    for step in (None, 1, 3):
+        if step:
+            monkeypatch.setattr(ghmatrix, "block_rows", lambda n: step)
+        for field in (f, digits):
+            got = scan(field, False)
+            assert [ij for ij, _ in got] == pairs, (step, field._sub)
+            assert all((c == w).all() for (_, c), w in zip(got, want))
+            assert [ij for ij, _ in scan(field, True)] == pairs[:v - 1]
+
+
+def test_is_gh_scan_witness_in_a_later_row_block():
+    """At v = q = 343, with the uint16 subtraction table, the pair scan
+    runs in row blocks of 191.  Swapping columns 5 and 100 of row 300 of
+    S_343 keeps the pair (0, 300) balanced, and the first failing pair (1,
+    300) lies in the second block of row 1, with and without the group."""
+    M = sylvester(Field(7, 3))
+    t = M.entries.copy()
+    t[300, [5, 100]] = t[300, [100, 5]]
+    want = _scan_pairs(GHMatrix(M.field, t))
+    assert want[1][:2] == (1, 300)
+    for m in (GHMatrix(M.field, t, M.group), GHMatrix(M.field, t)):
+        assert is_gh(m) == want
+    assert M.field._sub.dtype == np.uint16
+
+
 def _swapped(M, r, rng):
     """M with two unequal entries of row r swapped: row r keeps its
     multiset, so a normalized row 0 still passes."""
@@ -317,6 +371,28 @@ def test_characters_witness_in_a_later_row_block():
         ok, (i, j, u, count) = got
         assert not ok and (i, j) == (243, 500)
         assert count == int((M.field.vsub(t[500], t[243]) == u).sum()) != 243
+
+
+def test_characters_witness_over_odd_p_in_two_row_blocks(monkeypatch):
+    """Over GF(17) at v = 289 the characters run in row blocks of 226, each
+    block against every column.  Swapping columns 20 and 37 of row 250 of
+    S_17^2 (entries a + 3b and 2a + 3b in row (a, b)) leaves the pairs (i,
+    250), i < 17, balanced; the first failing pair, (17, 250), is read in
+    the first block as (17, 250) and in the second as (250, 17).  In blocks
+    of 7 rows, row 17 lies in the third block."""
+    from ghfp import ghmatrix
+    from ghfp.ghmatrix import _gh_by_characters
+
+    M = sylvester_power(Field(17, 1), 2)
+    t = M.entries.copy()
+    t[250, [20, 37]] = t[250, [37, 20]]
+    want = _scan_pairs(GHMatrix(M.field, t))
+    assert want[1][:2] == (17, 250)
+    for step in (None, 7):
+        if step:
+            monkeypatch.setattr(ghmatrix, "block_rows", lambda n: step)
+        for m in (GHMatrix(M.field, t, M.group), GHMatrix(M.field, t)):
+            assert _gh_by_characters(m) == is_gh(m) == want, step
 
 
 def test_cocycle_is_decided_once(monkeypatch, s9_cocycle, non_cocycles):

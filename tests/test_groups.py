@@ -151,6 +151,54 @@ def test_bad_tables_rejected():
         Group([[1, 0], [0, 1]])
 
 
+def _latin_by_sorting(t):
+    """The message latin_failure gives, found by sorting rows and columns."""
+    ar = np.arange(len(t))
+    if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
+        return "index 0 is not a two-sided identity"
+    if not (np.sort(t, axis=1) == ar).all():
+        return "a row is not a permutation"
+    if not (np.sort(t, axis=0) == ar[:, None]).all():
+        return "a column is not a permutation"
+    return None
+
+
+def test_latin_failure_matches_sorting(loop5):
+    """The counted verdict against sorting, on groups, relabeled groups, a
+    loop, and tables with one entry changed (in row 0 and elsewhere; to a
+    repeat in its row, or to a value outside [0, v)) or with two entries of
+    a row swapped (every row stays a permutation; two columns do not).  At
+    v = 256 the count runs in four blocks, and the changed entries lie in
+    the first and the last."""
+    rng = np.random.default_rng(6)
+    tables = [np.array(loop5)]
+    for g in (elementary_abelian(2, 1), elementary_abelian(5, 1),
+              elementary_abelian(2, 4), elementary_abelian(3, 3),
+              elementary_abelian(2, 6), elementary_abelian(2, 8),
+              Group(s3_table())):
+        img = np.concatenate(([0], 1 + rng.permutation(g.order - 1)))
+        tables += [g.table, g.relabel(Perm(img)).table]
+    for t in list(tables):
+        v = len(t)
+        for value in (-1, v, 1, int(rng.integers(v))):
+            for r, c in ((0, v - 1), (v - 1, 1), (1, v - 1)):
+                bad = np.array(t)
+                bad[r, c] = value
+                tables.append(bad)
+        if v > 2:
+            swapped = np.array(t)
+            swapped[v - 1, [1, 2]] = swapped[v - 1, [2, 1]]
+            tables.append(swapped)
+    messages = set()
+    for t in tables:
+        want = _latin_by_sorting(t)
+        assert Group(np.array(t), check=False).latin_failure() == want
+        messages.add(want)
+    assert messages == {None, "index 0 is not a two-sided identity",
+                        "a row is not a permutation",
+                        "a column is not a permutation"}
+
+
 def test_additive_group_primitive_power_matches_published_table():
     f = Field(2, 3)
     g = additive_group_of(f, "primitive-power")
