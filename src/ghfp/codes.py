@@ -64,41 +64,49 @@ def _spin_up(field: Field, rows, maps) -> List[Tuple[int, np.ndarray]]:
     pivots span everything reduced so far, and the maps are linear, so once
     no pivot has translates left to reduce the span is closed.
 
-    Rows go through in blocks of block_rows(n), each reduced against the
-    pivots so far, one vectorized step X + X[:, c] (x) (-p) per pivot (one
-    Field.vmul and one Field.vadd gather), and then against its own new
-    pivots.
+    Rows go through in blocks of block_rows(n), packed in base-p lanes
+    (Field._lanes), each reduced against the pivots so far and then against
+    its own new pivots.  Each pivot keeps log(-p) of its row p, so a step
+    X + X[:, c] (x) (-p) unpacks only column c, gathers the packed products
+    at log X[:, c] + log(-p) and adds them in lanes, with no add table; only
+    a new pivot row is unpacked back to encodings.
     """
     n = len(rows[0])
     step = block_rows(n)
+    lanes, log = field._lanes, field.log
     pivots: List[Tuple[int, np.ndarray]] = []
-    negs: List[np.ndarray] = []  # -p for each pivot row p
+    lnegs: List[np.ndarray] = []  # log(-p) for each pivot row p
 
-    def eliminate(X, c, neg):
-        return field.vadd(X, field.vmul(X[:, c, None], neg))
+    def eliminate(X, c, lneg):  # in place
+        scale = log.take(lanes.unpack(X[:, c]))
+        lanes.add(X, lanes.exp.take(scale[:, None] + lneg), out=X)
 
     def reduce(X):
-        for (c, _), neg in zip(pivots, negs):
-            X = eliminate(X, c, neg)
+        for (c, _), lneg in zip(pivots, lnegs):
+            eliminate(X, c, lneg)
         for i in range(len(X)):
             nz = np.flatnonzero(X[i])
             if nz.size:
                 c = int(nz[0])
-                row = field.vmul(field.inv(int(X[i, c])), X[i])
+                row = lanes.unpack(X[i])
+                row = field.vmul(field.inv(int(row[c])), row)
                 pivots.append((c, row))
-                negs.append(field.vneg(row))
-                X[i + 1:] = eliminate(X[i + 1:], c, negs[-1])
+                lnegs.append(log.take(field.vneg(row)))
+                eliminate(X[i + 1:], c, lnegs[-1])
+
+    def packed(rows):
+        return lanes.pack.take(np.asarray(rows, dtype=np.int64))
 
     for b in range(0, len(rows), step):
-        reduce(np.array(rows[b:b + step], dtype=np.int64))
+        reduce(packed(rows[b:b + step]))
     maps = np.asarray(maps, dtype=np.int64).reshape(-1, n)
     if len(maps):
         take = max(1, step // len(maps))  # pivots translated per block
         done = 0
         while done < len(pivots):
             end = min(done + take, len(pivots))
-            reduce(np.concatenate([pivots[i][1][maps]
-                                   for i in range(done, end)]))
+            reduce(packed(np.concatenate([pivots[i][1][maps]
+                                          for i in range(done, end)])))
             done = end
     return pivots
 

@@ -100,28 +100,34 @@ def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
     asked once the pairs (0, j) are done, and True stops the scan there.
 
     Each block is one fused gather: the subtraction table at q*H[j] + H[i],
-    plus the row offsets r*q in place, then one bincount.  The key and
-    difference buffers are allocated once per scan, and no scaled copy of
-    H is kept, so a scan of the pairs (0, j) adds no v x v array.  Above
-    ADD_TABLE_MAX_Q it subtracts digitwise."""
+    plus the row offsets r*q in place, then one bincount.  A zero row i (row
+    0 of a normalized matrix) needs no subtraction: the difference is H[j]
+    itself, so a scan of the pairs (0, j) builds no subtraction table.  The
+    key and difference buffers are allocated once per scan, and no scaled
+    copy of H is kept, so a scan of the pairs (0, j) adds no v x v array.
+    Above ADD_TABLE_MAX_Q it subtracts digitwise."""
     f, H, v, q = matrix.field, matrix.entries, matrix.v, matrix.q
     step = min(block_rows(max(v, q)), v)
-    sub = f._sub
     keys = np.empty((step, v), dtype=np.int64)
-    diffs = None if sub is None else np.empty((step, v), dtype=sub.dtype)
+    diffs = None  # the narrow difference buffer, made with the first gather
     offsets = np.arange(0, step * q, q)[:, None]
     for i in range(v - 1):
         if i == 1 and first_row_decides():
             return
+        zero = not H[i].any()
         for j0 in range(i + 1, v, step):
             n = min(step, v - j0)
             key = keys[:n]
-            if sub is None:
+            if zero:
+                diff = H[j0:j0 + n]
+            elif f._sub is None:
                 diff = f.vsub(H[j0:j0 + n], H[i])
             else:
+                if diffs is None:
+                    diffs = np.empty((step, v), dtype=f._sub.dtype)
                 np.multiply(H[j0:j0 + n], q, out=key)
                 key += H[i]
-                diff = sub.take(key, out=diffs[:n], mode="clip")
+                diff = f._sub.take(key, out=diffs[:n], mode="clip")
             np.add(diff, offsets[:n], out=key)
             yield i, j0, np.bincount(key.ravel(),
                                      minlength=n * q).reshape(n, q)

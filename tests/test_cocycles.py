@@ -141,6 +141,63 @@ def test_corrupted_order729_cocycle_gives_true_witness():
     assert exc.value.triple == (g, *map(int, bad[0]))
 
 
+def _broken_off_the_first_generator(psi, d):
+    """psi plus d at every (x, y) with x in coset A and y in coset B of N,
+    the subgroup the first generator g0 generates (G abelian), for the two
+    last cosets A != B.  The added table is constant on cosets and zero on
+    N, so the identity still holds at g0; on G/N it is one changed entry
+    off the identity row and column, which is no cocycle once G/N has order
+    at least 3, so a later generator fails."""
+    f, gt = psi.field, psi.group.table
+    g0 = psi.group.generators()[0]
+    N = [0]
+    while gt[N[-1], g0]:
+        N.append(int(gt[N[-1], g0]))
+    labels = gt[:, N].min(axis=1)
+    A, B = np.unique(labels)[-2:]
+    added = np.where((labels[:, None] == A) & (labels == B), d, 0)
+    return f.vadd(psi.table, added)
+
+
+@pytest.mark.parametrize("p,m,step", [(2, 2, 1), (2, 2, 3), (2, 4, 3),
+                                      (7, 1, 2), (7, 1, 5), (5, 2, 4),
+                                      (3, 6, 3), (3, 6, 40)])
+def test_corrupted_cocycle_witness_in_a_later_block_and_generator(
+        p, m, step, monkeypatch):
+    """The packed identity check names the unblocked oracle's triple: the
+    first failing (h, k) in row-major order at the first failing generator,
+    from one v x v comparison of Field.vadd gathers per generator.  The
+    tables fail first at a later generator, in a later row block: GF(4)
+    over Z_2^4 (S_4 tensor S_4), GF(16) over Z_2^4, GF(7) over Z_7^2 (S_7
+    tensor S_7), GF(25) over Z_5^2 and GF(3^6) over Z_3^6 (P(6,5)), with
+    block_rows made small."""
+    from ghfp import cocycles
+
+    f = Field(p, m)
+    if m == 6:
+        psi = planar_coboundary(6, 5, field=f)
+    elif f.q < 16:
+        psi = tensor(multiplication_cocycle(f), multiplication_cocycle(f))
+    else:
+        psi = multiplication_cocycle(f)
+    gt, gens = psi.group.table, psi.group.generators()
+    t = _broken_off_the_first_generator(psi, 1)
+    for g in gens:
+        bad = np.argwhere(f.vadd(t[g][:, None], t[gt[g]]) !=
+                          f.vadd(t[g][gt], t))
+        if bad.size:
+            break
+    want = (g, *map(int, bad[0]))
+    assert g != gens[0] and want[1] >= step
+    monkeypatch.setattr(cocycles, "block_rows", lambda n: step)
+    with pytest.raises(CocycleIdentityViolated) as exc:
+        check_cocycle(t, psi.group, f)
+    assert exc.value.triple == want
+    g, h, k = want
+    assert f.add(int(t[g, h]), int(t[gt[g, h], k])) != \
+        f.add(int(t[g, gt[h, k]]), int(t[h, k]))
+
+
 def test_unnormalized_rejected(gf3):
     t = paper_data.H_ORDER9.copy()
     t[0, 3] = 1

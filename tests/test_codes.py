@@ -212,22 +212,34 @@ def test_span_pivots_match_elimination(oracle_codes, monkeypatch, step):
 @pytest.mark.parametrize("step", [None, 1, 4])
 def test_spin_up_on_random_coboundaries(gf3, monkeypatch, step):
     """Spin-up from 1 and the generators' rows spans all rows of random
-    coboundaries over Z_3^3 and S_3 (called directly: such a table can
-    repeat rows, which GHCode rejects)."""
+    coboundaries over Z_3^3, S_3 and Z_p^k of the field's characteristic
+    (called directly: such a table can repeat rows, which GHCode rejects),
+    with coefficients in GF(3), GF(4), GF(9), GF(7) and GF(25), whose lanes
+    are 2, 3 and 4 bits wide.  With no maps, spin-up is plain elimination
+    and returns exactly the pivots of _reduce_rows, row by row."""
     from ghfp import codes
     from test_groups import s3_table
 
     if step:
         monkeypatch.setattr(codes, "block_rows", lambda n: step)
     rng = np.random.default_rng(5)
-    for group in (elementary_abelian(3, 3), Group(s3_table())):
-        gens = group.generators()
-        ones = np.ones(group.order, dtype=np.int64)
-        for _ in range(6):
-            psi = coboundary(rng.integers(0, 3, size=group.order), group, gf3)
-            pivots = codes._spin_up(gf3, [ones, *psi.table[gens]],
-                                    group.table[gens])
-            _assert_echelon_span(gf3, pivots, [ones, *psi.table])
+    for f, k in ((gf3, 3), (Field(2, 2), 4), (Field(3, 2), 3),
+                 (Field(7, 1), 2), (Field(5, 2), 2)):
+        for group in (elementary_abelian(3, 3), Group(s3_table()),
+                      elementary_abelian(f.p, k)):
+            gens = group.generators()
+            ones = np.ones(group.order, dtype=np.int64)
+            for _ in range(6):
+                psi = coboundary(rng.integers(0, f.q, size=group.order),
+                                 group, f)
+                rows = [ones, *psi.table[gens]]
+                pivots = codes._spin_up(f, rows, group.table[gens])
+                _assert_echelon_span(f, pivots, [ones, *psi.table])
+                rows = [ones, *psi.table]
+                got = codes._spin_up(f, rows, [])
+                want = codes._reduce_rows(f, rows)
+                assert [c for c, _ in got] == [c for c, _ in want]
+                assert all((r == w).all() for (_, r), (_, w) in zip(got, want))
 
 
 def test_stable_rows_swept_once(monkeypatch, oracle_codes):

@@ -157,6 +157,45 @@ def test_add_tables_built_on_first_array_addition():
     assert f._add is add
 
 
+@pytest.mark.parametrize("p,m,b,dtype", [
+    (2, 1, 2, np.uint8), (2, 4, 2, np.uint8), (3, 5, 3, np.uint16),
+    (3, 6, 3, np.uint32), (5, 2, 4, np.uint8), (7, 2, 4, np.uint8),
+    (11, 1, 5, np.uint8), (13, 2, 5, np.uint16), (3, 7, 3, np.uint32)])
+def test_lanes_match_scalar_arithmetic(p, m, b, dtype):
+    """Packed base-p lanes against the scalar digit loops and _poly_mul.
+    The lanes are built on first use, b bits wide (the least b with 2^(b-1)
+    >= p), in the narrowest word of b*m bits (GF(16) fills uint8 exactly).
+    unpack(pack[a]) is a for every a; unpack(add(pack[a], pack[b])) is
+    add(a, b) and the packed product exp[log a + log b] unpacks to
+    _poly_mul(a, b), on every pair up to q = 256 and on random pairs, 0
+    included, above (GF(3^6), GF(3^7))."""
+    f = Field(p, m)
+    assert "_lanes" not in vars(f)
+    lanes = f._lanes
+    assert f._lanes is lanes and (lanes.b, lanes.dtype) == (b, dtype)
+    assert lanes.pack.dtype == lanes.exp.dtype == dtype
+    assert not lanes.pack.flags.writeable and not lanes.exp.flags.writeable
+    q = f.q
+    assert lanes.pack[0] == 0
+    assert lanes.unpack(lanes.pack).tolist() == list(range(q))
+    if q <= 256:
+        x = np.repeat(np.arange(q), q)
+        y = np.tile(np.arange(q), q)
+    else:
+        x, y = np.random.default_rng(q).integers(0, q, size=(2, 20000))
+        x[:q], y[-q:] = 0, np.arange(q)
+    pairs = list(zip(x.tolist(), y.tolist()))
+    packed = lanes.add(lanes.pack[x], lanes.pack[y])
+    assert packed.dtype == dtype
+    assert lanes.unpack(packed).tolist() == [f.add(a, c) for a, c in pairs]
+    if q > 729:
+        pairs = pairs[:2000]  # _poly_mul of degree 7 is slow in Python
+        x, y = x[:2000], y[:2000]
+    products = lanes.exp.take(f.log[x] + f.log[y])
+    assert lanes.unpack(products).tolist() == [f._poly_mul(a, c)
+                                               for a, c in pairs]
+
+
 def test_power_string_roundtrip():
     f = Field(2, 3)
     seen = {f.power_string(e) for e in range(f.q)}

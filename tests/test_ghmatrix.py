@@ -282,6 +282,27 @@ def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
             assert [ij for ij, _ in scan(field, True)] == pairs[:v - 1]
 
 
+def test_pairs_of_row_0_build_no_subtraction_table():
+    """Row 0 of a normalized matrix is zero, so the pairs (0, j) count H[j]
+    itself: a scan that stops after row 0, as a cocycle's min_distance
+    does, builds no subtraction table; a scan past row 0 builds it once."""
+    from ghfp import GHCode
+    from ghfp.ghmatrix import row_pair_counts
+
+    f = Field(3, 6)
+    M = sylvester(f)
+    assert GHCode(M).min_distance() == (f.q - 1, "theorem")
+    assert "_sub" not in vars(f)
+    rows = [counts for _, _, counts in row_pair_counts(M, lambda: True)]
+    assert "_sub" not in vars(f)
+    want = [np.bincount(row, minlength=f.q) for row in M.entries[1:]]
+    assert (np.concatenate(rows) == want).all()
+    for i, _, _ in row_pair_counts(M, lambda: False):
+        if i == 1:
+            break
+    assert "_sub" in vars(f)
+
+
 def test_is_gh_scan_witness_in_a_later_row_block():
     """At v = q = 343, with the uint16 subtraction table, the pair scan
     runs in row blocks of 191.  Swapping columns 5 and 100 of row 300 of
