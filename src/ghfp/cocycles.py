@@ -26,8 +26,11 @@ class Cocycle:
     """A normalized cocycle stored as its v x v table of field encodings."""
 
     def __init__(self, group: Group, field: Field, table, check: str = "full"):
-        """check: "full" verifies the cocycle identity exactly, or "skip" for
-        construction paths that guarantee it; checked records which."""
+        """check: "full" verifies the cocycle identity exactly; "theorem"
+        records that the construction proves it (the proof is in each
+        construction's docstring) and computes nothing; "skip" leaves it
+        unchecked.  checked is True for "full" and "theorem": psi holds a
+        verdict, which matrix_of passes on."""
         table = np.asarray(table, dtype=np.int64)
         v = group.order
         if table.shape != (v, v):
@@ -39,7 +42,7 @@ class Cocycle:
         if table[0].any() or table[:, 0].any():
             raise NotNormalized("row 0 and column 0 must be identity")
         self.checked = check != "skip"
-        if self.checked:
+        if check not in ("skip", "theorem"):
             self._check_identity()
 
     def _check_identity(self):
@@ -94,8 +97,10 @@ def check_cocycle(table, group: Group, field: Field) -> Cocycle:
 
 
 def trivial_cocycle(group: Group, field: Field) -> Cocycle:
+    """The zero cocycle; 0 + 0 = 0 + 0 over any table."""
     v = group.order
-    return Cocycle(group, field, np.zeros((v, v), dtype=np.int64), check="skip")
+    return Cocycle(group, field, np.zeros((v, v), dtype=np.int64),
+                   check="theorem")
 
 
 def coboundary(phi, group: Group, field: Field) -> Cocycle:
@@ -103,6 +108,11 @@ def coboundary(phi, group: Group, field: Field) -> Cocycle:
 
     phi is an array of field encodings indexed by group index; if phi(1) != 0
     it is normalized first by subtracting phi(1).
+
+    Over a group it is a cocycle by theorem: both sides of the identity
+    reduce to phi((gh)k) and phi(g(hk)) minus phi(g) + phi(h) + phi(k).  So
+    the verdict is G's kept group verdict (Group.is_group); over any other
+    table it is left unchecked.
     """
     phi = np.asarray(phi, dtype=np.int64)
     if phi.shape[0] != group.order:
@@ -110,18 +120,22 @@ def coboundary(phi, group: Group, field: Field) -> Cocycle:
     if phi[0] != 0:
         phi = field.vsub(phi, np.full_like(phi, int(phi[0])))
     table = field.vsub(field.vsub(phi[group.table], phi[:, None]), phi[None, :])
-    return Cocycle(group, field, table, check="skip")
+    return Cocycle(group, field, table,
+                   check="theorem" if group.is_group() else "skip")
 
 
 def multiplication_cocycle(field: Field, ordering: str = "encoding") -> Cocycle:
-    """psi(g,h) = g*h over (F_q,+): the cocycle of the Sylvester matrix S_q."""
+    """psi(g,h) = g*h over (F_q,+): the cocycle of the Sylvester matrix S_q.
+
+    A cocycle by theorem, as every bilinear form over (F_q, +) is: gh +
+    (g+h)k = gh + gk + hk = g(h+k) + hk."""
     group = additive_group_of(field, ordering)
     if ordering == "encoding":
         elems = np.arange(field.q, dtype=np.int64)
     else:
         elems = np.concatenate(([0], field.exp[:field.q - 1].astype(np.int64)))
     table = field.vmul(elems[:, None], elems[None, :])
-    return Cocycle(group, field, table, check="skip")
+    return Cocycle(group, field, table, check="theorem")
 
 
 def is_orthogonal(psi: Cocycle) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
@@ -148,7 +162,9 @@ def tensor(psi1: Cocycle, psi2: Cocycle) -> Cocycle:
     """Tensor cocycle over G x G' with G-major lexicographic indexing.
 
     The cocyclic matrix of the tensor is the Kronecker sum of the factors'
-    matrices, blockwise in this indexing.
+    matrices, blockwise in this indexing.  Its identity at ((g,g'), (h,h'),
+    (k,k')) is the sum of the factors' at (g, h, k) and (g', h', k'), so it
+    holds by theorem when both factors hold a verdict.
     """
     if psi1.field != psi2.field:
         raise FieldMismatch("tensor factors need the same coefficient field")
@@ -156,24 +172,28 @@ def tensor(psi1: Cocycle, psi2: Cocycle) -> Cocycle:
     v1, v2 = psi1.v, psi2.v
     t = psi1.field.vadd(psi1.table[:, :, None, None], psi2.table[None, None, :, :])
     t = t.transpose(0, 2, 1, 3).reshape(v1 * v2, v1 * v2)
-    return Cocycle(group, psi1.field, t, check="skip")
+    return Cocycle(group, psi1.field, t,
+                   check="theorem" if psi1.checked and psi2.checked else "skip")
 
 
 def lift(psi: Cocycle, field: Field) -> Cocycle:
     """Re-read a cocycle over GF(p) as one with coefficients in GF(p^m).
 
     Prime-subfield encodings are unchanged; orthogonality is generally lost.
+    The embedding of GF(p) is additive, so the identity, and psi's verdict,
+    carry over.
     """
     if psi.field.m != 1 or psi.field.p != field.p:
         raise FieldMismatch("can only lift from the prime subfield")
-    return Cocycle(psi.group, field, field.lift_from_prime(psi.table), check="skip")
+    return Cocycle(psi.group, field, field.lift_from_prime(psi.table),
+                   check="theorem" if psi.checked else "skip")
 
 
 def matrix_of(psi: Cocycle):
     """The cocyclic matrix M_psi as a GHMatrix candidate (indexing retained).
 
-    A checked psi is its matrix's cocycle() verdict, so the identity is not
-    checked again."""
+    A psi that holds a verdict ("full" or "theorem") is its matrix's
+    cocycle() verdict, so the identity is not checked again."""
     from .ghmatrix import GHMatrix
 
     M = GHMatrix(psi.field, psi.table, group=psi.group)

@@ -17,7 +17,8 @@ The two hottest loops add with no table: the cocycle identity check
 (Cocycle._check_identity) and the rank spin-up (codes._spin_up) hold their
 elements packed in base-p lanes (Lanes, Field._lanes), one digit per lane of
 one unsigned word, and add all m digits with one integer add and a
-carry-free reduction.  Every other caller gathers from the tables."""
+carry-free reduction (one XOR for p = 2).  Every other caller gathers from
+the tables."""
 
 from __future__ import annotations
 
@@ -211,18 +212,10 @@ class Field:
 
     def _digitwise_table(self, op, dtype) -> Optional[np.ndarray]:
         """The flat q*q table of a digitwise op (mod p) at a*q + b, in dtype,
-        read-only, or None above ADD_TABLE_MAX_Q.  By the digit recursion
-        e = e0 + p*e': GF(p^k)'s table is GF(p^(k-1))'s table times p plus
-        Z_p's, in p x p blocks."""
+        read-only (digitwise_table), or None above ADD_TABLE_MAX_Q."""
         if self.q > self.ADD_TABLE_MAX_Q:
             return None
-        p = self.p
-        zp = np.arange(p, dtype=np.int64)
-        op_p = table = (op.outer(zp, zp) % p).astype(dtype)
-        for _ in range(self.m - 1):
-            n = len(table) * p
-            table = (p * table[:, None, :, None] + op_p[:, None]).reshape(n, n)
-        table = table.ravel()
+        table = digitwise_table(self.p, self.m, op, dtype).ravel()
         table.setflags(write=False)
         return table
 
@@ -383,20 +376,23 @@ class Lanes:
     Fousse and Salvy, "Simultaneous modular reduction and Kronecker
     substitution for small finite fields", J. Symbolic Comput. 46, 2011).
 
-    b is the least integer with 2^(b-1) >= p, and words are the narrowest
-    unsigned dtype that holds b*m bits.  pack[e] is the word of encoding e
-    (pack[0] = 0, and distinct encodings have distinct words), and exp is
-    pack[Field.exp], so a*x is one gather exp[log a + log x].  add(x, y)
-    reduces each lane sum s = x_i + y_i to s - p*(((s + C) & H) >> (b-1)),
-    with C = 2^(b-1) - p and H = 2^(b-1) in every lane: s + C has its top
-    lane bit set exactly when s >= p, and nothing carries between lanes,
-    because s <= 2p - 2 and so s + C <= p - 2 + 2^(b-1) < 2^b.  unpack is
-    m shift-and-mask passes back to encodings."""
+    For odd p, b is the least integer with 2^(b-1) >= p; for p = 2 it is
+    1, as a sum mod 2 is XOR.  Words are the narrowest unsigned dtype that
+    holds b*m bits.  pack[e] is the word of encoding e (pack[0] = 0, and
+    distinct encodings have distinct words), and exp is pack[Field.exp], so
+    a*x is one gather exp[log a + log x].  For odd p, add(x, y) reduces each
+    lane sum s = x_i + y_i to s - p*(((s + C) & H) >> (b-1)), with C =
+    2^(b-1) - p and H = 2^(b-1) in every lane: s + C has its top lane bit
+    set exactly when s >= p, and nothing carries between lanes, because s <=
+    2p - 2 and so s + C <= p - 2 + 2^(b-1) < 2^b.  unpack is m
+    shift-and-mask passes back to encodings.  For p = 2 (1-bit lanes) and
+    for a prime field (one lane) the word is the encoding, so pack is the
+    identity and unpack a cast."""
 
     def __init__(self, field: Field):
         p, m = field.p, field.m
         self.p = p
-        self.b = b = 1 + (p - 1).bit_length()
+        self.b = b = 1 if p == 2 else 1 + (p - 1).bit_length()
         self.dtype = dtype = np.min_scalar_type((1 << (b * m)) - 1)
         self._shifts = shifts = b * np.arange(m, dtype=np.int64)
         self._places = places = p ** np.arange(m, dtype=np.int64)
@@ -405,13 +401,17 @@ class Lanes:
         self.exp = self.pack.take(field.exp)
         for table in (self.pack, self.exp):
             table.setflags(write=False)
-        lanes = int((1 << shifts).sum())
-        self.C = dtype.type(((1 << (b - 1)) - p) * lanes)
-        self.H = dtype.type((1 << (b - 1)) * lanes)
+        self._cast = p == 2 or m == 1  # pack is the identity
+        if p > 2:
+            lanes = int((1 << shifts).sum())
+            self.C = dtype.type(((1 << (b - 1)) - p) * lanes)
+            self.H = dtype.type((1 << (b - 1)) * lanes)
 
     def add(self, x, y, out=None) -> np.ndarray:
         """The lane sum of two packed arrays (broadcast), in out or a new
         array."""
+        if self.p == 2:
+            return np.bitwise_xor(x, y, out=out)
         s = np.add(x, y, out=out)
         carry = s + self.C
         carry &= self.H
@@ -422,9 +422,31 @@ class Lanes:
 
     def unpack(self, x) -> np.ndarray:
         """The int64 encodings of packed words."""
+        if self._cast:
+            return x.astype(np.int64)
         digits = x[..., None] >> self._shifts  # int64, as the shifts are
         digits &= (1 << self.b) - 1
         return digits @ self._places
+
+
+def digitwise_table(p: int, k: int, op, dtype) -> np.ndarray:
+    """The p^k x p^k table of op, np.add or np.subtract, digitwise mod p on
+    base-p indices, in dtype: the add and subtraction tables of GF(p^k) on
+    encodings, and the Cayley table of Z_p^k in lexicographic order.
+
+    For p = 2 both ops are XOR, one pass.  Otherwise by the digit recursion
+    e = e0 + p*e': Z_p^k's table is Z_p^(k-1)'s table times p plus Z_p's,
+    in p x p blocks (faster than one pass per digit: 2.1 against 33 ms at
+    3^6 on a 2-vCPU x86-64 host, numpy 2.4)."""
+    if p == 2:
+        e = np.arange(1 << k, dtype=dtype)
+        return np.bitwise_xor.outer(e, e)
+    zp = np.arange(p, dtype=np.int64)
+    op_p = table = (op.outer(zp, zp) % p).astype(dtype)
+    for _ in range(k - 1):
+        n = len(table) * p
+        table = (p * table[:, None, :, None] + op_p[:, None]).reshape(n, n)
+    return table
 
 
 def field_new(p: int, m: int, poly: Optional[Sequence[int]] = None) -> Field:

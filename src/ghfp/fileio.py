@@ -201,7 +201,8 @@ def read_coc(path) -> Cocycle:
 def _default_group(v: int, p: int) -> Optional[Group]:
     """The group a .coc without group= and every .ghm are read against:
     Z_p^k in lexicographic order, or None when v is not a power of p.  Built
-    once per (v, p), so its generators() are found once."""
+    once per (v, p), with its generators, inverse map and verdict by theorem
+    (elementary_abelian)."""
     k = 0
     while v > 1 and v % p == 0:
         v //= p

@@ -10,7 +10,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cocycles import Cocycle, multiplication_cocycle, tensor
+from .cocycles import Cocycle, matrix_of, multiplication_cocycle, tensor
 from .errors import (
     CocycleIdentityViolated,
     DivisibilityViolated,
@@ -53,8 +53,9 @@ class GHMatrix:
         """The Cocycle that H is over self.group, or None; decided once.
 
         The group alone proves nothing: the identity is checked in full, at
-        most once per matrix, and not at all for matrix_of of a checked
-        Cocycle.  When it holds, with rows f_g = psi(g, .), the identity at
+        most once per matrix, and not at all for matrix_of of a Cocycle that
+        holds a verdict (a checked one, or a construction's by theorem).
+        When it holds, with rows f_g = psi(g, .), the identity at
         (gk^-1, k, h) reads psi(g,h) - psi(k,h) = psi(gk^-1, kh) -
         psi(gk^-1, k): row g minus row k is row gk^-1 with its coordinates
         permuted and a constant added.  So the difference multiset of every
@@ -267,8 +268,7 @@ def normalize(matrix: GHMatrix) -> GHMatrix:
 
 def sylvester(field: Field, ordering: str = "encoding") -> GHMatrix:
     """S_q: the multiplicative table of F_q, a normalized GH(q, 1)."""
-    psi = multiplication_cocycle(field, ordering)
-    return GHMatrix(field, psi.table, group=psi.group)
+    return matrix_of(multiplication_cocycle(field, ordering))
 
 
 def sylvester_cocycle(field: Field, ordering: str = "encoding") -> Cocycle:
@@ -287,14 +287,21 @@ def sylvester_power_cocycle(field: Field, t: int) -> Cocycle:
 
 def sylvester_power(field: Field, t: int) -> GHMatrix:
     """S^t = S_q (+) S^{t-1}: a GH(q, q^{t-1}) of order q^t."""
-    psi = sylvester_power_cocycle(field, t)
-    return GHMatrix(field, psi.table, group=psi.group)
+    return matrix_of(sylvester_power_cocycle(field, t))
 
 
 def gen_sylvester(p: int, m: int, k: int,
                   poly: Optional[Sequence[int]] = None) -> GHMatrix:
     """D_(p,m,k): dot products over GF(q)^k in lexicographic order, a
     GH(q, q^{k-1}) of order q^k."""
+    return matrix_of(gen_sylvester_cocycle(p, m, k, poly))
+
+
+def gen_sylvester_cocycle(p: int, m: int, k: int,
+                          poly: Optional[Sequence[int]] = None) -> Cocycle:
+    """The dot-product table read as a cocycle over the additive group of
+    V = GF(q)^k: a bilinear form over (V, +), so a cocycle by theorem, as in
+    multiplication_cocycle."""
     if k < 1:
         raise OrderMismatch(f"k={k} must be >= 1")
     field = Field(p, m, poly)
@@ -310,14 +317,7 @@ def gen_sylvester(p: int, m: int, k: int,
     # GF(q)^k in lex order adds the base-p digits of its indices mod p, as
     # Z_p^(mk) in lex order does
     group = elementary_abelian(p, m * k)
-    return GHMatrix(field, entries, group=group)
-
-
-def gen_sylvester_cocycle(p: int, m: int, k: int,
-                          poly: Optional[Sequence[int]] = None) -> Cocycle:
-    """The dot-product table read as a cocycle over the additive group of V."""
-    M = gen_sylvester(p, m, k, poly)
-    return Cocycle(M.group, M.field, M.entries, check="skip")
+    return Cocycle(group, field, entries, check="theorem")
 
 
 def kronecker_sum(H: GHMatrix,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (LengthMismatch, NotAbelian, NotAGroup, NotAssociative,
                      NotPrime)
-from .fields import Field, is_prime
+from .fields import Field, digitwise_table, is_prime
 
 
 class Perm:
@@ -47,17 +47,6 @@ class Perm:
         return Perm(self.images[other.images])
 
     __mul__ = compose
-
-    def invert(self) -> "Perm":
-        return Perm(np.argsort(self.images))
-
-    def apply_to_vector(self, v):
-        v = np.asarray(v)
-        if v.shape[0] != self.n:
-            raise LengthMismatch(f"vector length {v.shape[0]} != {self.n}")
-        out = np.empty_like(v)
-        out[self.images] = v
-        return out
 
     def cycle_form(self) -> str:
         """1-based disjoint cycles, fixed points omitted; identity prints I."""
@@ -94,7 +83,10 @@ class Group:
     The table (the array passed in, not a copy) and the inverse map are made
     read-only, so the group's verdict can be kept: identity plus Latin, and
     associativity, each decided at most once per Group and read by every
-    check that needs it."""
+    check that needs it.  A table given here is scanned: its inverse map at
+    once, its generators and verdict when first asked for.  The
+    constructions elementary_abelian and direct_product of two groups prove
+    all three instead (_proved)."""
 
     def __init__(self, table, check: bool = True):
         table = np.asarray(table, dtype=np.int64)
@@ -111,6 +103,21 @@ class Group:
         self.inv.setflags(write=False)
         self._generators: Optional[Tuple[int, ...]] = None
         self._opposite: Optional[Group] = None
+
+    @classmethod
+    def _proved(cls, table: np.ndarray, inv: np.ndarray,
+                generators: Sequence[int]) -> "Group":
+        """A group whose construction proves it one, with its inverse map
+        and the generators the greedy search would return: the Latin and
+        associativity verdicts hold, and nothing is scanned."""
+        group = cls.__new__(cls)
+        for a in (table, inv):
+            a.setflags(write=False)
+        group.table, group.order, group.inv = table, len(table), inv
+        group._generators = tuple(generators)
+        group._latin = group._associativity = None
+        group._opposite = None
+        return group
 
     def latin_failure(self) -> Optional[str]:
         """Why index 0 is no two-sided identity of a Latin square, or None
@@ -151,6 +158,11 @@ class Group:
                     break
         return self._associativity
 
+    def is_group(self) -> bool:
+        """Whether the table is a group: both verdicts, each decided once."""
+        return self.latin_failure() is None \
+            and self.associativity_failure() is None
+
     def check(self) -> None:
         """Raise NotAGroup, or NotAssociative with a failing triple, unless
         the table is a group."""
@@ -164,26 +176,11 @@ class Group:
             raise NotAssociative(*self.associativity_failure())
 
     def generators(self) -> List[int]:
-        """A greedy generating set, computed once: take the smallest element
-        not yet reached, close the reached set under left multiplication by
-        the chosen elements, repeat.  A group of order v gets at most log_2 v
-        elements, as each one at least doubles the subgroup reached.  Each
-        call returns a new list, so a caller cannot change a shared group's
-        set."""
+        """The greedy generating set (_greedy_generators), found once or
+        given by the construction.  Each call returns a new list, so a
+        caller cannot change a shared group's set."""
         if self._generators is None:
-            t = self.table
-            gens: List[int] = []
-            reached = np.zeros(self.order, dtype=bool)
-            reached[0] = True
-            while not reached.all():
-                gens.append(int(np.argmin(reached)))
-                reached[gens[-1]] = True
-                frontier = np.flatnonzero(reached)
-                while frontier.size:
-                    new = np.unique(t[np.ix_(gens, frontier)])
-                    frontier = new[~reached[new]]
-                    reached[frontier] = True
-            self._generators = tuple(gens)
+            self._generators = tuple(_greedy_generators(self.table))
         return list(self._generators)
 
     def opposite(self) -> "Group":
@@ -217,13 +214,6 @@ class Group:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
-    def order_of(self, a: int) -> int:
-        n, e = 1, a
-        while e != 0:
-            e = int(self.table[e, a])
-            n += 1
-        return n
-
     @property
     def exponent(self) -> int:
         return _exponent(self._mul, self.order)
@@ -237,20 +227,46 @@ class Group:
         return int(np.sum((t == t.T).all(axis=1)))
 
     def direct_product(self, other: "Group") -> "Group":
+        """G1 x G2, (g, h) at index g*v2 + h.
+
+        When both factors are groups, so is the product, and it is built by
+        theorem: the inverse of (g, h) is (g^-1, h^-1), and the generators
+        are greedy(G2) followed by v2 * greedy(G1), which is what the greedy
+        search returns.  The indices below v2 are the subgroup {1} x G2, so
+        the search uses that factor up first, and from then on it has
+        reached K x G2, K the subgroup of G1 generated so far, whose least
+        missing index is v2 times the least element outside K.  Any other
+        product is scanned when asked, like a table given to Group."""
         v1, v2 = self.order, other.order
         t = self.table[:, None, :, None] * v2 + other.table[None, :, None, :]
-        return Group(t.reshape(v1 * v2, v1 * v2), check=False)
-
-    def relabel(self, perm: Perm) -> "Group":
-        """Conjugate the table by a relabeling that keeps 0 fixed."""
-        img = perm.images
-        if img[0] != 0:
-            raise NotAGroup("relabeling must fix the identity")
-        inv = np.argsort(img)
-        return Group(img[self.table[inv][:, inv]])
+        t = t.reshape(v1 * v2, v1 * v2)
+        if not (self.is_group() and other.is_group()):
+            return Group(t, check=False)
+        inv = (self.inv[:, None] * v2 + other.inv).ravel()
+        gens = other.generators() + [v2 * g for g in self.generators()]
+        return Group._proved(t, inv, gens)
 
     def __repr__(self):
         return f"Group(order={self.order})"
+
+
+def _greedy_generators(t: np.ndarray) -> List[int]:
+    """A greedy generating set of the table t: take the smallest element not
+    yet reached, close the reached set under left multiplication by the
+    chosen elements, repeat.  A group of order v gets at most log_2 v
+    elements, as each one at least doubles the subgroup reached."""
+    gens: List[int] = []
+    reached = np.zeros(len(t), dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = np.unique(t[np.ix_(gens, frontier)])
+            frontier = new[~reached[new]]
+            reached[frontier] = True
+    return gens
 
 
 def _each_row_once(t: np.ndarray) -> bool:
@@ -269,32 +285,39 @@ def _each_row_once(t: np.ndarray) -> bool:
 
 
 def elementary_abelian(p: int, k: int) -> Group:
-    """Z_p^k with indices in lexicographic tuple order ((0,0),(0,1),...)."""
+    """Z_p^k with indices in lexicographic tuple order ((0,0),(0,1),...),
+    built as a group by theorem.
+
+    Index e is the base-p number of its tuple, so the table adds base-p
+    digits mod p (digitwise_table) and the inverse negates them.  The
+    generators are 1, p, ..., p^(k-1), which is what the greedy search
+    returns: the indices below p^i are the subgroup of tuples that vanish
+    outside their last i places, and p^i is the least index outside it."""
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if k < 1:
         raise NotPrime(f"k={k} must be >= 1")
-    z = np.arange(p, dtype=np.int64)
-    cyclic = Group((z[:, None] + z[None, :]) % p, check=False)
-    out = cyclic
-    for _ in range(k - 1):
-        out = out.direct_product(cyclic)
-    return out
+    places = p ** np.arange(k, dtype=np.int64)
+    digits = np.arange(p ** k, dtype=np.int64)[:, None] // places % p
+    return Group._proved(digitwise_table(p, k, np.add, np.int64),
+                         -digits % p @ places, places.tolist())
 
 
 def additive_group_of(field: Field, ordering: str = "encoding") -> Group:
     """Cayley table of (F_q, +) under the chosen element ordering.
 
-    "encoding" lists elements 0..q-1; "primitive-power" lists
-    0, 1, x, x^2, ..., x^{q-2} for the field's primitive element x.
+    "encoding" lists elements 0..q-1: an encoding is the base-p number of
+    its coefficients, added digitwise mod p, so this is Z_p^m in
+    lexicographic order (elementary_abelian).  "primitive-power" lists 0, 1,
+    x, x^2, ..., x^{q-2} for the field's primitive element x, and its table
+    is scanned like a table given to Group.
     """
     q = field.q
     if ordering == "encoding":
-        elems = np.arange(q, dtype=np.int64)
-    elif ordering == "primitive-power":
-        elems = np.concatenate(([0], field.exp[:q - 1].astype(np.int64)))
-    else:
+        return elementary_abelian(field.p, field.m)
+    if ordering != "primitive-power":
         raise ValueError(f"unknown ordering {ordering!r}")
+    elems = np.concatenate(([0], field.exp[:q - 1].astype(np.int64)))
     pos = np.empty(q, dtype=np.int64)
     pos[elems] = np.arange(q)
     table = pos[field.vadd(elems[:, None], elems[None, :])]

@@ -14,10 +14,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .cocycles import Cocycle, coboundary, is_orthogonal
+from .cocycles import Cocycle, coboundary, is_orthogonal, matrix_of
 from .errors import InadmissibleParams, NotOrthogonal
 from .fields import Field
-from .ghmatrix import GHMatrix
 from .groups import additive_group_of
 
 # Largest field degree attempted by table1 without / with the --big flag.
@@ -71,7 +70,8 @@ def is_planar(phi: np.ndarray, field: Field) -> bool:
 
 def planar_coboundary(a: int, b: int, field: Optional[Field] = None) -> Cocycle:
     """The coboundary of phi_(a,b) over the additive group of GF(3^a) in
-    encoding order; orthogonal for admissible parameters."""
+    encoding order; orthogonal for admissible parameters, and a cocycle by
+    theorem (coboundary over a group)."""
     if field is None:
         field = Field(3, a)
     phi = planar_map(a, b, field)
@@ -136,7 +136,7 @@ def _table1_cell(a: int, b: int) -> Dict[str, object]:
     ok, witness = is_orthogonal(psi)
     if not ok:
         raise NotOrthogonal(f"coboundary unexpectedly not orthogonal: {witness}")
-    code = GHCode(GHMatrix(psi.field, psi.table, group=psi.group))
+    code = GHCode(matrix_of(psi))
     rank = code.rank()
     ker = code.kernel().dim
     return {

@@ -288,7 +288,8 @@ def _quotient_cocycle(P: PropelinearCode, rows: np.ndarray,
     theorem = getattr(P, "_row_products", (None, None))
     if psi is not None and rows is theorem[0] and offsets is theorem[1]:
         psi.group.check()
-        return Cocycle(psi.group.opposite(), P.field, offsets, check="skip")
+        return Cocycle(psi.group.opposite(), P.field, offsets,
+                       check="theorem")
     bad = np.argwhere(rows < 0)
     if bad.size:
         raise SectionUndefined(*map(int, bad[0]))

@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,23 @@ from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.planar import planar_coboundary
 
 import paper_data
+
+
+@pytest.fixture(scope="session")
+def bench_recipes():
+    """(recipes, build): every construction recipe of the benchmark's three
+    workloads (perfbench/workloads.py), and build(recipe), the benchmark's
+    own construction of one, untraced.  The fields are built here, so a
+    build constructs only groups and cocycles."""
+    sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+    import workloads
+
+    tr = SimpleNamespace(call=lambda name, fn, *args, **kw: fn(*args, **kw))
+    recipes = list(dict.fromkeys(workloads.Fingerprint.KINDS
+                                 + [kind[0] for kind in workloads.Ingest.KINDS]
+                                 + workloads.Structure.KINDS))
+    fields = workloads.make_fields(recipes, tr)
+    return recipes, lambda recipe: workloads.build(recipe, fields, tr)
 
 
 @pytest.fixture(scope="session")

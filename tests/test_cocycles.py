@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from ghfp import (
+    Cocycle,
     Field,
+    Group,
     check_cocycle,
     coboundary,
+    cocycle_from_code,
     elementary_abelian,
+    ghfp_from_cocycle,
     is_orthogonal,
     lift,
     matrix_of,
@@ -19,10 +23,12 @@ from ghfp.errors import (
     FieldMismatch,
     NotNormalized,
 )
-from ghfp.ghmatrix import is_gh, sylvester_power_cocycle
+from ghfp.fileio import read_cay, write_cay
+from ghfp.ghmatrix import gen_sylvester_cocycle, is_gh, sylvester_power_cocycle
 from ghfp.planar import planar_coboundary
 
 import paper_data
+from test_groups import s3_table
 
 
 def test_published_order9_matrix_is_a_cocycle(gf3):
@@ -314,3 +320,70 @@ def test_matrix_of_passthrough(s9_cocycle):
     m = matrix_of(s9_cocycle)
     assert (m.entries == s9_cocycle.table).all()
     assert m.group is s9_cocycle.group
+
+
+def test_theorem_verdict_equals_the_full_check(tmp_path, monkeypatch,
+                                               bench_recipes, corpus, loop5,
+                                               non_cocycles, gf3):
+    """Every construction that proves its identity records a verdict and
+    runs no identity check: every cocycle the benchmark builds, coboundaries
+    over S_3 (from its table, and read from a .cay), over a relabeled Z_3^3
+    and over a product with S_3, the primitive-power S_8, a lift, a tensor
+    with a coboundary, the trivial cocycle over S_3, D(2,2,2) and the psi^T
+    of cocycle_from_code.  The full check then agrees on each, and on the
+    corpus.  A coboundary over a loop gets no verdict, and it and the
+    "skip" tables (non_cocycles, a corrupted construction) are checked in
+    full by GHMatrix.cocycle()."""
+    calls = []
+    real = Cocycle._check_identity
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cocycle, "_check_identity", counting)
+    rng = np.random.default_rng(11)
+    recipes, build = bench_recipes
+    s3 = Group(s3_table())
+    write_cay(tmp_path / "s3.cay", s3)
+    img = np.concatenate(([0], 1 + rng.permutation(26)))
+    inv = np.argsort(img)
+    relabeled = Group(img[elementary_abelian(3, 3).table[inv][:, inv]])
+    cob_s3 = coboundary(rng.integers(0, 3, 6), s3, gf3)
+    s9 = build(("power", 3, 1, 2))
+    built = {str(recipe): build(recipe) for recipe in recipes}
+    built.update({
+        "coboundary over S_3": cob_s3,
+        "coboundary over S_3 from .cay": coboundary(
+            rng.integers(0, 3, 6), read_cay(tmp_path / "s3.cay"), gf3),
+        "coboundary over relabeled Z_3^3": coboundary(
+            rng.integers(0, 3, 27), relabeled, gf3),
+        "coboundary over Z_3 x S_3": coboundary(
+            rng.integers(0, 3, 18), elementary_abelian(3, 1).direct_product(s3),
+            gf3),
+        "S_8 primitive-power": multiplication_cocycle(Field(2, 3),
+                                                      "primitive-power"),
+        "S_3^2 lifted to GF(9)": lift(s9, Field(3, 2)),
+        "coboundary over S_3 x S_9": tensor(cob_s3, s9),
+        "trivial over S_3": trivial_cocycle(s3, gf3),
+        "D(2,2,2)": gen_sylvester_cocycle(2, 2, 2),
+        "psi^T over Z_3^2 op": cocycle_from_code(ghfp_from_cocycle(s9)),
+    })
+    assert calls == []
+    for name, psi in {**built, **corpus}.items():
+        assert psi.checked, name
+        check_cocycle(psi.table, psi.group, psi.field)
+
+    loop_cob = coboundary(np.arange(5), Group(loop5), Field(5, 1))
+    corrupted = built[str(("planar", 4, 3))].table.copy()
+    corrupted[5, 7] = (corrupted[5, 7] + 1) % 3
+    corrupted = Cocycle(elementary_abelian(3, 4), Field(3, 4), corrupted,
+                        check="skip")
+    unchecked = [loop_cob, corrupted, *non_cocycles.values()]
+    for psi in unchecked:
+        assert not psi.checked
+        calls.clear()
+        M = matrix_of(psi)
+        assert M.cocycle() is None and len(calls) == 1, psi
+        with pytest.raises(CocycleIdentityViolated):
+            check_cocycle(psi.table, psi.group, psi.field)

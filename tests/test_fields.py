@@ -158,13 +158,14 @@ def test_add_tables_built_on_first_array_addition():
 
 
 @pytest.mark.parametrize("p,m,b,dtype", [
-    (2, 1, 2, np.uint8), (2, 4, 2, np.uint8), (3, 5, 3, np.uint16),
+    (2, 1, 1, np.uint8), (2, 4, 1, np.uint8), (3, 5, 3, np.uint16),
     (3, 6, 3, np.uint32), (5, 2, 4, np.uint8), (7, 2, 4, np.uint8),
     (11, 1, 5, np.uint8), (13, 2, 5, np.uint16), (3, 7, 3, np.uint32)])
 def test_lanes_match_scalar_arithmetic(p, m, b, dtype):
     """Packed base-p lanes against the scalar digit loops and _poly_mul.
     The lanes are built on first use, b bits wide (the least b with 2^(b-1)
-    >= p), in the narrowest word of b*m bits (GF(16) fills uint8 exactly).
+    >= p for odd p, 1 for p = 2), in the narrowest word of b*m bits (GF(49)
+    fills uint8 exactly).
     unpack(pack[a]) is a for every a; unpack(add(pack[a], pack[b])) is
     add(a, b) and the packed product exp[log a + log b] unpacks to
     _poly_mul(a, b), on every pair up to q = 256 and on random pairs, 0

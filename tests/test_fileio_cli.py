@@ -634,6 +634,43 @@ def test_cocycle_identity_checked_once_per_coc(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
 
 
+def test_constructions_search_scan_and_check_nothing(monkeypatch,
+                                                    bench_recipes):
+    """One cocycle of each family the fingerprint workload builds (planar,
+    sylvester, power, gen, tensor), its matrix_of and the code's rank and
+    minimum distance run no greedy generator search, no inverse-map scan
+    and no identity check: the groups carry their generators and inverse
+    from construction, the cocycles their verdict by theorem."""
+    from ghfp import Cocycle, GHCode, groups
+
+    _, build = bench_recipes
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    # Group.__init__ is where a table's inverse map is scanned
+    for owner, name in ((groups, "_greedy_generators"),
+                        (groups.Group, "__init__"),
+                        (Cocycle, "_check_identity")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for recipe in [("planar", 4, 3), ("sylvester", 2, 4), ("power", 3, 1, 2),
+                   ("gen", 3, 1, 3),
+                   ("tensor", ("power", 3, 1, 2), ("power", 3, 1, 2))]:
+        psi = build(recipe)
+        M = matrix_of(psi)
+        assert M.cocycle() is psi, recipe
+        code = GHCode(M)
+        assert code.rank() >= 1 and code.min_distance().mode == "theorem"
+        assert calls == [], recipe
+    # the counters do count: a table given to Group is scanned
+    groups.Group(psi.group.table).generators()
+    assert calls == ["__init__", "_greedy_generators"]
+
+
 # -- the one-pass parse against the per-line loop -----------------------------
 
 _FIXTURE_ORDERS = ["s3_cocycle", "order4_cocycle", "s8_cocycle", "s9_cocycle",

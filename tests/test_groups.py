@@ -16,15 +16,49 @@ from ghfp.errors import (
     NotAssociative,
     NotPrime,
 )
-from ghfp.groups import Group
+from ghfp.fields import PINNED_POLYS
+from ghfp.fileio import read_cay, write_cay
+from ghfp.groups import Group, _greedy_generators
 
 import paper_data
+
+
+# -- helpers: permutation and group operations that only the tests need -------
+
+def invert(perm: Perm) -> Perm:
+    return Perm(np.argsort(perm.images))
+
+
+def apply_to_vector(perm: Perm, v):
+    """perm acting on v: the value at position j moves to position
+    images[j]."""
+    v = np.asarray(v)
+    out = np.empty_like(v)
+    out[perm.images] = v
+    return out
+
+
+def order_of(group: Group, a: int) -> int:
+    """The order of a, one product at a time."""
+    n, e = 1, a
+    while e != 0:
+        e = int(group.table[e, a])
+        n += 1
+    return n
+
+
+def relabel(group: Group, perm: Perm) -> Group:
+    """The table conjugated by a relabeling that keeps 0 fixed."""
+    img = perm.images
+    assert img[0] == 0, "relabeling must fix the identity"
+    inv = np.argsort(img)
+    return Group(img[group.table[inv][:, inv]])
 
 
 def test_elementary_abelian_orders():
     g = elementary_abelian(3, 2)
     assert g.order == 9
-    assert all(g.order_of(i) == 3 for i in range(1, 9))
+    assert all(order_of(g, i) == 3 for i in range(1, 9))
     # lexicographic indexing: (0,1) at index 1, (1,0) at index 3
     assert g.mul(1, 1) == 2 and g.mul(3, 3) == 6 and g.mul(1, 3) == 4
 
@@ -66,7 +100,7 @@ def test_generators_generate():
     rng = np.random.default_rng(5)
     z27 = elementary_abelian(3, 3)
     images = np.concatenate(([0], 1 + rng.permutation(26)))
-    groups = [elementary_abelian(2, 4), z27, z27.relabel(Perm(images)),
+    groups = [elementary_abelian(2, 4), z27, relabel(z27, Perm(images)),
               additive_group_of(Field(2, 3), "primitive-power"),
               Group(s3_table()), Group(s3_table()).opposite(),
               elementary_abelian(2, 1).direct_product(elementary_abelian(3, 2))]
@@ -177,7 +211,7 @@ def test_latin_failure_matches_sorting(loop5):
               elementary_abelian(2, 6), elementary_abelian(2, 8),
               Group(s3_table())):
         img = np.concatenate(([0], 1 + rng.permutation(g.order - 1)))
-        tables += [g.table, g.relabel(Perm(img)).table]
+        tables += [g.table, relabel(g, Perm(img)).table]
     for t in list(tables):
         v = len(t)
         for value in (-1, v, 1, int(rng.integers(v))):
@@ -225,7 +259,7 @@ def test_orderings_give_isomorphic_group():
     found = False
     for images in itertools.permutations(range(1, 4)):
         perm = Perm([0] + list(images))
-        if (enc.relabel(perm).table == pw.table).all():
+        if (relabel(enc, perm).table == pw.table).all():
             found = True
             break
     assert found
@@ -237,10 +271,10 @@ def test_perm_compose_invert_apply():
         p = Perm(rng.permutation(n))
         q = Perm(rng.permutation(n))
         v = rng.integers(0, 100, size=n)
-        assert (p.compose(q).apply_to_vector(v) ==
-                p.apply_to_vector(q.apply_to_vector(v))).all()
-        assert p.compose(p.invert()) == Perm.identity(n)
-        assert (p.invert().apply_to_vector(p.apply_to_vector(v)) == v).all()
+        assert (apply_to_vector(p.compose(q), v) ==
+                apply_to_vector(p, apply_to_vector(q, v))).all()
+        assert p.compose(invert(p)) == Perm.identity(n)
+        assert (apply_to_vector(invert(p), apply_to_vector(p, v)) == v).all()
     with pytest.raises(LengthMismatch):
         Perm([1, 0]).compose(Perm([0, 1, 2]))
     with pytest.raises(LengthMismatch):
@@ -258,7 +292,7 @@ def test_apply_convention_blockwise_shift(s9_cocycle):
     # cycles the entries inside each block of three
     perm = Perm([1, 2, 0, 4, 5, 3, 7, 8, 6])
     row = paper_data.H_ORDER9[1]
-    out = perm.apply_to_vector(row)
+    out = apply_to_vector(perm, row)
     assert out.tolist() == [2, 0, 1, 2, 0, 1, 2, 0, 1]
 
 
@@ -279,7 +313,7 @@ def test_abelian_invariants_relabel_invariant():
     g = elementary_abelian(3, 3)
     for _ in range(5):
         images = np.concatenate(([0], 1 + rng.permutation(g.order - 1)))
-        assert abelian_invariants(g.relabel(Perm(images))) == [3, 3, 3]
+        assert abelian_invariants(relabel(g, Perm(images))) == [3, 3, 3]
 
 
 def test_invariants_and_exponent_of_cyclic_products():
@@ -296,10 +330,10 @@ def test_invariants_and_exponent_of_cyclic_products():
             c = Group((z[:, None] + z[None, :]) % n)
             g = c if g is None else g.direct_product(c)
         images = np.concatenate(([0], 1 + rng.permutation(g.order - 1)))
-        g = g.relabel(Perm(images))
+        g = relabel(g, Perm(images))
         assert abelian_invariants(g) == want, ns
         assert g.exponent == np.lcm.reduce(
-            [g.order_of(a) for a in range(g.order)]), ns
+            [order_of(g, a) for a in range(g.order)]), ns
     s3_x_z2z2 = Group(s3_table()).direct_product(elementary_abelian(2, 2))
     assert s3_x_z2z2.exponent == 6
 
@@ -318,3 +352,65 @@ def test_direct_product():
     a = elementary_abelian(2, 1)
     b = elementary_abelian(3, 1)
     assert abelian_invariants(a.direct_product(b)) == [2, 3]
+
+
+def test_constructed_groups_match_the_scan(tmp_path, bench_recipes, loop5):
+    """A group built by theorem (elementary_abelian, additive_group_of in
+    encoding order, direct_product of two groups) holds the generators the
+    greedy search finds, the inverse map of np.nonzero(table == 0) and the
+    verdict the scan decides, with no search or scan of its own.  Products
+    with S_3 (non-abelian, from its table), a relabeled factor and a group
+    read from a .cay are built by theorem too; a product with a loop is
+    scanned, and its verdict is the scan's.  The groups of every cocycle
+    the benchmark builds (Z_p^k and products of them) are among the
+    fixtures."""
+    rng = np.random.default_rng(9)
+    s3, z3, z4 = Group(s3_table()), elementary_abelian(3, 1), \
+        elementary_abelian(2, 2)
+    write_cay(tmp_path / "s3.cay", s3)
+    cay = read_cay(tmp_path / "s3.cay")
+    img = np.concatenate(([0], 1 + rng.permutation(26)))
+    z27r = relabel(elementary_abelian(3, 3), Perm(img))
+    proved = [elementary_abelian(p, k) for p, k in
+              ((2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 1), (13, 1))]
+    proved += [additive_group_of(Field(p, m)) for p, m in
+               ((2, 3), (3, 2), (3, 4), (5, 2))]
+    proved += [s3.direct_product(z3), z4.direct_product(s3),
+               s3.direct_product(s3), z27r.direct_product(z3),
+               z3.direct_product(z27r), cay.direct_product(z4),
+               s3.opposite().direct_product(z3)]
+    recipes, build = bench_recipes
+    proved += [build(recipe).group for recipe in recipes]
+    loop = Group(loop5)
+    scanned = [loop.direct_product(z3), z3.direct_product(loop)]
+    for g in proved + scanned:
+        by_theorem = g._generators is not None and hasattr(g, "_latin")
+        assert by_theorem == (g not in scanned), g
+        oracle = Group(np.array(g.table), check=False)
+        rows, cols = np.nonzero(g.table == 0)
+        assert (rows == np.arange(g.order)).all()
+        assert g.inv.tolist() == cols.tolist()
+        assert g.generators() == _greedy_generators(g.table)
+        assert g.latin_failure() == oracle.latin_failure()
+        assert g.associativity_failure() == oracle.associativity_failure()
+        assert not g.table.flags.writeable and not g.inv.flags.writeable
+    assert all(g.is_group() for g in proved)
+    assert not any(g.is_group() for g in scanned)
+
+
+def _additive_table_by_vadd(field):
+    """The table of (F_q, +) in encoding order as it was built before it
+    became elementary_abelian(p, m): vadd of every pair, read back through
+    the position of each encoding."""
+    elems = np.arange(field.q, dtype=np.int64)
+    pos = np.empty(field.q, dtype=np.int64)
+    pos[elems] = np.arange(field.q)
+    return pos[field.vadd(elems[:, None], elems[None, :])]
+
+
+@pytest.mark.parametrize("p,m", sorted(PINNED_POLYS))
+def test_additive_group_encoding_is_the_vadd_table(p, m):
+    f = Field(p, m)
+    g = additive_group_of(f, "encoding")
+    assert g.table.dtype == np.int64
+    assert np.array_equal(g.table, _additive_table_by_vadd(f))
