@@ -127,10 +127,11 @@ def cmd_build(args) -> int:
     else:
         raise GHFPError(f"unknown construction {args.construction}")
 
-    # self-verification before writing anything: the identity once, as
-    # read_coc checks it on the written file, then orthogonality, which for
-    # a cocycle is the GH condition, so its verdict is reported as both
-    psi = check_cocycle(psi.table, psi.group, psi.field)
+    # self-verification before writing anything: the identity unless the
+    # construction proved it (read_coc checks the written file in full),
+    # then orthogonality, the GH condition for a cocycle, reported as both
+    if not psi.checked:
+        psi = check_cocycle(psi.table, psi.group, psi.field)
     orth, witness = is_orthogonal(psi)
     if not orth:
         raise GHFPError(f"built object fails its verifier (witness {witness}); "

@@ -308,13 +308,17 @@ def additive_group_of(field: Field, ordering: str = "encoding") -> Group:
 
     "encoding" lists elements 0..q-1: an encoding is the base-p number of
     its coefficients, added digitwise mod p, so this is Z_p^m in
-    lexicographic order (elementary_abelian).  "primitive-power" lists 0, 1,
-    x, x^2, ..., x^{q-2} for the field's primitive element x, and its table
-    is scanned like a table given to Group.
+    lexicographic order, on the field's own add and neg tables (no second
+    table; elementary_abelian above ADD_TABLE_MAX_Q).  "primitive-power"
+    lists 0, 1, x, ..., x^{q-2} for the field's primitive element x, and
+    its table is scanned like a table given to Group.
     """
     q = field.q
     if ordering == "encoding":
-        return elementary_abelian(field.p, field.m)
+        if field._add is None:
+            return elementary_abelian(field.p, field.m)
+        return Group._proved(field._add.reshape(q, q), field._neg,
+                             [field.p ** i for i in range(field.m)])
     if ordering != "primitive-power":
         raise ValueError(f"unknown ordering {ordering!r}")
     elems = np.concatenate(([0], field.exp[:q - 1].astype(np.int64)))

@@ -4,8 +4,8 @@ times permutation factorization, and automorphism checks PMQ* = M.
 The multiplicative copy K is never materialized: through the identity
 isomorphism on encodings, every K-product is a field addition, and the
 group-ring product of a monomial matrix with a K-matrix reduces to a row
-permutation plus entrywise offsets.  A formal Z[K] multiplication is kept
-as a brute-force oracle for tiny orders.
+permutation plus entrywise offsets (the tests keep a formal Z[K]
+multiplication as its oracle).
 
 A monomial matrix is the pair (perm, diag) with entry phi(diag[i]) in row i,
 column perm[i].  Raw matrices use -1 for the group-ring zero and the field
@@ -14,6 +14,7 @@ encoding for K entries.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,9 @@ from .groups import Perm
 from .propelinear import PropelinearCode
 
 EXPANDED_MAX = 10 ** 4
+
+# Entries per block of the automorphism kernels (64 KiB of int64 keys)
+BLOCK = 1 << 13
 
 
 class MonomialMatrix:
@@ -115,21 +119,6 @@ def factor_monomial(field: Field, raw: np.ndarray
     return diag, Perm(perm), M
 
 
-def dense_mul_oracle(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Brute group-ring product of raw monomial matrices (tiny n only)."""
-    n = A.shape[0]
-    out = np.full((n, n), -1, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            terms = [field.add(int(A[i, k]), int(B[k, j]))
-                     for k in range(n) if A[i, k] >= 0 and B[k, j] >= 0]
-            if len(terms) > 1:
-                raise NotMonomial("product left the monomial matrices")
-            if terms:
-                out[i, j] = terms[0]
-    return out
-
-
 def is_matrix_automorphism(P: MonomialMatrix, Q: MonomialMatrix,
                            H: GHMatrix) -> bool:
     """P . phi(H) . Q* == phi(H), evaluated additively and entrywise."""
@@ -204,19 +193,38 @@ def _pair_arrays(P: PropelinearCode, rho, lam) -> Tuple[np.ndarray, ...]:
 
 def _first_non_automorphism(P: PropelinearCode, mp, md, np_, nd
                             ) -> Optional[int]:
-    """The first pair with PMQ* != phi(H), or None.  Entry (i, j) of PMQ*
-    is md[i] + H[mp[i], np_[j]] - nd[j], compared with H[i, j] as
-    md[i] + H[mp[i], np_[j]] against H[i, j] + nd[j]; the rows of every
-    pair are checked in blocks of block_rows(v) rows."""
-    f, H, v = P.field, P.H, P.v
-    flat = H.ravel()
-    step = block_rows(v)
-    for r0 in range(0, mp.size, step):
-        b, i = np.divmod(np.arange(r0, min(r0 + step, mp.size)), v)
-        got = f.vadd(md[b, i][:, None], flat[mp[b, i][:, None] * v + np_[b]])
-        bad = (got != f.vadd(H[i], nd[b])).any(axis=1)
+    """The first pair with PMQ* != phi(H), or None.  Entry (i, j) of pair k
+    holds exactly when H[mp[k, i], np_[k, j]] - H[i, j] = nd[k, j] -
+    md[k, i]; both sides are gathered from the narrow Field._sub at keys
+    a*q + b (vsub above ADD_TABLE_MAX_Q, where it is None).  A block is
+    BLOCK // v^2 whole pairs, or block_rows(v) rows of one pair when a pair
+    is larger (row blocks of BLOCK entries slowed S_3^6, sample=512, from
+    1.5 to 2.6 s), in buffers allocated once per call: fresh temporaries
+    above glibc's mmap threshold are faulted in again on every call, which
+    cost more than the arithmetic (at v = 81, about ten of 416 KiB for 8
+    pairs)."""
+    f, H, v, q, n, sub = P.field, P.H, P.v, P.q, len(mp), P.field._sub
+    flat, mpv, ndq = H.ravel(), mp * v, nd * q
+    pairs, rows = max(1, BLOCK // (v * v)), min(v, block_rows(v))
+    key = np.empty(pairs * rows * v, dtype=np.int64)
+    diff = np.empty((2, key.size), sub.dtype if sub is not None else bool)
+    for k0, r0 in itertools.product(range(0, n, pairs), range(0, v, rows)):
+        kb, rb = slice(k0, k0 + pairs), slice(r0, r0 + rows)
+        shape = (min(pairs, n - k0), min(rows, v - r0), v)
+        at, lhs, rhs = (a[:shape[0] * shape[1] * v].reshape(shape)
+                        for a in (key, *diff))
+        np.add(mpv[kb, rb, None], np_[kb, None], out=at)
+        flat.take(at, out=at, mode="clip")
+        if sub is None:
+            bad = f.vsub(at, H[rb]) != f.vsub(nd[kb, None], md[kb, rb, None])
+        else:
+            at *= q
+            at += H[rb]
+            sub.take(at, out=lhs, mode="clip")
+            np.add(ndq[kb, None], md[kb, rb, None], out=at)
+            bad = lhs != sub.take(at, out=rhs, mode="clip")
         if bad.any():
-            return int(b[np.argmax(bad)])
+            return k0 + int(bad.argmax()) // bad[0].size
     return None
 
 
@@ -234,8 +242,11 @@ def _star_products(P: PropelinearCode, rho, lam, r, mu
 def _homomorphism_holds(P: PropelinearCode, left, right, a, b) -> bool:
     """f(x_a * y_b) = f(x_a) f(y_b) for every k, with x = left[a[k]] and
     y = right[b[k]]; left and right are (rho, lam, pair arrays).  The
-    products come from the row-product table (_star_products)."""
-    step = block_rows(P.v)
+    products come from the row-product table (_star_products), BLOCK // v
+    at a time, so a block's arrays stay small as in _first_non_automorphism;
+    pairs compose by one flat take at pa + ib*v into y's arrays."""
+    v = P.v
+    step = max(1, BLOCK // v)
     (rl, ll, L), (rr, lr, R) = left, right
     for k0 in range(0, len(a), step):
         ia, ib = a[k0:k0 + step], b[k0:k0 + step]
@@ -244,10 +255,10 @@ def _homomorphism_holds(P: PropelinearCode, left, right, a, b) -> bool:
             return False
         C = _pair_arrays(P, rc, lc)
         for side in (0, 2):  # M, then N
-            pa, da = L[side][ia], L[side + 1][ia]
-            pb, db = R[side][ib], R[side + 1][ib]
-            if not ((np.take_along_axis(pb, pa, axis=1) == C[side]).all()
-                    and (P.field.vadd(da, np.take_along_axis(db, pa, axis=1))
+            at = L[side][ia]
+            at += ib[:, None] * v
+            if not ((R[side].take(at) == C[side]).all()
+                    and (P.field.vadd(L[side + 1][ia], R[side + 1].take(at))
                          == C[side + 1]).all()):
                 return False
     return True

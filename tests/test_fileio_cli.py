@@ -380,6 +380,29 @@ def test_cli_build_refuses_unverifiable_object(tmp_path, capsys):
     assert not (tmp_path / "mixed.ghm").exists()
 
 
+def test_cli_build_trusts_a_construction_verdict(tmp_path, capsys,
+                                                monkeypatch):
+    """ghfp build runs no identity check on a construction that proves its
+    cocycle (sylvester, planar), and the .coc it writes still reads back
+    through the full check."""
+    from ghfp.cocycles import Cocycle
+
+    calls = []
+    real = Cocycle._check_identity
+    monkeypatch.setattr(Cocycle, "_check_identity",
+                        lambda self: calls.append(self.v) or real(self))
+    for args, name in ((["--construction", "sylvester", "--q", "9"], "s9"),
+                       (["--construction", "planar", "--a", "4", "--b", "3"],
+                        "p43")):
+        assert main(["build", *args, "--out", str(tmp_path),
+                     "--name", name]) == 0
+        assert calls == []
+        psi = read_coc(tmp_path / f"{name}.coc")
+        assert calls == [psi.v] and psi.checked
+        calls.clear()
+    capsys.readouterr()
+
+
 def test_cli_failed_build_creates_no_directory(tmp_path, capsys):
     """A build that fails (q = 6 is no prime power) creates no --out
     directory, and leaves an existing one as it was."""

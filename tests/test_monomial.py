@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,17 +19,34 @@ from ghfp import (
 )
 from ghfp.cocycles import check_cocycle, is_orthogonal
 from ghfp.errors import NotMonomial, SizeGateExceeded
+from ghfp.fields import block_rows
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
 from ghfp.monomial import (
     _first_non_automorphism,
+    _homomorphism_holds,
     _pair_arrays,
     _star_products,
-    dense_mul_oracle,
     scalar_pairs_are_automorphisms,
 )
 
 import paper_data
+
+
+def dense_mul_oracle(field, A, B):
+    """Brute group-ring product of raw monomial matrices (tiny n only): the
+    oracle of MonomialMatrix.mul."""
+    n = A.shape[0]
+    out = np.full((n, n), -1, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            terms = [field.add(int(A[i, k]), int(B[k, j]))
+                     for k in range(n) if A[i, k] >= 0 and B[k, j] >= 0]
+            if len(terms) > 1:
+                raise NotMonomial("product left the monomial matrices")
+            if terms:
+                out[i, j] = terms[0]
+    return out
 
 
 def test_factor_permutation_matrix(gf3):
@@ -373,3 +392,174 @@ def test_objects_of_different_sizes_are_unequal(make, gf3):
     small, large = make(gf3)
     assert small == small and large == large
     assert small != large and large != small
+
+
+# -- the blocked kernels against the kernels they replaced --------------------
+
+def _oracle_first_non_automorphism(P, mp, md, np_, nd):
+    """The first pair with PMQ* != phi(H): rows of every pair in blocks of
+    block_rows(v), md[i] + H[mp[i], np_[j]] against H[i, j] + nd[j]."""
+    f, H, v = P.field, P.H, P.v
+    flat = H.ravel()
+    step = block_rows(v)
+    for r0 in range(0, mp.size, step):
+        b, i = np.divmod(np.arange(r0, min(r0 + step, mp.size)), v)
+        got = f.vadd(md[b, i][:, None], flat[mp[b, i][:, None] * v + np_[b]])
+        bad = (got != f.vadd(H[i], nd[b])).any(axis=1)
+        if bad.any():
+            return int(b[np.argmax(bad)])
+    return None
+
+
+def _oracle_homomorphism_holds(P, left, right, a, b):
+    """The law f(x_a * y_b) = f(x_a) f(y_b), composing gathered pair rows
+    with take_along_axis."""
+    step = block_rows(P.v)
+    (rl, ll, L), (rr, lr, R) = left, right
+    for k0 in range(0, len(a), step):
+        ia, ib = a[k0:k0 + step], b[k0:k0 + step]
+        rc, lc = _star_products(P, rl[ia], ll[ia], rr[ib], lr[ib])
+        if (rc < 0).any():
+            return False
+        C = _pair_arrays(P, rc, lc)
+        for side in (0, 2):
+            pa, da = L[side][ia], L[side + 1][ia]
+            pb, db = R[side][ib], R[side + 1][ib]
+            if not ((np.take_along_axis(pb, pa, axis=1) == C[side]).all()
+                    and (P.field.vadd(da, np.take_along_axis(db, pa, axis=1))
+                         == C[side + 1]).all()):
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def structure_codes(bench_recipes):
+    """The propelinear codes of the benchmark's structure kinds."""
+    import workloads
+
+    _, build = bench_recipes
+    return {kind: ghfp_from_cocycle(build(kind))
+            for kind in workloads.Structure.KINDS}
+
+
+@pytest.fixture(scope="module")
+def s512():
+    """S_512 (v = q = 512): its subtraction table is uint16."""
+    from ghfp import Field
+    from ghfp.ghmatrix import sylvester_cocycle
+
+    return ghfp_from_cocycle(sylvester_cocycle(Field(2, 9)))
+
+
+def _bend(f, arrays, side, k, i):
+    """A copy of the pair arrays with diagonal entry (k, i) of M (side 1)
+    or N (side 3) moved by 1."""
+    out = [a.copy() for a in arrays]
+    out[side][k, i] = f.add(int(out[side][k, i]), 1)
+    return out
+
+
+def test_blocked_kernels_match_oracles_on_structure_kinds(structure_codes,
+                                                          s512):
+    """On 8 sampled codewords of every structure kind and of S_512, seeds
+    0-9, both kernels agree with the kernels they replaced, unbent and with
+    one seeded entry of M's or N's diagonal bent."""
+    for kind, P in [*structure_codes.items(), ("S_512", s512)]:
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rho, lam = rng.integers(0, P.v, size=8), rng.integers(0, P.q, 8)
+            pairs = _pair_arrays(P, rho, lam)
+            bent = _bend(P.field, pairs, int(rng.choice([1, 3])),
+                         int(rng.integers(8)), int(rng.integers(P.v)))
+            for arrays in (pairs, bent):
+                assert (_first_non_automorphism(P, *arrays)
+                        == _oracle_first_non_automorphism(P, *arrays)), kind
+            a, b = rng.integers(0, 8, size=(2, 64))
+            for right in (pairs, bent):
+                args = (P, (rho, lam, pairs), (rho, lam, right), a, b)
+                assert (_homomorphism_holds(*args)
+                        == _oracle_homomorphism_holds(*args)), (kind, seed)
+
+
+def test_reports_match_the_oracle_kernels(structure_codes, corpus, s512,
+                                          monkeypatch):
+    """automorphisms_from_star gives the same report dicts with the oracle
+    kernels: sampled on every structure kind at seeds 0-9, exhaustive on
+    the orthogonal corpus, and both on S_512."""
+    from ghfp import monomial
+
+    cases = [(P, 8, seed) for P in structure_codes.values()
+             for seed in range(10)]
+    cases += [(ghfp_from_cocycle(psi), None, 0) for psi in corpus.values()
+              if is_orthogonal(psi)[0]]
+    cases += [(s512, 8, 0), (s512, None, 0)]
+    reports = [automorphisms_from_star(P, sample=n, seed=s)
+               for P, n, s in cases]
+    monkeypatch.setattr(monomial, "_first_non_automorphism",
+                        _oracle_first_non_automorphism)
+    monkeypatch.setattr(monomial, "_homomorphism_holds",
+                        _oracle_homomorphism_holds)
+    assert reports == [automorphisms_from_star(P, sample=n, seed=s)
+                       for P, n, s in cases]
+
+
+def _rank_one(field, v, n, seed):
+    """A stand-in for a code over H[i, j] = a[i] + b[j], any field, with n
+    random pairs that fix phi(H): H[s i, t j] - H[i, j] = (b[t j] - b[j])
+    - (a[i] - a[s i])."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, field.q, size=(2, v))
+    mp, np_ = (np.array([rng.permutation(v) for _ in range(n)])
+               for _ in range(2))
+    P = SimpleNamespace(field=field, H=field.vadd(a[:, None], b[None, :]),
+                        v=v, q=field.q)
+    return P, [mp, field.vsub(a[None, :], a[mp]), np_,
+               field.vsub(b[np_], b[None, :])]
+
+
+@pytest.mark.parametrize("p, m, v", [
+    (2, 2, 8),      # many pairs per block
+    (3, 4, 81),     # one pair per block
+    (2, 9, 300),    # row blocks, the uint16 subtraction table
+    (2, 12, 6),     # q > ADD_TABLE_MAX_Q: no subtraction table
+])
+def test_first_failure_at_block_edges(p, m, v):
+    """A bent diagonal entry is found at row 0, on both sides of the first
+    block boundary, in the last row of the last pair and in N alone, as
+    the oracle finds it."""
+    from ghfp import Field
+    from ghfp.monomial import BLOCK
+
+    f = Field(p, m)
+    pairs = max(1, BLOCK // (v * v))
+    n = 2 * pairs + 1
+    P, arrays = _rank_one(f, v, n, seed=v)
+    assert (f._sub is None) == (f.q > f.ADD_TABLE_MAX_Q)
+    assert _first_non_automorphism(P, *arrays) is None
+    assert _oracle_first_non_automorphism(P, *arrays) is None
+    rows = min(v, block_rows(v))
+    spots = [(1, 0, 0), (1, pairs - 1, v - 1), (1, pairs, 0),
+             (1, n - 1, v - 1), (3, pairs, v - 1)]
+    if rows < v:  # the first row block boundary inside a pair
+        spots += [(1, 0, rows - 1), (1, 0, rows), (3, 0, rows)]
+    for side, k, i in spots:
+        bent = _bend(f, arrays, side, k, i)
+        assert _first_non_automorphism(P, *bent) == k, (side, k, i)
+        assert _oracle_first_non_automorphism(P, *bent) == k, (side, k, i)
+
+
+def test_automorphism_check_allocates_little(dphi43):
+    """The sampled check on P(4,3) (v = 81, q = 81) keeps its temporaries
+    small: a traced peak of at most 512 KiB (the row-block kernels it
+    replaced peaked at 1675 KiB)."""
+    import tracemalloc
+
+    P = ghfp_from_cocycle(dphi43)
+    automorphisms_from_star(P, sample=8)  # builds the tables it reads
+    tracemalloc.start()
+    try:
+        automorphisms_from_star(P, sample=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024, peak
