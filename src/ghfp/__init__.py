@@ -48,7 +48,6 @@ from .groups import (
 from .monomial import (
     MonomialMatrix,
     automorphisms_from_star,
-    expanded_matrix,
     factor_monomial,
     is_matrix_automorphism,
     pair_for_codeword,

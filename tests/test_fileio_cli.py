@@ -171,6 +171,12 @@ def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
         assert (psi.group.table == left.group.direct_product(
             left.group).table).all()
     assert main(["verify", str(tmp_path / "x.coc")]) == 0
+    # it reads back as a cocycle over a group, so autcheck is a theorem
+    capsys.readouterr()
+    assert main(["--json", "autcheck", str(tmp_path / "x.coc")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "theorem"
+    assert report["pairs_verified"] == psi.field.q * psi.v
 
 
 def test_cli_build_missing_option_is_usage_error(tmp_path, capsys):
@@ -312,7 +318,7 @@ def test_cli_autcheck(tmp_path, capsys):
     rc = main(["autcheck", str(tmp_path / "s9.coc"), "--expanded"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "pairs_verified=27" in out and "mode=exhaustive" in out
+    assert "pairs_verified=27" in out and "mode=theorem" in out
     assert "expanded_regular=True" in out
 
 
@@ -326,7 +332,7 @@ def test_cli_autcheck_expanded_has_no_gate(tmp_path, capsys):
     assert rc == 0
     assert payload["expanded_regular"] is True
     assert payload["expanded_order"] == 16384
-    assert payload["mode"] == "exhaustive"
+    assert payload["mode"] == "theorem"
     assert payload["pairs_verified"] == 16384
 
 

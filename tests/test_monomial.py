@@ -8,7 +8,6 @@ from ghfp import (
     MonomialMatrix,
     Perm,
     automorphisms_from_star,
-    expanded_matrix,
     factor_monomial,
     ghfp_from_cocycle,
     is_gh,
@@ -17,8 +16,9 @@ from ghfp import (
     pair_for_codeword,
     regular_subgroup_check,
 )
+from ghfp import monomial
 from ghfp.cocycles import check_cocycle, is_orthogonal
-from ghfp.errors import NotMonomial, SizeGateExceeded
+from ghfp.errors import AutomorphismCheckFailed, NotMonomial, SizeGateExceeded
 from ghfp.fields import block_rows
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
@@ -31,6 +31,21 @@ from ghfp.monomial import (
 )
 
 import paper_data
+
+EXPANDED_MAX = 10 ** 4
+
+
+def expanded_matrix(H: GHMatrix) -> np.ndarray:
+    """The qv x qv block matrix with block (i, j) equal to k_i + k_j + H."""
+    f, v, q = H.field, H.v, H.q
+    if q * v > EXPANDED_MAX:
+        raise SizeGateExceeded(f"qv = {q * v} > {EXPANDED_MAX}")
+    ks = np.arange(q, dtype=np.int64)
+    out = np.empty((q * v, q * v), dtype=np.int64)
+    for i in range(q):
+        row = f.vadd(f.vadd(ks[i], ks)[:, None, None], H.entries[None, :, :])
+        out[i * v:(i + 1) * v] = row.transpose(1, 0, 2).reshape(v, q * v)
+    return out
 
 
 def dense_mul_oracle(field, A, B):
@@ -83,6 +98,9 @@ def test_factor_rejects_non_monomial(gf3):
     raw[2, 2] = 0
     with pytest.raises(NotMonomial):
         factor_monomial(gf3, raw)
+    for shape in (5, np.zeros(3), np.zeros((2, 3))):  # 0-d, 1-d, 2 x 3
+        with pytest.raises(NotMonomial, match="not square"):
+            factor_monomial(gf3, shape)
 
 
 def test_monomial_product_matches_group_ring_oracle(gf8):
@@ -226,7 +244,6 @@ def test_trivial_point_expanded(gf3):
 
 def test_pair_for_codeword_names_first_row_off_the_matrix(non_cocycles):
     from ghfp import Code
-    from ghfp.errors import AutomorphismCheckFailed
 
     for name in ("h4_over_z4", "h9_over_z9"):
         P = ghfp_from_cocycle(non_cocycles[name])
@@ -261,10 +278,10 @@ def test_table_pairs_equal_index_pairs(order4_cocycle, s8_cocycle, s9_cocycle,
 
 
 def test_exhaustive_and_sampled_modes(s9_cocycle, non_cocycles):
-    """sample=None on a cocycle is exhaustive and counts all q*v pairs;
-    sample= and a non-cocycle sample, and say so."""
+    """sample=None on a cocycle is answered by theorem and counts all q*v
+    pairs; sample= and a non-cocycle sample, and say so."""
     P = ghfp_from_cocycle(s9_cocycle)
-    assert automorphisms_from_star(P)["mode"] == "exhaustive"
+    assert automorphisms_from_star(P)["mode"] == "theorem"
     report = automorphisms_from_star(P, sample=8, seed=3)
     assert report["mode"] == "sampled"
     assert 1 <= report["pairs_verified"] <= 8
@@ -276,10 +293,8 @@ def test_exhaustive_and_sampled_modes(s9_cocycle, non_cocycles):
 
 def test_exhaustive_mode_rejects_a_broken_table(s9_cocycle):
     """A wrong offset in the row-product table gives one coset
-    representative a pair that fails PMQ* = phi(H), and the check names
-    its codeword."""
-    from ghfp.errors import AutomorphismCheckFailed
-
+    representative a pair that fails PMQ* = phi(H), and the generator-pair
+    oracle names its codeword."""
     P = ghfp_from_cocycle(s9_cocycle)
     rows, offsets = P.row_products()
     bent = offsets.copy()
@@ -288,22 +303,20 @@ def test_exhaustive_mode_rejects_a_broken_table(s9_cocycle):
     k, g = P.decode(P.H[4])
     with pytest.raises(AutomorphismCheckFailed,
                        match=rf"at \(k,g\)=\({k},{g}\)"):
-        automorphisms_from_star(P)
+        _oracle_exact_check(P)
 
 
 def test_exhaustive_mode_finds_a_map_that_is_no_homomorphism(s9_cocycle,
                                                              monkeypatch):
     """Composing the pair map with a swap of two cosets keeps every pair an
-    automorphism, but no longer respects star; the products with the
-    generators show it."""
-    from ghfp import monomial
-
+    automorphism, but no longer respects star; in the generator-pair oracle
+    the products with the generators show it."""
     real = monomial._pair_arrays
     swap = np.arange(9)
     swap[[1, 2]] = [2, 1]
     monkeypatch.setattr(monomial, "_pair_arrays", lambda P, rho, lam: real(
         P, swap[np.asarray(rho)], lam))
-    report = automorphisms_from_star(ghfp_from_cocycle(s9_cocycle))
+    report = _oracle_exact_check(ghfp_from_cocycle(s9_cocycle))
     assert report["mode"] == "exhaustive" and report["central_pairs_ok"]
     assert not report["homomorphism_ok"]
 
@@ -318,9 +331,7 @@ def test_sample_below_one_is_rejected(s9_cocycle):
 def _spy_scans(monkeypatch, force: bool) -> list:
     """Record how many pairs each _first_non_automorphism call checks; with
     force, the first call (the generator pairs) reports pair 0 as failing,
-    so the check falls back to the per-representative scan."""
-    from ghfp import monomial
-
+    so the oracle falls back to the per-representative scan."""
     calls = []
 
     def spy(P, mp, md, np_, nd):
@@ -342,31 +353,143 @@ def _relabeled(psi, seed):
         img[psi.group.table[inv][:, inv]], check=False), psi.field)
 
 
+def _without_mode(report):
+    return {k: v for k, v in report.items() if k != "mode"}
+
+
+def _oracle_exact_check(P):
+    """The exact check by computation: the law f(x s) = f(x) f(s) for every
+    coset representative x = f_rho and generator s of (C, star) (f_g for
+    the generators g of G, and lam*1 for an additive basis of F_q), and
+    PMQ* = phi(H) on the |gens| + m generator pairs.  By induction on y as
+    a word in the generators, f(xy) = f(x) f(y) for all x, y, and as P1 P2
+    phi(H) (Q1 Q2)* = P1 (P2 phi(H) Q2*) Q1*, that proves PMQ* = phi(H) on
+    all q*v codewords.  If either check fails, PMQ* is scanned on the v
+    coset representatives (scalars cancel in PMQ*) to name the first
+    failing codeword.  The kernels are looked up in ghfp.monomial at call
+    time, so a test can patch them."""
+    f, v, q = P.field, P.v, P.q
+    rho, lam = np.arange(v), np.zeros(v, dtype=np.int64)
+    gen_rho = np.array(P.group.generators() + [0] * f.m, dtype=np.int64)
+    gen_lam = np.zeros_like(gen_rho)
+    gen_lam[-f.m:] = f.p ** np.arange(f.m)
+    a, b = np.divmod(np.arange(v * len(gen_rho)), len(gen_rho))
+    pairs = monomial._pair_arrays(P, rho, lam)
+    gens = monomial._pair_arrays(P, gen_rho, gen_lam)
+    hom_ok = _oracle_homomorphism_holds(P, (rho, lam, pairs),
+                                        (gen_rho, gen_lam, gens), a, b)
+    gens_ok = monomial._first_non_automorphism(P, *gens) is None
+    bad = (None if hom_ok and gens_ok
+           else monomial._first_non_automorphism(P, *pairs))
+    if bad is not None:
+        k, g = P.decode(P.H[bad])
+        raise AutomorphismCheckFailed(f"PMQ* != phi(H) at (k,g)=({k},{g})")
+    lams = np.arange(q)
+    mp, md, np_, nd = monomial._pair_arrays(P, np.zeros(q, dtype=np.int64),
+                                            lams)
+    ident, minus = np.arange(v), f.vneg(lams)[:, None]
+    return {
+        "pairs_verified": q * v,
+        "mode": "exhaustive",
+        "homomorphism_ok": hom_ok,
+        "central_pairs_ok": bool((mp == ident).all() and (np_ == ident).all()
+                                 and (md == minus).all()
+                                 and (nd == minus).all()),
+        "row_action_transitive": len(np.unique(pairs[0][:, 0])) == v,
+    }
+
+
 def test_generator_pairs_give_the_scan_report(corpus, gf3, monkeypatch):
     """On every orthogonal cocycle of the corpus and a relabeled group, the
-    exact check reads PMQ* only on the |gens| + m generator pairs, and
-    reports what the scan over all v coset representatives reports."""
+    generator-pair oracle reads PMQ* only on the |gens| + m generator
+    pairs, reports what the scan over all v coset representatives reports,
+    and, apart from the mode, what the theorem says."""
     cases = {name: psi for name, psi in corpus.items()
              if is_orthogonal(psi)[0]}
     cases["s3^3 relabeled"] = _relabeled(sylvester_power_cocycle(gf3, 3), 4)
     assert {"order4", "s8", "s9", "dphi43"} <= set(cases)
     for name, psi in cases.items():
         P = ghfp_from_cocycle(psi)
+        theorem = automorphisms_from_star(P)
+        assert theorem["mode"] == "theorem", name
         calls = _spy_scans(monkeypatch, force=False)
-        report = automorphisms_from_star(P)
+        report = _oracle_exact_check(P)
         assert calls == [len(P.group.generators()) + P.field.m], name
         calls = _spy_scans(monkeypatch, force=True)
-        assert automorphisms_from_star(P) == report, name
+        assert _oracle_exact_check(P) == report, name
         assert calls[1:] == [P.v], name
         assert report["mode"] == "exhaustive" and report["homomorphism_ok"]
+        assert _without_mode(report) == _without_mode(theorem), name
+
+
+def test_theorem_report_equals_the_oracle_on_structure_jobs(bench_recipes):
+    """Every structure kind, relabeled by a random automorphism of its group
+    as the benchmark's jobs are (workloads.automorphic), seeds 0-9: the
+    theorem report is the generator-pair oracle's, apart from the mode."""
+    import workloads
+
+    _, build = bench_recipes
+    for kind in workloads.Structure.KINDS:
+        base = build(kind)
+        for seed in range(10):
+            P = ghfp_from_cocycle(
+                workloads.automorphic(np.random.default_rng(seed), base))
+            theorem = automorphisms_from_star(P)
+            assert theorem["mode"] == "theorem", (kind, seed)
+            assert (_without_mode(theorem)
+                    == _without_mode(_oracle_exact_check(P))), (kind, seed)
+
+
+def test_theorem_path_computes_nothing(corpus, non_cocycles, s9_cocycle,
+                                       monkeypatch):
+    """With sample=None on a cocycle over a group, no pair, kernel or
+    row-product table is computed.  The non-cocycles, and a cocycle whose
+    group has no group verdict, take the sampled path, which the same spies
+    see."""
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return counted
+
+    for name in ("_pair_arrays", "_first_non_automorphism",
+                 "_homomorphism_holds"):
+        monkeypatch.setattr(monomial, name,
+                            spy(name, getattr(monomial, name)))
+
+    def run(P, **kw):
+        monkeypatch.setattr(P, "row_products",
+                            spy("row_products", P.row_products))
+        return automorphisms_from_star(P, **kw)
+
+    for name, psi in corpus.items():
+        if is_orthogonal(psi)[0]:
+            assert run(ghfp_from_cocycle(psi))["mode"] == "theorem", name
+    assert calls == []
+    for name, psi in non_cocycles.items():
+        P = ghfp_from_cocycle(psi)
+        if name == "gf2_over_z4":
+            assert run(P)["mode"] == "sampled"
+        else:  # some pair's search finds no row
+            with pytest.raises(AutomorphismCheckFailed):
+                run(P)
+        assert "_pair_arrays" in calls, name
+        calls.clear()
+    P = ghfp_from_cocycle(s9_cocycle)
+    monkeypatch.setattr(P.group, "is_group", lambda: False)
+    report = run(P)
+    assert report["mode"] == "sampled" and report["pairs_verified"] == 27
+    assert report["homomorphism_ok"] and report["row_action_transitive"]
+    assert {"_pair_arrays", "_first_non_automorphism", "_homomorphism_holds",
+            "row_products"} == set(calls)
 
 
 def test_bent_generator_row_is_named_by_the_scan(gf3, monkeypatch):
     """A wrong offset in a generator's own row-product row fails the
-    generator pairs; the fallback scan names the first failing coset
-    representative, which is that generator's row."""
-    from ghfp.errors import AutomorphismCheckFailed
-
+    generator pairs of the oracle; its fallback scan names the first
+    failing coset representative, which is that generator's row."""
     P = ghfp_from_cocycle(_relabeled(sylvester_power_cocycle(gf3, 3), 4))
     s = P.group.generators()[-1]
     rows, offsets = P.row_products()
@@ -379,7 +502,7 @@ def test_bent_generator_row_is_named_by_the_scan(gf3, monkeypatch):
     k, g = P.decode(P.H[s])
     with pytest.raises(AutomorphismCheckFailed,
                        match=rf"at \(k,g\)=\({k},{g}\)"):
-        automorphisms_from_star(P)
+        _oracle_exact_check(P)
     assert calls == [len(P.group.generators()) + P.field.m, P.v]
 
 
@@ -412,16 +535,17 @@ def _oracle_first_non_automorphism(P, mp, md, np_, nd):
 
 
 def _oracle_homomorphism_holds(P, left, right, a, b):
-    """The law f(x_a * y_b) = f(x_a) f(y_b), composing gathered pair rows
-    with take_along_axis."""
+    """The law f(x_a * y_b) = f(x_a) f(y_b), with x = left[a[k]] and y =
+    right[b[k]], where left and right are (rho, lam, pair arrays), composing
+    gathered pair rows with take_along_axis."""
     step = block_rows(P.v)
     (rl, ll, L), (rr, lr, R) = left, right
     for k0 in range(0, len(a), step):
         ia, ib = a[k0:k0 + step], b[k0:k0 + step]
-        rc, lc = _star_products(P, rl[ia], ll[ia], rr[ib], lr[ib])
+        rc, lc = monomial._star_products(P, rl[ia], ll[ia], rr[ib], lr[ib])
         if (rc < 0).any():
             return False
-        C = _pair_arrays(P, rc, lc)
+        C = monomial._pair_arrays(P, rc, lc)
         for side in (0, 2):
             pa, da = L[side][ia], L[side + 1][ia]
             pb, db = R[side][ib], R[side + 1][ib]
@@ -475,30 +599,33 @@ def test_blocked_kernels_match_oracles_on_structure_kinds(structure_codes,
                 assert (_first_non_automorphism(P, *arrays)
                         == _oracle_first_non_automorphism(P, *arrays)), kind
             a, b = rng.integers(0, 8, size=(2, 64))
-            for right in (pairs, bent):
-                args = (P, (rho, lam, pairs), (rho, lam, right), a, b)
-                assert (_homomorphism_holds(*args)
-                        == _oracle_homomorphism_holds(*args)), (kind, seed)
+            for arrays in (pairs, bent):
+                assert (_homomorphism_holds(P, rho, lam, arrays, a, b)
+                        == _oracle_homomorphism_holds(
+                            P, (rho, lam, arrays), (rho, lam, arrays), a, b)
+                        ), (kind, seed)
 
 
 def test_reports_match_the_oracle_kernels(structure_codes, corpus, s512,
-                                          monkeypatch):
+                                          non_cocycles, monkeypatch):
     """automorphisms_from_star gives the same report dicts with the oracle
-    kernels: sampled on every structure kind at seeds 0-9, exhaustive on
-    the orthogonal corpus, and both on S_512."""
-    from ghfp import monomial
-
+    kernels: sampled on every structure kind at seeds 0-9, 64 codewords of
+    the orthogonal corpus, 8 of S_512, and all q*v of the non-cocycle
+    whose pairs are all found."""
     cases = [(P, 8, seed) for P in structure_codes.values()
              for seed in range(10)]
-    cases += [(ghfp_from_cocycle(psi), None, 0) for psi in corpus.values()
+    cases += [(ghfp_from_cocycle(psi), 64, 0) for psi in corpus.values()
               if is_orthogonal(psi)[0]]
-    cases += [(s512, 8, 0), (s512, None, 0)]
+    cases += [(s512, 8, 0),
+              (ghfp_from_cocycle(non_cocycles["gf2_over_z4"]), None, 0)]
     reports = [automorphisms_from_star(P, sample=n, seed=s)
                for P, n, s in cases]
     monkeypatch.setattr(monomial, "_first_non_automorphism",
                         _oracle_first_non_automorphism)
-    monkeypatch.setattr(monomial, "_homomorphism_holds",
-                        _oracle_homomorphism_holds)
+    monkeypatch.setattr(
+        monomial, "_homomorphism_holds",
+        lambda P, rho, lam, pairs, a, b: _oracle_homomorphism_holds(
+            P, (rho, lam, pairs), (rho, lam, pairs), a, b))
     assert reports == [automorphisms_from_star(P, sample=n, seed=s)
                        for P, n, s in cases]
 
