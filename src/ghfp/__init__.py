@@ -22,12 +22,11 @@ from .codes import Code, GHCode, code_from_gh, rank_of_rows
 from .extension import (
     ExtensionGroup,
     coset_zero_sets,
-    extension_group,
     fh_intersection_profile,
     is_relative_difference_set,
     transversal_rds_check,
 )
-from .fields import Field, default_poly, field_new
+from .fields import Field, default_poly
 from .ghmatrix import (
     GHMatrix,
     gen_sylvester,
@@ -59,7 +58,6 @@ from .propelinear import (
     ghfp_from_cocycle,
     kronecker_propelinear,
     regular_subgroup_check,
-    star,
     verify_full_propelinear,
 )
 

@@ -1,8 +1,9 @@
 """Command-line front end: build constructions, verify, report.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 parse error.
-Every --json payload carries a run record (command, input hashes, seed,
-wall time) so identical inputs and seed reproduce identical output.
+Every --json payload carries a run record (command, input hashes, wall
+time); identical inputs reproduce identical output apart from the time.
+A file is read by its suffix: .coc as a cocycle, .ghm as a matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import planar as planar_mod
-from .cocycles import check_cocycle, is_orthogonal, lift, matrix_of, tensor
+from .cocycles import (Cocycle, check_cocycle, is_orthogonal, lift,
+                       matrix_of, tensor)
 from .codes import GHCode
 from .errors import GHFPError, ParseError
 from .extension import (
@@ -27,8 +29,8 @@ from .extension import (
 )
 from .fields import Field
 from .fileio import read_coc, read_ghm, sha256_of, write_coc, write_ghm
-from .ghmatrix import is_gh, normalize, sylvester_cocycle, \
-    sylvester_power_cocycle
+from .ghmatrix import (GHMatrix, is_gh, normalize, sylvester_cocycle,
+                       sylvester_power_cocycle)
 from .monomial import automorphisms_from_star, scalar_pairs_are_automorphisms
 from .propelinear import (PropelinearCode, regular_subgroup_check,
                           verify_full_propelinear)
@@ -38,7 +40,6 @@ def _run_record(args, inputs: List[str], seconds: float) -> Dict[str, object]:
     return {
         "command": " ".join(sys.argv[1:]),
         "inputs": {p: sha256_of(p) for p in inputs},
-        "seed": args.seed,
         "seconds": round(seconds, 3),
     }
 
@@ -67,16 +68,23 @@ def _jsonify(x):
 def _textify(v) -> str:
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(str(x) for x in v) + "]"
-    if isinstance(v, bool):
-        return str(v)
     return str(v)
 
 
-def _load_cocycle(path: str):
+def _load(path, suffixes=(".coc", ".ghm")):
+    """The Cocycle of a .coc file or the GHMatrix of a .ghm file; a suffix
+    not in suffixes is a ParseError."""
     p = Path(path)
-    if p.suffix == ".coc":
-        return read_coc(p)
-    raise ParseError(f"expected a .coc file, got {p.suffix}", line=0)
+    if p.suffix not in suffixes:
+        raise ParseError(f"expected a {' or '.join(suffixes)} file, "
+                         f"got {p.suffix or 'no suffix'}")
+    return read_coc(p) if p.suffix == ".coc" else read_ghm(p)
+
+
+def _load_matrix(path) -> GHMatrix:
+    """The matrix of a .ghm file, or of the cocycle of a .coc file."""
+    obj = _load(path)
+    return matrix_of(obj) if isinstance(obj, Cocycle) else obj
 
 
 def _parse_prime_power(q: int):
@@ -156,12 +164,11 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    path = Path(args.file)
-    M = read_ghm(path) if path.suffix == ".ghm" else matrix_of(read_coc(path))
+    M = _load_matrix(args.file)
     ok, witness = is_gh(M)
     if args.json:
         _emit(args, {"gh": ok, "q": M.q, "lambda": M.lam if ok else None,
-                     "witness": witness}, [str(path)], t0)
+                     "witness": witness}, [str(Path(args.file))], t0)
     elif ok:
         print(f"GH({M.q},{M.lam}) OK")
     else:
@@ -173,8 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_code(args) -> int:
     t0 = time.perf_counter()
-    path = Path(args.file)
-    M = read_ghm(path) if path.suffix == ".ghm" else matrix_of(read_coc(path))
+    M = _load_matrix(args.file)
     if not M.is_normalized:
         M = normalize(M)
     code = GHCode(M)
@@ -193,13 +199,13 @@ def cmd_code(args) -> int:
         out["min_distance_mode"] = md.mode
     if "rank" in out and "kernel" in out:
         out["linear"] = code.is_linear()
-    _emit(args, out, [str(path)], t0)
+    _emit(args, out, [str(Path(args.file))], t0)
     return 0
 
 
 def cmd_propelinear(args) -> int:
     t0 = time.perf_counter()
-    psi = _load_cocycle(args.file)
+    psi = _load(args.file, (".coc",))
     P = PropelinearCode(psi)
     out: Dict[str, object] = {"v": P.v, "q": P.q}
     ok = True
@@ -220,7 +226,7 @@ def cmd_propelinear(args) -> int:
 
 def cmd_rds(args) -> int:
     t0 = time.perf_counter()
-    psi = _load_cocycle(args.file)
+    psi = _load(args.file, (".coc",))
     orth, wit_o = is_orthogonal(psi)
     gh_ok, wit_g = is_gh(matrix_of(psi))
     rds_ok, params = transversal_rds_check(psi)
@@ -247,7 +253,7 @@ def cmd_rds(args) -> int:
 
 def cmd_autcheck(args) -> int:
     t0 = time.perf_counter()
-    P = PropelinearCode(_load_cocycle(args.file))
+    P = PropelinearCode(_load(args.file, (".coc",)))
     report = automorphisms_from_star(P)
     report["scalar_pairs_ok"] = scalar_pairs_are_automorphisms(P)
     if args.expanded:
@@ -262,8 +268,7 @@ def cmd_autcheck(args) -> int:
 
 def cmd_table1(args) -> int:
     t0 = time.perf_counter()
-    cells = planar_mod.table1(args.a_min, args.a_max, big=args.big,
-                              seed=args.seed)
+    cells = planar_mod.table1(args.a_min, args.a_max, big=args.big)
     if args.json:
         _emit(args, {"cells": cells}, [], t0)
         return 0
@@ -283,13 +288,9 @@ def consolidated_report(path) -> Dict[str, object]:
     Deterministic for fixed input; this is what the golden-file suite
     freezes.
     """
-    path = Path(path)
-    psi = None
-    if path.suffix == ".coc":
-        psi = read_coc(path)
-        M = matrix_of(psi)
-    else:
-        M = read_ghm(path)
+    obj = _load(path)
+    psi = obj if isinstance(obj, Cocycle) else None
+    M = obj if psi is None else matrix_of(psi)
     if not M.is_normalized:
         M = normalize(M)
     gh_ok, gh_wit = is_gh(M)
@@ -346,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cocyclic generalized Hadamard matrices and their full "
                     "propelinear codes.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="recorded in the --json run record; no result "
-                         "depends on it")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("build", help="construct and write .coc/.ghm files")

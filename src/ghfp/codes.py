@@ -245,9 +245,6 @@ class GHCode:
         out = self.field.vadd(alphas[:, None, None], self.H[None, :, :])
         return out.reshape(self.q * self.v, self.n)
 
-    def as_code(self) -> Code:
-        return Code(self.field, self.words())
-
     @property
     def ones(self) -> np.ndarray:
         return np.ones(self.n, dtype=np.int64)

@@ -103,10 +103,6 @@ class AutomorphismCheckFailed(GHFPError):
     pass
 
 
-class SizeGateExceeded(GHFPError):
-    pass
-
-
 # -- codes ---------------------------------------------------------------------
 
 class DuplicateRows(GHFPError):

@@ -4,8 +4,7 @@ F_H intersection profile and coset zero sets of C_H.
 E_psi lives on pairs (u, g) with (u,g)(w,h) = (u + w + psi(g,h), gh); the
 coefficient copy U x {1} is central and T(psi) = {(0, g)} is a normalized
 transversal.  Elements are kept as pairs, or as the labels u*v + g for
-array work, and multiplied on demand; nothing is tabulated unless the order
-is small.
+array work, and multiplied on demand; nothing is tabulated.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cocycles import Cocycle
-from .errors import NotAbelian, NotNormal, SizeGateExceeded, SizeMismatch
-from .fields import block_rows, row_histograms
-from .groups import Group, _exponent, _invariants
+from .errors import NotAbelian, NotNormal, SizeMismatch
+from .fields import row_histograms
+from .groups import _exponent, _invariants
 from .propelinear import PropelinearCode
-
-TABULATE_MAX = 10 ** 4
 
 Pair = Tuple[int, int]
 
@@ -56,18 +53,9 @@ class ExtensionGroup:
         """T(psi) = {(0, g)}, a normalized transversal of U x {1}."""
         return [(0, g) for g in range(self.v)]
 
-    def coefficient_subgroup(self) -> List[Pair]:
-        return [(u, 0) for u in range(self.q)]
-
     @property
     def is_abelian(self) -> bool:
         return self.group.is_abelian and (self.psi.table == self.psi.table.T).all()
-
-    def center_contains_coefficients(self) -> bool:
-        """(u, 1) commutes with everything, exactly: (u,1)(w,h) and (w,h)(u,1)
-        differ only in psi(1,h) against psi(h,1)."""
-        t = self.psi.table
-        return bool((t[0] == t[:, 0]).all())
 
     def _mul(self, a, b):
         """The product of index arrays, elementwise, on the labels u*v + g
@@ -76,18 +64,6 @@ class ExtensionGroup:
         (u, g), (w, h) = divmod(a, v), divmod(b, v)
         return f.vadd(f.vadd(u, w), self.psi.table[g, h]) * v \
             + self.group.table[g, h]
-
-    def as_group(self) -> Group:
-        """Materialized Cayley table on the labels u*v + g, gated to small
-        orders, computed in row blocks."""
-        if self.order > TABULATE_MAX:
-            raise SizeGateExceeded(f"order {self.order} > {TABULATE_MAX}")
-        labels = np.arange(self.order)
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        step = block_rows(self.order)
-        for r0 in range(0, self.order, step):
-            table[r0:r0 + step] = self._mul(labels[r0:r0 + step, None], labels)
-        return Group(table, check=False)
 
     def abelian_invariants(self) -> List[int]:
         """Invariant factors of E_psi, from the powers of every label at
@@ -98,10 +74,6 @@ class ExtensionGroup:
 
     def __repr__(self):
         return f"ExtensionGroup(order={self.order})"
-
-
-def extension_group(psi: Cocycle) -> ExtensionGroup:
-    return ExtensionGroup(psi)
 
 
 def is_relative_difference_set(R: List[Pair], E: ExtensionGroup,

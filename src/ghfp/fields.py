@@ -5,20 +5,21 @@ coefficients in the polynomial basis (little-endian).  This encoding is the
 wire format used by every file the library reads or writes.
 
 Field is the one owner of array arithmetic on encodings; every table is built
-once, read-only.  Addition and negation are single gathers of a flat q x q
-add table and a neg table, each built on its first use (digitwise passes
-above ADD_TABLE_MAX_Q); the row-pair scan gathers from a narrow subtraction
-table built the same way.  Multiplication is one gather of the antilog table
-at a sum of two logs: log 0 points into a zero tail of exp, so a product with
-0 needs no mask.  The scalar digit loops add and neg, and _poly_mul, are the
-tests' oracle.
+once, read-only.  Addition is one gather of a flat q x q add table built on
+its first use (above ADD_TABLE_MAX_Q, one pass through the packed base-p
+lanes below), negation one gather of a neg table of q entries at every q,
+and the row-pair scan gathers from a narrow subtraction table built like the
+add table.  Multiplication is one gather of the antilog table at a sum of
+two logs: log 0 points into a zero tail of exp, so a product with 0 needs no
+mask.  The scalar digit loops add and neg, and _poly_mul, are the tests'
+oracle.
 
 The two hottest loops add with no table: the cocycle identity check
 (Cocycle._check_identity) and the rank spin-up (codes._spin_up) hold their
 elements packed in base-p lanes (Lanes, Field._lanes), one digit per lane of
 one unsigned word, and add all m digits with one integer add and a
 carry-free reduction (one XOR for p = 2).  Every other caller gathers from
-the tables."""
+the tables, or packs, adds in lanes and unpacks above ADD_TABLE_MAX_Q."""
 
 from __future__ import annotations
 
@@ -191,8 +192,8 @@ class Field:
 
     # -- vectorized arithmetic on int arrays of encodings -----------------------
 
-    # one-gather addition via a flat q x q table; above this order fall back
-    # to digitwise passes (largest field in scope is 3^7 = 2187)
+    # one-gather addition via a flat q x q table; above this order add in
+    # packed base-p lanes (largest field in scope is 3^7 = 2187)
     ADD_TABLE_MAX_Q = 2400
 
     @cached_property
@@ -225,43 +226,24 @@ class Field:
         return Lanes(self)
 
     @cached_property
-    def _neg(self) -> Optional[np.ndarray]:
-        """The neg table, read-only, built on first use, or None above
-        ADD_TABLE_MAX_Q."""
-        if self.q > self.ADD_TABLE_MAX_Q:
-            return None
-        neg = self._vneg_digits(np.arange(self.q, dtype=np.int64))
+    def _neg(self) -> np.ndarray:
+        """The neg table, read-only, built on first use: each base-p digit
+        of an encoding negated mod p."""
+        places = self.p ** np.arange(self.m, dtype=np.int64)
+        digits = np.arange(self.q, dtype=np.int64)[:, None] // places
+        neg = -digits % self.p @ places
         neg.setflags(write=False)
         return neg
-
-    def _vadd_digits(self, a, b):
-        p = self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mul = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mul
-            a = a // p
-            b = b // p
-            mul *= p
-        return out
-
-    def _vneg_digits(self, a):
-        p = self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        mul = 1
-        for _ in range(self.m):
-            out += (-a % p) * mul
-            a = a // p
-            mul *= p
-        return out
 
     def vadd(self, a, b):
         """One gather of the flat add table at a*q + b, written into the
         key's own memory (mode="clip" lets take do that without a buffer;
-        encodings are below q, so nothing is clipped)."""
+        encodings are below q, so nothing is clipped).  Above
+        ADD_TABLE_MAX_Q: pack, add in lanes, unpack."""
         if self._add is None:
-            return self._vadd_digits(np.asarray(a, dtype=np.int64),
-                                     np.asarray(b, dtype=np.int64))
+            lanes = self._lanes
+            return lanes.unpack(lanes.add(lanes.pack.take(a),
+                                          lanes.pack.take(b)))
         key = np.asarray(np.multiply(a, self.q, dtype=np.int64))
         try:
             key += b
@@ -270,8 +252,7 @@ class Field:
         return self._add.take(key, out=key, mode="clip")
 
     def vneg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        return self._vneg_digits(a) if self._neg is None else self._neg[a]
+        return self._neg.take(a)
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -288,18 +269,6 @@ class Field:
 
     def encode(self, coeffs: Iterable[int]) -> int:
         return _encode((c % self.p for c in coeffs), self.p)
-
-    # -- power-of-x notation (printing only, never used internally) ---------------
-
-    def power_string(self, e: int) -> str:
-        if e == 0:
-            return "0"
-        k = int(self.log[e])
-        if k == 0:
-            return "1"
-        if k == 1:
-            return "x"
-        return f"x^{k}"
 
     # -- subfield lift -------------------------------------------------------------
 
@@ -447,11 +416,6 @@ def digitwise_table(p: int, k: int, op, dtype) -> np.ndarray:
         n = len(table) * p
         table = (p * table[:, None, :, None] + op_p[:, None]).reshape(n, n)
     return table
-
-
-def field_new(p: int, m: int, poly: Optional[Sequence[int]] = None) -> Field:
-    """Construct GF(p^m); poly defaults to the pinned smallest irreducible."""
-    return Field(p, m, poly)
 
 
 def row_histograms(rows, q: int) -> np.ndarray:

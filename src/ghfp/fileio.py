@@ -117,11 +117,11 @@ def _parse_lines(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
 def _read_lines(path, lineno: Optional[int] = None):
     """The lines of a UTF-8 text file, split at line feeds only (no other
     Unicode line break), each without a trailing carriage return.  A file
-    that cannot be opened or decoded is a ParseError, at lineno when another
-    file's line named it."""
+    that cannot be opened or decoded, or whose name holds a NUL byte, is a
+    ParseError, at lineno when another file's line named it."""
     try:
         lines = Path(path).read_bytes().decode().split("\n")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, NUL in name
         raise ParseError(f"cannot read {path} ({e})", line=lineno) from None
     if lines[-1] == "":  # the final newline ends the last line
         lines.pop()
@@ -181,17 +181,18 @@ def read_coc(path) -> Cocycle:
     _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
     field = parse_field_header(lines[0], 1)
     v = _parse_v(lines[1], 2)
-    row_start = 2
+    row_start, group = 2, None
     if len(lines) > 2 and lines[2].startswith("group="):
         cay = path.parent / lines[2][len("group="):]
         group = _parse_cay(_read_lines(cay, 3))
         row_start = 3
-    else:
+    # the rows first: a short file claiming a large v builds no Z_p^k
+    table = _parse_rows(lines[row_start:row_start + v], row_start + 1, v, field.q)
+    if group is None:
         group = _default_group(v, field.p)
         _expect(group is not None,
                 f"v={v} is not a power of p={field.p}; supply group=", 2)
     _expect(group.order == v, f"group order {group.order} != v={v}", 2)
-    table = _parse_rows(lines[row_start:row_start + v], row_start + 1, v, field.q)
     from .cocycles import check_cocycle
 
     return check_cocycle(table, group, field)

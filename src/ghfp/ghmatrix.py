@@ -106,7 +106,8 @@ def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
     itself, so a scan of the pairs (0, j) builds no subtraction table.  The
     key and difference buffers are allocated once per scan, and no scaled
     copy of H is kept, so a scan of the pairs (0, j) adds no v x v array.
-    Above ADD_TABLE_MAX_Q it subtracts digitwise."""
+    Above ADD_TABLE_MAX_Q, where there is no subtraction table, it
+    subtracts by vsub, in packed base-p lanes."""
     f, H, v, q = matrix.field, matrix.entries, matrix.v, matrix.q
     step = min(block_rows(max(v, q)), v)
     keys = np.empty((step, v), dtype=np.int64)

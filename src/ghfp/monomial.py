@@ -190,7 +190,8 @@ def _first_non_automorphism(P: PropelinearCode, mp, md, np_, nd
     """The first pair with PMQ* != phi(H), or None.  Entry (i, j) of pair k
     holds exactly when H[mp[k, i], np_[k, j]] - H[i, j] = nd[k, j] -
     md[k, i]; both sides are gathered from the narrow Field._sub at keys
-    a*q + b (vsub above ADD_TABLE_MAX_Q, where it is None).  A block is
+    a*q + b (above ADD_TABLE_MAX_Q, where it is None, both sides are vsub,
+    in packed base-p lanes).  A block is
     BLOCK // v^2 whole pairs, or block_rows(v) rows of one pair when a pair
     is larger (row blocks of BLOCK entries slowed S_3^6, sample=512, from
     1.5 to 2.6 s), in buffers allocated once per call: fresh temporaries

@@ -54,20 +54,6 @@ def planar_map(a: int, b: int, field: Optional[Field] = None) -> np.ndarray:
     return out
 
 
-def is_planar(phi: np.ndarray, field: Field) -> bool:
-    """Oracle: g -> phi(g+h) - phi(g) is a bijection for every h != 0.
-
-    Independent of the orthogonality scan; the two must agree.
-    """
-    q = field.q
-    idx = np.arange(q, dtype=np.int64)
-    for h in range(1, q):
-        diff = field.vsub(phi[field.vadd(idx, h)], phi)
-        if np.bincount(diff, minlength=q).max() != 1:
-            return False
-    return True
-
-
 def planar_coboundary(a: int, b: int, field: Optional[Field] = None) -> Cocycle:
     """The coboundary of phi_(a,b) over the additive group of GF(3^a) in
     encoding order; orthogonal for admissible parameters, and a cocycle by
@@ -100,14 +86,13 @@ def conjectured_rank(b: int) -> int:
     return 3 * 2 ** (b - 1) - 1
 
 
-def table1(a_min: int = 4, a_max: int = 7, big: bool = False,
-           seed: int = 0) -> List[Dict[str, object]]:
+def table1(a_min: int = 4, a_max: int = 7,
+           big: bool = False) -> List[Dict[str, object]]:
     """Rank/kernel of the codes C_(a,b) for every admissible pair in range.
 
     Cells above the budget (a > 6, or a > 7 with big) are reported as
     skipped rather than attempted; inadmissible (a, b) combinations are
-    labeled as such so the table shape matches the published one.  Each
-    computed cell records seed, which decides nothing.
+    labeled as such so the table shape matches the published one.
     """
     cap = BUDGET_BIG_MAX_A if big else BUDGET_DEFAULT_MAX_A
     out: List[Dict[str, object]] = []
@@ -123,7 +108,6 @@ def table1(a_min: int = 4, a_max: int = 7, big: bool = False,
             else:
                 t0 = time.perf_counter()
                 cell.update(_table1_cell(a, b))
-                cell["seed"] = seed
                 cell["seconds"] = round(time.perf_counter() - t0, 3)
                 cell["status"] = "ok"
     return out

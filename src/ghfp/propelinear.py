@@ -148,10 +148,6 @@ def ghfp_from_cocycle(psi: Cocycle) -> PropelinearCode:
     return PropelinearCode(psi)
 
 
-def star(P: PropelinearCode, x, y) -> np.ndarray:
-    return P.star(x, y)
-
-
 def kronecker_propelinear(P1: PropelinearCode,
                           P2: PropelinearCode) -> PropelinearCode:
     """GHFP structure on C_{H1 (+) H2}, via the tensor cocycle.
@@ -163,14 +159,6 @@ def kronecker_propelinear(P1: PropelinearCode,
     if P1.field != P2.field:
         raise FieldMismatch("factors need one field")
     return PropelinearCode(tensor(P1.psi, P2.psi))
-
-
-def oplus(field, a, b) -> np.ndarray:
-    """Row combination (a_1+b_1,...,a_1+b_v',a_2+b_1,...): the Kronecker-sum
-    coordinate pattern for vectors."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    return field.vadd(a[:, None], b[None, :]).reshape(a.shape[0] * b.shape[0])
 
 
 def _first(label: str, bad: np.ndarray) -> tuple:

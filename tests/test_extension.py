@@ -9,7 +9,6 @@ from ghfp import (
     coboundary,
     cocycle_from_code,
     coset_zero_sets,
-    extension_group,
     fh_intersection_profile,
     ghfp_from_cocycle,
     is_orthogonal,
@@ -24,8 +23,20 @@ import paper_data
 from test_groups import s3_table
 
 
+def extension_table(E: ExtensionGroup) -> Group:
+    """Test oracle: the Cayley table of E_psi on the labels u*v + g, by
+    E._mul on every pair of labels (small orders only)."""
+    labels = np.arange(E.order)
+    return Group(E._mul(labels[:, None], labels), check=False)
+
+
+def coefficients(E: ExtensionGroup):
+    """The central subgroup U x {1}."""
+    return [(u, 0) for u in range(E.q)]
+
+
 def test_extension_order_and_identity(order4_cocycle):
-    E = extension_group(order4_cocycle)
+    E = ExtensionGroup(order4_cocycle)
     assert E.order == 16
     assert E.mul((0, 0), (3, 2)) == (3, 2)
     a = (2, 3)
@@ -39,11 +50,6 @@ def test_trivial_cocycle_gives_direct_product(gf3):
         for g in range(9):
             assert E.mul((u, g), (0, 0)) == (u, g)
             assert E.mul((u, 1), (0, 3)) == (u, elementary_abelian(3, 2).mul(1, 3))
-
-
-def test_center_contains_coefficients(order4_cocycle, s9_cocycle, dphi43):
-    for psi in (order4_cocycle, s9_cocycle, dphi43):
-        assert ExtensionGroup(psi).center_contains_coefficients()
 
 
 def test_extension_invariants_published(order4_cocycle, s9_cocycle, s8_cocycle,
@@ -67,20 +73,20 @@ def test_not_abelian_names_the_exact_exponent(k, a, b):
     with pytest.raises(NotAbelian) as exc:
         E.abelian_invariants()
     assert exc.value.order == E.order
-    assert exc.value.exponent == E.as_group().exponent == 4
+    assert exc.value.exponent == extension_table(E).exponent == 4
 
 
 def test_extension_invariants_match_tabulated(order4_cocycle, s9_cocycle,
                                               s8_cocycle):
     for psi in (order4_cocycle, s9_cocycle, s8_cocycle):
         E = ExtensionGroup(psi)
-        g = E.as_group()
+        g = extension_table(E)
         g.check_associativity()
         assert abelian_invariants(g) == E.abelian_invariants()
 
 
 def test_label_table_matches_pair_product(gf3, order4_cocycle, s9_cocycle):
-    """as_group(), on the label product that the invariants and the
+    """extension_table(E), on the label product that the invariants and the
     exponent use, is E.mul on pairs: also for a cocycle that is not
     symmetric and for a group that is not abelian."""
     idx = np.arange(8)
@@ -91,7 +97,7 @@ def test_label_table_matches_pair_product(gf3, order4_cocycle, s9_cocycle):
     assert (digits.table != digits.table.T).any()
     for psi in (order4_cocycle, s9_cocycle, digits, over_s3):
         E = ExtensionGroup(psi)
-        table, v = E.as_group().table, E.v
+        table, v = extension_table(E).table, E.v
         for u, g in E.elements():
             for w, h in E.elements():
                 k, x = E.mul((u, g), (w, h))
@@ -113,7 +119,7 @@ def test_transversal_rds_against_general_checker(order4_cocycle, s9_cocycle):
     for psi in (order4_cocycle, s9_cocycle):
         E = ExtensionGroup(psi)
         ok, summary = is_relative_difference_set(
-            E.transversal(), E, E.coefficient_subgroup(), psi.v // psi.q)
+            E.transversal(), E, coefficients(E), psi.v // psi.q)
         assert ok
         assert summary["quotients"] == psi.v * (psi.v - 1)
         fast, _ = transversal_rds_check(psi)
@@ -161,7 +167,7 @@ def test_general_rds_normality_matches_brute_force(gf3):
         assert not normal(set(Z))
         with pytest.raises(NotNormal, match="not normal"):
             is_relative_difference_set(E.transversal(), E, Z, 1)
-    for Z in (rotations, E.coefficient_subgroup()):
+    for Z in (rotations, coefficients(E)):
         is_relative_difference_set(E.transversal(), E, Z, 1)
 
 

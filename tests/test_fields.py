@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghfp import Field, default_poly, field_new
+from ghfp import Field, default_poly
 from ghfp.errors import DivisionByZero, NotIrreducible, NotMonic, NotPrime
 from ghfp.fields import PINNED_POLYS, is_irreducible
 
@@ -9,14 +9,14 @@ import paper_data
 
 
 def test_published_polynomial_is_accepted():
-    f = field_new(3, 4, [2, 1, 0, 0, 1])
+    f = Field(3, 4, [2, 1, 0, 0, 1])
     assert f.q == 81
     # x * x^3 reduces to 2x + 1, encoding 7
     assert f.mul(3, f.pow(3, 3)) == 7
 
 
 def test_prime_field_encoding_is_value():
-    f = field_new(3, 1, [0, 1])
+    f = Field(3, 1, [0, 1])
     assert [f.add(a, b) for a in range(3) for b in range(3)] == \
         [(a + b) % 3 for a in range(3) for b in range(3)]
 
@@ -24,16 +24,16 @@ def test_prime_field_encoding_is_value():
 def test_reducible_polynomial_rejected():
     # x^4 + 1 = (x^2+x+2)(x^2+2x+2) over GF(3)
     with pytest.raises(NotIrreducible):
-        field_new(3, 4, [1, 0, 0, 0, 1])
+        Field(3, 4, [1, 0, 0, 0, 1])
 
 
 def test_constructor_validation():
     with pytest.raises(NotPrime):
-        field_new(4, 1, [0, 1])
+        Field(4, 1, [0, 1])
     with pytest.raises(NotMonic):
-        field_new(3, 2, [1, 0, 2])
+        Field(3, 2, [1, 0, 2])
     with pytest.raises(NotMonic):
-        field_new(3, 2, [1, 0])
+        Field(3, 2, [1, 0])
 
 
 def test_pinned_polys_match_search():
@@ -110,8 +110,8 @@ def test_inverse_and_division():
                                  (3, 3), (3, 4)])
 def test_vectorized_matches_scalar(p, m, monkeypatch):
     """The table gathers against the scalar digit loops and _poly_mul, on
-    every pair (a, b) including 0; then the digitwise path of a field built
-    above ADD_TABLE_MAX_Q against the table path."""
+    every pair (a, b) including 0; then the lane path of a field built
+    above ADD_TABLE_MAX_Q against the scalar digit loops."""
     f = Field(p, m)
     q = f.q
     a = np.repeat(np.arange(q), q)
@@ -127,12 +127,45 @@ def test_vectorized_matches_scalar(p, m, monkeypatch):
     for s in range(q):
         assert f.vmul(s, np.arange(q)).tolist() == products[s * q:(s + 1) * q]
     monkeypatch.setattr(Field, "ADD_TABLE_MAX_Q", q - 1)
-    digits = Field(p, m)
-    assert digits._add is None and digits._neg is None
-    assert (digits.vadd(a, b) == f.vadd(a, b)).all()
+    lanes = Field(p, m)
+    assert lanes._add is None and lanes._sub is None
+    sums = [f.add(x, y) for x, y in pairs]
+    assert lanes.vadd(a, b).tolist() == sums
     e = np.arange(q)
-    assert (digits.vadd(e[:, None], e) == f.vadd(e[:, None], e)).all()
-    assert (digits.vneg(e) == f.vneg(e)).all()
+    assert lanes.vadd(e[:, None], e).ravel().tolist() == sums
+    assert lanes.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert lanes.vneg(e).tolist() == [f.neg(x) for x in range(q)]
+
+
+@pytest.mark.parametrize("p,m", [(3, 8), (2, 12)])
+def test_arithmetic_above_the_add_table_limit(p, m):
+    """GF(3^8) and GF(2^12) lie above ADD_TABLE_MAX_Q: vadd adds in packed
+    lanes, vneg gathers from a neg table of q entries, and both, with vsub,
+    equal the scalar digit loops on seeded samples, on scalars and on
+    broadcast shapes."""
+    f = Field(p, m)
+    q = f.q
+    assert q > Field.ADD_TABLE_MAX_Q and f._add is None and f._sub is None
+    assert f._neg.shape == (q,) and not f._neg.flags.writeable
+    assert f.vneg(np.arange(q)).tolist() == [f.neg(x) for x in range(q)]
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(0, q, size=(2, 3000))
+    a[:3], b[:3] = (0, q - 1, 5), (q - 1, 0, 5)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    for x, y in pairs[:20]:
+        assert int(f.vadd(x, y)) == f.add(x, y)
+        assert int(f.vsub(x, y)) == f.sub(x, y)
+        assert int(f.vneg(x)) == f.neg(x)
+    col, row = a[:40, None], b[:30]
+    want = [[f.add(x, y) for y in b[:30].tolist()] for x in a[:40].tolist()]
+    assert f.vadd(col, row).tolist() == want
+    assert f.vadd(row, col).tolist() == want
+    assert f.vsub(col, row).tolist() == [[f.sub(x, y) for y in b[:30].tolist()]
+                                         for x in a[:40].tolist()]
+    assert f.vadd(int(a[0]), b[:30]).tolist() == want[0]
+    assert f.vneg(col).tolist() == [[f.neg(x)] for x in a[:40].tolist()]
 
 
 def test_add_tables_built_on_first_array_addition():
@@ -195,13 +228,3 @@ def test_lanes_match_scalar_arithmetic(p, m, b, dtype):
     products = lanes.exp.take(f.log[x] + f.log[y])
     assert lanes.unpack(products).tolist() == [f._poly_mul(a, c)
                                                for a, c in pairs]
-
-
-def test_power_string_roundtrip():
-    f = Field(2, 3)
-    seen = {f.power_string(e) for e in range(f.q)}
-    assert seen == {"0", "1", "x", "x^2", "x^3", "x^4", "x^5", "x^6"}
-    names = {f.power_string(e): e for e in range(f.q)}
-    assert len(names) == f.q
-    for k in range(2, f.q - 1):
-        assert names[f"x^{k}"] == f.pow(names["x"], k)

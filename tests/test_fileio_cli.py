@@ -8,7 +8,7 @@ import pytest
 
 from ghfp import Field, elementary_abelian, matrix_of
 from ghfp import fileio
-from ghfp.cli import main
+from ghfp.cli import consolidated_report, main
 from ghfp.errors import NotAGroup, ParseError
 from ghfp.fileio import (
     field_header,
@@ -209,7 +209,7 @@ def test_cli_code_json(tmp_path, capsys):
     assert payload["p_kernel"] == 1
     assert payload["min_distance"] == 80
     assert payload["linear"] is False
-    assert "run" in payload and payload["run"]["seed"] == 0
+    assert set(payload["run"]) == {"command", "inputs", "seconds"}
 
 
 def test_cli_code_on_planar_ghm_by_theorem(tmp_path, capsys):
@@ -498,7 +498,8 @@ def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, case):
 
 @pytest.mark.parametrize("case", ["missing group", "group is a directory",
                                   "coc not utf-8", "cay not utf-8",
-                                  "ghm not utf-8", "no such file"])
+                                  "ghm not utf-8", "no such file",
+                                  "NUL in group name"])
 def test_unreadable_file_is_a_parse_error(tmp_path, capsys, case):
     """A file that cannot be opened or decoded is a ParseError, located at
     the group= line when a .coc names it."""
@@ -515,9 +516,109 @@ def test_unreadable_file_is_a_parse_error(tmp_path, capsys, case):
         path.write_bytes(b"\xff\xfe garbage\n")
     elif case == "no such file":
         path, line = tmp_path / "absent.ghm", None
+    elif case == "NUL in group name":
+        coc.write_bytes(b"p=2 m=1 poly=1,1\nv=2\ngroup=a\x00b.cay\n"
+                        b"0 0\n0 1\n")
     with pytest.raises(ParseError) as err:
         _READERS[path.suffix[1:]](path)
     assert err.value.line == line
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+# mutation bytes: mostly what the formats are made of, so that a mutated
+# file gets past its first line often enough
+_ALPHABET = np.frombuffer(b"0123456789 \t\r\n=,-xpmv\x00\xff", dtype=np.uint8)
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    """One to three seeded mutations: insert, replace or delete one to three
+    bytes, truncate, or duplicate a line."""
+    for _ in range(int(rng.integers(1, 4))):
+        kind, i, n = (int(x) for x in rng.integers(0, [5, len(data) + 1, 3]))
+        n += 1
+        noise = bytes(rng.choice(_ALPHABET, n) if rng.random() < 0.7
+                      else rng.integers(0, 256, n, dtype=np.uint8))
+        if kind == 0:
+            data = data[:i] + noise + data[i:]
+        elif kind == 1:
+            data = data[:i] + noise + data[i + n:]
+        elif kind == 2:
+            data = data[:i] + data[i + n:]
+        elif kind == 3:
+            data = data[:i]
+        else:
+            lines = data.split(b"\n")
+            k = int(rng.integers(len(lines)))
+            data = b"\n".join(lines[:k + 1] + lines[k:])
+    return data
+
+
+@pytest.mark.parametrize("base", ["coc", "coc with group=", "cay", "ghm"])
+def test_mutated_file_reads_or_raises_a_library_error(tmp_path, capsys, gf3,
+                                                      s9_cocycle, base):
+    """75 seeded byte mutations of a valid file: its reader either reads it
+    or raises a GHFPError, and `ghfp verify` on it (on a .coc naming it,
+    for a .cay) returns 0, 1 or 2 and raises nothing."""
+    from ghfp import Group, trivial_cocycle
+    from ghfp.errors import GHFPError
+    from test_groups import s3_table
+
+    write_coc(tmp_path / "s9.coc", s9_cocycle)
+    write_ghm(tmp_path / "s9.ghm", matrix_of(s9_cocycle))
+    write_coc(tmp_path / "s3.coc", trivial_cocycle(Group(s3_table()), gf3))
+    source, reader = {"coc": ("s9.coc", read_coc),
+                      "coc with group=": ("s3.coc", read_coc),
+                      "cay": ("s3.cay", read_cay),
+                      "ghm": ("s9.ghm", read_ghm)}[base]
+    good = (tmp_path / source).read_bytes()
+    target = tmp_path / f"m.{source[-3:]}"
+    verified = target
+    if base == "cay":  # verify reads a .cay through a .coc's group= line
+        verified = tmp_path / "uses_m.coc"
+        verified.write_bytes((tmp_path / "s3.coc").read_bytes().replace(
+            b"group=s3.cay", b"group=m.cay"))
+    rng = np.random.default_rng(len(good))
+    codes = set()
+    for _ in range(75):
+        target.write_bytes(_mutate(good, rng))
+        try:
+            reader(target)
+        except GHFPError:
+            pass
+        codes.add(main(["verify", str(verified)]))
+    capsys.readouterr()
+    assert 2 in codes and codes <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("cmd,name", [("verify", "s9.txt"),
+                                      ("code", "s9"),
+                                      ("report", "s9.cay"),
+                                      ("rds", "s9.ghm"),
+                                      ("propelinear", "s9.ghm"),
+                                      ("autcheck", "s9.ghm")])
+def test_unknown_suffix_is_a_parse_error(tmp_path, capsys, s9_cocycle, cmd,
+                                         name):
+    """Every command reads its file by suffix: .coc or .ghm, and .coc only
+    where a cocycle is needed.  Anything else is a parse error, whatever
+    the file holds."""
+    path = tmp_path / name
+    write_coc(path, s9_cocycle)
+    assert main([cmd, str(path)]) == 2
+    assert "parse error: expected a .coc" in capsys.readouterr().err
+    if cmd == "report":
+        with pytest.raises(ParseError):
+            consolidated_report(path)
+
+
+def test_short_coc_claiming_a_large_order_is_a_parse_error(tmp_path, capsys):
+    """A .coc without group= that claims v = 2^62 but holds two rows fails
+    on its rows, before Z_2^62, whose table no array can hold, is built."""
+    path = tmp_path / "big.coc"
+    path.write_text(f"p=2 m=1 poly=0,1\nv={2 ** 62}\n0 0\n0 1\n")
+    with pytest.raises(ParseError) as err:
+        read_coc(path)
+    assert err.value.line == 3
     assert main(["verify", str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
 
@@ -588,21 +689,21 @@ def test_cli_verify_fails_on_corrupted(tmp_path, capsys, gf3):
 
 
 def test_cli_determinism(tmp_path, capsys):
-    """A repeated run prints the same payload and run record; the seed,
-    which code does not use, changes only the run record."""
+    """A repeated run prints the same payload and run record, apart from
+    the wall time; there is no --seed option."""
     main(["build", "--construction", "planar", "--a", "4", "--b", "3",
           "--out", str(tmp_path), "--name", "p43"])
     capsys.readouterr()
     outs = []
-    for seed in ("7", "7", "1", "2"):
-        main(["--json", "--seed", seed, "code", str(tmp_path / "p43.coc")])
+    for _ in range(2):
+        main(["--json", "code", str(tmp_path / "p43.coc")])
         payload = json.loads(capsys.readouterr().out)
         payload["run"].pop("seconds")
         outs.append(payload)
     assert outs[0] == outs[1]
-    assert outs[2]["run"]["seed"] == 1 and outs[3]["run"]["seed"] == 2
-    bodies = [{k: v for k, v in out.items() if k != "run"} for out in outs]
-    assert bodies[1:] == bodies[:1] * 3
+    with pytest.raises(SystemExit) as exit_:
+        main(["--json", "--seed", "1", "code", str(tmp_path / "p43.coc")])
+    assert exit_.value.code == 2
 
 
 def test_console_entry_point(tmp_path):

@@ -249,16 +249,18 @@ def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
     """Every histogram row_pair_counts yields equals the bincount of the
     pair's digitwise difference, on a random bare matrix: in one row block
     and in blocks of 1 and 3 rows, through the narrow subtraction table
-    (uint8 up to q = 256, uint16 above) and digitwise above
-    ADD_TABLE_MAX_Q.  The pairs come in row-major order, each once, and a
-    True first_row_decides() stops after row 0."""
+    (uint8 up to q = 256, uint16 above) and through vsub's packed lanes
+    above ADD_TABLE_MAX_Q; the oracle is the scalar digit loop Field.sub.
+    The pairs come in row-major order, each once, and a True
+    first_row_decides() stops after row 0."""
     from ghfp import ghmatrix
     from ghfp.ghmatrix import row_pair_counts
 
     f = Field(p, m)
     H = np.random.default_rng(v).integers(0, f.q, size=(v, v))
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
-    want = [np.bincount(f._vadd_digits(H[j], f._vneg_digits(H[i])),
+    want = [np.bincount([f.sub(x, y) for x, y in zip(H[j].tolist(),
+                                                     H[i].tolist())],
                         minlength=f.q) for i, j in pairs]
 
     def scan(field, stop):

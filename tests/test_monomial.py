@@ -18,7 +18,7 @@ from ghfp import (
 )
 from ghfp import monomial
 from ghfp.cocycles import check_cocycle, is_orthogonal
-from ghfp.errors import AutomorphismCheckFailed, NotMonomial, SizeGateExceeded
+from ghfp.errors import AutomorphismCheckFailed, NotMonomial
 from ghfp.fields import block_rows
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
@@ -35,11 +35,15 @@ import paper_data
 EXPANDED_MAX = 10 ** 4
 
 
+class ExpansionTooLarge(ValueError):
+    """expanded_matrix refuses qv above EXPANDED_MAX."""
+
+
 def expanded_matrix(H: GHMatrix) -> np.ndarray:
     """The qv x qv block matrix with block (i, j) equal to k_i + k_j + H."""
     f, v, q = H.field, H.v, H.q
     if q * v > EXPANDED_MAX:
-        raise SizeGateExceeded(f"qv = {q * v} > {EXPANDED_MAX}")
+        raise ExpansionTooLarge(f"qv = {q * v} > {EXPANDED_MAX}")
     ks = np.arange(q, dtype=np.int64)
     out = np.empty((q * v, q * v), dtype=np.int64)
     for i in range(q):
@@ -227,7 +231,7 @@ def test_expanded_row_action_regular(order4_cocycle, s9_cocycle, s8_cocycle):
 def test_expanded_gate(corpus):
     # q*v = 81 * 243 = 19683 exceeds the expansion gate
     big = matrix_of(corpus["s3lift_x_dphi43"])
-    with pytest.raises(SizeGateExceeded):
+    with pytest.raises(ExpansionTooLarge):
         expanded_matrix(big)
 
 

@@ -5,9 +5,23 @@ from ghfp import Field, GHCode, additive_group_of, admissible_pairs, \
     coboundary, is_orthogonal, matrix_of, planar_coboundary, planar_map, \
     table1, trivial_cocycle
 from ghfp.errors import InadmissibleParams, NotOrthogonal
-from ghfp.planar import conjectured_rank, is_planar, planar_exponent
+from ghfp.planar import conjectured_rank, planar_exponent
 
 import paper_data
+
+
+def is_planar(phi: np.ndarray, field: Field) -> bool:
+    """Oracle: g -> phi(g+h) - phi(g) is a bijection for every h != 0.
+
+    Independent of the orthogonality scan; the two must agree.
+    """
+    q = field.q
+    idx = np.arange(q, dtype=np.int64)
+    for h in range(1, q):
+        diff = field.vsub(phi[field.vadd(idx, h)], phi)
+        if np.bincount(diff, minlength=q).max() != 1:
+            return False
+    return True
 
 
 def test_admissible_pairs_match_table_shape():

@@ -21,9 +21,16 @@ from ghfp.errors import CocycleIdentityViolated, GHFPError, NotACodeword, \
     NotAGroup, NotAssociative, NotNormalized, NotOrthogonal, SectionUndefined
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
-from ghfp.propelinear import oplus
 
 import paper_data
+
+
+def oplus(field, a, b) -> np.ndarray:
+    """Row combination (a_1+b_1,...,a_1+b_v',a_2+b_1,...): the Kronecker-sum
+    coordinate pattern for vectors."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return field.vadd(a[:, None], b[None, :]).reshape(a.shape[0] * b.shape[0])
 
 
 @pytest.fixture(scope="module")
