@@ -4,7 +4,10 @@ F_H intersection profile and coset zero sets of C_H.
 E_psi lives on pairs (u, g) with (u,g)(w,h) = (u + w + psi(g,h), gh); the
 coefficient copy U x {1} is central and T(psi) = {(0, g)} is a normalized
 transversal.  Elements are kept as pairs, or as the labels u*v + g for
-array work, and multiplied on demand; nothing is tabulated.
+array work, and multiplied on demand; nothing is tabulated.  Its abelian
+invariants come from the p-power theorem when G is elementary abelian and
+psi a symmetric cocycle with a verdict, and otherwise from the powers of
+every label.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .cocycles import Cocycle
 from .errors import NotAbelian, NotNormal, SizeMismatch
 from .fields import row_histograms
-from .groups import _exponent, _invariants
+from .groups import _exponent, _ilog, _invariants
 from .propelinear import PropelinearCode
 
 Pair = Tuple[int, int]
@@ -66,10 +69,29 @@ class ExtensionGroup:
             + self.group.table[g, h]
 
     def abelian_invariants(self) -> List[int]:
-        """Invariant factors of E_psi, from the powers of every label at
-        once, so no Cayley table is needed."""
+        """Invariant factors of E_psi, sorted; no Cayley table is built.
+
+        By the p-power theorem when psi holds a verdict over a group G of
+        exponent p (the field's characteristic), E_psi being abelian: then
+        (u, g)^p = (p*u + c_g, g^p) = (c_g, 1), with c_g = sum_{0<i<p}
+        psi(g^i, g), as p*u = 0.  So E_psi has exponent p^2 at most, and
+        its p-th powers, the image of the homomorphism x -> x^p, are the
+        subgroup {c_g} x {1}, of order p^r.  An abelian group of order p^n
+        and exponent p^2 is Z_{p^2}^a x Z_p^(n-2a) with p^a p-th powers, so
+        a = r.  This reads v*(p-1) entries of each table.  Otherwise from
+        the powers of all q*v labels at once (groups._invariants)."""
         if not self.is_abelian:
             raise NotAbelian(self.order, _exponent(self._mul, self.order))
+        p, t, gt = self.field.p, self.psi.table, self.group.table
+        if self.psi.checked and self.group.is_group():
+            g = np.arange(self.v)
+            c, x = t.diagonal(), gt.diagonal()  # c_g for p = 2, and g^2
+            for _ in range(p - 2):  # add psi(g^i, g), then x = g^(i+1)
+                c, x = self.field.vadd(c, t[x, g]), gt[x, g]
+            if not x.any():
+                r = _ilog(np.count_nonzero(np.bincount(c)), p)
+                n = _ilog(self.order, p)
+                return [p] * (n - 2 * r) + [p * p] * r
         return _invariants(self._mul, self.order)
 
     def __repr__(self):

@@ -118,11 +118,13 @@ def _read_lines(path, lineno: Optional[int] = None):
     """The lines of a UTF-8 text file, split at line feeds only (no other
     Unicode line break), each without a trailing carriage return.  A file
     that cannot be opened or decoded, or whose name holds a NUL byte, is a
-    ParseError, at lineno when another file's line named it."""
+    ParseError, at lineno when another file's line named it; the message
+    quotes the path with repr, so no control byte of a name reaches it."""
     try:
         lines = Path(path).read_bytes().decode().split("\n")
     except (OSError, ValueError) as e:  # ValueError: not UTF-8, NUL in name
-        raise ParseError(f"cannot read {path} ({e})", line=lineno) from None
+        raise ParseError(f"cannot read {str(path)!r} ({e})",
+                         line=lineno) from None
     if lines[-1] == "":  # the final newline ends the last line
         lines.pop()
     return [x[:-1] if x.endswith("\r") else x for x in lines]

@@ -83,10 +83,10 @@ class Group:
     The table (the array passed in, not a copy) and the inverse map are made
     read-only, so the group's verdict can be kept: identity plus Latin, and
     associativity, each decided at most once per Group and read by every
-    check that needs it.  A table given here is scanned: its inverse map at
-    once, its generators and verdict when first asked for.  The
-    constructions elementary_abelian and direct_product of two groups prove
-    all three instead (_proved)."""
+    check that needs it; is_abelian is decided once too.  A table given
+    here is scanned: its inverse map at once, its generators and verdict
+    when first asked for.  The constructions elementary_abelian and
+    direct_product of two groups prove all three instead (_proved)."""
 
     def __init__(self, table, check: bool = True):
         table = np.asarray(table, dtype=np.int64)
@@ -187,16 +187,17 @@ class Group:
         """G^op, with a o b = ba, built once: its table is G's transposed,
         read-only and C-contiguous, and its opposite is G again.
 
-        It shares G's inverse map, generators and verdict, which G decides
-        first.  For a group that is exact: ab = 1 exactly when ba = 1; G^op
-        has G's subgroups, so G's generators generate it; transposing swaps
-        rows and columns, so G^op is Latin with identity 0 exactly when G
-        is; and (a o b) o c = c(ba), a o (b o c) = (cb)a, so G^op is
-        associative exactly when G is.  A failing verdict keeps G's message
-        and triple."""
+        It shares G's inverse map, generators, verdict and is_abelian, which
+        G decides first.  For a group that is exact: ab = 1 exactly when
+        ba = 1; G^op has G's subgroups, so G's generators generate it;
+        transposing swaps rows and columns, so G^op is Latin with identity 0,
+        and symmetric, exactly when G is; and (a o b) o c = c(ba),
+        a o (b o c) = (cb)a, so G^op is associative exactly when G is.  A
+        failing verdict keeps G's message and triple."""
         if self._opposite is None:
             self.latin_failure()
             self.associativity_failure()
+            self.is_abelian
             op = copy.copy(self)
             op.table = np.ascontiguousarray(self.table.T)
             op.table.setflags(write=False)
@@ -212,7 +213,11 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        """Whether the table is symmetric; decided once, as the table is
+        read-only (G^op shares it)."""
+        if not hasattr(self, "_abelian"):
+            self._abelian = bool((self.table == self.table.T).all())
+        return self._abelian
 
     @property
     def exponent(self) -> int:

@@ -130,10 +130,14 @@ class PropelinearCode:
         return self.code.c1()
 
     def group_invariants(self) -> List[int]:
-        """Abelian invariants of (C, star), computed on the extension group."""
+        """Abelian invariants of (C, star), computed on the extension group
+        of the matrix's cocycle() verdict when it holds (by the p-power
+        theorem when G is elementary abelian, see
+        ExtensionGroup.abelian_invariants), else of psi."""
         from .extension import ExtensionGroup
 
-        return ExtensionGroup(self.psi).abelian_invariants()
+        return ExtensionGroup(self.code.matrix.cocycle()
+                              or self.psi).abelian_invariants()
 
     def pi_group_invariants(self) -> List[int]:
         """Abelian invariants of Pi, isomorphic to C/C_1 and so to G."""

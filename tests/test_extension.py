@@ -16,8 +16,9 @@ from ghfp import (
     transversal_rds_check,
     trivial_cocycle,
 )
-from ghfp.errors import NotAbelian, NotNormal
-from ghfp.groups import abelian_invariants, elementary_abelian
+from ghfp import extension
+from ghfp.errors import NotAbelian, NotAGroup, NotNormal
+from ghfp.groups import _invariants, abelian_invariants, elementary_abelian
 
 import paper_data
 from test_groups import s3_table
@@ -83,6 +84,95 @@ def test_extension_invariants_match_tabulated(order4_cocycle, s9_cocycle,
         g = extension_table(E)
         g.check_associativity()
         assert abelian_invariants(g) == E.abelian_invariants()
+
+
+def oracle_calls(monkeypatch):
+    """The orders of E_psi that ExtensionGroup.abelian_invariants hands to
+    groups._invariants, its fallback and the tests' oracle, from now on."""
+    calls = []
+
+    def spy(mul, n):
+        calls.append(n)
+        return _invariants(mul, n)
+
+    monkeypatch.setattr(extension, "_invariants", spy)
+    return calls
+
+
+def test_p_power_theorem_equals_the_oracle_on_structure_jobs(bench_recipes,
+                                                             monkeypatch):
+    """Every structure kind, relabeled by a random automorphism of its group
+    as the benchmark's jobs are (workloads.automorphic, with no verdict),
+    seeds 0-9: group_invariants takes the p-power theorem on the matrix's
+    cocycle() verdict, and equals _invariants on the labels."""
+    import workloads
+
+    _, build = bench_recipes
+    calls = oracle_calls(monkeypatch)
+    for kind in workloads.Structure.KINDS:
+        base = build(kind)
+        for seed in range(10):
+            P = ghfp_from_cocycle(
+                workloads.automorphic(np.random.default_rng(seed), base))
+            got = P.group_invariants()
+            assert not calls, (kind, seed)
+            E = ExtensionGroup(P.psi)
+            assert got == _invariants(E._mul, E.order), (kind, seed)
+            # psi itself holds no verdict, so E_psi falls back
+            assert E.abelian_invariants() == got and calls, (kind, seed)
+            calls.clear()
+
+
+def test_p_power_theorem_equals_the_oracle_on_the_corpus(corpus, monkeypatch):
+    """Every corpus cocycle holds a verdict over a group of exponent p, and
+    is symmetric: the theorem answers each, as _invariants does."""
+    calls = oracle_calls(monkeypatch)
+    for name, psi in corpus.items():
+        E = ExtensionGroup(psi)
+        assert E.is_abelian, name
+        assert E.abelian_invariants() == _invariants(E._mul, E.order), name
+    assert not calls
+
+
+@pytest.mark.parametrize("p, want", [(2, [8]), (3, [27])])
+def test_cocycle_over_a_cyclic_group_takes_the_oracle(p, want, monkeypatch):
+    """The carry cocycle psi(g, h) = [g + h >= p^2] over Z_{p^2} is
+    symmetric and checked, but its group has exponent p^2, so the theorem
+    does not apply: E_psi is Z_{p^3}."""
+    a = np.arange(p * p)
+    psi = Cocycle(Group((a[:, None] + a) % (p * p)), Field(p, 1),
+                  (a[:, None] + a >= p * p).astype(np.int64))
+    calls = oracle_calls(monkeypatch)
+    assert ExtensionGroup(psi).abelian_invariants() == want
+    assert calls == [p ** 3]
+
+
+@pytest.mark.parametrize("ones, want", [
+    ([1], NotAGroup("order-count 6 is not a power of 2")),
+    ([1, 2, 3], [4, 4])])
+def test_symmetric_table_without_a_verdict_takes_the_oracle(ones, want,
+                                                            monkeypatch):
+    """psi(g, g) = 1 for g in ones, 0 elsewhere, over Z_2^2: symmetric, but
+    no cocycle, read with check="skip".  The answer or error is
+    _invariants', where the theorem would read [2, 4] from the diagonal."""
+    t = np.zeros((4, 4), dtype=np.int64)
+    t[ones, ones] = 1
+    psi = Cocycle(elementary_abelian(2, 2), Field(2, 1), t, check="skip")
+    calls = oracle_calls(monkeypatch)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=str(want)):
+            ExtensionGroup(psi).abelian_invariants()
+    else:
+        assert ExtensionGroup(psi).abelian_invariants() == want
+    assert calls == [8]
+
+
+def test_group_without_a_group_verdict_takes_the_oracle(s9_cocycle,
+                                                        monkeypatch):
+    calls = oracle_calls(monkeypatch)
+    monkeypatch.setattr(s9_cocycle.group, "is_group", lambda: False)
+    assert ExtensionGroup(s9_cocycle).abelian_invariants() == [3, 3, 3]
+    assert calls == [27]
 
 
 def test_label_table_matches_pair_product(gf3, order4_cocycle, s9_cocycle):

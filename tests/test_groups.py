@@ -150,6 +150,21 @@ def test_opposite_is_the_transposed_group(loop5):
     assert exc.value.triple == loop.associativity_failure()
 
 
+def test_is_abelian_is_decided_once_and_shared_with_the_opposite():
+    """is_abelian is kept like the Latin and associativity verdicts:
+    opposite() decides it before G^op is built, both read the kept answer,
+    and nothing decides it again."""
+    z6 = np.add.outer(np.arange(6), np.arange(6)) % 6
+    for table, want in ((s3_table(), False), (z6, True)):
+        g = Group(table)
+        assert "_abelian" not in vars(g)
+        op = g.opposite()
+        assert vars(g)["_abelian"] is vars(op)["_abelian"] is want
+        assert g.is_abelian is op.is_abelian is want
+        g._abelian = not want  # a kept verdict is read, not recomputed
+        assert g.is_abelian is not want
+
+
 def test_associativity_matches_oracle_on_extension_magmas(gf3):
     """E_psi for psi = b (+) S_3 and S_3 (+) b over Z_3^2, b any normalized
     GF(3) table over Z_3: a Latin square with identity, associative exactly
