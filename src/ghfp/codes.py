@@ -51,18 +51,29 @@ def _reduce_rows(field: Field, rows) -> List[Tuple[int, np.ndarray]]:
     return pivots
 
 
-def _spin_up(field: Field, rows, maps) -> List[Tuple[int, np.ndarray]]:
+def _spin_up(field: Field, rows, maps,
+             commute: bool = False) -> List[Tuple[int, np.ndarray]]:
     """Echelon pivots of the smallest subspace that holds rows and is closed
     under x -> x[m] for every index map m in maps.
 
     Returns (pivot column, row) pairs as _reduce_rows does: each row is 1 at
     its column and 0 at the columns of the pivots before it, and a first
     row with a nonzero first entry is the first pivot, at column 0.  With
-    no maps this is plain elimination of rows.  Otherwise the translates
-    x[m] of every pivot are reduced as well (the Meataxe spin-up; R. A.
-    Parker, "The computer calculation of modular characters", 1984).  The
-    pivots span everything reduced so far, and the maps are linear, so once
-    no pivot has translates left to reduce the span is closed.
+    no maps this is plain elimination of rows.  Otherwise, level by level,
+    the translates of each candidate that became a pivot, as it came and
+    not its pivot row, are reduced against every pivot before them (the
+    Meataxe spin-up; R. A. Parker, "The computer calculation of modular
+    characters", 1984), but for a constant row, fixed by every map.
+
+    With commute=True (the maps commute), a candidate reached by map j is
+    translated only by the maps t >= j: only non-decreasing words are
+    reduced, an order ideal as in FGLM (Faugere, Gianni, Lazard and Mora,
+    J. Symbolic Comput. 16, 1993).  The monomials L^a x_s (x_s a start
+    row) go in the graded order (|a|, s, a's word lexicographic), which L_j
+    preserves.  By induction on u, every monomial u is in the span of the
+    pivot monomials <= u: write u = L_j u', j the last map of u.  If u' is
+    a pivot monomial, u was a candidate, reduced against every pivot before
+    it; else u' is in the span of pivot monomials m < u', and L_j m < u.
 
     Rows go through in blocks of block_rows(n), packed in base-p lanes
     (Field._lanes), each reduced against the pivots so far and then against
@@ -78,37 +89,41 @@ def _spin_up(field: Field, rows, maps) -> List[Tuple[int, np.ndarray]]:
     lnegs: List[np.ndarray] = []  # log(-p) for each pivot row p
 
     def eliminate(X, c, lneg):  # in place
-        scale = log.take(lanes.unpack(X[:, c]))
+        scale = log.take(X[:, c] if lanes._cast else lanes.unpack(X[:, c]))
         lanes.add(X, lanes.exp.take(scale[:, None] + lneg), out=X)
 
-    def reduce(X):
+    def reduce(X, new):  # marks in new the rows of X that become pivots
         for (c, _), lneg in zip(pivots, lnegs):
             eliminate(X, c, lneg)
-        for i in range(len(X)):
-            nz = np.flatnonzero(X[i])
+        for i in X.any(axis=1).nonzero()[0]:  # a zero row stays zero
+            nz = X[i].nonzero()[0]
             if nz.size:
                 c = int(nz[0])
                 row = lanes.unpack(X[i])
                 row = field.vmul(field.inv(int(row[c])), row)
                 pivots.append((c, row))
                 lnegs.append(log.take(field.vneg(row)))
-                eliminate(X[i + 1:], c, lnegs[-1])
+                new[i] = True
+                if i + 1 < len(X):
+                    eliminate(X[i + 1:], c, lnegs[-1])
 
-    def packed(rows):
-        return lanes.pack.take(np.asarray(rows, dtype=np.int64))
-
-    for b in range(0, len(rows), step):
-        reduce(packed(rows[b:b + step]))
     maps = np.asarray(maps, dtype=np.int64).reshape(-1, n)
-    if len(maps):
-        take = max(1, step // len(maps))  # pivots translated per block
-        done = 0
-        while done < len(pivots):
-            end = min(done + take, len(pivots))
-            reduce(packed(np.concatenate([pivots[i][1][maps]
-                                          for i in range(done, end)])))
-            done = end
-    return pivots
+    grid, at, src = np.arange(len(maps)), None, np.asarray(rows, np.int64)
+    # level 0 is the start rows as they are; lo: the least map to translate by
+    lo = (src == src[:, :1]).all(axis=1) * len(maps)
+    while True:
+        new = np.zeros(len(lo), dtype=bool)
+        kept = []  # the new pivots as they came
+        for b in range(0, len(lo), step):
+            X = src[b:b + step] if at is None else \
+                src[at[b:b + step, None], maps[by[b:b + step]]]
+            reduce(lanes.pack.take(X), new[b:b + step])
+            kept.append(X[new[b:b + step]])
+        if not any(len(x) for x in kept):
+            return pivots
+        src = np.concatenate(kept)
+        at, by = np.nonzero(grid >= lo[new][:, None])
+        lo = by if commute else 0 * by
 
 
 class Code:
@@ -249,10 +264,6 @@ class GHCode:
     def ones(self) -> np.ndarray:
         return np.ones(self.n, dtype=np.int64)
 
-    def c1(self) -> np.ndarray:
-        """The repetition subcode {alpha * 1}."""
-        return np.repeat(np.arange(self.q, dtype=np.int64), self.n).reshape(self.q, self.n)
-
     def _span_pivots(self):
         """Cached echelon pivots of span(C_H) = span(all-one, rows of H);
         the all-one vector goes first, so it is the first pivot row.
@@ -263,18 +274,23 @@ class GHCode:
         The identity at (g, s, k) reads f_gs = f_g o L_s + f_s - psi(g,s)1,
         so the span is closed under each map, and the spun-up subspace,
         which holds 1 and f_s and is closed under the maps, holds f_gs once
-        it holds f_g: by induction on word length it holds every row.  Any
-        other matrix reduces the all-one vector and every row.
+        it holds f_g: by induction on word length it holds every row.  In a
+        group, s(tk) = (st)k, so the maps commute when the generators do,
+        and only words of non-decreasing map indices are reduced (_spin_up).
+        Any other matrix reduces the all-one vector and every row.
         """
         if not hasattr(self, "_pivots"):
             psi = self.matrix.cocycle()
             if psi is None:
-                rows, maps = [self.ones, *self.H], []
+                rows, maps, commute = [self.ones, *self.H], [], False
             else:
                 gens = psi.group.generators()
                 rows = [self.ones, *self.H[gens]]
                 maps = psi.group.table[gens]
-            self._pivots = _spin_up(self.field, rows, maps)
+                st = maps[:, gens].tolist()  # st[i][j] = gens[i] gens[j]
+                commute = psi.group.is_group() \
+                    and st == [list(ts) for ts in zip(*st)]
+            self._pivots = _spin_up(self.field, rows, maps, commute)
         return self._pivots
 
     def rank(self) -> int:

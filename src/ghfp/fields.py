@@ -170,9 +170,6 @@ class Field:
             mul *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self.exp[self.log[a] + self.log[b]])
 
@@ -353,10 +350,11 @@ class Lanes:
     lane sum s = x_i + y_i to s - p*(((s + C) & H) >> (b-1)), with C =
     2^(b-1) - p and H = 2^(b-1) in every lane: s + C has its top lane bit
     set exactly when s >= p, and nothing carries between lanes, because s <=
-    2p - 2 and so s + C <= p - 2 + 2^(b-1) < 2^b.  unpack is m
-    shift-and-mask passes back to encodings.  For p = 2 (1-bit lanes) and
-    for a prime field (one lane) the word is the encoding, so pack is the
-    identity and unpack a cast."""
+    2p - 2 and so s + C <= p - 2 + 2^(b-1) < 2^b; one lane adds as
+    min(s, s - p), as s - p wraps above s exactly when s < p.  unpack is a
+    gather for words up to 12 bits, else m shift-and-mask passes.  For p = 2
+    (1-bit lanes) and for a prime field (one lane) the word is the encoding,
+    so pack is the identity and unpack a cast."""
 
     def __init__(self, field: Field):
         p, m = field.p, field.m
@@ -371,6 +369,8 @@ class Lanes:
         for table in (self.pack, self.exp):
             table.setflags(write=False)
         self._cast = p == 2 or m == 1  # pack is the identity
+        self._words = None if self._cast or b * m > 12 else np.bincount(
+            self.pack, np.arange(field.q), 1 << (b * m)).astype(np.int64)
         if p > 2:
             lanes = int((1 << shifts).sum())
             self.C = dtype.type(((1 << (b - 1)) - p) * lanes)
@@ -382,6 +382,8 @@ class Lanes:
         if self.p == 2:
             return np.bitwise_xor(x, y, out=out)
         s = np.add(x, y, out=out)
+        if self._cast:  # one lane: s - p wraps above s exactly when s < p
+            return np.minimum(s, s - self.p, out=s)
         carry = s + self.C
         carry &= self.H
         carry >>= self.b - 1
@@ -393,6 +395,8 @@ class Lanes:
         """The int64 encodings of packed words."""
         if self._cast:
             return x.astype(np.int64)
+        if self._words is not None:
+            return self._words.take(x)
         digits = x[..., None] >> self._shifts  # int64, as the shifts are
         digits &= (1 << self.b) - 1
         return digits @ self._places

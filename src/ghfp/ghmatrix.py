@@ -77,9 +77,6 @@ class GHMatrix:
     def lift(self, field: Field) -> "GHMatrix":
         return GHMatrix(field, field.lift_from_prime(self.entries), group=self.group)
 
-    def transpose(self) -> "GHMatrix":
-        return GHMatrix(self.field, self.entries.T.copy(), group=self.group)
-
     def __eq__(self, other):
         return (isinstance(other, GHMatrix)
                 and self.field == other.field

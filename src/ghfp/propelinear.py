@@ -126,9 +126,6 @@ class PropelinearCode:
     def codewords(self) -> np.ndarray:
         return self.code.words()
 
-    def c1(self) -> np.ndarray:
-        return self.code.c1()
-
     def group_invariants(self) -> List[int]:
         """Abelian invariants of (C, star), computed on the extension group
         of the matrix's cocycle() verdict when it holds (by the p-power

@@ -6,6 +6,7 @@ import pytest
 
 from ghfp import (
     Code,
+    Cocycle,
     Field,
     GHCode,
     GHMatrix,
@@ -24,6 +25,7 @@ from ghfp import (
     tensor,
 )
 from ghfp.errors import DuplicateRows, NotACodeword, NotNormalized
+from ghfp.planar import planar_coboundary
 
 import paper_data
 
@@ -123,8 +125,9 @@ def test_code_sizes(code4, code9, code81):
 
 def test_c1_block_of_order4_example(code4):
     # the coset of the all-zero row under constants: all four constant words
-    assert code4.c1().tolist() == [[a] * 4 for a in range(4)]
-    for w in code4.c1():
+    c1 = np.repeat(np.arange(code4.q), code4.n).reshape(code4.q, code4.n)
+    assert c1.tolist() == [[a] * 4 for a in range(4)]
+    for w in c1:
         assert code4.contains(w)
 
 
@@ -192,26 +195,164 @@ SPUN_UP = {"order8", "order16", "order27", "s2^4", "d_2_1_3", "lift_s3_gf9",
 def test_span_pivots_match_elimination(oracle_codes, monkeypatch, step):
     """_span_pivots against elimination of all v + 1 rows: the same rank and
     row space, in echelon order.  Grouped cocycles spin up from 1 and the
-    generators' rows under the generators' translations; every other matrix
-    reduces the all-one vector and every row, with no maps.  step shrinks
-    the row blocks so that these orders run through many of them."""
+    generators' rows under the generators' translations, pruned to
+    non-decreasing words when the generators commute (the random S_3
+    coboundary's do not); every other matrix reduces the all-one vector
+    and every row, with no maps.  step shrinks the row blocks so that these
+    orders run through many of them."""
     from ghfp import codes
 
     if step:
         monkeypatch.setattr(codes, "block_rows", lambda n: step)
     runs = []
     real = codes._spin_up
-    monkeypatch.setattr(codes, "_spin_up", lambda f, rows, maps: (
-        runs.append((len(rows), len(maps))) or real(f, rows, maps)))
+    monkeypatch.setattr(codes, "_spin_up", lambda f, rows, maps, commute: (
+        runs.append((len(rows), len(maps), commute))
+        or real(f, rows, maps, commute)))
     for name, (code, _) in oracle_codes.items():
         pivots = GHCode(code.matrix)._span_pivots()
         _assert_echelon_span(code.field, pivots, [code.ones, *code.H])
         if name in SPUN_UP:
             gens = code.matrix.group.generators()
-            assert runs == [(1 + len(gens), len(gens))], name
+            commute = name != "cob_s3"
+            assert runs == [(1 + len(gens), len(gens), commute)], name
         else:
-            assert runs == [(code.v + 1, 0)], name
+            assert runs == [(code.v + 1, 0, False)], name
         runs.clear()
+
+
+def _generators_commute(group) -> bool:
+    gens = group.generators()
+    products = group.table[np.ix_(gens, gens)]
+    return bool((products == products.T).all())
+
+
+def _automorphism(rng, p: int, k: int) -> np.ndarray:
+    """Index map of a random automorphism of Z_p^k (lexicographic indices):
+    a random invertible matrix over GF(p) acting on the base-p digits."""
+    place = p ** np.arange(k, dtype=np.int64)
+    digits = np.arange(p ** k, dtype=np.int64)[:, None] // place % p
+    while True:
+        perm = digits @ rng.integers(0, p, size=(k, k)).T % p @ place
+        if len(np.unique(perm)) == p ** k:
+            return perm
+
+
+class _CountingTake:
+    """A stand-in for a lookup table that counts the rows it is asked to
+    gather: on Lanes.pack, the rows _spin_up reduces."""
+
+    def __init__(self, table):
+        self.table, self.rows = table, 0
+
+    def take(self, x):
+        self.rows += len(x)
+        return self.table.take(x)
+
+
+def _spun_and_oracle(psi, monkeypatch):
+    """_spin_up from 1 and psi's generators' rows under their translations
+    at block sizes None, 1 and 4, each checked against _reduce_rows over 1
+    and every row; returns the rank and the rows each run reduced."""
+    from ghfp import codes
+
+    f, group = psi.field, psi.group
+    gens = group.generators()
+    ones = np.ones(group.order, dtype=np.int64)
+    rows = [ones, *psi.table[gens]]
+    want = codes._reduce_rows(f, [ones, *psi.table])
+    counted = []
+    for step in (None, 1, 4):
+        with monkeypatch.context() as m:
+            if step:
+                m.setattr(codes, "block_rows", lambda n: step)
+            counter = _CountingTake(f._lanes.pack)
+            m.setattr(f._lanes, "pack", counter)
+            pivots = codes._spin_up(f, rows, group.table[gens],
+                                    _generators_commute(group))
+        _assert_echelon_span(f, pivots, [row for _, row in want])
+        counted.append(counter.rows)
+    assert len(set(counted)) == 1  # the block size changes no row's fate
+    return len(want), counted[0]
+
+
+def test_spin_up_on_proper_subspaces(monkeypatch):
+    """Spin-up on codes of rank below v, where the pruned words matter:
+    coboundaries of power maps x^e over GF(27), GF(16) and (every fifth e)
+    GF(81), and of sparse phi (up to three nonzero values) over Z_p^k with
+    coefficients in GF(3), GF(4), GF(5) and GF(9), each also relabeled by a
+    random automorphism of Z_p^k.  The generators commute, so every run
+    reduces at most 1 + k + k*(rank - 1) rows."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for f, exps in ((Field(3, 3), range(1, 27)), (Field(2, 4), range(1, 16)),
+                    (Field(3, 4), range(1, 81, 5))):
+        for e in exps:
+            phi = np.zeros(f.q, dtype=np.int64)
+            phi[1:] = f.exp[(f.log[1:] * e) % (f.q - 1)]
+            cases.append((f, f.p, f.m, phi))
+    for f, p, k in ((Field(3, 1), 3, 3), (Field(2, 2), 2, 4),
+                    (Field(5, 1), 5, 2), (Field(3, 2), 3, 3)):
+        for _ in range(6):
+            phi = np.zeros(p ** k, dtype=np.int64)
+            phi[rng.integers(1, p ** k, size=3)] = rng.integers(0, f.q, size=3)
+            cases.append((f, p, k, phi))
+    proper = 0
+    for f, p, k, phi in cases:
+        group = elementary_abelian(p, k)
+        assert _generators_commute(group)
+        table = coboundary(phi, group, f).table
+        perm = _automorphism(rng, p, k)
+        for t in (table, table[np.ix_(perm, perm)]):
+            psi = Cocycle(group, f, t, check="skip")
+            rank, reduced = _spun_and_oracle(psi, monkeypatch)
+            assert reduced <= 1 + k + k * (rank - 1)
+            proper += rank < group.order
+    assert proper == 2 * len(cases)
+
+
+def test_spin_up_takes_every_translate_without_commuting(monkeypatch):
+    """Over S_3 and S_3 x Z_3, whose generators do not all commute (Z_3's
+    commutes with both of S_3's), every candidate that becomes a pivot is
+    translated by every map: 1 + k + k*(rank - 1) rows, as 1 is not
+    translated.  Random full and sparse coboundaries, against the oracle."""
+    from test_groups import s3_table
+
+    rng = np.random.default_rng(7)
+    s3 = Group(s3_table())
+    s3_z3 = s3.direct_product(elementary_abelian(3, 1))
+    for group, f in ((s3, Field(3, 1)), (s3_z3, Field(3, 1)),
+                     (s3_z3, Field(2, 2))):
+        gens = group.generators()
+        products = group.table[np.ix_(gens, gens)]
+        assert not _generators_commute(group)
+        # Z_3's generator commutes with S_3's two, which do not commute
+        assert (products == products.T).sum() == len(gens) ** 2 - 2
+        for support in (group.order, 2):
+            phi = np.zeros(group.order, dtype=np.int64)
+            at = rng.permutation(group.order)[:support]
+            phi[at] = rng.integers(0, f.q, size=support)
+            rank, reduced = _spun_and_oracle(coboundary(phi, group, f),
+                                             monkeypatch)
+            k = len(gens)
+            assert reduced == 1 + k + k * (rank - 1)
+
+
+@pytest.mark.parametrize("a, b, most", [(4, 3, None), (6, 5, 150)])
+def test_planar_spin_up_prunes_rows(monkeypatch, a, b, most):
+    """GHCode.rank on P(4,3) and P(6,5) reduces fewer rows than the 1 + k +
+    k*rank of translating every pivot by every map, and at most 150 at
+    P(6,5), with the published ranks."""
+    psi = planar_coboundary(a, b)
+    code = GHCode(matrix_of(psi))
+    counter = _CountingTake(psi.field._lanes.pack)
+    with monkeypatch.context() as m:
+        m.setattr(psi.field._lanes, "pack", counter)
+        rank = code.rank()
+    k = len(psi.group.generators())
+    assert rank == paper_data.TABLE1[(a, b)][0]
+    assert counter.rows < 1 + k + k * rank
+    assert most is None or counter.rows <= most
 
 
 @pytest.mark.parametrize("step", [None, 1, 4])

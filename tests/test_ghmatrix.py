@@ -96,15 +96,19 @@ def test_normalize_idempotent_and_preserves_gh(gf4):
     assert (again.entries == n.entries).all()
 
 
+def transpose(m: GHMatrix) -> GHMatrix:
+    return GHMatrix(m.field, m.entries.T.copy(), group=m.group)
+
+
 def test_transpose_is_gh(gf3, gf4):
     for m in (GHMatrix(gf4, paper_data.H_ORDER4),
               GHMatrix(gf3, paper_data.H_ORDER9)):
-        assert is_gh(m.transpose())[0]
+        assert is_gh(transpose(m))[0]
 
 
 def test_transpose_of_normalized_planar_is_gh(dphi43):
     m = matrix_of(dphi43)
-    assert is_gh(m.transpose())[0]
+    assert is_gh(transpose(m))[0]
 
 
 def test_kronecker_sum_recursion(gf3):
@@ -198,7 +202,7 @@ def grouped_matrices(corpus, non_cocycles, gf3):
             M = matrix_of(coboundary(rng.integers(0, 3, size=group.order),
                                      group, gf3))
             out[f"cob_{name}_{k}"] = M
-            out[f"cob_{name}_{k}_T"] = M.transpose()
+            out[f"cob_{name}_{k}_T"] = transpose(M)
     for name in ("s9", "s8", "dphi43", "order4", "s3xs9"):
         M = out[name]
         for r, c in [(1 + int(rng.integers(M.v - 1)),
@@ -259,8 +263,8 @@ def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
     f = Field(p, m)
     H = np.random.default_rng(v).integers(0, f.q, size=(v, v))
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
-    want = [np.bincount([f.sub(x, y) for x, y in zip(H[j].tolist(),
-                                                     H[i].tolist())],
+    want = [np.bincount([f.add(x, f.neg(y))
+                         for x, y in zip(H[j].tolist(), H[i].tolist())],
                         minlength=f.q) for i, j in pairs]
 
     def scan(field, stop):

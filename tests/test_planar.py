@@ -116,7 +116,8 @@ def _power_map_rank(field: Field, e: int) -> int:
     psi = coboundary(phi, group, field)
     gens = group.generators()
     ones = np.ones(q, dtype=np.int64)
-    return len(_spin_up(field, [ones, *psi.table[gens]], group.table[gens]))
+    return len(_spin_up(field, [ones, *psi.table[gens]], group.table[gens],
+                        True))
 
 
 def test_power_map_rank_is_lucas():
