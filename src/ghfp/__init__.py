@@ -13,7 +13,6 @@ from .cocycles import (
     coboundary,
     is_orthogonal,
     lift,
-    matrix_of,
     multiplication_cocycle,
     tensor,
     trivial_cocycle,
@@ -32,6 +31,7 @@ from .ghmatrix import (
     gen_sylvester,
     is_gh,
     kronecker_sum,
+    matrix_of,
     normalize,
     sylvester,
     sylvester_power,

@@ -18,8 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import planar as planar_mod
-from .cocycles import (Cocycle, check_cocycle, is_orthogonal, lift,
-                       matrix_of, tensor)
+from .cocycles import Cocycle, check_cocycle, is_orthogonal, lift, tensor
 from .codes import GHCode
 from .errors import GHFPError, ParseError
 from .extension import (
@@ -27,10 +26,10 @@ from .extension import (
     fh_intersection_profile,
     transversal_rds_check,
 )
-from .fields import Field
+from .fields import Field, integer_log
 from .fileio import read_coc, read_ghm, sha256_of, write_coc, write_ghm
-from .ghmatrix import (GHMatrix, is_gh, normalize, sylvester_cocycle,
-                       sylvester_power_cocycle)
+from .ghmatrix import (GHMatrix, gen_sylvester_cocycle, is_gh, matrix_of,
+                       normalize, sylvester_cocycle, sylvester_power_cocycle)
 from .monomial import automorphisms_from_star, scalar_pairs_are_automorphisms
 from .propelinear import (PropelinearCode, regular_subgroup_check,
                           verify_full_propelinear)
@@ -91,11 +90,8 @@ def _parse_prime_power(q: int):
     p = 2
     while p * p <= q:
         if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
+            m = integer_log(q, p)
+            if m is None:
                 raise GHFPError("q is not a prime power")
             return p, m
         p += 1
@@ -117,8 +113,6 @@ def cmd_build(args) -> int:
         psi = sylvester_power_cocycle(Field(p, m), args.t)
         name = name or f"s{args.q}_pow{args.t}"
     elif args.construction == "gen-sylvester":
-        from .ghmatrix import gen_sylvester_cocycle
-
         psi = gen_sylvester_cocycle(args.p, args.m, args.k)
         name = name or f"d_{args.p}_{args.m}_{args.k}"
     elif args.construction == "planar":

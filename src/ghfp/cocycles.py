@@ -26,11 +26,14 @@ class Cocycle:
     """A normalized cocycle stored as its v x v table of field encodings."""
 
     def __init__(self, group: Group, field: Field, table, check: str = "full"):
-        """check: "full" verifies the cocycle identity exactly; "theorem"
-        records that the construction proves it (the proof is in each
-        construction's docstring) and computes nothing; "skip" leaves it
-        unchecked.  checked is True for "full" and "theorem": psi holds a
-        verdict, which matrix_of passes on."""
+        """check: "full" checks that G is a group (Group.check raises its
+        NotAGroup or NotAssociative), then the identity at G's generators;
+        "theorem" records that the construction proves the identity (the
+        proof is in each construction's docstring) and computes nothing;
+        "skip" leaves it unchecked and asks nothing of G.  checked, the
+        verdict matrix_of passes on, is True for "full", and for "theorem"
+        over a group (Group.is_group): every proof, and every shortcut
+        taken from a verdict, needs G's group law."""
         table = np.asarray(table, dtype=np.int64)
         v = group.order
         if table.shape != (v, v):
@@ -41,16 +44,18 @@ class Cocycle:
         self.v = v
         if table[0].any() or table[:, 0].any():
             raise NotNormalized("row 0 and column 0 must be identity")
-        self.checked = check != "skip"
         if check not in ("skip", "theorem"):
+            group.check()
             self._check_identity()
+        self.checked = check != "skip" and group.is_group()
 
     def _check_identity(self):
         """psi(g,h) + psi(gh,k) = psi(g,hk) + psi(h,k) for g in a generating
         set of G and all h, k; raises CocycleIdentityViolated.
 
-        This is exact at every order (Light's associativity test; Clifford &
-        Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
+        This is exact at every order over a group, which __init__ checks
+        first (Light's associativity test; Clifford & Preston, The Algebraic
+        Theory of Semigroups I, 1961, section 1.2).
         In the magma E_psi on pairs (u,g)(w,h) = (u + w + psi(g,h), gh), the
         left nucleus {a : (ab)c = a(bc) for all b, c} is closed under
         products.  The central elements (u,1) lie in it because psi is
@@ -97,7 +102,7 @@ def check_cocycle(table, group: Group, field: Field) -> Cocycle:
 
 
 def trivial_cocycle(group: Group, field: Field) -> Cocycle:
-    """The zero cocycle; 0 + 0 = 0 + 0 over any table."""
+    """The zero cocycle; 0 + 0 = 0 + 0, with a verdict over a group."""
     v = group.order
     return Cocycle(group, field, np.zeros((v, v), dtype=np.int64),
                    check="theorem")
@@ -110,9 +115,8 @@ def coboundary(phi, group: Group, field: Field) -> Cocycle:
     it is normalized first by subtracting phi(1).
 
     Over a group it is a cocycle by theorem: both sides of the identity
-    reduce to phi((gh)k) and phi(g(hk)) minus phi(g) + phi(h) + phi(k).  So
-    the verdict is G's kept group verdict (Group.is_group); over any other
-    table it is left unchecked.
+    reduce to phi((gh)k) and phi(g(hk)) minus phi(g) + phi(h) + phi(k).
+    Over a table that is no group it carries no verdict (Cocycle decides).
     """
     phi = np.asarray(phi, dtype=np.int64)
     if phi.shape[0] != group.order:
@@ -120,8 +124,7 @@ def coboundary(phi, group: Group, field: Field) -> Cocycle:
     if phi[0] != 0:
         phi = field.vsub(phi, np.full_like(phi, int(phi[0])))
     table = field.vsub(field.vsub(phi[group.table], phi[:, None]), phi[None, :])
-    return Cocycle(group, field, table,
-                   check="theorem" if group.is_group() else "skip")
+    return Cocycle(group, field, table, check="theorem")
 
 
 def multiplication_cocycle(field: Field, ordering: str = "encoding") -> Cocycle:
@@ -188,15 +191,3 @@ def lift(psi: Cocycle, field: Field) -> Cocycle:
     return Cocycle(psi.group, field, field.lift_from_prime(psi.table),
                    check="theorem" if psi.checked else "skip")
 
-
-def matrix_of(psi: Cocycle):
-    """The cocyclic matrix M_psi as a GHMatrix candidate (indexing retained).
-
-    A psi that holds a verdict ("full" or "theorem") is its matrix's
-    cocycle() verdict, so the identity is not checked again."""
-    from .ghmatrix import GHMatrix
-
-    M = GHMatrix(psi.field, psi.table, group=psi.group)
-    if psi.checked:
-        M._cocycle = psi
-    return M

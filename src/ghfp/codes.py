@@ -9,14 +9,13 @@ all-one vector, and kernels are unions of cosets of the repetition code.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import DuplicateRows, NotACodeword, NotNormalized, ZeroNotInCode
-from .fields import Field, block_rows
+from .fields import Field, block_rows, integer_log
 from .ghmatrix import GHMatrix, row_pair_counts
 
 
@@ -274,9 +273,10 @@ class GHCode:
         The identity at (g, s, k) reads f_gs = f_g o L_s + f_s - psi(g,s)1,
         so the span is closed under each map, and the spun-up subspace,
         which holds 1 and f_s and is closed under the maps, holds f_gs once
-        it holds f_g: by induction on word length it holds every row.  In a
-        group, s(tk) = (st)k, so the maps commute when the generators do,
-        and only words of non-decreasing map indices are reduced (_spin_up).
+        it holds f_g: by induction on word length it holds every row.  A
+        verdict holds only over a group (Cocycle), where s(tk) = (st)k, so
+        the maps commute when the generators do, and only words of
+        non-decreasing map indices are reduced (_spin_up).
         Any other matrix reduces the all-one vector and every row.
         """
         if not hasattr(self, "_pivots"):
@@ -288,8 +288,7 @@ class GHCode:
                 rows = [self.ones, *self.H[gens]]
                 maps = psi.group.table[gens]
                 st = maps[:, gens].tolist()  # st[i][j] = gens[i] gens[j]
-                commute = psi.group.is_group() \
-                    and st == [list(ts) for ts in zip(*st)]
+                commute = st == [list(ts) for ts in zip(*st)]
             self._pivots = _spin_up(self.field, rows, maps, commute)
         return self._pivots
 
@@ -432,7 +431,7 @@ def code_from_gh(matrix: GHMatrix) -> Tuple[Code, GHCode]:
 
 
 def _integer_log(n: int, base: int) -> int:
-    k = round(math.log(n, base)) if n > 1 else 0
-    if base ** k != n:
+    k = integer_log(n, base)
+    if k is None:
         raise ValueError(f"{n} is not a power of {base}")
     return k

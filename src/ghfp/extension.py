@@ -18,8 +18,8 @@ import numpy as np
 
 from .cocycles import Cocycle
 from .errors import NotAbelian, NotNormal, SizeMismatch
-from .fields import row_histograms
-from .groups import _exponent, _ilog, _invariants
+from .fields import integer_log, row_histograms
+from .groups import _exponent, _invariants
 from .propelinear import PropelinearCode
 
 Pair = Tuple[int, int]
@@ -71,8 +71,9 @@ class ExtensionGroup:
     def abelian_invariants(self) -> List[int]:
         """Invariant factors of E_psi, sorted; no Cayley table is built.
 
-        By the p-power theorem when psi holds a verdict over a group G of
-        exponent p (the field's characteristic), E_psi being abelian: then
+        By the p-power theorem when psi holds a verdict, which it does only
+        over a group (Cocycle), and G has exponent p (the field's
+        characteristic), E_psi being abelian: then
         (u, g)^p = (p*u + c_g, g^p) = (c_g, 1), with c_g = sum_{0<i<p}
         psi(g^i, g), as p*u = 0.  So E_psi has exponent p^2 at most, and
         its p-th powers, the image of the homomorphism x -> x^p, are the
@@ -83,14 +84,14 @@ class ExtensionGroup:
         if not self.is_abelian:
             raise NotAbelian(self.order, _exponent(self._mul, self.order))
         p, t, gt = self.field.p, self.psi.table, self.group.table
-        if self.psi.checked and self.group.is_group():
+        if self.psi.checked:
             g = np.arange(self.v)
             c, x = t.diagonal(), gt.diagonal()  # c_g for p = 2, and g^2
             for _ in range(p - 2):  # add psi(g^i, g), then x = g^(i+1)
                 c, x = self.field.vadd(c, t[x, g]), gt[x, g]
             if not x.any():
-                r = _ilog(np.count_nonzero(np.bincount(c)), p)
-                n = _ilog(self.order, p)
+                r = integer_log(np.count_nonzero(np.bincount(c)), p)
+                n = integer_log(self.order, p)
                 return [p] * (n - 2 * r) + [p * p] * r
         return _invariants(self._mul, self.order)
 

@@ -66,6 +66,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def integer_log(n: int, base: int) -> Optional[int]:
+    """The k with base**k == n, or None when n is no power of base."""
+    k = 0
+    while n > 1 and n % base == 0:
+        n //= base
+        k += 1
+    return k if n == 1 else None
+
+
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int):
     """Quotient/remainder of coefficient lists over GF(p); b must be nonzero."""
     a = list(a)
@@ -227,8 +236,7 @@ class Field:
         """The neg table, read-only, built on first use: each base-p digit
         of an encoding negated mod p."""
         places = self.p ** np.arange(self.m, dtype=np.int64)
-        digits = np.arange(self.q, dtype=np.int64)[:, None] // places
-        neg = -digits % self.p @ places
+        neg = -base_digits(self.p, self.m) % self.p @ places
         neg.setflags(write=False)
         return neg
 
@@ -362,9 +370,8 @@ class Lanes:
         self.b = b = 1 if p == 2 else 1 + (p - 1).bit_length()
         self.dtype = dtype = np.min_scalar_type((1 << (b * m)) - 1)
         self._shifts = shifts = b * np.arange(m, dtype=np.int64)
-        self._places = places = p ** np.arange(m, dtype=np.int64)
-        digits = np.arange(field.q, dtype=np.int64)[:, None] // places % p
-        self.pack = (digits << shifts).sum(axis=1).astype(dtype)
+        self._places = p ** np.arange(m, dtype=np.int64)
+        self.pack = (base_digits(p, m) << shifts).sum(axis=1).astype(dtype)
         self.exp = self.pack.take(field.exp)
         for table in (self.pack, self.exp):
             table.setflags(write=False)
@@ -420,6 +427,11 @@ def digitwise_table(p: int, k: int, op, dtype) -> np.ndarray:
         n = len(table) * p
         table = (p * table[:, None, :, None] + op_p[:, None]).reshape(n, n)
     return table
+
+
+def base_digits(p: int, k: int) -> np.ndarray:
+    """The p^k x k base-p digits of 0..p^k - 1, least significant first."""
+    return np.arange(p ** k, dtype=np.int64)[:, None] // p ** np.arange(k) % p
 
 
 def row_histograms(rows, q: int) -> np.ndarray:

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cocycles import Cocycle
+from .cocycles import Cocycle, check_cocycle
 from .errors import ParseError
-from .fields import Field
+from .fields import Field, integer_log
 from .ghmatrix import GHMatrix
 from .groups import Group, elementary_abelian
 
@@ -195,8 +195,6 @@ def read_coc(path) -> Cocycle:
         _expect(group is not None,
                 f"v={v} is not a power of p={field.p}; supply group=", 2)
     _expect(group.order == v, f"group order {group.order} != v={v}", 2)
-    from .cocycles import check_cocycle
-
     return check_cocycle(table, group, field)
 
 
@@ -206,11 +204,8 @@ def _default_group(v: int, p: int) -> Optional[Group]:
     Z_p^k in lexicographic order, or None when v is not a power of p.  Built
     once per (v, p), with its generators, inverse map and verdict by theorem
     (elementary_abelian)."""
-    k = 0
-    while v > 1 and v % p == 0:
-        v //= p
-        k += 1
-    if v != 1 or k < 1:
+    k = integer_log(v, p)
+    if not k:
         return None
     return elementary_abelian(p, k)
 

@@ -10,16 +10,17 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cocycles import Cocycle, matrix_of, multiplication_cocycle, tensor
+from .cocycles import Cocycle, multiplication_cocycle, tensor
 from .errors import (
     CocycleIdentityViolated,
     DivisibilityViolated,
     FieldMismatch,
+    NotAGroup,
     NotNormalized,
     NotSquare,
     OrderMismatch,
 )
-from .fields import Field, block_rows, is_prime
+from .fields import Field, base_digits, block_rows, is_prime
 from .groups import Group, elementary_abelian
 
 
@@ -54,7 +55,8 @@ class GHMatrix:
 
         The group alone proves nothing: the identity is checked in full, at
         most once per matrix, and not at all for matrix_of of a Cocycle that
-        holds a verdict (a checked one, or a construction's by theorem).
+        holds a verdict.  Cocycle refuses a table that is no group, so over
+        one H reads as bare: every shortcut below uses G's group law.
         When it holds, with rows f_g = psi(g, .), the identity at
         (gk^-1, k, h) reads psi(g,h) - psi(k,h) = psi(gk^-1, kh) -
         psi(gk^-1, k): row g minus row k is row gk^-1 with its coordinates
@@ -69,7 +71,7 @@ class GHMatrix:
                 try:
                     self._cocycle = Cocycle(self.group, self.field,
                                             self.entries)
-                except (OrderMismatch, NotNormalized,
+                except (OrderMismatch, NotNormalized, NotAGroup,
                         CocycleIdentityViolated):
                     pass
         return self._cocycle
@@ -85,6 +87,15 @@ class GHMatrix:
 
     def __repr__(self):
         return f"GHMatrix(v={self.v}, q={self.q})"
+
+
+def matrix_of(psi: Cocycle) -> GHMatrix:
+    """The cocyclic matrix M_psi, over psi's group; a psi that holds a
+    verdict is its cocycle() verdict, so nothing is checked again."""
+    M = GHMatrix(psi.field, psi.table, group=psi.group)
+    if psi.checked:
+        M._cocycle = psi
+    return M
 
 
 Witness = Tuple[int, int, int, int]
@@ -183,7 +194,7 @@ def _character_tables(field: Field, v: int):
     pair {c, -c} (its lowest nonzero digit at most p/2), and the modulus l:
     +-1 and None for p = 2, else powers of an omega of order p in GF(l)."""
     p, m, q = field.p, field.m, field.q
-    digits = np.arange(q)[:, None] // p ** np.arange(m) % p
+    digits = base_digits(p, m)
     lowest = digits[np.arange(q), np.argmax(digits > 0, axis=1)]
     cs = digits[(lowest > 0) & (lowest <= p // 2)]
     dots = cs @ digits.T % p

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import (LengthMismatch, NotAbelian, NotAGroup, NotAssociative,
                      NotPrime)
-from .fields import Field, digitwise_table, is_prime
+from .fields import (Field, base_digits, digitwise_table, integer_log,
+                     is_prime)
 
 
 class Perm:
@@ -303,9 +304,8 @@ def elementary_abelian(p: int, k: int) -> Group:
     if k < 1:
         raise NotPrime(f"k={k} must be >= 1")
     places = p ** np.arange(k, dtype=np.int64)
-    digits = np.arange(p ** k, dtype=np.int64)[:, None] // places % p
     return Group._proved(digitwise_table(p, k, np.add, np.int64),
-                         -digits % p @ places, places.tolist())
+                         -base_digits(p, k) % p @ places, places.tolist())
 
 
 def additive_group_of(field: Field, ordering: str = "encoding") -> Group:
@@ -376,11 +376,11 @@ def _invariants(mul, n: int) -> List[int]:
     out: List[int] = []
     x = np.arange(n)
     for r in _prime_factors(n):
-        full, c = _ilog(_ppart(n, r), r), [0]
+        full, c = integer_log(_ppart(n, r), r), [0]
         while len(c) < 2 or c[-2] < c[-1] < full:
             killed = int(np.count_nonzero(_power(mul, x, r ** len(c)) == 0))
-            c.append(_ilog(killed, r))
-            if r ** c[-1] != killed:
+            c.append(integer_log(killed, r))
+            if c[-1] is None:
                 raise NotAGroup(f"order-count {killed} is not a power of {r}")
         c.append(c[-1])
         for k in range(1, len(c) - 1):
@@ -408,14 +408,6 @@ def _ppart(n: int, r: int) -> int:
         out *= r
         n //= r
     return out
-
-
-def _ilog(n: int, r: int) -> int:
-    k = 0
-    while n > 1:
-        n //= r
-        k += 1
-    return k
 
 
 def group_descriptor(group: Group) -> dict:

@@ -263,8 +263,8 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
                             seed: int = 0) -> Dict[str, object]:
     """Verified (M_x, N_x) pairs for the codewords x of P.
 
-    With sample=None, on a cocycle over a group (the cocycle() and
-    is_group() verdicts), the answer is a theorem and nothing is computed
+    With sample=None, on a cocycle (the cocycle() verdict, held only over
+    a group), the answer is a theorem and nothing is computed
     ("mode": "theorem").  The pair of x = lam*1 + f_rho (_pair_arrays)
     makes entry (i, j) of PMQ* psi(i, rho^-1) + psi(i rho^-1, rho j) -
     psi(rho, rho^-1) + psi(rho, j): the identity at (i, rho^-1, rho j)
@@ -287,8 +287,7 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
     if sample is not None and sample < 1:
         raise ValueError(f"sample={sample} must be >= 1")
     f, v, q = P.field, P.v, P.q
-    if (sample is None and P.code.matrix.cocycle() is not None
-            and P.group.is_group()):
+    if sample is None and P.code.matrix.cocycle() is not None:
         return {"pairs_verified": q * v, "mode": "theorem",
                 "homomorphism_ok": True, "central_pairs_ok": True,
                 "row_action_transitive": True}

@@ -14,9 +14,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .cocycles import Cocycle, coboundary, is_orthogonal, matrix_of
+from .cocycles import Cocycle, coboundary, is_orthogonal
+from .codes import GHCode
 from .errors import InadmissibleParams, NotOrthogonal
 from .fields import Field
+from .ghmatrix import matrix_of
 from .groups import additive_group_of
 
 # Largest field degree attempted by table1 without / with the --big flag.
@@ -114,8 +116,6 @@ def table1(a_min: int = 4, a_max: int = 7,
 
 
 def _table1_cell(a: int, b: int) -> Dict[str, object]:
-    from .codes import GHCode
-
     psi = planar_coboundary(a, b)
     ok, witness = is_orthogonal(psi)
     if not ok:

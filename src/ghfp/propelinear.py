@@ -22,11 +22,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cocycles import Cocycle, is_orthogonal, matrix_of, tensor
+from .cocycles import Cocycle, is_orthogonal, tensor
 from .codes import GHCode
 from .errors import (CocycleIdentityViolated, FieldMismatch, NotAGroup,
                      NotAssociative, NotNormalized, NotOrthogonal,
                      SectionUndefined)
+from .ghmatrix import matrix_of
 from .groups import Group, Perm, abelian_invariants
 
 
@@ -248,13 +249,13 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
     or the error, is kept on P for the arrays row_products returned.
 
     On the table row_products reads from a cocycle psi over G, (G^op's
-    table, psi^T), the answer is psi^T over G^op, by theorem.  G^op is
-    Latin with identity 0, and associative, exactly when G is, so G's own
-    NotAGroup or NotAssociative is raised when G is no group.  psi^T
-    satisfies the identity at (g, h, k) over G^op exactly when psi does at
-    (k, h, g) over G, and psi is normalized, so it is a cocycle.  Any other
-    table (a search, or a table put in its place) is checked as a table:
-    Latin, associative, then the cocycle identity in full.
+    table, psi^T), the answer is psi^T over G^op, by theorem.  psi holds
+    a verdict only over a group (Cocycle), and G^op is a group exactly
+    when G is (Group.opposite).  psi^T satisfies the identity at (g, h, k)
+    over G^op exactly when psi does at (k, h, g) over G, and psi is
+    normalized, so it is a cocycle.  Any other table (a search, or a table
+    put in its place) is checked as a table: Latin, associative, then the
+    cocycle identity in full.
     """
     rows, offsets = P.row_products()
     known = getattr(P, "_quotient", None)
@@ -276,15 +277,12 @@ def _quotient_cocycle(P: PropelinearCode, rows: np.ndarray,
     psi = P.code.matrix.cocycle()
     theorem = getattr(P, "_row_products", (None, None))
     if psi is not None and rows is theorem[0] and offsets is theorem[1]:
-        psi.group.check()
         return Cocycle(psi.group.opposite(), P.field, offsets,
                        check="theorem")
     bad = np.argwhere(rows < 0)
     if bad.size:
         raise SectionUndefined(*map(int, bad[0]))
-    quotient = Group(rows)
-    quotient.check_associativity()
-    return Cocycle(quotient, P.field, offsets)
+    return Cocycle(Group(rows), P.field, offsets)
 
 
 def _star_group_failure(P: PropelinearCode) -> Optional[tuple]:

@@ -97,6 +97,29 @@ def loop5():
 
 
 @pytest.fixture(scope="session")
+def loop_tables():
+    """Loops of order 8 and 6 (Latin, identity 0, not associative) with
+    F_2 tables, normalized and not cocycles, that keep the identity at
+    each loop's one greedy generator, 1: Light's generator test, sound
+    over a group only, would pass them.  Associativity fails at (1, 1, 1)
+    in both.  T8 is orthogonal row by row, but its matrix is no GH."""
+    L8 = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 5, 3, 4, 7, 2, 0, 6],
+          [2, 7, 1, 0, 6, 4, 3, 5], [3, 2, 0, 1, 5, 6, 7, 4],
+          [4, 3, 5, 6, 1, 7, 2, 0], [5, 0, 6, 7, 2, 3, 4, 1],
+          [6, 4, 7, 5, 3, 0, 1, 2], [7, 6, 4, 2, 0, 1, 5, 3]]
+    T8 = [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1, 1, 1],
+          [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 0, 1, 1],
+          [0, 1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 1, 0, 1, 0],
+          [0, 1, 0, 0, 1, 1, 1, 0], [0, 1, 1, 0, 0, 0, 1, 1]]
+    L6 = [[0, 1, 2, 3, 4, 5], [1, 3, 0, 4, 5, 2], [2, 4, 1, 5, 0, 3],
+          [3, 2, 5, 0, 1, 4], [4, 5, 3, 1, 2, 0], [5, 0, 4, 2, 3, 1]]
+    T6 = [[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 0],
+          [0, 1, 1, 1, 0, 1], [0, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 0]]
+    return {"L8": (np.array(L8), np.array(T8)),
+            "L6": (np.array(L6), np.array(T6))}
+
+
+@pytest.fixture(scope="session")
 def non_cocycles(gf3, gf4):
     """Orthogonal tables with distinct rows read over the cyclic group, where
     none is a cocycle.  In gf2_over_z4, C_H is closed under star but its star

@@ -21,6 +21,7 @@ from ghfp.errors import (
     CocycleIdentityViolated,
     DivisibilityViolated,
     FieldMismatch,
+    NotAssociative,
     NotNormalized,
 )
 from ghfp.fileio import read_cay, write_cay
@@ -331,9 +332,10 @@ def test_theorem_verdict_equals_the_full_check(tmp_path, monkeypatch,
     and over a product with S_3, the primitive-power S_8, a lift, a tensor
     with a coboundary, the trivial cocycle over S_3, D(2,2,2) and the psi^T
     of cocycle_from_code.  The full check then agrees on each, and on the
-    corpus.  A coboundary over a loop gets no verdict, and it and the
-    "skip" tables (non_cocycles, a corrupted construction) are checked in
-    full by GHMatrix.cocycle()."""
+    corpus.  The "skip" tables (non_cocycles, a corrupted construction) are
+    checked in full by GHMatrix.cocycle().  A coboundary and the zero
+    cocycle over a loop get no verdict, and the loop is refused before any
+    identity check, with its own NotAssociative."""
     calls = []
     real = Cocycle._check_identity
 
@@ -374,16 +376,61 @@ def test_theorem_verdict_equals_the_full_check(tmp_path, monkeypatch,
         assert psi.checked, name
         check_cocycle(psi.table, psi.group, psi.field)
 
-    loop_cob = coboundary(np.arange(5), Group(loop5), Field(5, 1))
     corrupted = built[str(("planar", 4, 3))].table.copy()
     corrupted[5, 7] = (corrupted[5, 7] + 1) % 3
     corrupted = Cocycle(elementary_abelian(3, 4), Field(3, 4), corrupted,
                         check="skip")
-    unchecked = [loop_cob, corrupted, *non_cocycles.values()]
-    for psi in unchecked:
+    for psi in [corrupted, *non_cocycles.values()]:
         assert not psi.checked
         calls.clear()
         M = matrix_of(psi)
         assert M.cocycle() is None and len(calls) == 1, psi
         with pytest.raises(CocycleIdentityViolated):
             check_cocycle(psi.table, psi.group, psi.field)
+
+    loop, f5 = Group(loop5), Field(5, 1)
+    for psi in (coboundary(np.arange(5), loop, f5), trivial_cocycle(loop, f5)):
+        assert not psi.checked
+        calls.clear()
+        assert matrix_of(psi).cocycle() is None and calls == []
+        with pytest.raises(NotAssociative) as err:
+            check_cocycle(psi.table, loop, f5)
+        assert err.value.triple == loop.associativity_failure()
+
+
+def _identity_failures(t, gt) -> int:
+    """The triples (g, h, k) that break the cocycle identity, counted by
+    brute force over every g."""
+    return int(np.count_nonzero(
+        (t[:, :, None] + t[gt]) % 2
+        != (t[:, gt] + t[None, :, :]) % 2))
+
+
+@pytest.mark.parametrize("name, gh, rank", [
+    ("L8", (False, (1, 2, 0, 6)), 6),
+    ("L6", (False, (0, 1, 0, 4)), 5)], ids=["L8", "L6"])
+def test_a_table_over_a_loop_is_refused_and_reads_as_bare(loop_tables, name,
+                                                          gh, rank):
+    """Each table keeps the identity at the loop's generator 1 but breaks
+    it elsewhere (at 134 of the 512 triples of L8).  check_cocycle refuses
+    the loop with its own NotAssociative, and a matrix over the loop holds
+    no verdict, so is_gh, the rank and the distance are the bare matrix's,
+    not the answers a verdict's shortcuts would give."""
+    from ghfp.codes import GHCode
+    from ghfp.ghmatrix import GHMatrix
+
+    loop, table = loop_tables[name]
+    group, f2 = Group(loop), Field(2, 1)
+    Cocycle(group, f2, table, check="skip")._check_identity()
+    assert _identity_failures(table, loop) == {"L8": 134, "L6": 48}[name]
+    with pytest.raises(NotAssociative) as err:
+        check_cocycle(table, group, f2)
+    assert err.value.triple == group.associativity_failure() == (1, 1, 1)
+
+    M, bare = GHMatrix(f2, table, group=group), GHMatrix(f2, table)
+    assert M.cocycle() is None
+    assert is_gh(M) == is_gh(bare) == gh
+    assert GHCode(M).rank() == GHCode(bare).rank() == rank
+    assert GHCode(M).min_distance() == GHCode(bare).min_distance() \
+        == (2, "exhaustive")
+

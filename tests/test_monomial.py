@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ghfp import (
+    Cocycle,
+    Field,
     GHMatrix,
     MonomialMatrix,
     Perm,
@@ -444,12 +446,13 @@ def test_theorem_report_equals_the_oracle_on_structure_jobs(bench_recipes):
                     == _without_mode(_oracle_exact_check(P))), (kind, seed)
 
 
-def test_theorem_path_computes_nothing(corpus, non_cocycles, s9_cocycle,
+def test_theorem_path_computes_nothing(corpus, non_cocycles, loop_tables,
                                        monkeypatch):
     """With sample=None on a cocycle over a group, no pair, kernel or
-    row-product table is computed.  The non-cocycles, and a cocycle whose
-    group has no group verdict, take the sampled path, which the same spies
-    see."""
+    row-product table is computed.  The non-cocycles, and a table over a
+    loop that keeps the identity at the loop's generators, take the
+    sampled path, which the same spies see; over the loop no verdict
+    holds, so the pairs are searched, and a row of H - x maps to no row."""
     calls = []
 
     def spy(name, fn):
@@ -481,13 +484,12 @@ def test_theorem_path_computes_nothing(corpus, non_cocycles, s9_cocycle,
                 run(P)
         assert "_pair_arrays" in calls, name
         calls.clear()
-    P = ghfp_from_cocycle(s9_cocycle)
-    monkeypatch.setattr(P.group, "is_group", lambda: False)
-    report = run(P)
-    assert report["mode"] == "sampled" and report["pairs_verified"] == 27
-    assert report["homomorphism_ok"] and report["row_action_transitive"]
-    assert {"_pair_arrays", "_first_non_automorphism", "_homomorphism_holds",
-            "row_products"} == set(calls)
+    loop, table = loop_tables["L8"]
+    P = ghfp_from_cocycle(Cocycle(Group(loop), Field(2, 1), table,
+                                  check="skip"))
+    with pytest.raises(AutomorphismCheckFailed, match="does not map to a row"):
+        run(P)
+    assert calls == ["_pair_arrays"]
 
 
 def test_bent_generator_row_is_named_by_the_scan(gf3, monkeypatch):
