@@ -26,7 +26,7 @@ from .extension import (
     fh_intersection_profile,
     transversal_rds_check,
 )
-from .fields import Field, integer_log
+from .fields import Field, integer_log, prime_factors
 from .fileio import read_coc, read_ghm, sha256_of, write_coc, write_ghm
 from .ghmatrix import (GHMatrix, gen_sylvester_cocycle, is_gh, matrix_of,
                        normalize, sylvester_cocycle, sylvester_power_cocycle)
@@ -35,7 +35,7 @@ from .propelinear import (PropelinearCode, regular_subgroup_check,
                           verify_full_propelinear)
 
 
-def _run_record(args, inputs: List[str], seconds: float) -> Dict[str, object]:
+def _run_record(inputs: List[str], seconds: float) -> Dict[str, object]:
     return {
         "command": " ".join(sys.argv[1:]),
         "inputs": {p: sha256_of(p) for p in inputs},
@@ -47,7 +47,7 @@ def _emit(args, outputs: Dict[str, object], inputs: List[str],
           t0: float) -> None:
     if args.json:
         payload = dict(outputs)
-        payload["run"] = _run_record(args, inputs, time.perf_counter() - t0)
+        payload["run"] = _run_record(inputs, time.perf_counter() - t0)
         print(json.dumps(payload, sort_keys=True, default=_jsonify))
     else:
         for k, v in outputs.items():
@@ -86,16 +86,35 @@ def _load_matrix(path) -> GHMatrix:
     return matrix_of(obj) if isinstance(obj, Cocycle) else obj
 
 
-def _parse_prime_power(q: int):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m = integer_log(q, p)
-            if m is None:
-                raise GHFPError("q is not a prime power")
-            return p, m
-        p += 1
-    return q, 1
+def _field_of_order(q: int) -> Field:
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise GHFPError("q is not a prime power")
+    return Field(primes[0], integer_log(q, primes[0]))
+
+
+def _kronecker(args) -> Cocycle:
+    left = read_coc(args.left)
+    right = read_coc(args.right)
+    if left.field != right.field and left.field.m == 1 \
+            and left.field.p == right.field.p:
+        left = lift(left, right.field)
+    return tensor(left, right)
+
+
+# each construction of `ghfp build`: the options it cannot do without, its
+# builder, and its default basename (formatted with the options)
+CONSTRUCTIONS = {
+    "sylvester": (("q",), lambda a: sylvester_cocycle(
+        _field_of_order(a.q), a.ordering), "s{q}"),
+    "sylvester-power": (("q",), lambda a: sylvester_power_cocycle(
+        _field_of_order(a.q), a.t), "s{q}_pow{t}"),
+    "gen-sylvester": (("p", "m", "k"), lambda a: gen_sylvester_cocycle(
+        a.p, a.m, a.k), "d_{p}_{m}_{k}"),
+    "planar": (("a", "b"), lambda a: planar_mod.planar_coboundary(a.a, a.b),
+               "planar_{a}_{b}"),
+    "kronecker": (("left", "right"), _kronecker, "kronecker"),
+}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -103,31 +122,9 @@ def _parse_prime_power(q: int):
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
-    name = args.name
-    if args.construction == "sylvester":
-        p, m = _parse_prime_power(args.q)
-        psi = sylvester_cocycle(Field(p, m), args.ordering)
-        name = name or f"s{args.q}"
-    elif args.construction == "sylvester-power":
-        p, m = _parse_prime_power(args.q)
-        psi = sylvester_power_cocycle(Field(p, m), args.t)
-        name = name or f"s{args.q}_pow{args.t}"
-    elif args.construction == "gen-sylvester":
-        psi = gen_sylvester_cocycle(args.p, args.m, args.k)
-        name = name or f"d_{args.p}_{args.m}_{args.k}"
-    elif args.construction == "planar":
-        psi = planar_mod.planar_coboundary(args.a, args.b)
-        name = name or f"planar_{args.a}_{args.b}"
-    elif args.construction == "kronecker":
-        left = read_coc(args.left)
-        right = read_coc(args.right)
-        if left.field != right.field and left.field.m == 1 \
-                and left.field.p == right.field.p:
-            left = lift(left, right.field)
-        psi = tensor(left, right)
-        name = name or "kronecker"
-    else:
-        raise GHFPError(f"unknown construction {args.construction}")
+    _, build, basename = CONSTRUCTIONS[args.construction]
+    psi = build(args)
+    name = args.name or basename.format_map(vars(args))
 
     # self-verification before writing anything: the identity unless the
     # construction proved it (read_coc checks the written file in full),
@@ -345,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="construct and write .coc/.ghm files")
     b.add_argument("--construction", required=True,
-                   choices=["sylvester", "sylvester-power", "gen-sylvester",
-                            "planar", "kronecker"])
+                   choices=CONSTRUCTIONS)
     b.add_argument("--q", type=int, help="field order for sylvester forms")
     b.add_argument("--t", type=int, default=2, help="sylvester power")
     b.add_argument("--p", type=int, help="characteristic for gen-sylvester")
@@ -405,21 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# the options each construction of `ghfp build` cannot do without
-BUILD_NEEDS = {
-    "sylvester": ("q",),
-    "sylvester-power": ("q",),
-    "gen-sylvester": ("p", "m", "k"),
-    "planar": ("a", "b"),
-    "kronecker": ("left", "right"),
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.cmd == "build":
-        missing = [f"--{o}" for o in BUILD_NEEDS[args.construction]
+        missing = [f"--{o}" for o in CONSTRUCTIONS[args.construction][0]
                    if getattr(args, o) is None]
         if missing:
             ap.error(f"build --construction {args.construction} needs "

@@ -411,14 +411,15 @@ class GHCode:
         d(f_i + a1, f_j + b1) = n - #{t : (f_j - f_i)_t = a - b}, so the pair
         (i, j) contributes n minus the largest multiplicity in f_j - f_i, and
         two words of one coset are n apart.  The pairs (0, j) give the
-        weights, as f_0 = 0.  The scan stops there ("theorem") when every
+        weights, as f_0 = 0.  The scan reads range(1) ("theorem") when every
         distance is a weight: when C_H is linear (d(x, y) = wt(y - x) and
         y - x is in C_H), or when H is a cocycle over its group (see
-        GHMatrix.cocycle).  Otherwise every pair is scanned ("exhaustive").
+        GHMatrix.cocycle).  Otherwise it reads range(v - 1) ("exhaustive").
         """
         theorem = self.matrix.cocycle() is not None or self.is_linear()
         best = self.n
-        for _, _, counts in row_pair_counts(self.matrix, lambda: theorem):
+        rows = range(1 if theorem else self.v - 1)
+        for _, _, counts in row_pair_counts(self.matrix, rows):
             best = min(best, self.n - int(counts.max()))
         return MinDistanceResult(best, "theorem" if theorem else "exhaustive")
 

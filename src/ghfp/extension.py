@@ -12,7 +12,7 @@ every label.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,15 +46,6 @@ class ExtensionGroup:
         ginv = int(self.group.inv[g])
         return (self.field.neg(self.field.add(u, int(self.psi.table[g, ginv]))),
                 ginv)
-
-    def elements(self) -> Iterable[Pair]:
-        for u in range(self.q):
-            for g in range(self.v):
-                yield (u, g)
-
-    def transversal(self) -> List[Pair]:
-        """T(psi) = {(0, g)}, a normalized transversal of U x {1}."""
-        return [(0, g) for g in range(self.v)]
 
     @property
     def is_abelian(self) -> bool:

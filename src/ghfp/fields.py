@@ -24,7 +24,7 @@ the tables, or packs, adds in lanes and unpacks above ADD_TABLE_MAX_Q."""
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,15 +55,20 @@ PINNED_POLYS = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out + [n] if n > 1 else out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 def integer_log(n: int, base: int) -> Optional[int]:
@@ -187,15 +192,6 @@ class Field:
             raise DivisionByZero("0 has no multiplicative inverse")
         return int(self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)])
 
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise DivisionByZero("0 to a negative power")
-            return 0
-        return int(self.exp[(int(self.log[a]) * n) % (self.q - 1)])
-
     # -- vectorized arithmetic on int arrays of encodings -----------------------
 
     # one-gather addition via a flat q x q table; above this order add in
@@ -268,9 +264,6 @@ class Field:
         return self.exp.take(self.log.take(a) + self.log.take(b))
 
     # -- coefficients ------------------------------------------------------------
-
-    def coeffs(self, e: int) -> Tuple[int, ...]:
-        return tuple(_decode(e, self.p, self.m))
 
     def encode(self, coeffs: Iterable[int]) -> int:
         return _encode((c % self.p for c in coeffs), self.p)

@@ -6,7 +6,7 @@ the entrywise difference multiset hits each field element exactly v/q times.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class GHMatrix:
                     pass
         return self._cocycle
 
-    def lift(self, field: Field) -> "GHMatrix":
-        return GHMatrix(field, field.lift_from_prime(self.entries), group=self.group)
-
     def __eq__(self, other):
         return (isinstance(other, GHMatrix)
                 and self.field == other.field
@@ -101,12 +98,11 @@ def matrix_of(psi: Cocycle) -> GHMatrix:
 Witness = Tuple[int, int, int, int]
 
 
-def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
+def row_pair_counts(matrix: GHMatrix, rows: range
                     ) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Difference histograms of the row pairs (i, j), i < j, in row-major
-    order and in row blocks: yields (i, j0, counts) with counts[r, u] the
-    multiplicity of u in row j0 + r minus row i.  first_row_decides() is
-    asked once the pairs (0, j) are done, and True stops the scan there.
+    """Difference histograms of the row pairs (i, j), i < j, for i in rows,
+    in row-major order and in row blocks: yields (i, j0, counts) with
+    counts[r, u] the multiplicity of u in row j0 + r minus row i.
 
     Each block is one fused gather: the subtraction table at q*H[j] + H[i],
     plus the row offsets r*q in place, then one bincount.  A zero row i (row
@@ -121,9 +117,7 @@ def row_pair_counts(matrix: GHMatrix, first_row_decides: Callable[[], bool]
     keys = np.empty((step, v), dtype=np.int64)
     diffs = None  # the narrow difference buffer, made with the first gather
     offsets = np.arange(0, step * q, q)[:, None]
-    for i in range(v - 1):
-        if i == 1 and first_row_decides():
-            return
+    for i in rows:
         zero = not H[i].any()
         for j0 in range(i + 1, v, step):
             n = min(step, v - j0)
@@ -154,39 +148,36 @@ def is_gh(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
     """Check the GH row-pair condition, exactly at every order.
 
     Returns (True, None) or (False, (i, j, u, count)) for the first violated
-    row pair in row-major order, the first element and its multiplicity.
-    The pairs (0, j) are counted first.  When they pass and matrix.cocycle()
-    holds, every pair does.  Otherwise a small field against v is checked
-    by characters (_gh_by_characters), and any other matrix by scanning
-    every pair.
-
-    The characters of (F_q, +) = Z_p^m, digit by digit, are chi_c(x) =
-    omega^<c, x> for c in Z_p^m.  For a pair (i, j) with N_u the
-    multiplicity of u in row j minus row i, sum_k chi_c(h_jk - h_ik) =
-    sum_u N_u chi_c(u) = (chi_c(H) chi_{-c}(H)^T)_ji: the pair is balanced
-    exactly when this transform vanishes at every c != 0.  For p = 2, chi_c
-    is +-1 and the product is an integer matrix that float64 holds exactly.
-    For odd p the characters take values in GF(l), l prime, l = 1 mod p, l >
-    v, where omega has order p; every partial sum of a product is an integer
-    below v*l^2 < 2^53, so float64 and fmod reduce it exactly.  If every
-    transform vanishes mod l, the inverse transform gives q*N_u = v mod l,
-    and as 0 <= N_u <= v < l, N_u = v/q.  c and -c give transposed
-    products, so one product per pair {c, -c} suffices.
+    row pair in row-major order, the first element and its multiplicity;
+    every witness comes from row_pair_counts.  The pairs (0, j) are counted
+    first.  When they pass and matrix.cocycle() holds, every pair does.
+    Otherwise a small field against v is decided by characters
+    (_unbalanced_rows), which mark the rows of the failing pairs: the least
+    marked row is row i of the first failing pair, and its scan names the
+    witness.  Any other matrix scans every row.
     """
     v, q = matrix.v, matrix.q
     if v % q:
         raise DivisibilityViolated(f"q={q} does not divide order v={v}")
     lam = v // q
-    characters = q < v and q <= MAX_CHARACTER_Q
-    for i, j0, counts in row_pair_counts(
-            matrix, lambda: characters or matrix.cocycle() is not None):
-        bad = counts != lam
-        if bad.any():
-            r, u = map(int, np.argwhere(bad)[0])
-            return False, (i, j0 + r, u, int(counts[r, u]))
-    if characters and matrix.cocycle() is None:
-        return _gh_by_characters(matrix)
-    return True, None
+
+    def first_failure(rows):
+        for i, j0, counts in row_pair_counts(matrix, rows):
+            bad = counts != lam
+            if bad.any():
+                r, u = map(int, np.argwhere(bad)[0])
+                return False, (i, j0 + r, u, int(counts[r, u]))
+        return True, None
+
+    verdict = first_failure(range(1))
+    if not verdict[0] or matrix.cocycle() is not None:
+        return verdict
+    if q < v and q <= MAX_CHARACTER_Q:
+        marked = np.flatnonzero(_unbalanced_rows(matrix))
+        if not marked.size:
+            return verdict
+        return first_failure(range(marked[0], marked[0] + 1))
+    return first_failure(range(1, v - 1))
 
 
 def _character_tables(field: Field, v: int):
@@ -210,60 +201,44 @@ def _character_tables(field: Field, v: int):
     return list(zip(powers[dots], powers[-dots % p])), ell
 
 
-def _gh_by_characters(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
-    """is_gh by one product per character pair {c, -c}, in row blocks.
+def _unbalanced_rows(matrix: GHMatrix) -> np.ndarray:
+    """Marks, as a bool per row, both rows of every unbalanced row pair.
 
-    Each pair keeps the least failing row pair so far (_least_failure), so
-    the first failing pair over all characters is the scan's, and its
-    histogram gives the scan's (u, count)."""
-    f, H, v = matrix.field, matrix.entries, matrix.v
+    The characters of (F_q, +) = Z_p^m, digit by digit, are chi_c(x) =
+    omega^<c, x> for c in Z_p^m.  For a pair (i, j) with N_u the
+    multiplicity of u in row j minus row i, sum_k chi_c(h_jk - h_ik) =
+    sum_u N_u chi_c(u) = (chi_c(H) chi_{-c}(H)^T)_ji: the pair is balanced
+    exactly when this transform vanishes at every c != 0.  For p = 2, chi_c
+    is +-1 and the product is an integer matrix that float64 holds exactly.
+    For odd p the characters take values in GF(l), l prime, l = 1 mod p, l >
+    v, where omega has order p; every partial sum of a product is an integer
+    below v*l^2 < 2^53, so float64 and fmod reduce it exactly.  If every
+    transform vanishes mod l, the inverse transform gives q*N_u = v mod l,
+    and as 0 <= N_u <= v < l, N_u = v/q.  c and -c give transposed
+    products, so one product per pair {c, -c} suffices.
+
+    One product per row block [r0, r1): for p = 2 it is symmetric, and the
+    columns from r0 hold every pair with i in the block; for odd p the
+    (j, i) orientation of a pair is read from j's block, so each block runs
+    against every column.  A nonzero entry (r, c), r != c, marks rows r and
+    c; the least marked row is then the least i of a failing pair (i, j)."""
+    H, v = matrix.entries, matrix.v
     step = block_rows(v)
-    tables, ell = _character_tables(f, v)
-    least = None
+    tables, ell = _character_tables(matrix.field, v)
+    marked = np.zeros(v, dtype=bool)
     for a, b in tables:
         A = a[H]
-        least = _least_failure(A, A if b is a else b[H], ell, step, least)
-    if least is None:
-        return True, None
-    i, j = least
-    counts = np.bincount(f.vsub(H[j], H[i]), minlength=f.q)
-    u = int(np.flatnonzero(counts != v // f.q)[0])
-    return False, (i, j, u, int(counts[u]))
-
-
-def _least_failure(A, B, ell: Optional[int], step: int,
-                   least: Optional[Tuple[int, int]]
-                   ) -> Optional[Tuple[int, int]]:
-    """The least (i, j), i < j, in row-major order, with (A B^T)_ij or
-    (A B^T)_ji nonzero (mod ell), if it comes before least; else least.
-
-    One product per row block [r0, r1).  When B is A the product is
-    symmetric: the block against the columns from r0 holds every pair with
-    i in the block, so the first block that fails holds the least pair.
-    Otherwise the block runs against every column, and a nonzero entry
-    (r, c) names the pair (min(r, c), max(r, c)): the (j, i) orientation
-    of a pair is read from j's block, so the sweep goes on to the last
-    block, and a block past row i of the least pair found needs only the
-    columns up to i."""
-    v = len(A)
-    for r0 in range(0, v, step):
-        cut = v if least is None else least[0] + 1
-        if B is A and r0 >= cut:
-            break
-        c0 = r0 if B is A else 0
-        P = A[r0:r0 + step] @ B[c0:v if r0 < cut else cut].T
-        if ell is not None:
-            np.fmod(P, ell, out=P)
-        fail = P != 0
-        np.fill_diagonal(fail[:, r0 - c0:], False)  # entry (r, r) is v
-        if fail.any():
-            r, c = np.nonzero(fail)
-            r += r0
-            c += c0
-            key = int((np.minimum(r, c) * v + np.maximum(r, c)).min())
-            if least is None or key < least[0] * v + least[1]:
-                least = divmod(key, v)
-    return least
+        B = A if ell is None else b[H]
+        for r0 in range(0, v, step):
+            c0 = r0 if ell is None else 0
+            P = A[r0:r0 + step] @ B[c0:].T
+            if ell is not None:
+                np.fmod(P, ell, out=P)
+            fail = P != 0
+            np.fill_diagonal(fail[:, r0 - c0:], False)  # entry (r, r) is v
+            marked[r0:r0 + len(fail)] |= fail.any(axis=1)
+            marked[c0:] |= fail.any(axis=0)
+    return marked
 
 
 def normalize(matrix: GHMatrix) -> GHMatrix:

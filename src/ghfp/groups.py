@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (LengthMismatch, NotAbelian, NotAGroup, NotAssociative,
                      NotPrime)
 from .fields import (Field, base_digits, digitwise_table, integer_log,
-                     is_prime)
+                     is_prime, prime_factors)
 
 
 class Perm:
@@ -33,21 +33,9 @@ class Perm:
             raise LengthMismatch("images is not a bijection")
         self.images = images
 
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(np.arange(n))
-
     @property
     def n(self) -> int:
         return int(self.images.shape[0])
-
-    def compose(self, other: "Perm") -> "Perm":
-        """self o other, with f o g (x) = f(g(x))."""
-        if self.n != other.n:
-            raise LengthMismatch(f"lengths differ: {self.n} vs {other.n}")
-        return Perm(self.images[other.images])
-
-    __mul__ = compose
 
     def cycle_form(self) -> str:
         """1-based disjoint cycles, fixed points omitted; identity prints I."""
@@ -360,7 +348,7 @@ def _exponent(mul, n: int) -> int:
     """The least e with x^e = 1 for all n elements.  It divides n, so start
     at n and divide out each prime r while every x^(e/r) is 1."""
     x, e = np.arange(n), n
-    for r in _prime_factors(n):
+    for r in prime_factors(n):
         while e % r == 0 and not _power(mul, x, e // r).any():
             e //= r
     return e
@@ -375,8 +363,10 @@ def _invariants(mul, n: int) -> List[int]:
     """
     out: List[int] = []
     x = np.arange(n)
-    for r in _prime_factors(n):
-        full, c = integer_log(_ppart(n, r), r), [0]
+    for r in prime_factors(n):
+        # r^full is the r-part of n
+        full = max(k for k in range(n.bit_length()) if n % r ** k == 0)
+        c = [0]
         while len(c) < 2 or c[-2] < c[-1] < full:
             killed = int(np.count_nonzero(_power(mul, x, r ** len(c)) == 0))
             c.append(integer_log(killed, r))
@@ -386,28 +376,6 @@ def _invariants(mul, n: int) -> List[int]:
         for k in range(1, len(c) - 1):
             out += [r ** k] * (2 * c[k] - c[k - 1] - c[k + 1])
     return sorted(out)
-
-
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _ppart(n: int, r: int) -> int:
-    out = 1
-    while n % r == 0:
-        out *= r
-        n //= r
-    return out
 
 
 def group_descriptor(group: Group) -> dict:

@@ -46,15 +46,6 @@ class MonomialMatrix:
         self.perm = perm
         self.diag = diag
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "MonomialMatrix":
-        return cls(field, np.arange(n), np.zeros(n, dtype=np.int64))
-
-    @classmethod
-    def scalar(cls, field: Field, n: int, k: int) -> "MonomialMatrix":
-        """kI: constant diagonal, identity permutation."""
-        return cls(field, np.arange(n), np.full(n, k, dtype=np.int64))
-
     @property
     def n(self) -> int:
         return int(self.perm.shape[0])

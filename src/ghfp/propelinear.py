@@ -67,13 +67,6 @@ class PropelinearCode:
 
     # -- the propelinear structure ---------------------------------------------------
 
-    def star(self, x, y) -> np.ndarray:
-        """x * y = x + pi_x(y); y may be any length-v vector."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        rho = self.row_of(x)
-        return self.field.vadd(x, y[self.group.table[rho]])
-
     def star_oracle(self, x, y) -> np.ndarray:
         """Test oracle: decode, multiply in the extension group, encode."""
         ku, gu = self.decode(x)
@@ -123,9 +116,6 @@ class PropelinearCode:
         return [p.cycle_form() for p in self.pi_table()]
 
     # -- views ------------------------------------------------------------------------
-
-    def codewords(self) -> np.ndarray:
-        return self.code.words()
 
     def group_invariants(self) -> List[int]:
         """Abelian invariants of (C, star), computed on the extension group

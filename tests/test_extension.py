@@ -22,6 +22,16 @@ from ghfp.groups import _invariants, abelian_invariants, elementary_abelian
 
 import paper_data
 from test_groups import s3_table
+from test_propelinear import star
+
+
+def elements(E):
+    return [(u, g) for u in range(E.q) for g in range(E.v)]
+
+
+def transversal(E):
+    """T(psi) = {(0, g)}, a normalized transversal of U x {1}."""
+    return [(0, g) for g in range(E.v)]
 
 
 def extension_table(E: ExtensionGroup) -> Group:
@@ -203,8 +213,8 @@ def test_label_table_matches_pair_product(gf3, order4_cocycle, s9_cocycle):
     for psi in (order4_cocycle, s9_cocycle, digits, over_s3):
         E = ExtensionGroup(psi)
         table, v = extension_table(E).table, E.v
-        for u, g in E.elements():
-            for w, h in E.elements():
+        for u, g in elements(E):
+            for w, h in elements(E):
                 k, x = E.mul((u, g), (w, h))
                 assert table[u * v + g, w * v + h] == k * v + x
 
@@ -224,7 +234,7 @@ def test_transversal_rds_against_general_checker(order4_cocycle, s9_cocycle):
     for psi in (order4_cocycle, s9_cocycle):
         E = ExtensionGroup(psi)
         ok, summary = is_relative_difference_set(
-            E.transversal(), E, coefficients(E), psi.v // psi.q)
+            transversal(E), E, coefficients(E), psi.v // psi.q)
         assert ok
         assert summary["quotients"] == psi.v * (psi.v - 1)
         fast, _ = transversal_rds_check(psi)
@@ -247,7 +257,7 @@ def test_trivial_cocycle_transversal_fails(gf3):
 def test_general_rds_rejects_non_subgroup(s9_cocycle):
     E = ExtensionGroup(s9_cocycle)
     with pytest.raises(NotNormal):
-        is_relative_difference_set(E.transversal(), E, [(1, 0), (2, 0)], 3)
+        is_relative_difference_set(transversal(E), E, [(1, 0), (2, 0)], 3)
 
 
 def test_general_rds_normality_matches_brute_force(gf3):
@@ -259,7 +269,7 @@ def test_general_rds_normality_matches_brute_force(gf3):
     from test_groups import s3_table
 
     E = ExtensionGroup(trivial_cocycle(Group(s3_table()), gf3))
-    everything = list(E.elements())
+    everything = elements(E)
 
     def normal(Z):
         return all(E.mul(E.mul(g, z), E.inverse(g)) in Z
@@ -271,9 +281,9 @@ def test_general_rds_normality_matches_brute_force(gf3):
     for Z in ([(0, 0), (0, 3)], [(0, 0), (1, 1), (2, 2)]):
         assert not normal(set(Z))
         with pytest.raises(NotNormal, match="not normal"):
-            is_relative_difference_set(E.transversal(), E, Z, 1)
+            is_relative_difference_set(transversal(E), E, Z, 1)
     for Z in (rotations, coefficients(E)):
-        is_relative_difference_set(E.transversal(), E, Z, 1)
+        is_relative_difference_set(transversal(E), E, Z, 1)
 
 
 def test_fh_intersection_profile(order4_cocycle, s9_cocycle, s8_cocycle):
@@ -300,7 +310,7 @@ def test_fh_intersection_profile_matches_brute_force(order4_cocycle,
         v, q = P.v, P.q
         fh = Code(P.field, P.H)
         prof = fh_intersection_profile(P)
-        want = [sum(fh.contains(P.star(x, f)) for f in P.H)
+        want = [sum(fh.contains(star(P, x, f)) for f in P.H)
                 for x in P.code.words()]  # x = a*1 + f_rho at a*v + rho
         assert np.asarray(prof["values"]).tolist() == want
         expected = [v if k == 0 else (0 if k % v == 0 else v // q)
@@ -335,7 +345,7 @@ def test_cocycle_from_code_names_first_product_outside_code(non_cocycles):
     for name in ("h4_over_z4", "h9_over_z9", "gf5_over_z5"):
         P = ghfp_from_cocycle(non_cocycles[name])
         i, j = next((i, j) for i in range(P.v) for j in range(P.v)
-                    if not P.code.contains(P.star(P.H[i], P.H[j])))
+                    if not P.code.contains(star(P, P.H[i], P.H[j])))
         with pytest.raises(SectionUndefined, match=rf"f_{i} \* f_{j} has"):
             cocycle_from_code(P)
 

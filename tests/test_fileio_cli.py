@@ -179,6 +179,23 @@ def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
     assert report["pairs_verified"] == psi.field.q * psi.v
 
 
+def test_cli_build_default_names(tmp_path, capsys):
+    """Without --name, each construction writes its files under a basename
+    formed from its options."""
+    names = {"sylvester": "s8", "sylvester-power": "s4_pow2",
+             "gen-sylvester": "d_3_1_2", "planar": "planar_4_3"}
+    for construction, opts in BUILDS.items():
+        assert main(["build", "--construction", construction, *opts,
+                     "--out", str(tmp_path)]) == 0
+    s8 = str(tmp_path / "s8.coc")
+    assert main(["build", "--construction", "kronecker", "--left", s8,
+                 "--right", s8, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        f"{name}.{suffix}" for name in [*names.values(), "kronecker"]
+        for suffix in ("coc", "ghm"))
+
+
 def test_cli_build_missing_option_is_usage_error(tmp_path, capsys):
     """Each option a construction needs, dropped in turn, is a usage error
     that names it: exit code 2 and nothing written (--t has a default)."""

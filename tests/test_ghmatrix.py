@@ -255,8 +255,9 @@ def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
     and in blocks of 1 and 3 rows, through the narrow subtraction table
     (uint8 up to q = 256, uint16 above) and through vsub's packed lanes
     above ADD_TABLE_MAX_Q; the oracle is the scalar digit loop Field.sub.
-    The pairs come in row-major order, each once, and a True
-    first_row_decides() stops after row 0."""
+    The pairs (i, j), i in rows, come in row-major order, each once:
+    range(v - 1) is every pair, range(1) the pairs of row 0, and a range
+    from a later row starts there."""
     from ghfp import ghmatrix
     from ghfp.ghmatrix import row_pair_counts
 
@@ -267,10 +268,9 @@ def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
                          for x, y in zip(H[j].tolist(), H[i].tolist())],
                         minlength=f.q) for i, j in pairs]
 
-    def scan(field, stop):
+    def scan(field, rows):
         out = []
-        for i, j0, counts in row_pair_counts(GHMatrix(field, H),
-                                             lambda: stop):
+        for i, j0, counts in row_pair_counts(GHMatrix(field, H), rows):
             out += [((i, j0 + r), c) for r, c in enumerate(counts)]
         return out
 
@@ -282,16 +282,18 @@ def test_row_pair_counts_match_per_pair_histograms(p, m, v, monkeypatch):
         if step:
             monkeypatch.setattr(ghmatrix, "block_rows", lambda n: step)
         for field in (f, digits):
-            got = scan(field, False)
+            got = scan(field, range(v - 1))
             assert [ij for ij, _ in got] == pairs, (step, field._sub)
             assert all((c == w).all() for (_, c), w in zip(got, want))
-            assert [ij for ij, _ in scan(field, True)] == pairs[:v - 1]
+            assert [ij for ij, _ in scan(field, range(1))] == pairs[:v - 1]
+            assert [ij for ij, _ in scan(field, range(2, 4))] == \
+                [(i, j) for i, j in pairs if i in (2, 3)]
 
 
 def test_pairs_of_row_0_build_no_subtraction_table():
     """Row 0 of a normalized matrix is zero, so the pairs (0, j) count H[j]
-    itself: a scan that stops after row 0, as a cocycle's min_distance
-    does, builds no subtraction table; a scan past row 0 builds it once."""
+    itself: a scan of range(1), as a cocycle's min_distance makes, builds
+    no subtraction table; a scan past row 0 builds it once."""
     from ghfp import GHCode
     from ghfp.ghmatrix import row_pair_counts
 
@@ -299,11 +301,11 @@ def test_pairs_of_row_0_build_no_subtraction_table():
     M = sylvester(f)
     assert GHCode(M).min_distance() == (f.q - 1, "theorem")
     assert "_sub" not in vars(f)
-    rows = [counts for _, _, counts in row_pair_counts(M, lambda: True)]
+    rows = [counts for _, _, counts in row_pair_counts(M, range(1))]
     assert "_sub" not in vars(f)
     want = [np.bincount(row, minlength=f.q) for row in M.entries[1:]]
     assert (np.concatenate(rows) == want).all()
-    for i, _, _ in row_pair_counts(M, lambda: False):
+    for i, _, _ in row_pair_counts(M, range(M.v - 1)):
         if i == 1:
             break
     assert "_sub" in vars(f)
@@ -333,13 +335,27 @@ def _swapped(M, r, rng):
     return GHMatrix(M.field, t)
 
 
+def _pair_rows(M):
+    """Both rows of every unbalanced row pair, by the full pair scan."""
+    from ghfp.ghmatrix import row_pair_counts
+
+    out = np.zeros(M.v, dtype=bool)
+    for i, j0, counts in row_pair_counts(M, range(M.v - 1)):
+        bad = (counts != M.v // M.q).any(axis=1)
+        out[i] |= bad.any()
+        out[j0:j0 + len(bad)] |= bad
+    return out
+
+
 def test_characters_match_exhaustive_scan(grouped_matrices, monkeypatch,
                                           gf3):
-    """_gh_by_characters, called whatever is_gh would pick, gives the
-    verdict and witness of the pair-by-pair scan on a bare copy of every
-    fixture and on entry swaps at an early, a middle and the last row, in
-    one row block and in blocks of 1 and 5 rows.  is_gh on a bare copy
-    takes the character path for p = 2 and for odd p, and only when q < v."""
+    """On a bare copy of every fixture and on entry swaps at an early, a
+    middle and the last row, in one row block and in blocks of 1 and 5
+    rows: _unbalanced_rows, called whatever is_gh would pick, marks exactly
+    the rows of the unbalanced pairs, so its least mark is row i of the
+    pair-by-pair scan's witness; is_gh gives that scan's verdict and
+    witness.  is_gh on a bare copy takes the character path for p = 2 and
+    for odd p, and only when q < v."""
     from ghfp import ghmatrix
 
     rng = np.random.default_rng(3)
@@ -358,18 +374,24 @@ def test_characters_match_exhaustive_scan(grouped_matrices, monkeypatch,
         t[1] = r
         cases[f"one_orientation_{r[0]}"] = GHMatrix(gf3, t)
     wants = {name: _scan_pairs(M) for name, M in cases.items()}
+    pair_rows = {name: _pair_rows(M) for name, M in cases.items()}
     qs, late = set(), 0
     for step in (None, 1, 5):
         if step:
             monkeypatch.setattr(ghmatrix, "block_rows", lambda n: step)
         for name, M in cases.items():
-            assert ghmatrix._gh_by_characters(M) == wants[name], (name, step)
+            marked = ghmatrix._unbalanced_rows(M)
+            assert (marked == pair_rows[name]).all(), (name, step)
+            ok, witness = wants[name]
+            assert marked.any() != ok, (name, step)
+            assert ok or np.flatnonzero(marked)[0] == witness[0]
+            assert is_gh(M) == wants[name], (name, step)
             qs.add(M.q)
-            late += not wants[name][0] and wants[name][1][0] > 0
+            late += not ok and witness[0] > 0
     assert {2, 3, 4, 8, 81} <= qs and late >= 10
 
-    real, taken = ghmatrix._gh_by_characters, []
-    monkeypatch.setattr(ghmatrix, "_gh_by_characters",
+    real, taken = ghmatrix._unbalanced_rows, []
+    monkeypatch.setattr(ghmatrix, "_unbalanced_rows",
                         lambda M: taken.append(M) or real(M))
     for name, M in cases.items():
         assert is_gh(M) == wants[name], name
@@ -382,19 +404,20 @@ def test_characters_witness_in_a_later_row_block():
     17 and 260 of row 500 of S_3^6 leaves every pair (i, 500), i < 243,
     balanced, as those rows agree there; the first failing pair is (243,
     500), in the third block, with and without the group."""
-    from ghfp.ghmatrix import _gh_by_characters, row_pair_counts
+    from ghfp.ghmatrix import _unbalanced_rows, row_pair_counts
 
     M = sylvester_power(Field(3, 1), 6)
     t = M.entries.copy()
     t[500, [17, 260]] = t[500, [260, 17]]
-    # the blocked scan, without the early stop, as the oracle
+    # the blocked scan of every row as the oracle
     i, j0, counts = next((i, j0, c) for i, j0, c in row_pair_counts(
-        GHMatrix(M.field, t), lambda: False) if (c != 243).any())
+        GHMatrix(M.field, t), range(728)) if (c != 243).any())
     r, u = map(int, np.argwhere(counts != 243)[0])
     want = (False, (i, j0 + r, u, int(counts[r, u])))
+    assert np.flatnonzero(_unbalanced_rows(GHMatrix(M.field, t)))[0] == 243
     for m in (GHMatrix(M.field, t, M.group), GHMatrix(M.field, t)):
-        got = _gh_by_characters(m)
-        assert got == is_gh(m) == want
+        got = is_gh(m)
+        assert got == want
         ok, (i, j, u, count) = got
         assert not ok and (i, j) == (243, 500)
         assert count == int((M.field.vsub(t[500], t[243]) == u).sum()) != 243
@@ -408,7 +431,6 @@ def test_characters_witness_over_odd_p_in_two_row_blocks(monkeypatch):
     the first block as (17, 250) and in the second as (250, 17).  In blocks
     of 7 rows, row 17 lies in the third block."""
     from ghfp import ghmatrix
-    from ghfp.ghmatrix import _gh_by_characters
 
     M = sylvester_power(Field(17, 1), 2)
     t = M.entries.copy()
@@ -418,8 +440,38 @@ def test_characters_witness_over_odd_p_in_two_row_blocks(monkeypatch):
     for step in (None, 7):
         if step:
             monkeypatch.setattr(ghmatrix, "block_rows", lambda n: step)
+        marked = ghmatrix._unbalanced_rows(GHMatrix(M.field, t))
+        assert np.flatnonzero(marked)[0] == 17, step
         for m in (GHMatrix(M.field, t, M.group), GHMatrix(M.field, t)):
-            assert _gh_by_characters(m) == is_gh(m) == want, step
+            assert is_gh(m) == want, step
+
+
+def test_is_gh_scans_row_0_then_the_least_marked_row(monkeypatch):
+    """A bare S_3^4 relabeled by x -> 7x mod 81 on rows and columns is no
+    cocycle over Z_3^4, and q < v: is_gh scans only range(1), then lets
+    the characters decide.  With two entries of row 70 swapped (row 0 is
+    zero, so its pairs stay balanced) it scans range(1), then exactly the
+    row _unbalanced_rows marks first, row 2, and names the witness of the
+    full pair scan."""
+    from ghfp import ghmatrix
+
+    perm = np.arange(81) * 7 % 81
+    S = sylvester_power(Field(3, 1), 4)
+    M = GHMatrix(S.field, S.entries[perm][:, perm])
+    assert M.cocycle() is None
+    real, scanned = ghmatrix.row_pair_counts, []
+    monkeypatch.setattr(ghmatrix, "row_pair_counts",
+                        lambda m, rows: scanned.append(rows) or real(m, rows))
+    assert is_gh(M) == (True, None) and scanned == [range(1)]
+    t = M.entries.copy()
+    a = int(np.flatnonzero(t[70] != t[70, 1])[0])
+    t[70, [1, a]] = t[70, [a, 1]]
+    bad = GHMatrix(S.field, t)
+    first = int(np.flatnonzero(ghmatrix._unbalanced_rows(bad))[0])
+    scanned.clear()
+    got = is_gh(bad)
+    assert scanned == [range(1), range(first, first + 1)]
+    assert first == 2 and got == _scan_pairs(bad) == (False, (2, 70, 0, 29))
 
 
 def test_cocycle_is_decided_once(monkeypatch, s9_cocycle, non_cocycles):

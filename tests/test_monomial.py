@@ -33,8 +33,14 @@ from ghfp.monomial import (
 )
 
 import paper_data
+from test_propelinear import star
 
 EXPANDED_MAX = 10 ** 4
+
+
+def scalar(field, n: int, k: int) -> MonomialMatrix:
+    """kI: constant diagonal, identity permutation."""
+    return MonomialMatrix(field, np.arange(n), np.full(n, k, dtype=np.int64))
 
 
 class ExpansionTooLarge(ValueError):
@@ -133,7 +139,7 @@ def test_scalar_pairs_fix_any_matrix(gf8):
     H = GHMatrix(gf8, rng.integers(0, 8, size=(16, 16)))
     assert not is_gh(H)[0]
     for k in range(8):
-        kI = MonomialMatrix.scalar(gf8, 16, k)
+        kI = scalar(gf8, 16, k)
         assert is_matrix_automorphism(kI, kI, H)
 
 
@@ -152,7 +158,7 @@ def test_star_products_match_index_oracle(corpus, non_cocycles):
         x = P.field.vadd(P.H[rho], lam[:, None])
         y = P.field.vadd(P.H[r], mu[:, None])
         want_rows, want_offsets = P.code.index(
-            np.array([P.star(a, b) for a, b in zip(x, y)]))
+            np.array([star(P, a, b) for a, b in zip(x, y)]))
         assert (rows == want_rows).all(), name
         hit = rows >= 0
         assert (offsets[hit] == want_offsets[hit]).all(), name
@@ -162,7 +168,7 @@ def test_star_products_match_index_oracle(corpus, non_cocycles):
 
 def test_identity_pair_is_automorphism(s9_cocycle, gf3):
     H = matrix_of(s9_cocycle)
-    I = MonomialMatrix.identity(gf3, 9)
+    I = scalar(gf3, 9, 0)
     assert is_matrix_automorphism(I, I, H)
 
 
@@ -199,17 +205,17 @@ def test_constant_diagonal_for_repetition_codewords(s9_cocycle, gf3):
     P = ghfp_from_cocycle(s9_cocycle)
     for lam in range(3):
         M, N = pair_for_codeword(P, np.full(9, lam, dtype=np.int64))
-        want = MonomialMatrix.scalar(gf3, 9, gf3.neg(lam))
+        want = scalar(gf3, 9, gf3.neg(lam))
         assert M == want and N == want
 
 
 def test_pair_map_homomorphism_exhaustive_order9(s9_cocycle):
     P = ghfp_from_cocycle(s9_cocycle)
-    words = P.codewords()
+    words = P.code.words()
     pairs = [pair_for_codeword(P, x) for x in words]
     for i, x in enumerate(words):
         for j, y in enumerate(words):
-            Mc, Nc = pair_for_codeword(P, P.star(x, y))
+            Mc, Nc = pair_for_codeword(P, star(P, x, y))
             assert pairs[i][0] * pairs[j][0] == Mc
             assert pairs[i][1] * pairs[j][1] == Nc
 
@@ -253,8 +259,8 @@ def test_pair_for_codeword_names_first_row_off_the_matrix(non_cocycles):
 
     for name in ("h4_over_z4", "h9_over_z9"):
         P = ghfp_from_cocycle(non_cocycles[name])
-        f, code = P.field, Code(P.field, P.codewords())
-        for x in P.codewords():
+        f, code = P.field, Code(P.field, P.code.words())
+        for x in P.code.words():
             ginv_row = P.group.table[P.group.inv[P.row_of(x)]]
             bad = [i for i in range(P.v)
                    if not code.contains(f.vsub(P.H[i], x)[ginv_row])]
@@ -276,7 +282,7 @@ def test_table_pairs_equal_index_pairs(order4_cocycle, s8_cocycle, s9_cocycle,
     rng = np.random.default_rng(8)
     for psi in (order4_cocycle, s8_cocycle, s9_cocycle, dphi43):
         P = ghfp_from_cocycle(psi)
-        words = P.codewords()
+        words = P.code.words()
         if P.v > 9:
             words = words[rng.choice(len(words), size=60, replace=False)]
         for x in words:
@@ -513,8 +519,8 @@ def test_bent_generator_row_is_named_by_the_scan(gf3, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    lambda f: (Perm.identity(3), Perm.identity(4)),
-    lambda f: (MonomialMatrix.identity(f, 3), MonomialMatrix.identity(f, 4)),
+    lambda f: (Perm(np.arange(3)), Perm(np.arange(4))),
+    lambda f: (scalar(f, 3, 0), scalar(f, 4, 0)),
     lambda f: (sylvester_power_cocycle(f, 2), sylvester_power_cocycle(f, 3)),
 ], ids=["Perm", "MonomialMatrix", "Cocycle"])
 def test_objects_of_different_sizes_are_unequal(make, gf3):
