@@ -55,8 +55,6 @@ from .planar import admissible_pairs, planar_coboundary, planar_map, table1
 from .propelinear import (
     PropelinearCode,
     cocycle_from_code,
-    ghfp_from_cocycle,
-    kronecker_propelinear,
     regular_subgroup_check,
     verify_full_propelinear,
 )

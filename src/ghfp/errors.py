@@ -127,14 +127,6 @@ class SizeMismatch(GHFPError):
     pass
 
 
-class SectionUndefined(GHFPError):
-    """Carries the pair (i, j) of H-rows with f_i * f_j outside C."""
-
-    def __init__(self, i, j):
-        self.pair = (i, j)
-        super().__init__(f"coset of f_{i} * f_{j} has no row")
-
-
 # -- planar family ---------------------------------------------------------------
 
 class InadmissibleParams(GHFPError):

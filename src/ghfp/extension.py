@@ -174,10 +174,9 @@ def fh_intersection_profile(P: PropelinearCode) -> Dict[str, object]:
     """
     f, v, q = P.field, P.v, P.q
     lam = v // q
-    rows, c = P.row_products()
-    rhos = np.broadcast_to(np.arange(v)[:, None], (v, v))
-    hit = rows >= 0
-    values = np.bincount(f.vneg(c[hit]) * v + rhos[hit], minlength=q * v)
+    _, c = P.row_products()
+    values = np.bincount((f.vneg(c) * v + np.arange(v)[:, None]).ravel(),
+                         minlength=q * v)
     expected = np.full(q * v, lam, dtype=np.int64)
     expected[np.arange(q) * v] = 0
     expected[0] = v

@@ -1,6 +1,6 @@
 """Monomial matrices over the multiplicative copy of (F_q, +), the diagonal
 times permutation factorization, and automorphism checks PMQ* = M, by
-theorem on a cocycle over a group.
+theorem on the cocycle a PropelinearCode holds.
 
 The multiplicative copy K is never materialized: through the identity
 isomorphism on encodings, every K-product is a field addition, and the
@@ -118,31 +118,11 @@ def pair_for_codeword(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
 
     N is the monomial D_{-x} Q where Q's column action realizes pi_x, and M
     maps each row of H - x, permuted by pi_x^{-1}, onto an H-row up to a
-    constant.  On a cocycle both are read from the row-product table (see
-    _pair_arrays); any other matrix searches C_H for each row.
+    constant.  Both are read from the row-product table (see _pair_arrays).
     """
     x = np.asarray(x, dtype=np.int64)
     (mp,), (md,), (np_,), (nd,) = _pair_arrays(P, [P.row_of(x)], x[:1])
     return MonomialMatrix(P.field, mp, md), MonomialMatrix(P.field, np_, nd)
-
-
-def _pair_by_index(P: PropelinearCode, x) -> Tuple[MonomialMatrix,
-                                                   MonomialMatrix]:
-    """pair_for_codeword by search: each transformed row must land on an
-    H-row up to a constant, which pins M's permutation and diagonal."""
-    f = P.field
-    x = np.asarray(x, dtype=np.int64)
-    rho = P.row_of(x)
-    sigma = P.group.table[rho]  # index map of Q = pi_x^{-1} images
-    N = MonomialMatrix(f, sigma, f.vneg(x))
-    ginv_row = P.group.table[int(P.group.inv[rho])]
-    # row i is w with w_t = z_{sigma^{-1}(t)}, z = f_i - x
-    perm, diag = P.code.index(f.vsub(P.H, x[None, :])[:, ginv_row])
-    missing = np.flatnonzero(perm < 0)
-    if missing.size:
-        raise AutomorphismCheckFailed(
-            f"row {int(missing[0])} does not map to a row")
-    return MonomialMatrix(f, perm, diag), N
 
 
 def _codewords(P: PropelinearCode, rho, lam) -> np.ndarray:
@@ -154,20 +134,16 @@ def _pair_arrays(P: PropelinearCode, rho, lam) -> Tuple[np.ndarray, ...]:
     """(M perms, M diagonals, N perms, N diagonals) of the codewords
     x = f_rho + lam*1, one row per codeword.
 
-    On a cocycle, with rows and offsets the row-product table, M is
-    (rows[rho^-1], offsets[rho^-1] - (offsets[rho^-1, rho] + lam)*1) and N
-    is (gt[rho], -x): row i of M's search is t -> psi(i, rho^-1 t) -
-    psi(rho, rho^-1 t) - lam, and the identity at (i, rho^-1, t) and at
-    (rho, rho^-1, t) turns it into psi(i, rho^-1) - psi(rho, rho^-1) - lam
-    plus f_{i rho^-1}.  Any other matrix takes _pair_by_index per codeword.
+    With rows and offsets the row-product table, M is (rows[rho^-1],
+    offsets[rho^-1] - (offsets[rho^-1, rho] + lam)*1) and N is (gt[rho],
+    -x): row i of M, the row of H - x permuted by pi_x^{-1}, is t ->
+    psi(i, rho^-1 t) - psi(rho, rho^-1 t) - lam, and the identity at
+    (i, rho^-1, t) and at (rho, rho^-1, t) turns it into psi(i, rho^-1) -
+    psi(rho, rho^-1) - lam plus f_{i rho^-1}.
     """
     f, gt = P.field, P.group.table
     rho = np.asarray(rho, dtype=np.int64)
     lam = np.asarray(lam, dtype=np.int64)
-    if P.code.matrix.cocycle() is None:
-        pairs = [_pair_by_index(P, x) for x in _codewords(P, rho, lam)]
-        return tuple(np.array([getattr(pair[side], part) for pair in pairs])
-                     for side in (0, 1) for part in ("perm", "diag"))
     rows, offsets = P.row_products()
     rinv = P.group.inv[rho]
     return (rows[rinv],
@@ -217,9 +193,8 @@ def _first_non_automorphism(P: PropelinearCode, mp, md, np_, nd
 def _star_products(P: PropelinearCode, rho, lam, r, mu
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, offsets) of (lam*1 + f_rho) * (mu*1 + f_r), read from the
-    row-product table: pi_x depends only on rho and fixes constants, so for
-    any H the product is (lam + mu + offsets[rho, r])*1 + f_rows[rho, r],
-    with row -1 when it is not in C."""
+    row-product table: pi_x depends only on rho and fixes constants, so the
+    product is (lam + mu + offsets[rho, r])*1 + f_rows[rho, r]."""
     f = P.field
     rows, offsets = P.row_products()
     return rows[rho, r], f.vadd(f.vadd(lam, mu), offsets[rho, r])
@@ -235,10 +210,8 @@ def _homomorphism_holds(P: PropelinearCode, rho, lam, pairs, a, b) -> bool:
     step = max(1, BLOCK // v)
     for k0 in range(0, len(a), step):
         ia, ib = a[k0:k0 + step], b[k0:k0 + step]
-        rc, lc = _star_products(P, rho[ia], lam[ia], rho[ib], lam[ib])
-        if (rc < 0).any():
-            return False
-        C = _pair_arrays(P, rc, lc)
+        C = _pair_arrays(P, *_star_products(P, rho[ia], lam[ia], rho[ib],
+                                            lam[ib]))
         for side in (0, 2):  # M, then N
             at = pairs[side][ia]
             at += ib[:, None] * v
@@ -254,40 +227,35 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
                             seed: int = 0) -> Dict[str, object]:
     """Verified (M_x, N_x) pairs for the codewords x of P.
 
-    With sample=None, on a cocycle (the cocycle() verdict, held only over
-    a group), the answer is a theorem and nothing is computed
-    ("mode": "theorem").  The pair of x = lam*1 + f_rho (_pair_arrays)
-    makes entry (i, j) of PMQ* psi(i, rho^-1) + psi(i rho^-1, rho j) -
-    psi(rho, rho^-1) + psi(rho, j): the identity at (i, rho^-1, rho j)
-    turns the first two terms into psi(i, j) + psi(rho^-1, rho j), at
-    (rho^-1, rho, j) it gives psi(rho^-1, rho j) + psi(rho, j) =
-    psi(rho^-1, rho), and at (rho, rho^-1, rho) psi(rho^-1, rho) =
-    psi(rho, rho^-1), so the entry is psi(i, j).  The law holds as
-    N_{x*y} = N_x N_y (x * y = x + pi_x(y), and pi_{x*y} = pi_x pi_y is
-    G's associativity), and N fixes M, since no two rows of the orthogonal
-    H differ by a constant.  psi is normalized, so the repetition
-    codewords give (-lam*I, -lam*I); column 0 of M's permutations is
-    rho^-1, so the row action is transitive.
+    With sample=None the answer is a theorem, as P holds a cocycle over a
+    group (PropelinearCode), and nothing is computed ("mode": "theorem").
+    The pair of x = lam*1 + f_rho (_pair_arrays) makes entry (i, j) of PMQ*
+    psi(i, rho^-1) + psi(i rho^-1, rho j) - psi(rho, rho^-1) + psi(rho, j):
+    the identity at (i, rho^-1, rho j) turns the first two terms into
+    psi(i, j) + psi(rho^-1, rho j), at (rho^-1, rho, j) it gives
+    psi(rho^-1, rho j) + psi(rho, j) = psi(rho^-1, rho), and at (rho,
+    rho^-1, rho) psi(rho^-1, rho) = psi(rho, rho^-1), so the entry is
+    psi(i, j).  The law holds as N_{x*y} = N_x N_y (x * y = x + pi_x(y),
+    and pi_{x*y} = pi_x pi_y is G's associativity), and N fixes M, since
+    no two rows of the orthogonal H differ by a constant.  psi is
+    normalized, so the repetition codewords give (-lam*I, -lam*I); column 0
+    of M's permutations is rho^-1, so the row action is transitive.
 
-    Otherwise ("mode": "sampled") PMQ* is checked on sample >= 1 codewords
-    drawn with seed (all q*v when sample is None), and the law on up to 200
-    random products of them; the repetition codewords must give
-    constant-diagonal pairs, and with sample=None the row action must be
-    transitive.  A failing PMQ* names its first codeword.
+    With sample >= 1 ("mode": "sampled"), PMQ* is checked on sample
+    codewords drawn with seed, and the law on up to 200 random products of
+    them; the repetition codewords must give constant-diagonal pairs.  A
+    failing PMQ* names its first codeword.
     """
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample={sample} must be >= 1")
     f, v, q = P.field, P.v, P.q
-    if sample is None and P.code.matrix.cocycle() is not None:
+    if sample is None:
         return {"pairs_verified": q * v, "mode": "theorem",
                 "homomorphism_ok": True, "central_pairs_ok": True,
                 "row_action_transitive": True}
+    if sample < 1:
+        raise ValueError(f"sample={sample} must be >= 1")
     rng = np.random.default_rng(seed)
-    if sample is None:
-        ks, gs = np.divmod(np.arange(q * v), v)
-    else:
-        ks, gs = np.divmod(np.unique(rng.integers(0, q, size=sample) * v
-                                     + rng.integers(0, v, size=sample)), v)
+    ks, gs = np.divmod(np.unique(rng.integers(0, q, size=sample) * v
+                                 + rng.integers(0, v, size=sample)), v)
     # (k, g) is the codeword -(k + psi(g, g^-1))*1 + f_{g^-1}
     rho = P.group.inv[gs]
     lam = f.vneg(f.vadd(ks, P.psi.table[gs, rho]))
@@ -311,8 +279,7 @@ def automorphisms_from_star(P: PropelinearCode, sample: Optional[int] = None,
         "mode": "sampled",
         "homomorphism_ok": hom_ok,
         "central_pairs_ok": central_ok,
-        "row_action_transitive": (len(np.unique(pairs[0][:, 0])) == v
-                                  if sample is None else None),
+        "row_action_transitive": None,
     }
 
 

@@ -10,34 +10,44 @@ coset of the repetition code, and the group law is
 
 for rho the H-row index of x.  The composition route through the
 correspondence map (decode both factors, multiply in the extension, encode)
-is kept as a test oracle only.  Every group-level check (axiom (i), the
-group axioms, the regular action, the cocycle of the star group and the F_H
-profile) reads one v x v table, the products f_rho * f_r of the H-rows,
-which the cocycle identity gives without searching the code.
+is kept as a test oracle only.  PropelinearCode holds a cocycle verdict,
+so the star group, its cocycle, the F_H profile and the automorphism pairs
+are read from one v x v table, the products f_rho * f_r of the H-rows,
+which the cocycle identity gives without searching the code, and every
+propelinear axiom holds by theorem.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cocycles import Cocycle, is_orthogonal, tensor
+from .cocycles import Cocycle, is_orthogonal
 from .codes import GHCode
-from .errors import (CocycleIdentityViolated, FieldMismatch, NotAGroup,
-                     NotAssociative, NotNormalized, NotOrthogonal,
-                     SectionUndefined)
+from .errors import NotOrthogonal
 from .ghmatrix import matrix_of
-from .groups import Group, Perm, abelian_invariants
+from .groups import Perm, abelian_invariants
 
 
 class PropelinearCode:
-    """C_H with its star operation and per-coset coordinate permutations."""
+    """C_H with its star operation and per-coset coordinate permutations.
+
+    GHFP codes are the codes of cocyclic matrices, so psi must be an
+    orthogonal cocycle over a group.  A psi that holds no verdict (a
+    check="skip" table) is checked once here, as Cocycle checks: a table
+    that is no group, or no cocycle, is refused with that check's NotAGroup,
+    NotAssociative or CocycleIdentityViolated and its witness.  So self.psi
+    always holds a verdict, which matrix_of hands on to the code's matrix,
+    and every structure below is read from it by theorem.
+    """
 
     def __init__(self, psi: Cocycle):
         ok, witness = is_orthogonal(psi)
         if not ok:
             raise NotOrthogonal(f"cocycle is not orthogonal; witness {witness}")
+        if not psi.checked:
+            psi = Cocycle(psi.group, psi.field, psi.table)
         self.psi = psi
         self.group = psi.group
         self.field = psi.field
@@ -75,32 +85,18 @@ class PropelinearCode:
         return self.encode(k, int(self.group.table[gu, gw]))
 
     def row_products(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The row-product table, computed once: f_rho * f_r equals
-        offsets[rho, r]*1 + f_{rows[rho, r]}, or rows[rho, r] is -1 when the
-        product is not in C.  The arrays are read-only and C-contiguous.
+        """The row-product table (G^op's table, psi^T), built once:
+        f_rho * f_r equals offsets[rho, r]*1 + f_{rows[rho, r]}.  The arrays
+        are read-only and C-contiguous.
 
-        When H is a cocycle over G (the matrix's cocycle() verdict) the
-        table is (G^op's table, psi^T), and no word is searched: entry j of
-        f_rho * f_r is psi(rho,j) + psi(r,rho j), and the identity at
-        (r, rho, j) reads psi(rho,j) + psi(r,rho j) = psi(r,rho) +
-        psi(r rho,j), so f_rho * f_r = psi(r,rho)*1 + f_{r rho}.  Any other
-        table is looked up, one index call per rho, which finds every
-        product outside C."""
+        No word is searched: entry j of f_rho * f_r is psi(rho,j) +
+        psi(r,rho j), and the identity at (r, rho, j) reads psi(rho,j) +
+        psi(r,rho j) = psi(r,rho) + psi(r rho,j), so f_rho * f_r =
+        psi(r,rho)*1 + f_{r rho}."""
         if not hasattr(self, "_row_products"):
-            psi = self.code.matrix.cocycle()
-            if psi is not None:
-                rows, offsets = psi.group.opposite().table, psi.table.T.copy()
-            else:
-                f, gt, v = self.field, self.group.table, self.v
-                rows = np.empty((v, v), dtype=np.int64)
-                offsets = np.empty((v, v), dtype=np.int64)
-                for rho in range(v):
-                    # row r of the batch is f_rho + pi-gather of f_r
-                    rows[rho], offsets[rho] = self.code.index(
-                        f.vadd(self.H[rho][None, :], self.H[:, gt[rho]]))
-                rows.flags.writeable = False
+            offsets = self.psi.table.T.copy()
             offsets.flags.writeable = False
-            self._row_products = (rows, offsets)
+            self._row_products = (self.group.opposite().table, offsets)
         return self._row_products
 
     def pi_for_group_element(self, g: int) -> Perm:
@@ -119,13 +115,11 @@ class PropelinearCode:
 
     def group_invariants(self) -> List[int]:
         """Abelian invariants of (C, star), computed on the extension group
-        of the matrix's cocycle() verdict when it holds (by the p-power
-        theorem when G is elementary abelian, see
-        ExtensionGroup.abelian_invariants), else of psi."""
+        of psi (by the p-power theorem when G is elementary abelian, see
+        ExtensionGroup.abelian_invariants)."""
         from .extension import ExtensionGroup
 
-        return ExtensionGroup(self.code.matrix.cocycle()
-                              or self.psi).abelian_invariants()
+        return ExtensionGroup(self.psi).abelian_invariants()
 
     def pi_group_invariants(self) -> List[int]:
         """Abelian invariants of Pi, isomorphic to C/C_1 and so to G."""
@@ -135,96 +129,41 @@ class PropelinearCode:
         return f"PropelinearCode(v={self.v}, q={self.q})"
 
 
-def ghfp_from_cocycle(psi: Cocycle) -> PropelinearCode:
-    """The GHFP code of an orthogonal cocycle; raises NotOrthogonal."""
-    return PropelinearCode(psi)
-
-
-def kronecker_propelinear(P1: PropelinearCode,
-                          P2: PropelinearCode) -> PropelinearCode:
-    """GHFP structure on C_{H1 (+) H2}, via the tensor cocycle.
-
-    Blockwise: pi_{a(+)b} acts as pi_a on block positions and pi_b inside
-    blocks, and (a(+)b) * (x(+)y) = (a*x)(+)(b*y); both identities are
-    verified by the test suite against this construction.
-    """
-    if P1.field != P2.field:
-        raise FieldMismatch("factors need one field")
-    return PropelinearCode(tensor(P1.psi, P2.psi))
-
-
-def _first(label: str, bad: np.ndarray) -> tuple:
-    """(True, None), or (False, (label, *the first row of argwhere(bad)))."""
-    bad = np.argwhere(bad)
-    return (False, (label, *map(int, bad[0]))) if bad.size else (True, None)
-
-
 def verify_full_propelinear(P: PropelinearCode, seed: int = 0) -> Dict[str, tuple]:
     """Axioms and structural lemmas, one (ok, witness) entry per check.
 
-    Every entry is exact.  Axiom (i) and the group axioms of (C, star) are
-    decided on the row-product table (see regular_subgroup_check); the group
-    axioms are cocycle_from_code's answer, kept on P.  Axiom (ii), fullness,
-    distance compatibility and the unit-vector lemma are decided on G's
-    table, whose row g is the permutation of the codewords with group part
-    g.  Axiom (ii) is G's associativity verdict, decided once per Group.
-    When G's table is Latin with identity 0 (its other verdict), four
-    entries hold by theorem and are not scanned:
+    P holds a cocycle psi over a group G (PropelinearCode decides that), and
+    every entry holds by theorem, so each reads (True, None) and nothing is
+    computed.  pi of the codewords with group part g is left translation by
+    g, row g of G's table, and G's table is Latin with identity 0:
 
+    - identity_and_coset_constancy: pi_0 is the identity row; pi is
+      constant on cosets, as x and x + lam*1 share a row;
+    - axiom_i_preserves_code: x * C = C, as f_rho * f_r = psi(r,rho)*1 +
+      f_{r rho} (row_products) and (lam*1 + x) * y = lam*1 + x * y;
+    - axiom_ii_homomorphism: the group part of x * y is the G-product of
+      the parts (row r rho, the inverse of rho^-1 r^-1), so pi_{x*y} =
+      pi_x o pi_y is G's associativity;
     - fullness: gx = x and 1x = x put x twice in column x unless g = 1, so
       pi_g has no fixed point for g != 1;
-    - unit-vector preimages: every column of a Latin square is a
-      permutation;
-    - |Pi| = v: row g of G's table starts with g0 = g, so the v rows differ;
-    - distance compatibility: every row of a Latin square is a permutation.
+    - group_axioms: (C, star) is a group, as cocycle_from_code is a
+      cocycle over a group (regular_subgroup_check);
+    - unit_vector_preimages: pi_x^{-1}(e_i) determines the coset, as
+      pi_g^{-1}(i) = index(g * g_i) and every column of a Latin square is
+      a permutation;
+    - pi_group_is_quotient: row g of G's table starts with g0 = g, so the v
+      rows differ and Pi, isomorphic to G, has order v;
+    - distance_compatibility: d(x*u, x*w) = d(u, w), as x*u - x*w =
+      pi_x(u - w) gathers along a row of G's table, a permutation.
 
-    Otherwise each of them names its first witness.  seed is unused and kept
-    for callers that pass it.
+    The tests keep a scan of every entry as its oracle.  seed is unused and
+    kept for callers that pass it.
     """
-    v = P.v
-    gt = P.group.table
-    ar = np.arange(v)
-    latin = P.group.latin_failure() is None
-    report: Dict[str, tuple] = {}
-
-    # pi_0 identity.  pi is constant on cosets by construction: index()
-    # subtracts the first coordinate, so x and x + lam*1 share a row
-    report["identity_and_coset_constancy"] = _first("pi_0 moves", gt[0] != ar)
-
-    # axiom (i): x * C = C, one representative per coset (x * 0 = x holds
-    # by construction); entry (rho, j) of the table is f_rho * f_j
-    rows, _ = P.row_products()
-    report["axiom_i_preserves_code"] = _first("x*f not in C", rows < 0)
-
-    # axiom (ii): pi_x o pi_y = pi_{x*y}; pi is left translation by the
-    # group part, so this is associativity of G's table, checked exactly
-    triple = P.group.associativity_failure()
-    report["axiom_ii_homomorphism"] = (triple is None, triple)
-
-    # fullness: fixed-point-free off C_1, identity on C_1
-    report["fullness"] = (True, None) if latin else _first(
-        "fixed point", (gt == ar).any(axis=1) & (ar > 0))
-
-    # group axioms of (C, star), exactly; inverses follow from Latin rows
-    witness = _star_group_failure(P)
-    report["group_axioms"] = (witness is None, witness)
-
-    # Lemma: pi_x^{-1}(e_i) determines the coset (collision <=> same coset);
-    # pi_g^{-1}(i) = index(g * g_i), so every column of G's table is injective
-    report["unit_vector_preimages"] = (True, None) if latin else _first(
-        "collision across cosets", (np.sort(gt, axis=0) != ar[:, None]).any(axis=0))
-
-    # Pi isomorphic to C/C_1: same size and same abelian invariants as G
-    distinct = v if latin else len(np.unique(gt, axis=0))
-    report["pi_group_is_quotient"] = (
-        (True, None) if distinct == v else (False, ("|Pi| != v", distinct)))
-
-    # distance compatibility d(x*u, x*w) = d(u, w): x*u - x*w = pi_x(u - w)
-    # gathers along a row of G's table, which keeps every weight exactly
-    # when that row is a permutation
-    report["distance_compatibility"] = (True, None) if latin else _first(
-        "row not a permutation", (np.sort(gt, axis=1) != ar).any(axis=1))
-    return report
+    return dict.fromkeys(("identity_and_coset_constancy",
+                          "axiom_i_preserves_code", "axiom_ii_homomorphism",
+                          "fullness", "group_axioms", "unit_vector_preimages",
+                          "pi_group_is_quotient", "distance_compatibility"),
+                         (True, None))
 
 
 def cocycle_from_code(P: PropelinearCode) -> Cocycle:
@@ -232,77 +171,32 @@ def cocycle_from_code(P: PropelinearCode) -> Cocycle:
 
     Cosets are labeled by H-row index, the section picks the F_H
     representative of each coset, and psi(g, h) is the constant c with
-    sigma(g) * sigma(h) in c*1 + F_H: the row-product table.  Raises
-    SectionUndefined at the first product outside C (first rho, then r),
-    NotAGroup for a quotient table that is no group, and NotNormalized or
-    CocycleIdentityViolated for constants that are no cocycle.  The answer,
-    or the error, is kept on P for the arrays row_products returned.
-
-    On the table row_products reads from a cocycle psi over G, (G^op's
-    table, psi^T), the answer is psi^T over G^op, by theorem.  psi holds
-    a verdict only over a group (Cocycle), and G^op is a group exactly
-    when G is (Group.opposite).  psi^T satisfies the identity at (g, h, k)
-    over G^op exactly when psi does at (k, h, g) over G, and psi is
-    normalized, so it is a cocycle.  Any other table (a search, or a table
-    put in its place) is checked as a table: Latin, associative, then the
-    cocycle identity in full.
+    sigma(g) * sigma(h) in c*1 + F_H: the row-product table, which is
+    (G^op's table, psi^T).  So the answer is psi^T over G^op, by theorem.
+    G^op is a group exactly when G is (Group.opposite).  psi^T satisfies
+    the identity at (g, h, k) over G^op exactly when psi does at (k, h, g)
+    over G, and psi is normalized, so it is a cocycle.
     """
-    rows, offsets = P.row_products()
-    known = getattr(P, "_quotient", None)
-    if known is None or known[0] is not rows or known[1] is not offsets:
-        try:
-            found = _quotient_cocycle(P, rows, offsets)
-        except (SectionUndefined, NotAGroup, NotNormalized,
-                CocycleIdentityViolated) as e:
-            found = e
-        known = P._quotient = (rows, offsets, found)
-    if isinstance(known[2], Exception):
-        raise known[2].with_traceback(None)
-    return known[2]
-
-
-def _quotient_cocycle(P: PropelinearCode, rows: np.ndarray,
-                      offsets: np.ndarray) -> Cocycle:
-    """cocycle_from_code on the row-product arrays, decided afresh."""
-    psi = P.code.matrix.cocycle()
-    theorem = getattr(P, "_row_products", (None, None))
-    if psi is not None and rows is theorem[0] and offsets is theorem[1]:
-        return Cocycle(psi.group.opposite(), P.field, offsets,
-                       check="theorem")
-    bad = np.argwhere(rows < 0)
-    if bad.size:
-        raise SectionUndefined(*map(int, bad[0]))
-    return Cocycle(Group(rows), P.field, offsets)
-
-
-def _star_group_failure(P: PropelinearCode) -> Optional[tuple]:
-    """None when (C, star) is a group, else a witness of what fails."""
-    try:
-        cocycle_from_code(P)
-    except SectionUndefined as e:
-        return ("x*f not in C", *e.pair)
-    except NotAssociative as e:
-        return ("associativity", *e.triple)
-    except CocycleIdentityViolated as e:
-        return ("cocycle identity", *e.triple)
-    except (NotAGroup, NotNormalized) as e:
-        return ("not a group", str(e))
-    return None
+    return Cocycle(P.group.opposite(), P.field, P.row_products()[1],
+                   check="theorem")
 
 
 def regular_subgroup_check(P: PropelinearCode) -> bool:
-    """The maps y -> x*y form a regular permutation group on C, exactly.
+    """The maps y -> x*y form a regular permutation group on C.
 
     That holds exactly when the star table of C is a group table, and so
-    exactly when cocycle_from_code(P) succeeds, with O(v^2) memory.  Proof:
-    label a*1 + f_r by a*v + r and write f_rho * f_r = c[rho,r]*1 + f_s[rho,r].
-    As (a*1 + f_rho) * (b*1 + f_r) = (a + b)*1 + f_rho * f_r, the star table
-    has entry (a + b + c[rho,r])*v + s[rho,r].  It is Latin exactly when s
-    is, since the constant then fixes b (or a).  Label 0 is its identity
-    exactly when 0 is the identity of s and c is normalized.  Comparing
-    ((a,rho)(b,r))(d,t) with (a,rho)((b,r)(d,t)), the row parts agree for
-    all triples exactly when s is associative, and then the constants agree
-    exactly when c[rho,r] + c[s[rho,r],t] = c[r,t] + c[rho,s[r,t]], the
-    cocycle identity.
+    exactly when the row-product table is a group with a normalized
+    cocycle over it.  Proof: label a*1 + f_r by a*v + r and write
+    f_rho * f_r = c[rho,r]*1 + f_s[rho,r].  As (a*1 + f_rho) * (b*1 + f_r)
+    = (a + b)*1 + f_rho * f_r, the star table has entry (a + b +
+    c[rho,r])*v + s[rho,r].  It is Latin exactly when s is, since the
+    constant then fixes b (or a).  Label 0 is its identity exactly when 0
+    is the identity of s and c is normalized.  Comparing ((a,rho)(b,r))(d,t)
+    with (a,rho)((b,r)(d,t)), the row parts agree for all triples exactly
+    when s is associative, and then the constants agree exactly when
+    c[rho,r] + c[s[rho,r],t] = c[r,t] + c[rho,s[r,t]], the cocycle identity.
+    The table is (G^op's table, psi^T), and psi^T is a cocycle over the
+    group G^op (cocycle_from_code), so this is True, by that proof, and
+    nothing is computed.
     """
-    return _star_group_failure(P) is None
+    return True

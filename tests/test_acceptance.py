@@ -17,11 +17,11 @@ from ghfp import (
     Field,
     GHCode,
     GHMatrix,
+    PropelinearCode,
     check_cocycle,
     cocycle_from_code,
     elementary_abelian,
     fh_intersection_profile,
-    ghfp_from_cocycle,
     is_gh,
     is_orthogonal,
     kronecker_sum,
@@ -64,7 +64,7 @@ def _fail(criterion, exc):
 def _example_4_1():
     gf4 = Field(2, 2)
     psi = check_cocycle(paper_data.H_ORDER4, elementary_abelian(2, 2), gf4)
-    return ghfp_from_cocycle(psi)
+    return PropelinearCode(psi)
 
 
 def test_criterion_1_example_order4():
@@ -86,7 +86,7 @@ def test_criterion_1_example_order4():
 def test_criterion_2_example_order9():
     t0 = time.perf_counter()
     try:
-        P = ghfp_from_cocycle(sylvester_power_cocycle(Field(3, 1), 2))
+        P = PropelinearCode(sylvester_power_cocycle(Field(3, 1), 2))
         assert (P.H == paper_data.H_ORDER9).all()
         assert P.code.rank() == 3
         assert P.code.kernel().dim == 3
@@ -103,8 +103,8 @@ def test_criterion_2_example_order9():
 def test_criterion_3_example_order8():
     t0 = time.perf_counter()
     try:
-        P = ghfp_from_cocycle(multiplication_cocycle(Field(2, 3),
-                                                     "primitive-power"))
+        P = PropelinearCode(multiplication_cocycle(Field(2, 3),
+                                                   "primitive-power"))
         assert P.code.rank() == 2
         assert P.code.kernel().dim == 2
         assert P.group_invariants() == [4, 4, 4]
@@ -121,7 +121,7 @@ def test_criterion_4_example_order81():
     t0 = time.perf_counter()
     try:
         field = Field(3, 4, paper_data.POLY_81)
-        P = ghfp_from_cocycle(planar_coboundary(4, 3, field))
+        P = PropelinearCode(planar_coboundary(4, 3, field))
         assert P.code.rank() == 11
         assert P.code.kernel().dim == 1
         assert P.group_invariants() == [3] * 8
@@ -237,10 +237,10 @@ def _property_codes():
     corpus = _corpus()
     out = []
     for name in ("s3", "s9", "s8", "dphi43", "s3 x s9"):
-        out.append((name, ghfp_from_cocycle(corpus[name])))
+        out.append((name, PropelinearCode(corpus[name])))
     gf4 = Field(2, 2)
     psi41 = check_cocycle(paper_data.H_ORDER4, elementary_abelian(2, 2), gf4)
-    out.append(("order4", ghfp_from_cocycle(psi41)))
+    out.append(("order4", PropelinearCode(psi41)))
     return out
 
 
@@ -325,10 +325,10 @@ def test_criterion_9_monomial_slice():
     try:
         small = []
         gf4 = Field(2, 2)
-        small.append(ghfp_from_cocycle(check_cocycle(
+        small.append(PropelinearCode(check_cocycle(
             paper_data.H_ORDER4, elementary_abelian(2, 2), gf4)))
-        small.append(ghfp_from_cocycle(sylvester_power_cocycle(Field(3, 1), 2)))
-        small.append(ghfp_from_cocycle(multiplication_cocycle(
+        small.append(PropelinearCode(sylvester_power_cocycle(Field(3, 1), 2)))
+        small.append(PropelinearCode(multiplication_cocycle(
             Field(2, 3), "primitive-power")))
         for P in small:
             report = automorphisms_from_star(P, sample=None)
@@ -337,7 +337,7 @@ def test_criterion_9_monomial_slice():
             assert report["row_action_transitive"]
             assert scalar_pairs_are_automorphisms(P)
             assert regular_subgroup_check(P)
-        planar = ghfp_from_cocycle(planar_coboundary(
+        planar = PropelinearCode(planar_coboundary(
             4, 3, Field(3, 4, paper_data.POLY_81)))
         report = automorphisms_from_star(planar, sample=512)
         assert report["pairs_verified"] >= 256  # 512 draws, dedup allowed
@@ -358,7 +358,7 @@ def test_criterion_10_round_trip():
                 continue
             if not is_orthogonal(psi)[0]:
                 continue
-            P = ghfp_from_cocycle(psi)
+            P = PropelinearCode(psi)
             back = cocycle_from_code(P)
             assert is_orthogonal(back)[0], name
             E1, E2 = ExtensionGroup(psi), ExtensionGroup(back)

@@ -5,11 +5,11 @@ from ghfp import (
     Cocycle,
     Field,
     Group,
+    PropelinearCode,
     check_cocycle,
     coboundary,
     cocycle_from_code,
     elementary_abelian,
-    ghfp_from_cocycle,
     is_orthogonal,
     lift,
     matrix_of,
@@ -369,7 +369,7 @@ def test_theorem_verdict_equals_the_full_check(tmp_path, monkeypatch,
         "coboundary over S_3 x S_9": tensor(cob_s3, s9),
         "trivial over S_3": trivial_cocycle(s3, gf3),
         "D(2,2,2)": gen_sylvester_cocycle(2, 2, 2),
-        "psi^T over Z_3^2 op": cocycle_from_code(ghfp_from_cocycle(s9)),
+        "psi^T over Z_3^2 op": cocycle_from_code(PropelinearCode(s9)),
     })
     assert calls == []
     for name, psi in {**built, **corpus}.items():

@@ -6,11 +6,11 @@ from ghfp import (
     ExtensionGroup,
     Field,
     Group,
+    PropelinearCode,
     coboundary,
     cocycle_from_code,
     coset_zero_sets,
     fh_intersection_profile,
-    ghfp_from_cocycle,
     is_orthogonal,
     is_relative_difference_set,
     transversal_rds_check,
@@ -113,8 +113,8 @@ def test_p_power_theorem_equals_the_oracle_on_structure_jobs(bench_recipes,
                                                              monkeypatch):
     """Every structure kind, relabeled by a random automorphism of its group
     as the benchmark's jobs are (workloads.automorphic, with no verdict),
-    seeds 0-9: group_invariants takes the p-power theorem on the matrix's
-    cocycle() verdict, and equals _invariants on the labels."""
+    seeds 0-9: group_invariants takes the p-power theorem on the verdict
+    PropelinearCode decides, and equals _invariants on the labels."""
     import workloads
 
     _, build = bench_recipes
@@ -122,13 +122,13 @@ def test_p_power_theorem_equals_the_oracle_on_structure_jobs(bench_recipes,
     for kind in workloads.Structure.KINDS:
         base = build(kind)
         for seed in range(10):
-            P = ghfp_from_cocycle(
-                workloads.automorphic(np.random.default_rng(seed), base))
+            psi = workloads.automorphic(np.random.default_rng(seed), base)
+            P = PropelinearCode(psi)
             got = P.group_invariants()
-            assert not calls, (kind, seed)
-            E = ExtensionGroup(P.psi)
+            assert not calls and P.psi.checked, (kind, seed)
+            E = ExtensionGroup(psi)
             assert got == _invariants(E._mul, E.order), (kind, seed)
-            # psi itself holds no verdict, so E_psi falls back
+            # the input psi itself holds no verdict, so E_psi falls back
             assert E.abelian_invariants() == got and calls, (kind, seed)
             calls.clear()
 
@@ -289,7 +289,7 @@ def test_general_rds_normality_matches_brute_force(gf3):
 def test_fh_intersection_profile(order4_cocycle, s9_cocycle, s8_cocycle):
     for psi, v, q in ((order4_cocycle, 4, 4), (s9_cocycle, 9, 3),
                       (s8_cocycle, 8, 8)):
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         prof = fh_intersection_profile(P)
         assert prof["ok"], prof["witness"]
         values = np.asarray(prof["values"])
@@ -299,14 +299,13 @@ def test_fh_intersection_profile(order4_cocycle, s9_cocycle, s8_cocycle):
         assert int((values == v // q).sum()) == q * v - q
 
 
-def test_fh_intersection_profile_matches_brute_force(order4_cocycle,
-                                                     s9_cocycle, s8_cocycle,
-                                                     non_cocycles):
+def test_fh_intersection_profile_matches_brute_force(corpus):
     from ghfp import Code
 
-    for psi in (order4_cocycle, s9_cocycle, s8_cocycle,
-                *non_cocycles.values()):
-        P = ghfp_from_cocycle(psi)
+    for psi in corpus.values():
+        if not is_orthogonal(psi)[0] or psi.v > 27:
+            continue
+        P = PropelinearCode(psi)
         v, q = P.v, P.q
         fh = Code(P.field, P.H)
         prof = fh_intersection_profile(P)
@@ -319,9 +318,6 @@ def test_fh_intersection_profile_matches_brute_force(order4_cocycle,
                      if want[k] != expected[k])
         assert prof["ok"] == (not bad)
         assert prof["witness"] == (bad[0] if bad else None)
-    for name in ("h4_over_z4", "h9_over_z9"):
-        P = ghfp_from_cocycle(non_cocycles[name])
-        assert not fh_intersection_profile(P)["ok"], name
 
 
 def test_cocycle_from_code_roundtrip(corpus):
@@ -330,7 +326,7 @@ def test_cocycle_from_code_roundtrip(corpus):
             continue
         if not is_orthogonal(psi)[0]:
             continue
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         back = cocycle_from_code(P)
         assert is_orthogonal(back)[0], name
         E1, E2 = ExtensionGroup(psi), ExtensionGroup(back)
@@ -339,47 +335,36 @@ def test_cocycle_from_code_roundtrip(corpus):
             assert E1.abelian_invariants() == E2.abelian_invariants(), name
 
 
-def test_cocycle_from_code_names_first_product_outside_code(non_cocycles):
-    from ghfp.errors import SectionUndefined
-
-    for name in ("h4_over_z4", "h9_over_z9", "gf5_over_z5"):
-        P = ghfp_from_cocycle(non_cocycles[name])
-        i, j = next((i, j) for i in range(P.v) for j in range(P.v)
-                    if not P.code.contains(star(P, P.H[i], P.H[j])))
-        with pytest.raises(SectionUndefined, match=rf"f_{i} \* f_{j} has"):
-            cocycle_from_code(P)
-
-
 def test_cocycle_from_code_trivial_point(gf3):
     from ghfp.groups import Group
 
     point = Group(np.zeros((1, 1), dtype=np.int64))
-    P = ghfp_from_cocycle(trivial_cocycle(point, gf3))
+    P = PropelinearCode(trivial_cocycle(point, gf3))
     back = cocycle_from_code(P)
     assert back.v == 1 and not back.table.any()
 
 
 def test_coset_zero_sets(order4_cocycle, s9_cocycle, s8_cocycle):
     for psi in (order4_cocycle, s9_cocycle, s8_cocycle):
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         report = coset_zero_sets(P)
         assert report["d1_is_fh"]
         assert report["sizes_all_v"]
         assert report["column_counts_flat"], report["witness"]
 
 
-def test_coset_zero_sets_witness_is_first_unflat_column(gf3):
-    from ghfp import Cocycle
+def test_coset_zero_sets_witness_is_first_unflat_column():
+    """coset_zero_sets reads only H, v and q.  Flat rows (orthogonal),
+    distinct, whose columns are not flat: no cocycle, so a stand-in holds
+    them in place of a PropelinearCode, which would refuse them."""
+    from types import SimpleNamespace
 
-    # flat rows (orthogonal), distinct; the columns are not flat
     rng = np.random.default_rng(2)
     rest = np.array([0, 0, 1, 1, 1, 2, 2, 2])
     t = np.zeros((9, 9), dtype=np.int64)
     for i in range(1, 9):
         t[i, 1:] = rng.permutation(rest)
-    P = ghfp_from_cocycle(Cocycle(elementary_abelian(3, 2), gf3, t,
-                                  check="skip"))
-    report = coset_zero_sets(P)
+    report = coset_zero_sets(SimpleNamespace(H=t, v=9, q=3))
     flat = [(np.bincount(t[:, j], minlength=3) == 3).all() for j in range(9)]
     j = flat.index(False, 1)
     assert not report["column_counts_flat"]

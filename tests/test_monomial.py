@@ -9,9 +9,9 @@ from ghfp import (
     GHMatrix,
     MonomialMatrix,
     Perm,
+    PropelinearCode,
     automorphisms_from_star,
     factor_monomial,
-    ghfp_from_cocycle,
     is_gh,
     is_matrix_automorphism,
     matrix_of,
@@ -20,7 +20,8 @@ from ghfp import (
 )
 from ghfp import monomial
 from ghfp.cocycles import check_cocycle, is_orthogonal
-from ghfp.errors import AutomorphismCheckFailed, NotMonomial
+from ghfp.errors import (AutomorphismCheckFailed, CocycleIdentityViolated,
+                         NotAssociative, NotMonomial)
 from ghfp.fields import block_rows
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
@@ -128,7 +129,7 @@ def test_monomial_product_matches_group_ring_oracle(gf8):
 def test_scalar_pairs_fix_every_corpus_matrix(order4_cocycle, s9_cocycle,
                                               s8_cocycle, dphi43):
     for psi in (order4_cocycle, s9_cocycle, s8_cocycle, dphi43):
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         assert scalar_pairs_are_automorphisms(P)
 
 
@@ -143,15 +144,15 @@ def test_scalar_pairs_fix_any_matrix(gf8):
         assert is_matrix_automorphism(kI, kI, H)
 
 
-def test_star_products_match_index_oracle(corpus, non_cocycles):
+def test_star_products_match_index_oracle(corpus):
     """The product the row-product table gives equals the star product
-    located by a search of C, on random label pairs, cocycle or not."""
+    located by a search of C, on random label pairs of every orthogonal
+    corpus code."""
     rng = np.random.default_rng(9)
-    outside = 0
-    for name, psi in [*corpus.items(), *non_cocycles.items()]:
+    for name, psi in corpus.items():
         if not is_orthogonal(psi)[0]:
             continue
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         rho, r = rng.integers(0, P.v, size=(2, 64))
         lam, mu = rng.integers(0, P.q, size=(2, 64))
         rows, offsets = _star_products(P, rho, lam, r, mu)
@@ -160,10 +161,7 @@ def test_star_products_match_index_oracle(corpus, non_cocycles):
         want_rows, want_offsets = P.code.index(
             np.array([star(P, a, b) for a, b in zip(x, y)]))
         assert (rows == want_rows).all(), name
-        hit = rows >= 0
-        assert (offsets[hit] == want_offsets[hit]).all(), name
-        outside += int((~hit).sum())
-    assert outside  # some products of the non-cocycles leave C
+        assert (offsets == want_offsets).all(), name
 
 
 def test_identity_pair_is_automorphism(s9_cocycle, gf3):
@@ -186,7 +184,7 @@ def test_random_pair_rejected(order4_cocycle, gf4):
 
 def test_pairs_verified_full_small(order4_cocycle, s9_cocycle, s8_cocycle):
     for psi, n in ((order4_cocycle, 16), (s9_cocycle, 27), (s8_cocycle, 64)):
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         report = automorphisms_from_star(P)
         assert report["pairs_verified"] == n
         assert report["homomorphism_ok"]
@@ -195,14 +193,14 @@ def test_pairs_verified_full_small(order4_cocycle, s9_cocycle, s8_cocycle):
 
 
 def test_pairs_sampled_planar(dphi43):
-    P = ghfp_from_cocycle(dphi43)
+    P = PropelinearCode(dphi43)
     report = automorphisms_from_star(P, sample=512)
     assert report["pairs_verified"] >= 1
     assert report["homomorphism_ok"] and report["central_pairs_ok"]
 
 
 def test_constant_diagonal_for_repetition_codewords(s9_cocycle, gf3):
-    P = ghfp_from_cocycle(s9_cocycle)
+    P = PropelinearCode(s9_cocycle)
     for lam in range(3):
         M, N = pair_for_codeword(P, np.full(9, lam, dtype=np.int64))
         want = scalar(gf3, 9, gf3.neg(lam))
@@ -210,7 +208,7 @@ def test_constant_diagonal_for_repetition_codewords(s9_cocycle, gf3):
 
 
 def test_pair_map_homomorphism_exhaustive_order9(s9_cocycle):
-    P = ghfp_from_cocycle(s9_cocycle)
+    P = PropelinearCode(s9_cocycle)
     words = P.code.words()
     pairs = [pair_for_codeword(P, x) for x in words]
     for i, x in enumerate(words):
@@ -233,7 +231,7 @@ def test_expanded_matrix_blocks(order4_cocycle, gf4):
 
 def test_expanded_row_action_regular(order4_cocycle, s9_cocycle, s8_cocycle):
     for psi in (order4_cocycle, s9_cocycle, s8_cocycle):
-        assert regular_subgroup_check(ghfp_from_cocycle(psi))
+        assert regular_subgroup_check(PropelinearCode(psi))
 
 
 def test_expanded_gate(corpus):
@@ -248,28 +246,26 @@ def test_trivial_point_expanded(gf3):
     from ghfp import trivial_cocycle
 
     point = Group(np.zeros((1, 1), dtype=np.int64))
-    P = ghfp_from_cocycle(trivial_cocycle(point, gf3))
+    P = PropelinearCode(trivial_cocycle(point, gf3))
     E = expanded_matrix(matrix_of(P.psi))
     assert E.shape == (3, 3)
     assert regular_subgroup_check(P)
 
 
-def test_pair_for_codeword_names_first_row_off_the_matrix(non_cocycles):
-    from ghfp import Code
-
-    for name in ("h4_over_z4", "h9_over_z9"):
-        P = ghfp_from_cocycle(non_cocycles[name])
-        f, code = P.field, Code(P.field, P.code.words())
-        for x in P.code.words():
-            ginv_row = P.group.table[P.group.inv[P.row_of(x)]]
-            bad = [i for i in range(P.v)
-                   if not code.contains(f.vsub(P.H[i], x)[ginv_row])]
-            if not bad:
-                pair_for_codeword(P, x)
-                continue
-            with pytest.raises(AutomorphismCheckFailed,
-                               match=f"row {bad[0]} does"):
-                pair_for_codeword(P, x)
+def pair_by_index(P, x):
+    """Test oracle of pair_for_codeword, by search: each row of H - x,
+    permuted by pi_x^{-1}, must land on an H-row up to a constant, which
+    pins M's permutation and diagonal."""
+    f = P.field
+    x = np.asarray(x, dtype=np.int64)
+    rho = P.row_of(x)
+    sigma = P.group.table[rho]  # index map of Q = pi_x^{-1} images
+    N = MonomialMatrix(f, sigma, f.vneg(x))
+    ginv_row = P.group.table[int(P.group.inv[rho])]
+    # row i is w with w_t = z_{sigma^{-1}(t)}, z = f_i - x
+    perm, diag = P.code.index(f.vsub(P.H, x[None, :])[:, ginv_row])
+    assert (perm >= 0).all()
+    return MonomialMatrix(f, perm, diag), N
 
 
 def test_table_pairs_equal_index_pairs(order4_cocycle, s8_cocycle, s9_cocycle,
@@ -277,37 +273,32 @@ def test_table_pairs_equal_index_pairs(order4_cocycle, s8_cocycle, s9_cocycle,
     """The pairs read from the row-product table are the pairs found by
     searching C_H: every codeword of the order-4, 8 and 9 matrices, and
     sampled codewords of P(4,3)."""
-    from ghfp.monomial import _pair_by_index
-
     rng = np.random.default_rng(8)
     for psi in (order4_cocycle, s8_cocycle, s9_cocycle, dphi43):
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         words = P.code.words()
         if P.v > 9:
             words = words[rng.choice(len(words), size=60, replace=False)]
         for x in words:
-            assert pair_for_codeword(P, x) == _pair_by_index(P, x)
+            assert pair_for_codeword(P, x) == pair_by_index(P, x)
 
 
-def test_exhaustive_and_sampled_modes(s9_cocycle, non_cocycles):
-    """sample=None on a cocycle is answered by theorem and counts all q*v
-    pairs; sample= and a non-cocycle sample, and say so."""
-    P = ghfp_from_cocycle(s9_cocycle)
+def test_exhaustive_and_sampled_modes(s9_cocycle):
+    """sample=None is answered by theorem and counts all q*v pairs;
+    sample= samples, and says so."""
+    P = PropelinearCode(s9_cocycle)
     assert automorphisms_from_star(P)["mode"] == "theorem"
     report = automorphisms_from_star(P, sample=8, seed=3)
     assert report["mode"] == "sampled"
     assert 1 <= report["pairs_verified"] <= 8
     assert report["row_action_transitive"] is None
-    report = automorphisms_from_star(
-        ghfp_from_cocycle(non_cocycles["gf2_over_z4"]))
-    assert report["mode"] == "sampled" and report["pairs_verified"] == 8
 
 
 def test_exhaustive_mode_rejects_a_broken_table(s9_cocycle):
     """A wrong offset in the row-product table gives one coset
     representative a pair that fails PMQ* = phi(H), and the generator-pair
     oracle names its codeword."""
-    P = ghfp_from_cocycle(s9_cocycle)
+    P = PropelinearCode(s9_cocycle)
     rows, offsets = P.row_products()
     bent = offsets.copy()
     bent[P.group.inv[4], 2] = (bent[P.group.inv[4], 2] + 1) % 3
@@ -328,13 +319,13 @@ def test_exhaustive_mode_finds_a_map_that_is_no_homomorphism(s9_cocycle,
     swap[[1, 2]] = [2, 1]
     monkeypatch.setattr(monomial, "_pair_arrays", lambda P, rho, lam: real(
         P, swap[np.asarray(rho)], lam))
-    report = _oracle_exact_check(ghfp_from_cocycle(s9_cocycle))
+    report = _oracle_exact_check(PropelinearCode(s9_cocycle))
     assert report["mode"] == "exhaustive" and report["central_pairs_ok"]
     assert not report["homomorphism_ok"]
 
 
 def test_sample_below_one_is_rejected(s9_cocycle):
-    P = ghfp_from_cocycle(s9_cocycle)
+    P = PropelinearCode(s9_cocycle)
     for sample in (0, -1):
         with pytest.raises(ValueError, match="sample"):
             automorphisms_from_star(P, sample=sample)
@@ -421,7 +412,7 @@ def test_generator_pairs_give_the_scan_report(corpus, gf3, monkeypatch):
     cases["s3^3 relabeled"] = _relabeled(sylvester_power_cocycle(gf3, 3), 4)
     assert {"order4", "s8", "s9", "dphi43"} <= set(cases)
     for name, psi in cases.items():
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         theorem = automorphisms_from_star(P)
         assert theorem["mode"] == "theorem", name
         calls = _spy_scans(monkeypatch, force=False)
@@ -444,7 +435,7 @@ def test_theorem_report_equals_the_oracle_on_structure_jobs(bench_recipes):
     for kind in workloads.Structure.KINDS:
         base = build(kind)
         for seed in range(10):
-            P = ghfp_from_cocycle(
+            P = PropelinearCode(
                 workloads.automorphic(np.random.default_rng(seed), base))
             theorem = automorphisms_from_star(P)
             assert theorem["mode"] == "theorem", (kind, seed)
@@ -454,11 +445,11 @@ def test_theorem_report_equals_the_oracle_on_structure_jobs(bench_recipes):
 
 def test_theorem_path_computes_nothing(corpus, non_cocycles, loop_tables,
                                        monkeypatch):
-    """With sample=None on a cocycle over a group, no pair, kernel or
-    row-product table is computed.  The non-cocycles, and a table over a
-    loop that keeps the identity at the loop's generators, take the
-    sampled path, which the same spies see; over the loop no verdict
-    holds, so the pairs are searched, and a row of H - x maps to no row."""
+    """With sample=None no pair, kernel or row-product table is computed,
+    on every orthogonal corpus cocycle and on a check="skip" copy of one.
+    The non-cocycles, and a table over a loop that keeps the identity at
+    the loop's generators, never reach the check: PropelinearCode refuses
+    them, the loop first as no group."""
     calls = []
 
     def spy(name, fn):
@@ -477,32 +468,27 @@ def test_theorem_path_computes_nothing(corpus, non_cocycles, loop_tables,
                             spy("row_products", P.row_products))
         return automorphisms_from_star(P, **kw)
 
-    for name, psi in corpus.items():
+    s9 = corpus["s9"]
+    cases = {**corpus, "s9 skip": Cocycle(s9.group, s9.field, s9.table,
+                                          check="skip")}
+    for name, psi in cases.items():
         if is_orthogonal(psi)[0]:
-            assert run(ghfp_from_cocycle(psi))["mode"] == "theorem", name
+            assert run(PropelinearCode(psi))["mode"] == "theorem", name
     assert calls == []
     for name, psi in non_cocycles.items():
-        P = ghfp_from_cocycle(psi)
-        if name == "gf2_over_z4":
-            assert run(P)["mode"] == "sampled"
-        else:  # some pair's search finds no row
-            with pytest.raises(AutomorphismCheckFailed):
-                run(P)
-        assert "_pair_arrays" in calls, name
-        calls.clear()
+        with pytest.raises(CocycleIdentityViolated):
+            PropelinearCode(psi)
     loop, table = loop_tables["L8"]
-    P = ghfp_from_cocycle(Cocycle(Group(loop), Field(2, 1), table,
-                                  check="skip"))
-    with pytest.raises(AutomorphismCheckFailed, match="does not map to a row"):
-        run(P)
-    assert calls == ["_pair_arrays"]
+    with pytest.raises(NotAssociative):
+        PropelinearCode(Cocycle(Group(loop), Field(2, 1), table,
+                                check="skip"))
 
 
 def test_bent_generator_row_is_named_by_the_scan(gf3, monkeypatch):
     """A wrong offset in a generator's own row-product row fails the
     generator pairs of the oracle; its fallback scan names the first
     failing coset representative, which is that generator's row."""
-    P = ghfp_from_cocycle(_relabeled(sylvester_power_cocycle(gf3, 3), 4))
+    P = PropelinearCode(_relabeled(sylvester_power_cocycle(gf3, 3), 4))
     s = P.group.generators()[-1]
     rows, offsets = P.row_products()
     bent = offsets.copy()
@@ -574,7 +560,7 @@ def structure_codes(bench_recipes):
     import workloads
 
     _, build = bench_recipes
-    return {kind: ghfp_from_cocycle(build(kind))
+    return {kind: PropelinearCode(build(kind))
             for kind in workloads.Structure.KINDS}
 
 
@@ -584,7 +570,7 @@ def s512():
     from ghfp import Field
     from ghfp.ghmatrix import sylvester_cocycle
 
-    return ghfp_from_cocycle(sylvester_cocycle(Field(2, 9)))
+    return PropelinearCode(sylvester_cocycle(Field(2, 9)))
 
 
 def _bend(f, arrays, side, k, i):
@@ -619,17 +605,15 @@ def test_blocked_kernels_match_oracles_on_structure_kinds(structure_codes,
 
 
 def test_reports_match_the_oracle_kernels(structure_codes, corpus, s512,
-                                          non_cocycles, monkeypatch):
+                                          monkeypatch):
     """automorphisms_from_star gives the same report dicts with the oracle
     kernels: sampled on every structure kind at seeds 0-9, 64 codewords of
-    the orthogonal corpus, 8 of S_512, and all q*v of the non-cocycle
-    whose pairs are all found."""
+    the orthogonal corpus, and 8 of S_512."""
     cases = [(P, 8, seed) for P in structure_codes.values()
              for seed in range(10)]
-    cases += [(ghfp_from_cocycle(psi), 64, 0) for psi in corpus.values()
+    cases += [(PropelinearCode(psi), 64, 0) for psi in corpus.values()
               if is_orthogonal(psi)[0]]
-    cases += [(s512, 8, 0),
-              (ghfp_from_cocycle(non_cocycles["gf2_over_z4"]), None, 0)]
+    cases.append((s512, 8, 0))
     reports = [automorphisms_from_star(P, sample=n, seed=s)
                for P, n, s in cases]
     monkeypatch.setattr(monomial, "_first_non_automorphism",
@@ -693,7 +677,7 @@ def test_automorphism_check_allocates_little(dphi43):
     replaced peaked at 1675 KiB)."""
     import tracemalloc
 
-    P = ghfp_from_cocycle(dphi43)
+    P = PropelinearCode(dphi43)
     automorphisms_from_star(P, sample=8)  # builds the tables it reads
     tracemalloc.start()
     try:

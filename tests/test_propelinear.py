@@ -4,12 +4,12 @@ import pytest
 from ghfp import (
     Cocycle,
     Field,
+    GHCode,
+    GHMatrix,
     PropelinearCode,
     check_cocycle,
     cocycle_from_code,
     fh_intersection_profile,
-    ghfp_from_cocycle,
-    kronecker_propelinear,
     lift,
     regular_subgroup_check,
     tensor,
@@ -17,8 +17,8 @@ from ghfp import (
     verify_full_propelinear,
 )
 from ghfp.cocycles import is_orthogonal
-from ghfp.errors import CocycleIdentityViolated, GHFPError, NotACodeword, \
-    NotAGroup, NotAssociative, NotNormalized, NotOrthogonal, SectionUndefined
+from ghfp.errors import CocycleIdentityViolated, NotACodeword, NotAGroup, \
+    NotAssociative, NotNormalized, NotOrthogonal
 from ghfp.ghmatrix import sylvester_power_cocycle
 from ghfp.groups import Group
 
@@ -40,31 +40,64 @@ def star(P, x, y) -> np.ndarray:
     return P.field.vadd(x, y[P.group.table[P.row_of(x)]])
 
 
+def bare(psi) -> PropelinearCode:
+    """psi's code with PropelinearCode's checks left out, for the tables it
+    refuses.  encode, decode, row_of and star_oracle read only the table,
+    the group and the code, and so do the scan oracles below."""
+    P = object.__new__(PropelinearCode)
+    P.psi, P.group, P.field, P.H = psi, psi.group, psi.field, psi.table
+    P.v, P.q = psi.v, psi.field.q
+    P.code = GHCode(GHMatrix(psi.field, psi.table))
+    return P
+
+
+def searched_row_products(P):
+    """Test oracle of PropelinearCode.row_products: f_rho * f_r located by
+    one GHCode.index call per rho, so f_rho * f_r = offsets[rho, r]*1 +
+    f_{rows[rho, r]}, or rows[rho, r] is -1 when the product is not in C."""
+    f, gt, v = P.field, P.group.table, P.v
+    rows = np.empty((v, v), dtype=np.int64)
+    offsets = np.empty((v, v), dtype=np.int64)
+    for rho in range(v):
+        # row r of the batch is f_rho + pi-gather of f_r
+        rows[rho], offsets[rho] = P.code.index(
+            f.vadd(P.H[rho][None, :], P.H[:, gt[rho]]))
+    return rows, offsets
+
+
+def kronecker_propelinear(P1, P2) -> PropelinearCode:
+    """The GHFP structure on C_{H1 (+) H2}, through the tensor cocycle
+    (tensor raises FieldMismatch for two fields).  Blockwise, pi_{a(+)b}
+    acts as pi_a on block positions and pi_b inside blocks, and
+    (a(+)b) * (x(+)y) = (a*x)(+)(b*y); the tests below check both."""
+    return PropelinearCode(tensor(P1.psi, P2.psi))
+
+
 @pytest.fixture(scope="module")
 def p4(order4_cocycle):
-    return ghfp_from_cocycle(order4_cocycle)
+    return PropelinearCode(order4_cocycle)
 
 
 @pytest.fixture(scope="module")
 def p9(s9_cocycle):
-    return ghfp_from_cocycle(s9_cocycle)
+    return PropelinearCode(s9_cocycle)
 
 
 @pytest.fixture(scope="module")
 def p8(s8_cocycle):
-    return ghfp_from_cocycle(s8_cocycle)
+    return PropelinearCode(s8_cocycle)
 
 
 @pytest.fixture(scope="module")
 def p81(dphi43):
-    return ghfp_from_cocycle(dphi43)
+    return PropelinearCode(dphi43)
 
 
 def test_not_orthogonal_rejected(gf3):
     from ghfp.groups import elementary_abelian
 
     with pytest.raises(NotOrthogonal):
-        ghfp_from_cocycle(trivial_cocycle(elementary_abelian(3, 1), gf3))
+        PropelinearCode(trivial_cocycle(elementary_abelian(3, 1), gf3))
 
 
 def test_pi_tables_match_published_listings(p4, p9, p8):
@@ -75,7 +108,7 @@ def test_pi_tables_match_published_listings(p4, p9, p8):
 
 def test_trivial_one_point_group(gf3):
     point = Group(np.zeros((1, 1), dtype=np.int64))
-    P = ghfp_from_cocycle(trivial_cocycle(point, gf3))
+    P = PropelinearCode(trivial_cocycle(point, gf3))
     assert len(P.code) == 3
     assert P.pi_table_strings() == ["I"]
 
@@ -142,10 +175,10 @@ def test_verify_full_propelinear_all_pass(p4, p9, p8, p81):
         assert not failed
 
 
-def _over_table(psi, table) -> PropelinearCode:
-    """P for psi's table read over the (possibly corrupted) group table."""
-    return PropelinearCode(Cocycle(Group(table, check=False), psi.field,
-                                   psi.table, check="skip"))
+def _over_table(psi, table) -> Cocycle:
+    """psi's table, unchecked, over the (possibly corrupted) group table."""
+    return Cocycle(Group(table, check=False), psi.field, psi.table,
+                   check="skip")
 
 
 def _corrupted_tables(gf3):
@@ -160,18 +193,25 @@ def _corrupted_tables(gf3):
 
 
 def test_fullness_witness_on_corruption(gf3):
-    # replacing one pi entry by the identity must trip the fullness scan
+    """Replacing row 1 of S_3^2's group table by the identity row leaves a
+    table that is no group, which PropelinearCode refuses.  On the bare
+    code the scan oracle names a fixed point and a row pair that breaks
+    axiom (ii), and both are real."""
     psi = sylvester_power_cocycle(gf3, 2)
-    P = ghfp_from_cocycle(psi)
-    assert verify_full_propelinear(P)["fullness"][0]
-    P = _over_table(psi, _corrupted_tables(gf3)["fixed point"])
-    report = verify_full_propelinear(P)
-    ok, witness = report["fullness"]
-    assert not ok and witness is not None
-    # the table is no longer associative; axiom (ii) names a failing triple
-    ok, (g, h, k) = report["axiom_ii_homomorphism"]
+    assert verify_full_propelinear(PropelinearCode(psi))["fullness"][0]
+    skip = _over_table(psi, _corrupted_tables(gf3)["fixed point"])
+    with pytest.raises(NotAGroup):
+        PropelinearCode(skip)
+    P = bare(skip)
     gt = P.group.table
-    assert not ok and gt[gt[g, h], k] != gt[g, gt[h, k]]
+    report = verify_oracle(P)
+    ok, (_, g) = report["fullness"]
+    assert not ok and g > 0 and (gt[g] == np.arange(P.v)).any()
+    ok, (_, rho, r) = report["axiom_ii_homomorphism"]
+    xy = star(P, P.H[rho], P.H[r])
+    assert not ok
+    assert not P.code.contains(xy) or (gt[P.row_of(xy)]
+                                       != gt[r][gt[rho]]).any()
 
 
 def test_pi_homomorphism_exhaustive(p9):
@@ -239,120 +279,185 @@ def star_table_is_group(P) -> bool:
     return True
 
 
+def star_group_witness(field, rows, offsets):
+    """Test oracle of the rule regular_subgroup_check proves: None when the
+    star table that the row products (rows, offsets) give is a group
+    table, else what fails.  The first product outside C, then a fresh
+    Group(rows), its associativity, and the identity of the offsets in
+    full."""
+    bad = np.argwhere(rows < 0)
+    if bad.size:
+        return ("x*f not in C", *map(int, bad[0]))
+    try:
+        Cocycle(Group(np.array(rows)), field, offsets)
+    except NotAssociative as e:
+        return ("associativity", *e.triple)
+    except CocycleIdentityViolated as e:
+        return ("cocycle identity", *e.triple)
+    except (NotAGroup, NotNormalized) as e:
+        return ("not a group", str(e))
+    return None
+
+
 def test_regular_subgroup_matches_star_table_oracle(p4, p8, p9, non_cocycles):
-    s16 = ghfp_from_cocycle(sylvester_power_cocycle(Field(2, 1), 4))
-    cases = {"p4": p4, "p8": p8, "p9": p9, "s2^4": s16,
-             **{name: ghfp_from_cocycle(psi)
-                for name, psi in non_cocycles.items()}}
-    for name, P in cases.items():
+    """regular_subgroup_check against the tabulated star table on four
+    codes, and the rule its proof rests on, star_group_witness of the
+    searched row products, against the same table on the bare codes of
+    the non-cocycles."""
+    s16 = PropelinearCode(sylvester_power_cocycle(Field(2, 1), 4))
+    for name, P in {"p4": p4, "p8": p8, "p9": p9, "s2^4": s16}.items():
         assert regular_subgroup_check(P) == star_table_is_group(P), name
+    for name, psi in non_cocycles.items():
+        P = bare(psi)
+        assert ((star_group_witness(P.field, *searched_row_products(P))
+                 is None) == star_table_is_group(P)), name
 
 
 def test_regular_subgroup_rejects_non_cocycles(non_cocycles):
-    # star leaves C_H, or C_H is closed but its star table is no group
+    """Star leaves C_H, or C_H is closed but its star table is no group: no
+    non-cocycle's code is regular, and PropelinearCode refuses each."""
     for name, psi in non_cocycles.items():
-        assert not regular_subgroup_check(ghfp_from_cocycle(psi)), name
+        assert not star_table_is_group(bare(psi)), name
+        with pytest.raises(CocycleIdentityViolated):
+            PropelinearCode(psi)
 
 
-def test_verify_full_propelinear_reports_non_cocycles(non_cocycles):
-    """A code that star takes out of C_H is reported, not raised: axiom (i)
-    names the first x*f outside C, and group_axioms names what fails, which
-    brute force confirms."""
+def _breaks_identity(psi, triple) -> bool:
+    """Whether psi(g,h) + psi(gh,k) != psi(g,hk) + psi(h,k) at the triple."""
+    g, h, k = triple
+    f, t, gt = psi.field, psi.table, psi.group.table
+    return (f.add(int(t[g, h]), int(t[gt[g, h], k]))
+            != f.add(int(t[g, gt[h, k]]), int(t[h, k])))
+
+
+def test_non_cocycles_are_refused_with_the_identity_witness(non_cocycles):
+    """PropelinearCode refuses each non-cocycle with a triple at which the
+    identity really fails, and the scan oracle fails each bare code, with
+    the axiom (i) witness that brute force finds.  gf2_over_z4 is closed
+    under star over the group Z_4, yet pi_{x*y} != pi_x pi_y at 6 of its 16
+    row pairs: axiom (ii) does not follow from G's associativity alone."""
     for name, psi in non_cocycles.items():
-        P = ghfp_from_cocycle(psi)
+        with pytest.raises(CocycleIdentityViolated) as refused:
+            PropelinearCode(psi)
+        assert _breaks_identity(psi, refused.value.triple), name
+        P = bare(psi)
         H, v = P.H, P.v
-        report = verify_full_propelinear(P)
+        report = verify_oracle(P)
         bad = next(((rho, j) for rho in range(v) for j in range(v)
                     if not P.code.contains(star(P, H[rho], H[j]))), None)
         want = (True, None) if bad is None else (False, ("x*f not in C", *bad))
         assert report["axiom_i_preserves_code"] == want, name
-        ok, witness = report["group_axioms"]
-        assert not ok, name
-        if bad is not None:
-            assert witness == want[1], name
-            continue
-        # C is closed under star: the cosets of the row products must fail
-        # to form a group table
-        s = np.array([[P.code.row_of(star(P, H[i], H[j])) for j in range(v)]
-                      for i in range(v)])
-        with pytest.raises(NotAGroup, match=witness[1]):
-            Group(s)
-        assert witness[0] == "not a group", name
+        assert not report["group_axioms"][0], name
+    P = bare(non_cocycles["gf2_over_z4"])
+    gt = P.group.table
+    broken = [(rho, r) for rho in range(4) for r in range(4)
+              if (gt[P.row_of(star(P, P.H[rho], P.H[r]))]
+                  != gt[r][gt[rho]]).any()]
+    assert len(broken) == 6 and broken[0] == (1, 1)
+    assert verify_oracle(P)["axiom_ii_homomorphism"] == (
+        False, ("pi_{x*y} != pi_x pi_y", 1, 1))
 
 
-def test_group_axioms_witness_is_a_failing_triple(gf3, loop5, non_cocycles):
+def test_random_orthogonal_tables_are_refused(gf3):
+    """50 seeded random normalized orthogonal tables at v = 9, q = 3, over
+    Z_3^2 and over Z_9: PropelinearCode refuses each, and the triple it
+    names really breaks the identity."""
+    from ghfp import elementary_abelian
+
+    a = np.arange(9)
+    groups = [elementary_abelian(3, 2), Group((a[:, None] + a) % 9)]
+    rng = np.random.default_rng(11)
+    rest = np.repeat(np.arange(3), 3)[1:]  # each value 3 times per row
+    for n in range(50):
+        t = np.zeros((9, 9), dtype=np.int64)
+        for i in range(1, 9):
+            t[i, 1:] = rng.permutation(rest)
+        psi = Cocycle(groups[n % 2], gf3, t, check="skip")
+        assert is_orthogonal(psi)[0]
+        with pytest.raises(CocycleIdentityViolated) as refused:
+            PropelinearCode(psi)
+        assert _breaks_identity(psi, refused.value.triple), n
+
+
+def test_group_axioms_witness_is_a_failing_triple(gf3, loop5):
     """When the row products are a loop, or a group with constants that
-    break the cocycle identity, group_axioms names a triple of rows whose
-    star products associate wrongly."""
-    P = ghfp_from_cocycle(sylvester_power_cocycle(gf3, 2))
+    break the cocycle identity, the star-group oracle names a triple of
+    rows whose star products associate wrongly."""
+    P = PropelinearCode(sylvester_power_cocycle(gf3, 2))
     rows, offsets = P.row_products()
     offsets = offsets.copy()
     offsets[4, 5] = (offsets[4, 5] + 1) % 3
-    P.row_products = lambda: (rows, offsets)
-    ok, (kind, g, h, k) = verify_full_propelinear(P)["group_axioms"]
-    assert not ok and kind == "cocycle identity"
+    kind, g, h, k = star_group_witness(gf3, rows, offsets)
+    assert kind == "cocycle identity"
     lhs = offsets[g, h] + offsets[rows[g, h], k]
     rhs = offsets[h, k] + offsets[g, rows[h, k]]
     assert (lhs - rhs) % 3
 
-    P = ghfp_from_cocycle(non_cocycles["gf5_over_z5"])
-    P.row_products = lambda: (loop5, np.zeros_like(loop5))
-    ok, (kind, g, h, k) = verify_full_propelinear(P)["group_axioms"]
-    assert not ok and kind == "associativity"
+    kind, g, h, k = star_group_witness(Field(5, 1), loop5,
+                                       np.zeros_like(loop5))
+    assert kind == "associativity"
     assert loop5[loop5[g, h], k] != loop5[g, loop5[h, k]]
 
 
-def _counted_index(P):
-    """Record the batch size of every P.code.index call from now on."""
-    sizes = []
-    index = P.code.index
+def _spy_index(monkeypatch) -> list:
+    """Record the batch size of every GHCode.index call from now on, apart
+    from those of GHCode.row_of: the lookup of a codeword that the caller
+    hands in, which decode and pair_for_codeword make of their input."""
+    sizes, inside = [], []
+    index, row_of = GHCode.index, GHCode.row_of
 
-    def counted(words):
-        sizes.append(len(words))
-        return index(words)
+    def counted(self, words):
+        if not inside:
+            sizes.append(len(words))
+        return index(self, words)
 
-    P.code.index = counted
+    def own_lookup(self, word):
+        inside.append(word)
+        try:
+            return row_of(self, word)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(GHCode, "index", counted)
+    monkeypatch.setattr(GHCode, "row_of", own_lookup)
     return sizes
 
 
-def test_one_row_product_table_serves_every_check(s9_cocycle, non_cocycles):
-    """On a cocycle the row-product table and every automorphism pair are
-    read from the identity, with no search of the code; without the
-    verdict, the table takes one index call of v words per row."""
-    from ghfp import automorphisms_from_star
-    from ghfp.monomial import _pair_arrays
+def test_one_row_product_table_serves_every_check(corpus, bench_recipes,
+                                                  monkeypatch):
+    """No check searches the code: on every orthogonal corpus cocycle, and
+    on the benchmark's tiny structure kinds relabeled as its jobs are
+    (workloads.automorphic, with no verdict), neither building P nor any
+    check on it calls GHCode.index, apart from pair_for_codeword's lookup
+    of its own input."""
+    import workloads
+    from ghfp import automorphisms_from_star, pair_for_codeword
 
-    P = ghfp_from_cocycle(s9_cocycle)
-    sizes = _counted_index(P)
-    verify_full_propelinear(P)
-    cocycle_from_code(P)
-    fh_intersection_profile(P)
-    regular_subgroup_check(P)
-    ks, rhos = np.divmod(np.arange(P.q * P.v), P.v)
-    _pair_arrays(P, rhos, ks)
-    # the sampled automorphism check reads its star products from the
-    # table too; with sample=None a cocycle's check is a theorem
-    automorphisms_from_star(P, sample=8)
-    automorphisms_from_star(P)
-    assert sizes == []
-
-    P = ghfp_from_cocycle(non_cocycles["h9_over_z9"])
-    sizes = _counted_index(P)
-    verify_full_propelinear(P)
-    fh_intersection_profile(P)
-    regular_subgroup_check(P)
-    assert sizes == [P.v] * P.v
-
-
-def _searched(psi) -> PropelinearCode:
-    """P with its cocycle verdict withheld, so row_products searches C_H."""
-    P = ghfp_from_cocycle(psi)
-    P.code.matrix._cocycle = None
-    return P
+    _, build = bench_recipes
+    cases = {name: psi for name, psi in corpus.items()
+             if is_orthogonal(psi)[0]}
+    for kind in workloads.Structure.TINY_KINDS:
+        for seed in range(3):
+            cases[kind, seed] = workloads.automorphic(
+                np.random.default_rng(seed), build(kind))
+            assert not cases[kind, seed].checked
+    sizes = _spy_index(monkeypatch)
+    for name, psi in cases.items():
+        P = PropelinearCode(psi)
+        P.row_products()
+        verify_full_propelinear(P)
+        cocycle_from_code(P)
+        regular_subgroup_check(P)
+        fh_intersection_profile(P)
+        for x in P.code.words()[::max(1, P.v // 3)]:
+            pair_for_codeword(P, x)
+        automorphisms_from_star(P)
+        automorphisms_from_star(P, sample=8)
+        assert sizes == [], name
 
 
 def test_theorem_table_equals_index_table(gf3, s9_cocycle, s8_cocycle, dphi43):
-    """(gt^T, psi^T) is the table the index path finds, on lexicographic,
+    """(gt^T, psi^T) is the table the index search finds, on lexicographic,
     primitive-power and relabeled (non-lexicographic) groups."""
     rng = np.random.default_rng(6)
     s3_4 = sylvester_power_cocycle(gf3, 4)
@@ -363,12 +468,12 @@ def test_theorem_table_equals_index_table(gf3, s9_cocycle, s8_cocycle, dphi43):
     cases = {"s9": s9_cocycle, "s8": s8_cocycle, "s3^4": s3_4,
              "dphi43": dphi43, "s3^4 relabeled": relabeled}
     for name, psi in cases.items():
-        P = ghfp_from_cocycle(psi)
+        P = PropelinearCode(psi)
         rows, offsets = P.row_products()
         assert (rows == psi.group.table.T).all(), name
         assert (offsets == psi.table.T).all(), name
         assert not (rows.flags.writeable or offsets.flags.writeable), name
-        want_rows, want_offsets = _searched(psi).row_products()
+        want_rows, want_offsets = searched_row_products(P)
         assert (rows == want_rows).all(), name
         assert (offsets == want_offsets).all(), name
 
@@ -376,7 +481,7 @@ def test_theorem_table_equals_index_table(gf3, s9_cocycle, s8_cocycle, dphi43):
 def test_row_product_identity_on_s3_coboundaries(gf3):
     """f_rho * f_r = psi(r,rho)*1 + f_{r rho}, located by GHCode.index, for
     random coboundaries over the non-abelian S_3 whose rows are distinct."""
-    from ghfp import GHCode, coboundary, matrix_of
+    from ghfp import coboundary, matrix_of
     from test_groups import s3_table
 
     rng = np.random.default_rng(7)
@@ -396,13 +501,18 @@ def test_row_product_identity_on_s3_coboundaries(gf3):
 
 
 def test_permutation_witnesses_name_first_bad_row_and_column(gf3):
-    """distance_compatibility names the first row of G's table that is no
+    """With two entries of S_3^2's group table repeated, PropelinearCode
+    refuses the table.  On the bare code the scan oracle's
+    distance_compatibility names the first row of G's table that is no
     permutation, unit_vector_preimages the first such column; the named
     row really changes a distance, and the named column really collides."""
-    P = _over_table(sylvester_power_cocycle(gf3, 2),
-                    _corrupted_tables(gf3)["repeated entries"])
+    skip = _over_table(sylvester_power_cocycle(gf3, 2),
+                       _corrupted_tables(gf3)["repeated entries"])
+    with pytest.raises(NotAGroup):
+        PropelinearCode(skip)
+    P = bare(skip)
     gt = P.group.table
-    report = verify_full_propelinear(P)
+    report = verify_oracle(P)
     assert report["distance_compatibility"] == (
         False, ("row not a permutation", 4))
     assert report["unit_vector_preimages"] == (
@@ -415,53 +525,44 @@ def test_permutation_witnesses_name_first_bad_row_and_column(gf3):
 
 
 def cocycle_oracle(P) -> Cocycle:
-    """cocycle_from_code with the star group checked as a table: a fresh
-    Group of the row products, its associativity, and the identity in
-    full."""
-    rows, offsets = P.row_products()
-    bad = np.argwhere(rows < 0)
-    if bad.size:
-        raise SectionUndefined(*map(int, bad[0]))
-    quotient = Group(np.array(rows))
-    quotient.check_associativity()
-    return Cocycle(quotient, P.field, offsets)
+    """cocycle_from_code by search: the searched row products, checked as
+    a table (a fresh Group of their rows, and the identity in full)."""
+    rows, offsets = searched_row_products(P)
+    assert (rows >= 0).all()
+    return Cocycle(Group(rows), P.field, offsets)
 
 
 def verify_oracle(P) -> dict:
     """verify_full_propelinear with every entry scanned: G's table entry by
-    entry, associativity on a fresh Group, and the star group through
-    cocycle_oracle."""
+    entry, the searched row products, the star group through
+    star_group_witness, and axiom (ii) by composing the permutations.
+
+    pi_x of a codeword in row rho gathers at gt[rho], so pi_x o pi_y
+    gathers at gt[r][gt[rho]] for y in row r; it is compared entry by entry
+    with pi of x * y = x + pi_x(y), the code's own law, over every row pair
+    (pi is constant on cosets).  star_oracle's product is not used: its row
+    is (g_x g_y)^-1 for any table, so it would read axiom (ii) from G's
+    associativity alone; on a cocycle the two laws agree
+    (test_star_matches_oracle_exhaustive)."""
     v, ar = P.v, np.arange(P.v)
     gt = np.array(P.group.table)
+    rows, offsets = searched_row_products(P)
 
     def first(label, bad):
         bad = np.argwhere(bad)
         return (False, (label, *map(int, bad[0]))) if bad.size else (True, None)
 
-    try:
-        Group(gt, check=False).check_associativity()
-        axiom_ii = (True, None)
-    except NotAssociative as e:
-        axiom_ii = (False, e.triple)
-    try:
-        cocycle_oracle(P)
-        group_axioms = (True, None)
-    except SectionUndefined as e:
-        group_axioms = (False, ("x*f not in C", *e.pair))
-    except NotAssociative as e:
-        group_axioms = (False, ("associativity", *e.triple))
-    except CocycleIdentityViolated as e:
-        group_axioms = (False, ("cocycle identity", *e.triple))
-    except (NotAGroup, NotNormalized) as e:
-        group_axioms = (False, ("not a group", str(e)))
+    composed = gt[ar[None, :, None], gt[:, None, :]]  # [rho, r, j]
+    witness = star_group_witness(P.field, rows, offsets)
     distinct = len(np.unique(gt, axis=0))
     return {
         "identity_and_coset_constancy": first("pi_0 moves", gt[0] != ar),
-        "axiom_i_preserves_code": first("x*f not in C",
-                                        P.row_products()[0] < 0),
-        "axiom_ii_homomorphism": axiom_ii,
+        "axiom_i_preserves_code": first("x*f not in C", rows < 0),
+        "axiom_ii_homomorphism": first(
+            "pi_{x*y} != pi_x pi_y",
+            (rows < 0) | (gt[rows] != composed).any(axis=2)),
         "fullness": first("fixed point", (gt == ar).any(axis=1) & (ar > 0)),
-        "group_axioms": group_axioms,
+        "group_axioms": (witness is None, witness),
         "unit_vector_preimages": first(
             "collision across cosets",
             (np.sort(gt, axis=0) != ar[:, None]).any(axis=0)),
@@ -472,36 +573,47 @@ def verify_oracle(P) -> dict:
     }
 
 
-def _outcome(check, P):
-    """check(P), or the type and message of the GHFPError it raised."""
-    try:
-        return check(P)
-    except GHFPError as e:
-        return type(e), str(e)
+def _built_files(tmp_path) -> dict:
+    """Every file `ghfp build` writes with the small options of the CLI
+    tests, in both orderings, read back."""
+    from ghfp.cli import main
+    from ghfp.fileio import read_coc
+    from test_fileio_cli import BUILDS
+
+    out = {}
+    for ordering in ("encoding", "primitive-power"):
+        d = tmp_path / ordering
+        common = ["--ordering", ordering, "--out", str(d)]
+        for construction, opts in BUILDS.items():
+            assert main(["build", "--construction", construction, *opts,
+                         "--name", construction, *common]) == 0
+        s8 = str(d / "sylvester.coc")
+        assert main(["build", "--construction", "kronecker", "--left", s8,
+                     "--right", s8, "--name", "kronecker", *common]) == 0
+        for path in sorted(d.glob("*.coc")):
+            out[ordering, path.stem] = read_coc(path)
+    return out
 
 
-def test_group_verdict_path_matches_scan_oracle(gf3, corpus, non_cocycles,
-                                               loop5, monkeypatch):
-    """On every orthogonal corpus cocycle, every non-cocycle, a loop and a
-    monoid put in place of the row products, and the two corrupted group
-    tables: verify_full_propelinear's report is the scanned one,
-    cocycle_from_code is the cocycle of a freshly checked Group(rows), and
-    a second call of either checks no group again."""
-    cases = {}
-    for name, psi in {**corpus, **non_cocycles}.items():
-        if is_orthogonal(psi)[0]:
-            cases[name] = ghfp_from_cocycle(psi)
-    a = np.arange(5)
-    for name, rows in [("loop5", loop5),
-                       ("monoid", np.maximum(a[:, None], a[None, :]))]:
-        P = ghfp_from_cocycle(non_cocycles["gf5_over_z5"])
-        offsets = np.zeros_like(rows)
-        P.row_products = lambda rows=rows, offsets=offsets: (rows, offsets)
-        cases[name] = P
-    s9 = sylvester_power_cocycle(gf3, 2)
-    for name, table in _corrupted_tables(gf3).items():
-        cases[name] = _over_table(s9, table)
-    assert len(cases) == 15
+def test_group_verdict_path_matches_scan_oracle(corpus, bench_recipes,
+                                               tmp_path, capsys, monkeypatch):
+    """On every orthogonal corpus cocycle, every file `ghfp build` writes
+    and the benchmark's structure kinds relabeled as its jobs are:
+    verify_full_propelinear's report is the scanned one, cocycle_from_code
+    is the cocycle of a freshly checked Group of the searched rows, and a
+    second call of either checks no group again."""
+    import workloads
+
+    _, build = bench_recipes
+    cases = {name: psi for name, psi in corpus.items()
+             if is_orthogonal(psi)[0]}
+    cases.update(_built_files(tmp_path))
+    capsys.readouterr()
+    kinds = dict.fromkeys(workloads.Structure.KINDS)
+    for kind in kinds:
+        cases[kind] = workloads.automorphic(np.random.default_rng(0),
+                                            build(kind))
+    assert len(cases) == 7 + 10 + len(kinds)
 
     calls = []
     for method in ("generators", "check_associativity"):
@@ -509,51 +621,65 @@ def test_group_verdict_path_matches_scan_oracle(gf3, corpus, non_cocycles,
             calls.append(method)
             return real(self)
         monkeypatch.setattr(Group, method, counted)
-    for name, P in cases.items():
+    for name, psi in cases.items():
+        P = PropelinearCode(psi)
         want_report = verify_oracle(P)
-        want_cocycle = _outcome(cocycle_oracle, P)
+        assert all(ok for ok, _ in want_report.values()), name
+        want_cocycle = cocycle_oracle(P)
         assert verify_full_propelinear(P) == want_report, name
-        assert _outcome(cocycle_from_code, P) == want_cocycle, name
+        assert cocycle_from_code(P) == want_cocycle, name
         calls.clear()
         assert verify_full_propelinear(P) == want_report, name
-        assert _outcome(cocycle_from_code, P) == want_cocycle, name
+        assert cocycle_from_code(P) == want_cocycle, name
         assert calls == [], name
 
 
-def test_regular_subgroup_decides_on_the_row_product_table(gf3, loop5):
-    """The check reads only the table of row products f_rho * f_r.  Feeding
-    it a group, a loop (Latin, not associative) and a monoid (associative,
-    not Latin) as that table, and a group with offsets that are not a
-    normalized cocycle, pins the rule: regular exactly when the star table
-    is a group table."""
-    from types import SimpleNamespace
-
-    def fake(rows, offsets=None):
-        rows = np.asarray(rows)
-        if offsets is None:
-            offsets = np.zeros_like(rows)
-        # no cocycle verdict: the table is read as a table, not a theorem
-        matrix = SimpleNamespace(cocycle=lambda: None)
-        return SimpleNamespace(field=gf3, code=SimpleNamespace(matrix=matrix),
-                               row_products=lambda: (rows, offsets))
+def test_regular_subgroup_decides_on_the_row_product_table(gf3, loop5,
+                                                          corpus):
+    """The rule regular_subgroup_check proves reads only the table of row
+    products f_rho * f_r = c*1 + f_s: the star table, with entry (a + b +
+    c[rho, r])*v + s[rho, r] at labels (a*v + rho, b*v + r), is a group
+    table exactly when s is a group and c a normalized cocycle over it.
+    Fed a group, a loop (Latin, not associative), a monoid (associative,
+    not Latin), and a group with offsets that are no cocycle or not
+    normalized, star_group_witness agrees with the tabulated star table;
+    and every orthogonal corpus code is regular."""
+    def star_table_is_a_group(rows, offsets):
+        v, q = len(rows), gf3.q
+        a = np.arange(q)[:, None, None, None]
+        b = np.arange(q)[None, None, :, None]
+        c = gf3.vadd(gf3.vadd(a, b), offsets[None, :, None, :])
+        table = (c * v + rows[None, :, None, :]).reshape(q * v, q * v)
+        try:
+            Group(table).check_associativity()
+        except NotAGroup:
+            return False
+        return True
 
     a = np.arange(5)
     z5 = (a[:, None] + a[None, :]) % 5
-    assert regular_subgroup_check(fake(z5))
-    assert not regular_subgroup_check(fake(loop5))
-    assert not regular_subgroup_check(fake(np.maximum(a[:, None], a[None, :])))
+    zero = np.zeros((5, 5), dtype=np.int64)
     # one entry off zero: normalized, but no cocycle
-    bent = np.zeros((5, 5), dtype=np.int64)
+    bent = zero.copy()
     bent[1, 1] = 1
     with pytest.raises(CocycleIdentityViolated):
         check_cocycle(bent, Group(z5), gf3)
-    assert not regular_subgroup_check(fake(z5, bent))
     # a coboundary of phi with phi(0) != 0 is a cocycle identity solution
     # that is not normalized: label 0 is then no identity of the star table
     phi = np.array([1, 0, 2, 0, 1])
     unnormalized = (phi[z5] - phi[:, None] - phi[None, :]) % 3
     assert unnormalized[0].any()
-    assert not regular_subgroup_check(fake(z5, unnormalized))
+    cases = {"z5": (z5, zero, True), "loop5": (loop5, zero, False),
+             "monoid": (np.maximum(a[:, None], a[None, :]), zero, False),
+             "bent": (z5, bent, False),
+             "unnormalized": (z5, unnormalized, False)}
+    for name, (rows, offsets, regular) in cases.items():
+        assert star_table_is_a_group(rows, offsets) == regular, name
+        assert (star_group_witness(gf3, rows, offsets) is None) == regular, \
+            name
+    for name, psi in corpus.items():
+        if is_orthogonal(psi)[0]:
+            assert regular_subgroup_check(PropelinearCode(psi)), name
 
 
 def test_regular_subgroup_gate():
@@ -561,7 +687,7 @@ def test_regular_subgroup_gate():
     gate) is checked exactly on its 128 x 128 row-product table."""
     from ghfp import multiplication_cocycle
 
-    P = ghfp_from_cocycle(multiplication_cocycle(Field(2, 7)))
+    P = PropelinearCode(multiplication_cocycle(Field(2, 7)))
     assert regular_subgroup_check(P)
 
 
@@ -596,17 +722,17 @@ def test_c1_inside_kernel(p4, p9, p8, p81):
 
 
 def test_kronecker_propelinear_matches_tensor_path(s3_cocycle):
-    P1 = ghfp_from_cocycle(s3_cocycle)
-    P2 = ghfp_from_cocycle(s3_cocycle)
+    P1 = PropelinearCode(s3_cocycle)
+    P2 = PropelinearCode(s3_cocycle)
     K = kronecker_propelinear(P1, P2)
-    direct = ghfp_from_cocycle(tensor(s3_cocycle, s3_cocycle))
+    direct = PropelinearCode(tensor(s3_cocycle, s3_cocycle))
     assert (K.H == direct.H).all()
     assert K.pi_table_strings() == direct.pi_table_strings()
 
 
 def test_kronecker_propelinear_blockwise_identities(s3_cocycle, s9_cocycle):
-    P1 = ghfp_from_cocycle(s3_cocycle)
-    P2 = ghfp_from_cocycle(s9_cocycle)
+    P1 = PropelinearCode(s3_cocycle)
+    P2 = PropelinearCode(s9_cocycle)
     K = kronecker_propelinear(P1, P2)
     f = K.field
     rng = np.random.default_rng(4)
@@ -629,8 +755,8 @@ def test_kronecker_propelinear_blockwise_identities(s3_cocycle, s9_cocycle):
 
 
 def test_kronecker_propelinear_order27_verifies(s3_cocycle):
-    big = kronecker_propelinear(ghfp_from_cocycle(s3_cocycle),
-                                ghfp_from_cocycle(tensor(s3_cocycle, s3_cocycle)))
+    big = kronecker_propelinear(PropelinearCode(s3_cocycle),
+                                PropelinearCode(tensor(s3_cocycle, s3_cocycle)))
     assert big.v == 27
     report = verify_full_propelinear(big)
     assert all(ok for ok, _ in report.values())
@@ -639,4 +765,4 @@ def test_kronecker_propelinear_order27_verifies(s3_cocycle):
 def test_mixed_lifted_tensor_is_rejected(s3_cocycle, dphi43, gf81):
     mixed = tensor(lift(s3_cocycle, gf81), dphi43)
     with pytest.raises(NotOrthogonal):
-        ghfp_from_cocycle(mixed)
+        PropelinearCode(mixed)

@@ -6,7 +6,6 @@ import pytest
 from ghfp import (
     Field,
     GHCode,
-    ghfp_from_cocycle,
     matrix_of,
     multiplication_cocycle,
 )
