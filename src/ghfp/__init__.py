@@ -30,7 +30,6 @@ from .ghmatrix import (
     GHMatrix,
     gen_sylvester,
     is_gh,
-    kronecker_sum,
     matrix_of,
     normalize,
     sylvester,
@@ -42,12 +41,10 @@ from .groups import (
     abelian_invariants,
     additive_group_of,
     elementary_abelian,
-    group_descriptor,
 )
 from .monomial import (
     MonomialMatrix,
     automorphisms_from_star,
-    factor_monomial,
     is_matrix_automorphism,
     pair_for_codeword,
 )

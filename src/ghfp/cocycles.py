@@ -18,7 +18,7 @@ from .errors import (
     NotNormalized,
     OrderMismatch,
 )
-from .fields import Field, block_rows, row_histograms
+from .fields import Field, block_rows, largest_entry, row_histograms
 from .groups import Group, additive_group_of
 
 
@@ -26,7 +26,8 @@ class Cocycle:
     """A normalized cocycle stored as its v x v table of field encodings."""
 
     def __init__(self, group: Group, field: Field, table, check: str = "full"):
-        """check: "full" checks that G is a group (Group.check raises its
+        """check: "full" checks that every entry is in [0, q)
+        (FieldMismatch), that G is a group (Group.check raises its
         NotAGroup or NotAssociative), then the identity at G's generators;
         "theorem" records that the construction proves the identity (the
         proof is in each construction's docstring) and computes nothing;
@@ -45,6 +46,7 @@ class Cocycle:
         if table[0].any() or table[:, 0].any():
             raise NotNormalized("row 0 and column 0 must be identity")
         if check not in ("skip", "theorem"):
+            largest_entry(table, field.q, FieldMismatch)
             group.check()
             self._check_identity()
         self.checked = check != "skip" and group.is_group()

@@ -443,3 +443,14 @@ def block_rows(width: int) -> int:
     kernels use smaller blocks."""
     return max(1, (1 << 16) // width)
 
+
+def largest_entry(table, limit: int, error) -> int:
+    """The largest entry of an int64 table; error unless every one is in
+    [0, limit), as a gather by it would wrap a negative entry or fail on a
+    large one.  Read as uint64, a negative entry is at least 2^63, so one
+    max decides both bounds."""
+    hi = int(table.view(np.uint64).max())
+    if hi >= limit:
+        bad = int(table.min()) if hi >= 1 << 63 else hi
+        raise error(f"entry {bad} is outside [0, {limit})")
+    return hi

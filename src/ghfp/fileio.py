@@ -3,8 +3,11 @@
 Every format is line-oriented ASCII.  Field header lines read
     p=<p> m=<m> poly=<c_0>,<c_1>,...,<c_m>
 and elements are serialized as their integer encodings, unsigned ASCII
-decimal integers separated by spaces or tabs.  The Field of a header and the
-default group of an order are built once and shared, with read-only arrays.
+decimal integers separated by spaces or tabs.  A table body is written by
+gathering cached token words, one per entry, and parsed from the positions of
+its separators (the per-line loop only locates a ParseError).  The Field of a
+header and the default group of an order are built once and shared, with
+read-only arrays.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .cocycles import Cocycle, check_cocycle
-from .errors import ParseError
-from .fields import Field, integer_log
+from .errors import FieldMismatch, NotAGroup, ParseError
+from .fields import Field, integer_log, largest_entry
 from .ghmatrix import GHMatrix
 from .groups import Group, elementary_abelian
 
@@ -71,28 +74,34 @@ def _parse_v(line: str, lineno: int) -> int:
     return v
 
 
-# byte classes of a body: digits 0, and odd codes, so that two touching
-# non-digits share bit 0: space and tab 1, newline 3, any other byte 7
-_BYTE_CLASS = np.full(256, 7, dtype=np.uint8)
-_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = 0
-_BYTE_CLASS[[ord(" "), ord("\t")]] = 1
-_BYTE_CLASS[ord("\n")] = 3
-
-
 def _parse_rows(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
-    """The v x v table of the body lines, entries in [0, limit): by one
-    np.fromstring call when no two non-digits touch between newline sentinels
-    (so v - 1 separators make v tokens) and every value, saturated on
-    overflow, is in range; else by _parse_lines, which finds the ParseError.
+    """The v x v table of the body lines, entries in [0, limit).
+
+    The body is read from the positions of its non-digits (newline
+    sentinels around it) when it is plain: v^2 + 1 non-digits, each a space,
+    tab or newline, a newline after every v-th token, and tokens of 1 to 18
+    digits, so that int64 cannot overflow.  The values are then gathered
+    digit by digit back from the token ends.  Any other body, or a value out
+    of range, goes to _parse_lines, which finds the ParseError.
     """
-    body = ("\n" + "\n".join(lines) + "\n").encode("ascii", "replace")
-    cls = _BYTE_CLASS[np.frombuffer(body, dtype=np.uint8)]
-    if len(lines) == v and (cls < 7).all() and not (cls[1:] & cls[:-1]).any():
-        seps = np.add.reduceat(cls == 1, np.flatnonzero(cls == 3)[:-1],
-                               dtype=np.int64)
-        table = np.fromstring(body, dtype=np.int64, sep=" ")
-        if (seps == v - 1).all() and 0 <= table.min() and table.max() < limit:
-            return table.reshape(v, v)
+    body = np.frombuffer(("\n" + "\n".join(lines) + "\n").encode(
+        "ascii", "replace"), dtype=np.uint8)
+    digits = body - ord("0")  # a non-digit wraps to 10 or more
+    cut = np.flatnonzero(digits >= 10)
+    if len(cut) == v * v + 1:
+        sep, width = body[cut], np.diff(cut) - 1
+        newline = sep == ord("\n")
+        if (newline[::v].all() and np.count_nonzero(newline) == v + 1
+                and (newline | (sep == ord(" ")) | (sep == ord("\t"))).all()
+                and 1 <= width.min() and width.max() <= 18):
+            digits[cut] = 0  # a token's separator reads as leading zeros
+            ends = cut[1:]
+            table = digits[ends - 1].astype(np.int64)
+            for k in range(1, int(width.max())):
+                table += (digits[np.maximum(ends - 1 - k, cut[:-1])]
+                          * np.int64(10 ** k))
+            if table.max() < limit:
+                return table.reshape(v, v)
     return _parse_lines(lines, start_lineno, v, limit)
 
 
@@ -130,20 +139,46 @@ def _read_lines(path, lineno: Optional[int] = None):
     return [x[:-1] if x.endswith("\r") else x for x in lines]
 
 
-def _write_rows(path, header, table) -> None:
-    """The header lines, then one line of space-separated integers per row,
-    gathered from the decimal strings of lo..max and joined."""
-    lo = min(int(table.min()), 0)
-    decimal = np.array([str(x) for x in range(lo, int(table.max()) + 1)],
-                       dtype=object)
-    rows = map(" ".join, decimal[table - lo].tolist())
-    Path(path).write_text("\n".join([*header, *rows]) + "\n")
+def _file_bytes(header, table, limit: int, error) -> bytes:
+    """The header lines, then one line of space-separated integers per row;
+    error when an entry is outside [0, limit).
+
+    Each entry gathers its token word (_token_words) with one take, the
+    last of a row the word that ends in a newline; the words, viewed as
+    bytes, are the body once their NUL pad bytes are dropped."""
+    hi = largest_entry(table, limit, error)
+    spaced, ended = _token_words(hi)
+    words = spaced.take(table)
+    words[:, -1] = ended.take(table[:, -1])
+    body = words.view(np.uint8)
+    if hi > 9:  # tokens of more than one length: drop the pad bytes
+        body = body[body != 0]
+    return ("\n".join(header) + "\n").encode() + body.tobytes()
+
+
+@lru_cache(maxsize=16)
+def _token_words(hi: int):
+    """The tokens "<x> " and "<x>\\n" of x = 0..hi as read-only void words,
+    each left-aligned and NUL-padded in the narrowest power-of-two width
+    (2, 4, 8, ... bytes) that holds the longest, so that take moves each
+    word as one machine integer."""
+    size = 1 << len(str(hi)).bit_length()
+    spaced = np.arange(hi + 1).astype(f"S{size}").view(np.uint8)
+    spaced = spaced.reshape(hi + 1, size)
+    at = (np.arange(hi + 1), np.count_nonzero(spaced, axis=1))
+    ended = spaced.copy()
+    spaced[at], ended[at] = ord(" "), ord("\n")  # after the digits
+    words = tuple(w.view(("V", size)).ravel() for w in (spaced, ended))
+    for w in words:
+        w.setflags(write=False)
+    return words
 
 
 # -- .cay ------------------------------------------------------------------------
 
 def write_cay(path, group: Group) -> None:
-    _write_rows(path, ["cay 1", f"v={group.order}"], group.table)
+    Path(path).write_bytes(_file_bytes(["cay 1", f"v={group.order}"],
+                                       group.table, group.order, NotAGroup))
 
 
 def read_cay(path) -> Group:
@@ -163,18 +198,22 @@ def _parse_cay(lines) -> Group:
 
 def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
     """Without group_path, a group other than read_coc's default is written
-    beside the file as <stem>.cay and named in a group= line."""
+    beside the file as <stem>.cay and named in a group= line.  A table
+    entry outside the field writes no file."""
     path = Path(path)
-    lines = [field_header(psi.field), f"v={psi.v}"]
+    lines, cay = [field_header(psi.field), f"v={psi.v}"], None
     if group_path is None:
         default = _default_group(psi.v, psi.field.p)
         if default is None or not np.array_equal(default.table,
                                                  psi.group.table):
             group_path = path.with_suffix(".cay").name
-            write_cay(path.parent / group_path, psi.group)
+            cay = path.parent / group_path
     if group_path is not None:
         lines.append(f"group={group_path}")
-    _write_rows(path, lines, psi.table)
+    text = _file_bytes(lines, psi.table, psi.q, FieldMismatch)
+    if cay is not None:
+        write_cay(cay, psi.group)
+    path.write_bytes(text)
 
 
 def read_coc(path) -> Cocycle:
@@ -213,8 +252,9 @@ def _default_group(v: int, p: int) -> Optional[Group]:
 # -- .ghm ------------------------------------------------------------------------
 
 def write_ghm(path, matrix: GHMatrix) -> None:
-    _write_rows(path, ["ghm 1", field_header(matrix.field), f"v={matrix.v}"],
-                matrix.entries)
+    Path(path).write_bytes(_file_bytes(
+        ["ghm 1", field_header(matrix.field), f"v={matrix.v}"],
+        matrix.entries, matrix.q, FieldMismatch))
 
 
 def read_ghm(path) -> GHMatrix:

@@ -6,7 +6,7 @@ the entrywise difference multiset hits each field element exactly v/q times.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -302,32 +302,3 @@ def gen_sylvester_cocycle(p: int, m: int, k: int,
     # Z_p^(mk) in lex order does
     group = elementary_abelian(p, m * k)
     return Cocycle(group, field, entries, check="theorem")
-
-
-def kronecker_sum(H: GHMatrix,
-                  Bs: Union[GHMatrix, List[GHMatrix]]) -> GHMatrix:
-    """H (+) [B_1..B_v]: block (i, j) is h_ij + B_i, laid out row-major.
-
-    A single B is replicated for every block row (the H (+) B case).
-    """
-    if isinstance(Bs, GHMatrix):
-        Bs = [Bs] * H.v
-    if len(Bs) != H.v:
-        raise OrderMismatch(f"need {H.v} blocks, got {len(Bs)}")
-    vp = Bs[0].v
-    f = H.field
-    for B in Bs:
-        if B.field != f:
-            raise FieldMismatch("blocks must share H's field")
-        if B.v != vp:
-            raise OrderMismatch("blocks must share one order")
-    v = H.v
-    out = np.empty((v * vp, v * vp), dtype=np.int64)
-    for i in range(v):
-        blk = f.vadd(H.entries[i][:, None, None], Bs[i].entries[None, :, :])
-        out[i * vp:(i + 1) * vp, :] = blk.transpose(1, 0, 2).reshape(vp, v * vp)
-    group = None
-    if H.group is not None and all(B.group is Bs[0].group for B in Bs) \
-            and Bs[0].group is not None:
-        group = H.group.direct_product(Bs[0].group)
-    return GHMatrix(f, out, group=group)

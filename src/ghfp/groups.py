@@ -257,9 +257,10 @@ def _greedy_generators(t: np.ndarray) -> List[int]:
         reached[gens[-1]] = True
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            new = np.unique(t[np.ix_(gens, frontier)])
-            frontier = new[~reached[new]]
-            reached[frontier] = True
+            hit = np.zeros(len(t), dtype=bool)
+            hit[t[np.ix_(gens, frontier)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
     return gens
 
 
@@ -376,17 +377,3 @@ def _invariants(mul, n: int) -> List[int]:
         for k in range(1, len(c) - 1):
             out += [r ** k] * (2 * c[k] - c[k - 1] - c[k + 1])
     return sorted(out)
-
-
-def group_descriptor(group: Group) -> dict:
-    """Abelian invariants when abelian; order/exponent/center descriptor else."""
-    try:
-        inv = abelian_invariants(group)
-        return {"abelian": True, "invariants": inv, "order": group.order}
-    except NotAbelian as e:
-        return {
-            "abelian": False,
-            "order": e.order,
-            "exponent": e.exponent,
-            "center": e.center_size,
-        }

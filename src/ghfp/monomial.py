@@ -23,7 +23,6 @@ import numpy as np
 from .errors import AutomorphismCheckFailed, NotMonomial, OrderMismatch
 from .fields import Field, block_rows
 from .ghmatrix import GHMatrix
-from .groups import Perm
 from .propelinear import PropelinearCode
 
 # Entries per block of the automorphism kernels (64 KiB of int64 keys)
@@ -68,11 +67,6 @@ class MonomialMatrix:
         """phi(B) . M* additively: column j becomes B[:, perm[j]] - diag[j]."""
         return self.field.vsub(B[:, self.perm], self.diag[None, :])
 
-    def dense(self) -> np.ndarray:
-        out = np.full((self.n, self.n), -1, dtype=np.int64)
-        out[np.arange(self.n), self.perm] = self.diag
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, MonomialMatrix)
                 and np.array_equal(self.perm, other.perm)
@@ -80,28 +74,6 @@ class MonomialMatrix:
 
     def __repr__(self):
         return f"MonomialMatrix(n={self.n})"
-
-
-def factor_monomial(field: Field, raw: np.ndarray
-                    ) -> Tuple[np.ndarray, Perm, MonomialMatrix]:
-    """Unique D_M P_M factorization of a raw monomial matrix.
-
-    Returns (diagonal entries, permutation, the validated pair); raises
-    NotMonomial if any row or column has other than one K-entry.
-    """
-    raw = np.asarray(raw, dtype=np.int64)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise NotMonomial("matrix is not square")
-    n = raw.shape[0]
-    hits = raw >= 0
-    if not (hits.sum(axis=1) == 1).all() or not (hits.sum(axis=0) == 1).all():
-        raise NotMonomial("need exactly one K-entry per row and per column")
-    perm = np.argmax(hits, axis=1)
-    diag = raw[np.arange(n), perm]
-    M = MonomialMatrix(field, perm, diag)
-    if not (M.dense() == raw).all():
-        raise NotMonomial("reconstruction mismatch")
-    return diag, Perm(perm), M
 
 
 def is_matrix_automorphism(P: MonomialMatrix, Q: MonomialMatrix,

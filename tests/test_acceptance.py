@@ -24,7 +24,6 @@ from ghfp import (
     fh_intersection_profile,
     is_gh,
     is_orthogonal,
-    kronecker_sum,
     lift,
     matrix_of,
     multiplication_cocycle,
@@ -42,6 +41,7 @@ from ghfp.propelinear import regular_subgroup_check
 from ghfp.planar import planar_coboundary
 
 import paper_data
+from test_ghmatrix import kronecker_sum
 from test_propelinear import star
 
 

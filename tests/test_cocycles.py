@@ -212,6 +212,21 @@ def test_unnormalized_rejected(gf3):
         check_cocycle(t, elementary_abelian(3, 2), gf3)
 
 
+def test_entries_outside_the_field_are_refused(gf3):
+    """The full check refuses an entry below 0 or at least q before any
+    gather: a gather by -1 reads the encoding q - 1, so the order-9 table
+    with a 2 written as -1 passed the identity and held a verdict, and a 3
+    raised a bare IndexError."""
+    z9 = elementary_abelian(3, 2)
+    for bad, old in [(-1, 2), (3, 0), (10 ** 6, 1)]:
+        t = paper_data.H_ORDER9.copy()
+        r, c = (int(x[0]) for x in np.nonzero(t[1:, 1:] == old))
+        t[r + 1, c + 1] = bad
+        with pytest.raises(FieldMismatch, match=f"entry {bad} is outside"):
+            check_cocycle(t, z9, gf3)
+        assert Cocycle(z9, gf3, t, check="skip").checked is False
+
+
 def test_coboundary_of_zero_map_is_trivial(gf3):
     g = elementary_abelian(3, 2)
     psi = coboundary(np.zeros(9, dtype=np.int64), g, gf3)

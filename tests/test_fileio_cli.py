@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from ghfp import Field, elementary_abelian, matrix_of
+from ghfp import Field, Group, elementary_abelian, matrix_of
 from ghfp import fileio
 from ghfp.cli import consolidated_report, main
-from ghfp.errors import NotAGroup, ParseError
+from ghfp.errors import FieldMismatch, NotAGroup, ParseError
 from ghfp.fileio import (
     field_header,
     read_cay,
@@ -161,11 +161,11 @@ def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
     capsys.readouterr()
     psi = read_coc(tmp_path / "x.coc")
     assert (psi.table == read_ghm(tmp_path / "x.ghm").entries).all()
-    # byte for byte what " ".join(map(str, row)) gives
-    _assert_written_per_row(tmp_path / "x.coc", psi.table)
-    _assert_written_per_row(tmp_path / "x.ghm", psi.table)
+    # byte for byte what the string join gives
+    _assert_written_by_join(tmp_path / "x.coc", psi.table)
+    _assert_written_by_join(tmp_path / "x.ghm", psi.table)
     for cay in tmp_path.glob("*.cay"):
-        _assert_written_per_row(cay, read_cay(cay).table)
+        _assert_written_by_join(cay, read_cay(cay).table)
     if construction == "kronecker":
         left = read_coc(tmp_path / "s8.coc")
         assert (psi.group.table == left.group.direct_product(
@@ -826,8 +826,16 @@ def test_constructions_search_scan_and_check_nothing(monkeypatch,
 
 # -- the one-pass parse against the per-line loop -----------------------------
 
+@pytest.fixture(scope="module")
+def gf243_cocycle():
+    """The Sylvester cocycle of GF(3^5): order 243, tokens of 1 to 3 digits."""
+    from ghfp import multiplication_cocycle
+
+    return multiplication_cocycle(Field(3, 5))
+
+
 _FIXTURE_ORDERS = ["s3_cocycle", "order4_cocycle", "s8_cocycle", "s9_cocycle",
-                   "dphi43"]
+                   "dphi43", "gf243_cocycle"]
 _TOKEN_MUTATIONS = _NOT_DECIMAL + ["x", "99999999999999999999"]
 _MUTATIONS = ([f"token {x}" for x in _TOKEN_MUTATIONS]
               + ["good", "row short", "row long", "missing row", "extra row",
@@ -894,17 +902,22 @@ def test_one_pass_parse_matches_per_line_loop(tmp_path, monkeypatch, request,
                     == loop == psi.table.tolist()
 
 
-# -- the string-table writer against the per-row formatter --------------------
+# -- the token-word writer against the string join -------------------------
 
-def _per_row_text(header, table):
-    rows = (" ".join(map(str, row)) for row in table.tolist())
-    return "\n".join([*header, *rows]) + "\n"
+def join_text(header, table) -> bytes:
+    """The file text by the string join: the decimal strings of 0..max,
+    gathered per entry and joined with spaces and newlines (the writer's
+    oracle)."""
+    decimal = np.array([str(x) for x in range(int(table.max()) + 1)],
+                       dtype=object)
+    rows = map(" ".join, decimal[table].tolist())
+    return ("\n".join([*header, *rows]) + "\n").encode()
 
 
-def _assert_written_per_row(path, table):
-    text = path.read_text()
-    header = text.splitlines()[:-len(table)]
-    assert text == _per_row_text(header, table)
+def _assert_written_by_join(path, table):
+    text = path.read_bytes()
+    header = text.decode().splitlines()[:-len(table)]
+    assert text == join_text(header, table)
 
 
 def test_writer_matches_per_row_format_on_zeros_and_cay(tmp_path, gf3):
@@ -913,9 +926,88 @@ def test_writer_matches_per_row_format_on_zeros_and_cay(tmp_path, gf3):
 
     group = elementary_abelian(3, 2)
     write_coc(tmp_path / "zero.coc", trivial_cocycle(group, gf3))
-    _assert_written_per_row(tmp_path / "zero.coc", np.zeros((9, 9), int))
+    _assert_written_by_join(tmp_path / "zero.coc", np.zeros((9, 9), int))
     write_cay(tmp_path / "z9.cay", group)
-    _assert_written_per_row(tmp_path / "z9.cay", group.table)
+    _assert_written_by_join(tmp_path / "z9.cay", group.table)
+
+
+def test_writer_matches_the_join_at_every_token_width(tmp_path, s8_cocycle,
+                                                      dphi43):
+    """One-digit bodies (GF(8), and Z_2^8 over GF(4) with words of two
+    bytes) and mixed bodies of 1 to 3 digits (GF(3^5), GF(81)) and of 1 to
+    4 digits (a random matrix over GF(2^11), and the .cay of Z_2^10 read
+    in a random order): every file is the join's, byte for byte, and reads
+    back."""
+    from ghfp import GHMatrix, multiplication_cocycle, tensor
+
+    rng = np.random.default_rng(27)
+    gf4, gf2048 = Field(2, 2), Field(2, 11)
+    s4 = multiplication_cocycle(gf4)
+    z2_10 = elementary_abelian(2, 10)
+    img = np.concatenate(([0], 1 + rng.permutation(1023)))
+    relabeled = img[z2_10.table[np.argsort(img)][:, np.argsort(img)]]
+    for i, psi in enumerate([s8_cocycle, tensor(tensor(s4, s4), tensor(s4, s4)),
+                             multiplication_cocycle(Field(3, 5)), dphi43]):
+        write_coc(tmp_path / f"{i}.coc", psi)
+        _assert_written_by_join(tmp_path / f"{i}.coc", psi.table)
+        assert read_coc(tmp_path / f"{i}.coc") == psi
+    entries = rng.integers(0, 2048, size=(48, 48))
+    entries[:, -1] = rng.integers(1000, 2048, size=48)  # 4-digit row ends
+    write_ghm(tmp_path / "m.ghm", GHMatrix(gf2048, entries))
+    _assert_written_by_join(tmp_path / "m.ghm", entries)
+    assert (read_ghm(tmp_path / "m.ghm").entries == entries).all()
+    for name, table in [("z.cay", z2_10.table), ("r.cay", relabeled)]:
+        write_cay(tmp_path / name, Group(table))
+        _assert_written_by_join(tmp_path / name, table)
+        assert (read_cay(tmp_path / name).table == table).all()
+
+
+def test_entries_outside_the_field_write_no_file(tmp_path, gf3, s9_cocycle):
+    """A table entry below 0 or at least q (for a .cay, v) raises the
+    library's error and writes nothing, not even the .cay of a relabeled
+    group: a gather by -1 would write the token of q - 1, and the join
+    wrote "-1", which read_coc refuses."""
+    from ghfp import Cocycle, GHMatrix
+
+    z9 = elementary_abelian(3, 2)
+    img = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
+    swapped = Group(img[z9.table[img][:, img]])
+    for bad in (-1, 3):
+        table = s9_cocycle.table.copy()
+        table[4, 5] = bad
+        for group in (z9, swapped):
+            with pytest.raises(FieldMismatch, match=f"entry {bad} is outside"):
+                write_coc(tmp_path / "bad.coc",
+                          Cocycle(group, gf3, table, check="skip"))
+        with pytest.raises(FieldMismatch):
+            write_ghm(tmp_path / "bad.ghm", GHMatrix(gf3, table))
+    for bad in (-1, 9):
+        table = np.array(z9.table)
+        table[4, 5] = bad
+        with pytest.raises(NotAGroup, match=f"entry {bad} is outside"):
+            write_cay(tmp_path / "bad.cay", Group(table, check=False))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parse_rows_reads_tokens_of_up_to_18_digits(monkeypatch):
+    """A token of 18 digits is read by the separator pass itself, exactly;
+    one of 19 digits, which could overflow int64, goes to the per-line
+    loop, which reads the same value."""
+    loop = fileio._parse_lines
+    cases = [("0" * 17 + "7", 7, 8, False),
+             ("9" * 18, 10 ** 18 - 1, 10 ** 18, False),
+             ("0" * 18 + "7", 7, 8, True)]
+    for token, value, limit, through_loop in cases:
+        calls = []
+        monkeypatch.setattr(fileio, "_parse_lines",
+                            lambda *a: calls.append(a) or loop(*a))
+        table = fileio._parse_rows([f"0 {token}", "1\t0"], 1, 2, limit)
+        assert table.tolist() == [[0, value], [1, 0]]
+        assert table.dtype == np.int64 and bool(calls) == through_loop
+    # the largest 18-digit value out of range is the loop's ParseError
+    with pytest.raises(ParseError, match="out of range") as err:
+        fileio._parse_rows(["0 " + "9" * 18, "1 0"], 5, 2, 10 ** 18 - 1)
+    assert err.value.line == 5
 
 
 # -- the shared Field and default group ---------------------------------------

@@ -7,7 +7,6 @@ from ghfp import (
     elementary_abelian,
     gen_sylvester,
     is_gh,
-    kronecker_sum,
     matrix_of,
     normalize,
     sylvester,
@@ -109,6 +108,34 @@ def test_transpose_is_gh(gf3, gf4):
 def test_transpose_of_normalized_planar_is_gh(dphi43):
     m = matrix_of(dphi43)
     assert is_gh(transpose(m))[0]
+
+
+def kronecker_sum(H: GHMatrix, Bs) -> GHMatrix:
+    """H (+) [B_1..B_v]: block (i, j) is h_ij + B_i, laid out row-major.
+
+    A single B is replicated for every block row (the H (+) B case).
+    """
+    if isinstance(Bs, GHMatrix):
+        Bs = [Bs] * H.v
+    if len(Bs) != H.v:
+        raise OrderMismatch(f"need {H.v} blocks, got {len(Bs)}")
+    vp = Bs[0].v
+    f = H.field
+    for B in Bs:
+        if B.field != f:
+            raise FieldMismatch("blocks must share H's field")
+        if B.v != vp:
+            raise OrderMismatch("blocks must share one order")
+    v = H.v
+    out = np.empty((v * vp, v * vp), dtype=np.int64)
+    for i in range(v):
+        blk = f.vadd(H.entries[i][:, None, None], Bs[i].entries[None, :, :])
+        out[i * vp:(i + 1) * vp, :] = blk.transpose(1, 0, 2).reshape(vp, v * vp)
+    group = None
+    if H.group is not None and all(B.group is Bs[0].group for B in Bs) \
+            and Bs[0].group is not None:
+        group = H.group.direct_product(Bs[0].group)
+    return GHMatrix(f, out, group=group)
 
 
 def test_kronecker_sum_recursion(gf3):

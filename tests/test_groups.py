@@ -7,7 +7,6 @@ from ghfp import (
     abelian_invariants,
     additive_group_of,
     elementary_abelian,
-    group_descriptor,
 )
 from ghfp.errors import (
     LengthMismatch,
@@ -116,6 +115,37 @@ def test_generators_generate():
             reached.update(frontier)
         assert reached == set(range(g.order))
     assert elementary_abelian(3, 4).generators() == [1, 3, 9, 27]
+
+
+def unique_closure_generators(t):
+    """The greedy generating set with each frontier's products deduplicated
+    by np.unique: the oracle of _greedy_generators' bool-array marks."""
+    gens, reached = [], np.zeros(len(t), dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = np.unique(t[np.ix_(gens, frontier)])
+            frontier = new[~reached[new]]
+            reached[frontier] = True
+    return gens
+
+
+def test_greedy_generators_match_the_unique_closure(loop5):
+    """Relabeled Z_2^8 and Z_3^5 (the .cay groups of the benchmark), S_3,
+    S_3 x Z_2^2 and a loop, which is no group."""
+    rng = np.random.default_rng(8)
+    tables = [Group(s3_table()).table, loop5,
+              Group(s3_table()).direct_product(elementary_abelian(2, 2)).table]
+    for p, k in [(2, 8), (3, 5), (2, 3)]:
+        g = elementary_abelian(p, k)
+        for _ in range(3):
+            img = np.concatenate(([0], 1 + rng.permutation(g.order - 1)))
+            tables.append(relabel(g, Perm(img)).table)
+    for t in tables:
+        assert _greedy_generators(t) == unique_closure_generators(t)
 
 
 def test_loop_is_not_associative(loop5):
@@ -350,6 +380,20 @@ def test_invariants_and_exponent_of_cyclic_products():
             [order_of(g, a) for a in range(g.order)]), ns
     s3_x_z2z2 = Group(s3_table()).direct_product(elementary_abelian(2, 2))
     assert s3_x_z2z2.exponent == 6
+
+
+def group_descriptor(group: Group) -> dict:
+    """Abelian invariants when abelian; order/exponent/center descriptor else."""
+    try:
+        inv = abelian_invariants(group)
+        return {"abelian": True, "invariants": inv, "order": group.order}
+    except NotAbelian as e:
+        return {
+            "abelian": False,
+            "order": e.order,
+            "exponent": e.exponent,
+            "center": e.center_size,
+        }
 
 
 def test_nonabelian_descriptor():

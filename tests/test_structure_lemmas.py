@@ -64,7 +64,7 @@ def test_sylvester_power_rank_kernel_ladder(gf3):
 
 def test_adding_a_sylvester_factor_keeps_nonlinearity(gf81, dphi43):
     """S_q (+) H with H nonlinear: rank grows by 1, kernel becomes 2."""
-    from ghfp import kronecker_sum
+    from test_ghmatrix import kronecker_sum
 
     sq = matrix_of(multiplication_cocycle(gf81))
     h = matrix_of(dphi43)
