@@ -98,8 +98,10 @@ def _parse_rows(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
             ends = cut[1:]
             table = digits[ends - 1].astype(np.int64)
             for k in range(1, int(width.max())):
-                table += (digits[np.maximum(ends - 1 - k, cut[:-1])]
-                          * np.int64(10 ** k))
+                # multiplied in int64: a uint8 product would wrap at 10^2
+                # wherever a scalar is cast by its value (NumPy 1.x)
+                at = np.maximum(ends - 1 - k, cut[:-1])
+                table += np.multiply(digits[at], 10 ** k, dtype=np.int64)
             if table.max() < limit:
                 return table.reshape(v, v)
     return _parse_lines(lines, start_lineno, v, limit)
@@ -146,14 +148,11 @@ def _file_bytes(header, table, limit: int, error) -> bytes:
     Each entry gathers its token word (_token_words) with one take, the
     last of a row the word that ends in a newline; the words, viewed as
     bytes, are the body once their NUL pad bytes are dropped."""
-    hi = largest_entry(table, limit, error)
-    spaced, ended = _token_words(hi)
+    spaced, ended = _token_words(largest_entry(table, limit, error))
     words = spaced.take(table)
     words[:, -1] = ended.take(table[:, -1])
     body = words.view(np.uint8)
-    if hi > 9:  # tokens of more than one length: drop the pad bytes
-        body = body[body != 0]
-    return ("\n".join(header) + "\n").encode() + body.tobytes()
+    return ("\n".join(header) + "\n").encode() + body[body != 0].tobytes()
 
 
 @lru_cache(maxsize=16)
