@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cocycles import Cocycle
+from .cocycles import Cocycle, is_orthogonal
 from .errors import NotAbelian, NotNormal, SizeMismatch
 from .fields import integer_log, row_histograms
 from .groups import _exponent, _invariants
@@ -143,25 +143,19 @@ def is_relative_difference_set(R: List[Pair], E: ExtensionGroup,
 
 
 def transversal_rds_check(psi: Cocycle) -> Tuple[bool, Tuple[int, int, int, int]]:
-    """Fast path: is T(psi) a relative (v, q, v, v/q)-difference set in E_psi
-    with forbidden subgroup U x {1}?  Vectorized over all ordered pairs."""
-    E = ExtensionGroup(psi)
-    f, gt, t, v, q = E.field, E.group.table, E.psi.table, E.v, E.q
+    """Is T(psi) = {(0, g)} a relative (v, q, v, v/q)-difference set in
+    E_psi, forbidden subgroup U x {1}?  Exactly when psi is orthogonal; a psi
+    without a verdict is first checked in full, as PropelinearCode does.
+    Proof: (0,g)(0,h)^-1 = (psi(g,h^-1) - psi(h,h^-1), x) with x = gh^-1,
+    and the identity at (x, h, h^-1) makes its first part -psi(x,h).  So
+    the quotient (u, x), x != 1, comes as often as row x of psi hits -u,
+    and x = 1 only from the excluded g = h."""
+    v, q = psi.v, psi.q
     if v % q:
         return False, (v, q, v, 0)
-    lam = v // q
-    inv = E.group.inv
-    # (0,g)(0,h)^-1 = (psi(g, h^-1) - psi(h, h^-1), g h^-1)
-    upart = f.vsub(t[:, inv], t[np.arange(v), inv][None, :])
-    spart = gt[:, inv]
-    mask = ~np.eye(v, dtype=bool)
-    keys = (upart.astype(np.int64) * v + spart)[mask]
-    counts = np.bincount(keys, minlength=q * v)
-    # forbidden subgroup keys are u*v + 0: zero hits there, lam everywhere else
-    in_z = np.zeros(q * v, dtype=bool)
-    in_z[np.arange(q) * v] = True
-    ok = bool((counts[in_z] == 0).all() and (counts[~in_z] == lam).all())
-    return ok, (v, q, v, lam)
+    if not psi.checked:
+        psi = Cocycle(psi.group, psi.field, psi.table)
+    return is_orthogonal(psi)[0], (v, q, v, v // q)
 
 
 def fh_intersection_profile(P: PropelinearCode) -> Dict[str, object]:

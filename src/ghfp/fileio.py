@@ -7,12 +7,14 @@ decimal integers separated by spaces or tabs.  A table body is written by
 gathering cached token words, one per entry, and parsed from the positions of
 its separators (the per-line loop only locates a ParseError).  The Field of a
 header and the default group of an order are built once and shared, with
-read-only arrays.
+read-only arrays; so is the Group of a group file's exact bytes, decided once
+while some caller holds it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -46,6 +48,9 @@ def parse_field_header(line: str, lineno: int) -> Field:
 
 # shared by every file with the header; bounded: GF(3^7)'s add table is 38 MB
 _field = lru_cache(maxsize=32)(Field)
+# the Group of each group file read, by its exact bytes, while some caller
+# holds it; a file that fails to parse or check stores nothing
+_groups = weakref.WeakValueDictionary()
 
 
 def _expect(cond: bool, msg: str, lineno: int, column: Optional[int] = None):
@@ -125,15 +130,24 @@ def _parse_lines(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _read_lines(path, lineno: Optional[int] = None):
-    """The lines of a UTF-8 text file, split at line feeds only (no other
-    Unicode line break), each without a trailing carriage return.  A file
-    that cannot be opened or decoded, or whose name holds a NUL byte, is a
-    ParseError, at lineno when another file's line named it; the message
-    quotes the path with repr, so no control byte of a name reaches it."""
+def _read_bytes(path, lineno: Optional[int] = None) -> bytes:
+    """A file's bytes.  A file that cannot be opened, or whose name holds a
+    NUL byte, is a ParseError, at lineno when another file's line named it;
+    the message quotes the path with repr, so no control byte reaches it."""
     try:
-        lines = Path(path).read_bytes().decode().split("\n")
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, NUL in name
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as e:  # ValueError: NUL in name
+        raise ParseError(f"cannot read {str(path)!r} ({e})",
+                         line=lineno) from None
+
+
+def _decode_lines(data: bytes, path, lineno: Optional[int] = None):
+    """The lines of UTF-8 text, split at line feeds only (no other Unicode
+    line break), each without a trailing carriage return; text that is not
+    UTF-8 is a ParseError, as in _read_bytes."""
+    try:
+        lines = data.decode().split("\n")
+    except ValueError as e:
         raise ParseError(f"cannot read {str(path)!r} ({e})",
                          line=lineno) from None
     if lines[-1] == "":  # the final newline ends the last line
@@ -181,15 +195,21 @@ def write_cay(path, group: Group) -> None:
 
 
 def read_cay(path) -> Group:
-    return _parse_cay(_read_lines(path))
+    return _read_group(path)
 
 
-def _parse_cay(lines) -> Group:
-    _expect(len(lines) >= 2 and lines[0].strip(" \t") == "cay 1",
-            "missing 'cay 1' magic", 1)
-    v = _parse_v(lines[1], 2)
-    group = Group(_parse_rows(lines[2:2 + v], 3, v, v), check=False)
-    group.check()
+def _read_group(path, lineno: Optional[int] = None) -> Group:
+    """The checked group of a .cay file, parsed once per content while held;
+    a file that cannot be read is a ParseError at lineno (_read_bytes)."""
+    data = _read_bytes(path, lineno)
+    if (group := _groups.get(data)) is None:
+        lines = _decode_lines(data, path, lineno)
+        _expect(len(lines) >= 2 and lines[0].strip(" \t") == "cay 1",
+                "missing 'cay 1' magic", 1)
+        v = _parse_v(lines[1], 2)
+        group = Group(_parse_rows(lines[2:2 + v], 3, v, v), check=False)
+        group.check()
+        _groups[data] = group
     return group
 
 
@@ -217,14 +237,14 @@ def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
 
 def read_coc(path) -> Cocycle:
     path = Path(path)
-    lines = _read_lines(path)
+    lines = _decode_lines(_read_bytes(path), path)
     _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
     field = parse_field_header(lines[0], 1)
     v = _parse_v(lines[1], 2)
     row_start, group = 2, None
     if len(lines) > 2 and lines[2].startswith("group="):
         cay = path.parent / lines[2][len("group="):]
-        group = _parse_cay(_read_lines(cay, 3))
+        group = _read_group(cay, 3)
         row_start = 3
     # the rows first: a short file claiming a large v builds no Z_p^k
     table = _parse_rows(lines[row_start:row_start + v], row_start + 1, v, field.q)
@@ -260,7 +280,7 @@ def read_ghm(path) -> GHMatrix:
     """The matrix over read_coc's default group Z_p^k (None when v is no
     power of p).  The group is a proposal: GHMatrix.cocycle() checks the
     identity in full, once, and a table that fails it reads as bare."""
-    lines = _read_lines(path)
+    lines = _decode_lines(_read_bytes(path), path)
     _expect(len(lines) >= 3 and lines[0].strip(" \t") == "ghm 1",
             "missing 'ghm 1' magic", 1)
     field = parse_field_header(lines[1], 2)

@@ -20,7 +20,7 @@ from .errors import (
     NotSquare,
     OrderMismatch,
 )
-from .fields import Field, base_digits, block_rows, is_prime
+from .fields import Field, base_digits, block_rows, is_prime, largest_entry
 from .groups import Group, elementary_abelian
 
 
@@ -154,9 +154,10 @@ def is_gh(matrix: GHMatrix) -> Tuple[bool, Optional[Witness]]:
     Otherwise a small field against v is decided by characters
     (_unbalanced_rows), which mark the rows of the failing pairs: the least
     marked row is row i of the first failing pair, and its scan names the
-    witness.  Any other matrix scans every row.
-    """
+    witness.  Any other matrix scans every row.  An entry outside [0, q)
+    raises FieldMismatch."""
     v, q = matrix.v, matrix.q
+    largest_entry(matrix.entries, q, FieldMismatch)
     if v % q:
         raise DivisibilityViolated(f"q={q} does not divide order v={v}")
     lam = v // q

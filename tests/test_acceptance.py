@@ -41,6 +41,7 @@ from ghfp.propelinear import regular_subgroup_check
 from ghfp.planar import planar_coboundary
 
 import paper_data
+from test_extension import transversal_rds_oracle
 from test_ghmatrix import kronecker_sum
 from test_propelinear import star
 
@@ -189,7 +190,9 @@ def test_criterion_6_equivalence_suite():
             orth, _ = is_orthogonal(psi)
             gh, _ = is_gh(matrix_of(psi))
             rds, _ = transversal_rds_check(psi)
-            assert orth == gh == rds, (name, orth, gh, rds)
+            # the RDS column counted in pair coordinates, not by the theorem
+            oracle = transversal_rds_oracle(psi)
+            assert orth == gh == rds == oracle, (name, orth, gh, rds, oracle)
             agree[name] = orth
         assert agree["trivial"] is False
         assert agree["lift(s3) x dphi43"] is False

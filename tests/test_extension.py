@@ -13,11 +13,14 @@ from ghfp import (
     fh_intersection_profile,
     is_orthogonal,
     is_relative_difference_set,
+    lift,
+    tensor,
     transversal_rds_check,
     trivial_cocycle,
 )
 from ghfp import extension
-from ghfp.errors import NotAbelian, NotAGroup, NotNormal
+from ghfp.errors import (CocycleIdentityViolated, NotAbelian, NotAGroup,
+                         NotAssociative, NotNormal)
 from ghfp.groups import _invariants, abelian_invariants, elementary_abelian
 
 import paper_data
@@ -219,26 +222,97 @@ def test_label_table_matches_pair_product(gf3, order4_cocycle, s9_cocycle):
                 assert table[u * v + g, w * v + h] == k * v + x
 
 
-def test_transversal_rds_on_corpus(corpus):
-    """Theorem: orthogonal iff the transversal is a relative difference set."""
-    for name, psi in corpus.items():
-        if psi.v == 1 or psi.v % psi.q:
-            continue
-        orth, _ = is_orthogonal(psi)
+def transversal_rds_oracle(psi: Cocycle) -> bool:
+    """Test oracle: is T(psi) a relative (v, q, v, v/q)-difference set in
+    E_psi, forbidden subgroup U x {1}?  Counts the quotient of every ordered
+    pair of distinct (0, g), (0, h) in pair coordinates, (0,g)(0,h)^-1 =
+    (psi(g, h^-1) - psi(h, h^-1), g h^-1), by its label u*v + gh^-1; it uses
+    G's inverse map, and neither the cocycle identity nor orthogonality."""
+    f, gt, t, v, q = psi.field, psi.group.table, psi.table, psi.v, psi.q
+    if v % q:
+        return False
+    inv = psi.group.inv
+    upart = f.vsub(t[:, inv], t[np.arange(v), inv][None, :])
+    spart = gt[:, inv]
+    mask = ~np.eye(v, dtype=bool)
+    keys = (upart.astype(np.int64) * v + spart)[mask]
+    counts = np.bincount(keys, minlength=q * v)
+    # forbidden subgroup keys are u*v + 0: zero hits there, v/q elsewhere
+    in_z = np.zeros(q * v, dtype=bool)
+    in_z[np.arange(q) * v] = True
+    return bool((counts[in_z] == 0).all() and (counts[~in_z] == v // q).all())
+
+
+@pytest.fixture(scope="module")
+def rds_cases(corpus, s3_cocycle, s9_cocycle, gf3, gf81):
+    """The corpus, and cocycles that hold a verdict without being
+    orthogonal: trivial ones (also over S_3, which is not abelian), lifts
+    into GF(9) and GF(81), and a coboundary over S_3."""
+    gf9, s3 = Field(3, 2), Group(s3_table())
+    phi = np.concatenate(([0], np.random.default_rng(5).integers(0, 3, 5)))
+    return {**corpus,
+            "trivial_z3^2": trivial_cocycle(elementary_abelian(3, 2), gf3),
+            "trivial_s3": trivial_cocycle(s3, gf3),
+            "lift(s9, gf9)": lift(s9_cocycle, gf9),
+            "lift(s3, gf81)": lift(s3_cocycle, gf81),
+            "lift(s3, gf9)^2": tensor(lift(s3_cocycle, gf9),
+                                         lift(s3_cocycle, gf9)),
+            "cob_s3": coboundary(phi, s3, gf3)}
+
+
+def test_transversal_rds_on_corpus(rds_cases):
+    """Theorem: orthogonal iff the transversal is a relative difference
+    set; the pair-coordinate oracle agrees on every case, and the params
+    are (v, q, v, v/q), or lambda 0 when q does not divide v."""
+    seen = set()
+    for name, psi in rds_cases.items():
+        assert psi.checked, name
+        v, q = psi.v, psi.q
         rds_ok, params = transversal_rds_check(psi)
-        assert rds_ok == orth, name
-        assert params == (psi.v, psi.q, psi.v, psi.v // psi.q), name
+        assert rds_ok == transversal_rds_oracle(psi), name
+        assert params == (v, q, v, 0 if v % q else v // q), name
+        if not v % q:
+            assert rds_ok == is_orthogonal(psi)[0], name
+        seen.add(rds_ok)
+    assert seen == {True, False}
+    assert not transversal_rds_check(rds_cases["lift(s9, gf9)"])[0]
 
 
-def test_transversal_rds_against_general_checker(order4_cocycle, s9_cocycle):
-    for psi in (order4_cocycle, s9_cocycle):
+def test_transversal_rds_against_general_checker(rds_cases):
+    """The quotient-multiset checker agrees with the theorem wherever E_psi
+    is small."""
+    checked = 0
+    for name, psi in rds_cases.items():
         E = ExtensionGroup(psi)
+        if E.order > 100 or psi.v % psi.q:
+            continue
         ok, summary = is_relative_difference_set(
             transversal(E), E, coefficients(E), psi.v // psi.q)
-        assert ok
         assert summary["quotients"] == psi.v * (psi.v - 1)
-        fast, _ = transversal_rds_check(psi)
-        assert fast == ok
+        assert transversal_rds_check(psi)[0] == ok, name
+        checked += 1
+    assert checked >= 6
+
+
+def test_transversal_rds_refuses_a_table_without_a_verdict(
+        non_cocycles, loop_tables, s9_cocycle):
+    """A check="skip" table is checked in full once: a non-cocycle is
+    refused with the identity's witness, a table over a loop with the
+    loop's, and a cocycle read with check="skip" gets its answer."""
+    for name, psi in non_cocycles.items():
+        with pytest.raises(CocycleIdentityViolated) as refused:
+            transversal_rds_check(psi)
+        g, h, k = refused.value.triple
+        t, gt, f = psi.table, psi.group.table, psi.field
+        assert f.add(int(t[g, h]), int(t[gt[g, h], k])) != \
+            f.add(int(t[g, gt[h, k]]), int(t[h, k])), name
+    loop, table = loop_tables["L8"]
+    with pytest.raises(NotAssociative):
+        transversal_rds_check(Cocycle(Group(loop), Field(2, 1), table,
+                                      check="skip"))
+    skipped = Cocycle(s9_cocycle.group, s9_cocycle.field, s9_cocycle.table,
+                      check="skip")
+    assert transversal_rds_check(skipped) == (True, (9, 3, 9, 3))
 
 
 def test_rds_counting_identity(s9_cocycle):
@@ -251,7 +325,7 @@ def test_rds_counting_identity(s9_cocycle):
 def test_trivial_cocycle_transversal_fails(gf3):
     psi = trivial_cocycle(elementary_abelian(3, 1), gf3)
     ok, _ = transversal_rds_check(psi)
-    assert not ok
+    assert not ok and not transversal_rds_oracle(psi)
 
 
 def test_general_rds_rejects_non_subgroup(s9_cocycle):

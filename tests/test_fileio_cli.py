@@ -71,6 +71,50 @@ def test_coc_roundtrip_explicit_group(tmp_path, s8_cocycle):
     assert (psi.group.table == s8_cocycle.group.table).all()
 
 
+def test_a_group_file_is_shared_by_its_bytes_while_held(tmp_path,
+                                                        s8_cocycle):
+    """read_cay and a .coc's group= line give one Group per exact content
+    while a caller holds it: a copy of the file, and two .coc files naming
+    one .cay, share it; an edit of one byte is read afresh; a file that
+    fails stores nothing, and the table empties once the Group is dropped."""
+    import gc
+
+    gc.collect()  # groups of earlier tests that only a cycle still holds
+    cay = tmp_path / "f8add.cay"
+    write_cay(cay, s8_cocycle.group)
+    good = cay.read_bytes()
+    (tmp_path / "copy.cay").write_bytes(good)
+    for name in ("a.coc", "b.coc"):
+        write_coc(tmp_path / name, s8_cocycle, group_path=cay.name)
+    group = read_cay(cay)
+    assert read_cay(tmp_path / "copy.cay") is group
+    a, b = read_coc(tmp_path / "a.coc"), read_coc(tmp_path / "b.coc")
+    assert a.group is group and b.group is group
+    assert (group.table == s8_cocycle.group.table).all()
+
+    tabbed = good.replace(b"0 1", b"0\t1", 1)  # one byte, the same table
+    cay.write_bytes(tabbed)
+    fresh = read_cay(cay)
+    assert fresh is not group and (fresh.table == group.table).all()
+    assert read_coc(tmp_path / "a.coc").group is fresh
+    assert read_cay(tmp_path / "copy.cay") is group
+
+    at = good.index(b"\n2 ") + 1  # the first entry of row 2
+    for byte, error in ((b"x", ParseError), (b"3", NotAGroup)):
+        cay.write_bytes(good[:at] + byte + good[at + 1:])
+        for _ in range(2):
+            with pytest.raises(error):
+                read_cay(cay)
+            with pytest.raises(error):
+                read_coc(tmp_path / "a.coc")
+        assert cay.read_bytes() not in fileio._groups
+    assert len(fileio._groups) == 2
+
+    del group, fresh, a, b
+    gc.collect()
+    assert len(fileio._groups) == 0
+
+
 def test_read_cay_rejects_a_loop(tmp_path, loop5):
     path = tmp_path / "loop.cay"
     path.write_text("cay 1\nv=5\n"
@@ -872,7 +916,7 @@ def _mutated_body(tmp_path, table, mutation, rng):
         text += end
     path = tmp_path / "body.txt"
     path.write_bytes(text.encode())
-    return fileio._read_lines(path)[:len(table)]
+    return fileio._decode_lines(path.read_bytes(), path)[:len(table)]
 
 
 def _outcome(parse, lines, v, limit):

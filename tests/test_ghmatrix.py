@@ -31,6 +31,18 @@ def test_divisibility_gate(gf4):
         is_gh(GHMatrix(gf4, np.zeros((3, 3), dtype=np.int64)))
 
 
+@pytest.mark.parametrize("entry", [-1, 5])
+def test_entry_outside_the_field_is_a_field_mismatch(gf3, entry):
+    """An entry outside [0, q) is refused by is_gh: -1 would die in the
+    bincount with numpy's own ValueError, and 5 would read as a count of
+    a value 5 and give a false witness."""
+    t = sylvester(gf3).entries.copy()
+    t[1, 2] = entry
+    for group in (None, elementary_abelian(3, 1)):
+        with pytest.raises(FieldMismatch, match=f"entry {entry} is outside"):
+            is_gh(GHMatrix(gf3, t, group=group))
+
+
 def test_corrupted_entry_names_row_pair(gf3):
     t = paper_data.H_ORDER9.copy()
     t[4, 4] = 0
