@@ -22,6 +22,13 @@ from .fields import Field, block_rows, largest_entry, row_histograms
 from .groups import Group, additive_group_of
 
 
+# (|S| - 1) v^2 from which Cocycle decides the identity on G's Cayley tree:
+# the tree check makes about v^2 comparisons where the generator scan makes
+# |S| v^2, but its relator checks cost about 0.1 ms of fixed calls, more
+# than the whole scan below this (measured in CHANGES.md).
+MIN_TREE_WORK = 1 << 17
+
+
 class Cocycle:
     """A normalized cocycle stored as its v x v table of field encodings."""
 
@@ -67,22 +74,24 @@ class Cocycle:
         for every g once it does for the generators.
 
         The table is packed in base-p lanes once (Field._lanes), so each side
-        is one lane add with no table gather; packed words are equal exactly
-        when the encodings are.  Row blocks of block_rows(v), and the first
-        failing (h, k) of the first failing block is read with one argmax.
+        is one lane add; packed words are equal exactly when the encodings
+        are.  When G has a Cayley tree (Group.cayley_tree) and (|S| - 1) v^2
+        reaches MIN_TREE_WORK, the generators are decided on the tree and
+        the relators (_identity_on_tree), about v^2 entries in all.
+        Otherwise, or when that check fails, the generator scan
+        (_identity_scan) names the witness, as it did before the tree.
         """
-        lanes, gt, v = self.field._lanes, self.group.table, self.v
+        lanes, group, v = self.field._lanes, self.group, self.v
         t = lanes.pack.take(self.table)
-        step = block_rows(v)
-        for g in self.group.generators():
-            tg = t[g]
-            for h0 in range(0, v, step):
-                b = slice(h0, h0 + step)
-                bad = (lanes.add(tg[b, None], t[gt[g, b]])
-                       != lanes.add(tg[gt[b]], t[b]))
-                if bad.any():
-                    h, k = divmod(int(bad.argmax()), v)
-                    raise CocycleIdentityViolated(g, h0 + h, k)
+        gens = group.generators()
+        if (len(gens) - 1) * v * v >= MIN_TREE_WORK:
+            tree = group.cayley_tree()
+            if tree is not None and _identity_on_tree(lanes, t, group.table,
+                                                      tree):
+                return
+        witness = _identity_scan(lanes, t, group.table, gens)
+        if witness is not None:
+            raise CocycleIdentityViolated(*witness)
 
     @property
     def q(self) -> int:
@@ -96,6 +105,77 @@ class Cocycle:
 
     def __repr__(self):
         return f"Cocycle(v={self.v}, q={self.q})"
+
+
+def _identity_scan(lanes, t, gt, gens) -> Optional[Tuple[int, int, int]]:
+    """The first (g, h, k), g in gens, where the identity fails on the
+    packed table t over the group table gt, or None: each generator in
+    turn, in row blocks of block_rows(v), and the first failing (h, k) of
+    the first failing block read with one argmax."""
+    v = len(t)
+    step = block_rows(v)
+    for g in gens:
+        tg = t[g]
+        for h0 in range(0, v, step):
+            b = slice(h0, h0 + step)
+            bad = (lanes.add(tg[b, None], t[gt[g, b]])
+                   != lanes.add(tg[gt[b]], t[b]))
+            if bad.any():
+                h, k = divmod(int(bad.argmax()), v)
+                return g, h0 + h, k
+    return None
+
+
+def _identity_on_tree(lanes, t, gt, tree) -> bool:
+    """Whether the identity holds at every generator, decided on the Cayley
+    tree (order, levels) of G = prod Z_{o_s} (Group.cayley_tree) for the
+    packed table t over the group table gt.
+
+    It checks the identity at (s, h', k) on the v - 1 tree edges h = s h'
+    only, for all k, and then the relators: C(x) = psi(t,x) + psi(s,tx) -
+    psi(s,x) - psi(t,sx) and F_s(x) = sum_{a < o_s} psi(s, s^a x) must each
+    be constant in x, for all generators s and t.  F_s is checked only when
+    p, the field's characteristic, does not divide o_s: summing C over the
+    orbit of x under s gives F_s(tx) - F_s(x) = o_s C, zero when p divides
+    o_s, and F_s(sx) = F_s(x), so F_s is constant; over a p-group of
+    characteristic p no F_s is checked.
+    Proof: for a column k,
+    the identity at (s, h, k) says that u(h) = psi(h,k) is a potential for
+    the labels w_s(h) = psi(s,hk) - psi(s,h) on the edges h -> sh, as
+    u(sh) - u(h) = w_s(h).  Around the relator cycle of s^{o_s} at x the
+    labels sum to F_s(xk) - F_s(x), and around that of st = ts at x to the
+    commutator's value at xk minus its value at x; these cycles at every
+    base point generate every closed walk of the Cayley graph, as the
+    relators present G.  So the labels have a potential, zero at 1; it
+    equals u, which is zero at 1, along the tree, hence everywhere, and the
+    identity holds at (s, h, k) for every s and h.  The cost is v^2 entries
+    plus at most (sum o_s + |S|^2) v, against |S| v^2 for the scan."""
+    order, levels = tree
+    v = len(t)
+    S = np.array([s for s, _, _ in levels], dtype=np.int64)
+    T, GS = t[S], gt[S]
+    L = lanes.add(T, T[:, GS])  # [i, j, x]: psi(s_j, x) + psi(s_i, s_j x)
+    Lt = L.transpose(1, 0, 2)
+    if (lanes.add(L, Lt[:, :, :1]) != lanes.add(Lt, L[:, :, :1])).any():
+        return False
+    step = block_rows(v)
+    for (s, o, n), ts, gs in zip(levels, T, GS):
+        if o % lanes.p:
+            f, y = ts, gs  # f: the sum of psi(s, s^a x) so far; y: s^(a+1) x
+            for _ in range(o - 1):
+                f, y = lanes.add(f, ts.take(y)), gs.take(y)
+            if (f != f[0]).any():
+                return False
+        for b in range(n, o * n, step):
+            e = min(b + step, o * n)
+            if order is None:
+                rows, par = slice(b, e), slice(b - n, e - n)
+            else:
+                rows, par = order[b:e], order[b - n:e - n]
+            if (lanes.add(ts[par][:, None], t[rows])
+                    != lanes.add(ts.take(gt[par]), t[par])).any():
+                return False
+    return True
 
 
 def check_cocycle(table, group: Group, field: Field) -> Cocycle:

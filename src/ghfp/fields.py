@@ -15,10 +15,11 @@ mask.  The scalar digit loops add and neg, and _poly_mul, are the tests'
 oracle.
 
 The two hottest loops add with no table: the cocycle identity check
-(Cocycle._check_identity) and the rank spin-up (codes._spin_up) hold their
-elements packed in base-p lanes (Lanes, Field._lanes), one digit per lane of
-one unsigned word, and add all m digits with one integer add and a
-carry-free reduction (one XOR for p = 2).  Every other caller gathers from
+(Cocycle._check_identity, on G's Cayley tree and relators, or at every
+generator row) and the rank spin-up (codes._spin_up) hold their elements
+packed in base-p lanes (Lanes, Field._lanes), one digit per lane of one
+unsigned word, and add all m digits with one integer add and a carry-free
+reduction (one XOR for p = 2).  Every other caller gathers from
 the tables, or packs, adds in lanes and unpacks above ADD_TABLE_MAX_Q."""
 
 from __future__ import annotations

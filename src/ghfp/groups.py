@@ -7,6 +7,7 @@ are 0-based internally; cycle forms print 1-based.
 from __future__ import annotations
 
 import copy
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,10 +73,11 @@ class Group:
     The table (the array passed in, not a copy) and the inverse map are made
     read-only, so the group's verdict can be kept: identity plus Latin, and
     associativity, each decided at most once per Group and read by every
-    check that needs it; is_abelian is decided once too.  A table given
-    here is scanned: its inverse map at once, its generators and verdict
-    when first asked for.  The constructions elementary_abelian and
-    direct_product of two groups prove all three instead (_proved)."""
+    check that needs it; is_abelian and the Cayley tree of an abelian
+    presentation (cayley_tree) are decided once too.  A table given here is
+    scanned: its inverse map at once, its generators and verdict when first
+    asked for.  The constructions elementary_abelian and direct_product of
+    two groups prove all three instead (_proved)."""
 
     def __init__(self, table, check: bool = True):
         table = np.asarray(table, dtype=np.int64)
@@ -91,7 +93,7 @@ class Group:
         self.inv[rows] = cols
         self.inv.setflags(write=False)
         self._generators: Optional[Tuple[int, ...]] = None
-        self._opposite: Optional[Group] = None
+        self._opposite = None
 
     @classmethod
     def _proved(cls, table: np.ndarray, inv: np.ndarray,
@@ -172,9 +174,51 @@ class Group:
             self._generators = tuple(_greedy_generators(self.table))
         return list(self._generators)
 
+    def cayley_tree(self) -> Optional[tuple]:
+        """A spanning tree of G's left Cayley graph on its generators S,
+        when they commute and their orders o_s multiply to v, else None;
+        decided once.  It describes G only over a group, so Cocycle asks
+        for it after Group.check.
+
+        Then G = prod Z_{o_s}, with presentation <S | s^{o_s}, st = ts>: the
+        generators commute, so (a_s) -> prod s^{a_s} maps the product onto
+        G, and both have order v.  The tree lists G in coordinate order:
+        E_0 = {1}, and E_j is E_{j-1} followed by level j, s_j^a E_{j-1} for
+        0 < a < o_j.  It is (order, levels): order holds the element at
+        each position, or is None when that is the index order
+        (elementary_abelian, additive_group_of in encoding order, their
+        direct products); level j is (s_j, o_j, n), n = |E_{j-1}|, and the
+        element at each position i in [n, o_j n) hangs from the one at
+        i - n by the edge h' -> s_j h'.  Greedy generators can be dependent
+        (in Z_4 x Z_2 listing an element of order 2 first), and then their
+        orders multiply to more than v."""
+        if hasattr(self, "_tree"):
+            return self._tree
+        t, gens, v = self.table, self.generators(), self.order
+        self._tree = None
+        if (t[np.ix_(gens, gens)] != t[np.ix_(gens, gens)].T).any():
+            return None
+        order, levels = np.zeros(1, dtype=np.int64), []
+        for s in gens:
+            layers = [order]
+            while (x := t[s, layers[-1]])[0]:  # x[0] is s^a, a = len(layers)
+                if (len(layers) + 1) * len(order) > v:
+                    return None
+                layers.append(x)
+            levels.append((s, len(layers), len(order)))
+            order = np.concatenate(layers)
+        if len(order) == v:
+            order.setflags(write=False)
+            self._tree = (None if (order == np.arange(v)).all() else order,
+                          tuple(levels))
+        return self._tree
+
     def opposite(self) -> "Group":
         """G^op, with a o b = ba, built once: its table is G's transposed,
-        read-only and C-contiguous, and its opposite is G again.
+        read-only and C-contiguous, and its opposite is G again.  G^op
+        holds G by a weak reference, so the two form no reference cycle and
+        each is freed with its last user; a G^op whose G is gone builds it
+        again by transposing.
 
         It shares G's inverse map, generators, verdict and is_abelian, which
         G decides first.  For a group that is exact: ab = 1 exactly when
@@ -183,16 +227,19 @@ class Group:
         and symmetric, exactly when G is; and (a o b) o c = c(ba),
         a o (b o c) = (cb)a, so G^op is associative exactly when G is.  A
         failing verdict keeps G's message and triple."""
-        if self._opposite is None:
+        op = self._opposite
+        if isinstance(op, weakref.ref):
+            op = op()
+        if op is None:
             self.latin_failure()
             self.associativity_failure()
             self.is_abelian
             op = copy.copy(self)
             op.table = np.ascontiguousarray(self.table.T)
             op.table.setflags(write=False)
-            op._opposite = self
+            op._opposite = weakref.ref(self)
             self._opposite = op
-        return self._opposite
+        return op
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])

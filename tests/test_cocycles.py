@@ -5,6 +5,7 @@ from ghfp import (
     Cocycle,
     Field,
     Group,
+    Perm,
     PropelinearCode,
     check_cocycle,
     coboundary,
@@ -17,6 +18,7 @@ from ghfp import (
     tensor,
     trivial_cocycle,
 )
+from ghfp import cocycles
 from ghfp.errors import (
     CocycleIdentityViolated,
     DivisibilityViolated,
@@ -29,7 +31,7 @@ from ghfp.ghmatrix import gen_sylvester_cocycle, is_gh, sylvester_power_cocycle
 from ghfp.planar import planar_coboundary
 
 import paper_data
-from test_groups import s3_table
+from test_groups import order_of, relabel, s3_table
 
 
 def test_published_order9_matrix_is_a_cocycle(gf3):
@@ -449,3 +451,324 @@ def test_a_table_over_a_loop_is_refused_and_reads_as_bare(loop_tables, name,
     assert GHCode(M).min_distance() == GHCode(bare).min_distance() \
         == (2, "exhaustive")
 
+
+
+# -- the identity on the Cayley tree ---------------------------------------------
+
+
+def tree_verdict(table, group, field) -> bool:
+    """cocycles._identity_on_tree called directly, at any order."""
+    lanes = field._lanes
+    t = lanes.pack.take(np.asarray(table, dtype=np.int64))
+    return cocycles._identity_on_tree(lanes, t, group.table,
+                                      group.cayley_tree())
+
+
+def scan_witness(table, group, field):
+    """The generator scan's first failing triple, or None."""
+    lanes = field._lanes
+    t = lanes.pack.take(np.asarray(table, dtype=np.int64))
+    return cocycles._identity_scan(lanes, t, group.table, group.generators())
+
+
+def tree_positions(group) -> np.ndarray:
+    order, _ = group.cayley_tree()
+    return np.arange(group.order) if order is None else order
+
+
+def tree_edges_hold(table, group, field) -> bool:
+    """The identity at (s, h', k) on every tree edge h = s h', one edge at
+    a time with Field.vadd: the tree check without its relators."""
+    f, gt, t, pos = field, group.table, np.asarray(table), tree_positions(group)
+    return all((f.vadd(t[s, pos[i - n]], t[pos[i]])
+                == f.vadd(t[s][gt[pos[i - n]]], t[pos[i - n]])).all()
+               for s, o, n in group.cayley_tree()[1]
+               for i in range(n, o * n))
+
+
+def propagate(rows, group, field) -> np.ndarray:
+    """The table with generator rows rows[s] whose other rows follow from
+    the identity on the tree edges h = s h': psi(h, k) = psi(s, h'k) +
+    psi(h', k) - psi(s, h').  It passes every tree edge; it is a cocycle
+    exactly when the relators close."""
+    f, gt, v, pos = field, group.table, group.order, tree_positions(group)
+    t = np.zeros((v, v), dtype=np.int64)
+    for s, o, n in group.cayley_tree()[1]:
+        t[s] = rows[s]
+        for i in range(n + 1, o * n):
+            h, hp = pos[i], pos[i - n]
+            t[h] = f.vsub(f.vadd(t[s][gt[hp]], t[hp]), t[s, hp])
+    return t
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Calls to the tree check from now on, with the crossover at 0 so that
+    every order with a Cayley tree takes it first."""
+    calls = []
+    real = cocycles._identity_on_tree
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(cocycles, "_identity_on_tree", counting)
+    monkeypatch.setattr(cocycles, "MIN_TREE_WORK", 0)
+    return calls
+
+
+def cyclic(n: int) -> Group:
+    a = np.arange(n)
+    return Group((a[:, None] + a[None, :]) % n)
+
+
+def relabeled_group(group: Group, rng):
+    """group relabeled at random with 0 fixed, and the map from new labels
+    to old, which relabels a table over it as table[inv][:, inv]."""
+    img = np.concatenate(([0], 1 + rng.permutation(group.order - 1)))
+    return relabel(group, Perm(img)), np.argsort(img)
+
+
+def tree_cases(corpus):
+    """(name, group, field, valid tables) for the tree oracles: the corpus;
+    lexicographic and relabeled Z_p^k with coboundaries and multiplication
+    cocycles; cyclic Z_n with coboundaries and the carry cocycle
+    [a + b >= n], no coboundary when p | n; and the point."""
+    rng = np.random.default_rng(29)
+    cases = [(name, psi.group, psi.field, [psi.table])
+             for name, psi in corpus.items()]
+    for p, k in [(2, 4), (3, 3), (5, 2)]:
+        f = Field(p, k)
+        mult = multiplication_cocycle(f)
+        group, inv = relabeled_group(mult.group, rng)
+        for g, table in [(mult.group, mult.table),
+                         (group, mult.table[inv][:, inv])]:
+            tables = [table] + [coboundary(rng.integers(0, f.q, g.order), g,
+                                           f).table for _ in range(2)]
+            cases.append((f"Z_{p}^{k}", g, f, tables))
+    for n, p in [(9, 3), (8, 2), (6, 3), (5, 5)]:
+        f, a = Field(p, 1), np.arange(n)
+        carry = (a[:, None] + a[None, :] >= n).astype(np.int64)
+        cob = coboundary(rng.integers(0, p, n), cyclic(n), f).table
+        cases.append((f"Z_{n}", cyclic(n), f, [carry, cob]))
+    point = Group(np.zeros((1, 1), dtype=np.int64))
+    cases.append(("point", point, Field(3, 1), [np.zeros((1, 1), np.int64)]))
+    return cases
+
+
+def test_cayley_tree_spans_the_group(bench_recipes, corpus):
+    """Every benchmark group and corpus group has a Cayley tree, in index
+    order (order None) for every construction, and the tree lists each
+    element once and hangs each from its parent by its level's generator.
+    S_3 (not abelian) and Z_4 x Z_2 labeled so that the greedy generators
+    are dependent (orders 2, 4, 2) report none."""
+    recipes, build = bench_recipes
+    groups = [build(r).group for r in recipes]
+    assert all(g.cayley_tree()[0] is None for g in groups)
+    rng = np.random.default_rng(3)
+    groups += [psi.group for psi in corpus.values()]
+    groups += [relabeled_group(elementary_abelian(3, 3), rng)[0], cyclic(12),
+               Group(np.zeros((1, 1), dtype=np.int64))]
+    for g in groups:
+        pos = tree_positions(g)
+        assert sorted(pos.tolist()) == list(range(g.order))
+        levels = g.cayley_tree()[1]
+        assert [s for s, _, _ in levels] == g.generators()
+        assert int(np.prod([o for _, o, _ in levels])) == g.order
+        for s, o, n in levels:
+            assert (g.table[s, pos[:(o - 1) * n]] == pos[n:o * n]).all()
+    assert cyclic(12).cayley_tree() == (None, ((1, 12, 1),))
+    assert Group(s3_table()).cayley_tree() is None
+    assert Group(s3_table()).opposite().cayley_tree() is None
+    z4z2 = z4_times_z2_with_dependent_generators()
+    assert [order_of(z4z2, s) for s in z4z2.generators()] == [2, 4, 2]
+    assert z4z2.cayley_tree() is None
+
+
+def z4_times_z2_with_dependent_generators() -> Group:
+    """Z_4 x Z_2 listing (2, 0) before (1, 0): the greedy search takes
+    (2, 0), then (1, 0), whose square it is, then an element of order 2."""
+    elems = [(0, 0), (2, 0), (1, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1)]
+    index = {e: i for i, e in enumerate(elems)}
+    return Group([[index[((a + c) % 4, (b + d) % 2)] for c, d in elems]
+                  for a, b in elems])
+
+
+def test_tree_verdict_matches_the_scan_and_every_triple(corpus, tree_calls):
+    """On valid tables the tree check, the generator scan and, for v <= 27,
+    all v^3 triples agree; every single-entry corruption (of every entry
+    off row and column 0 of each case's first table for v <= 27, of 20 at
+    random otherwise) fails the tree check, and check_cocycle, taking the
+    tree first, raises the scan's triple, a true violation."""
+    rng = np.random.default_rng(5)
+    for name, group, f, tables in tree_cases(corpus):
+        v, q = group.order, f.q
+        for i, table in enumerate(tables):
+            assert tree_verdict(table, group, f), name
+            assert scan_witness(table, group, f) is None, name
+            if v <= 27:
+                assert not identity_violations(table, group, f).any(), name
+            tree_calls.clear()
+            check_cocycle(table, group, f)
+            assert tree_calls == ([v] if v > 1 else []), name
+            cells = [(r, c) for r in range(1, v) for c in range(1, v)]
+            if v > 27 or i:
+                cells = [cells[j] for j in rng.choice(len(cells), 20)]
+            for r, c in cells:
+                t = table.copy()
+                t[r, c] = f.add(int(t[r, c]), 1 + (r + c) % (q - 1))
+                assert not tree_verdict(t, group, f), (name, r, c)
+                g, h, k = want = scan_witness(t, group, f)
+                gt = group.table
+                assert f.add(int(t[g, h]), int(t[gt[g, h], k])) != \
+                    f.add(int(t[g, gt[h, k]]), int(t[h, k])), (name, r, c)
+                with pytest.raises(CocycleIdentityViolated) as exc:
+                    check_cocycle(t, group, f)
+                assert exc.value.triple == want, (name, r, c)
+
+
+def test_tables_that_pass_every_tree_edge_but_break_a_relator(tree_calls):
+    """A generator row with one entry changed, the other rows propagated
+    along the tree: every tree edge holds, so only the relators can see it
+    (the identity fails, by all v^3 triples).  Generator rows taken from
+    two different cocycles keep each power relator and break a commutator.
+    Over lexicographic and relabeled Z_p^k the tree check refuses both
+    kinds, and check_cocycle raises the scan's triple.  Over Z_2 x Z_3 and
+    GF(3), row psi(s, x) = the Z_3 coordinate of x for s of order 2, and
+    zero rows elsewhere, keep the commutator (constant 1) and break the
+    power relator of s, the one F_s a field of characteristic 3 checks:
+    over a p-group of characteristic p the commutators imply them.
+    Over a cyclic group, whose one relator sums a whole row, the
+    propagated table is a cocycle, which the tree accepts."""
+    rng = np.random.default_rng(7)
+    for p, k in [(2, 4), (3, 2), (3, 3), (5, 2)]:
+        f = Field(p, 1)
+        lex = elementary_abelian(p, k)
+        for group in (lex, relabeled_group(lex, rng)[0]):
+            v, gens = group.order, group.generators()
+            psi = coboundary(rng.integers(0, p, v), group, f).table
+            assert (propagate(psi, group, f) == psi).all()
+            broken = []
+            for s in gens:
+                rows = psi.copy()
+                x = int(rng.integers(1, v))
+                rows[s, x] = f.add(int(rows[s, x]), 1)
+                broken.append(propagate(rows, group, f))
+            mixed = psi.copy()
+            while not identity_violations(mixed, group, f).any():
+                # a random mix is a cocycle by chance at times; redraw
+                other = coboundary(rng.integers(0, p, v), group, f).table
+                mixed[gens[0]] = other[gens[0]]
+                mixed = propagate(mixed, group, f)
+            broken.append(mixed)
+            for t in broken:
+                assert tree_edges_hold(t, group, f)
+                assert identity_violations(t, group, f).any()
+                assert not tree_verdict(t, group, f)
+                with pytest.raises(CocycleIdentityViolated) as exc:
+                    check_cocycle(t, group, f)
+                assert exc.value.triple == scan_witness(t, group, f)
+            # the mixed table keeps every power relator: F_s is constant
+            gt = group.table
+            for s in gens:
+                F, y = mixed[s] * 0, np.arange(v)
+                for _ in range(p):
+                    F, y = f.vadd(F, mixed[s][y]), gt[s][y]
+                assert (F == F[0]).all()
+    gf3, z6 = Field(3, 1), elementary_abelian(2, 1).direct_product(
+        elementary_abelian(3, 1))
+    assert z6.cayley_tree() == (None, ((1, 3, 1), (3, 2, 3)))
+    rows = np.zeros((6, 6), dtype=np.int64)
+    rows[3] = np.arange(6) % 3  # the Z_3 coordinate of x, at index 3x' + x
+    table, gt = propagate(rows, z6, gf3), z6.table
+    C = gf3.vsub(gf3.vadd(table[1], table[3][gt[1]]),
+                 gf3.vadd(table[3], table[1][gt[3]]))
+    assert (C == 1).all()
+    assert tree_edges_hold(table, z6, gf3)
+    assert identity_violations(table, z6, gf3).any()
+    assert not tree_verdict(table, z6, gf3)
+    with pytest.raises(CocycleIdentityViolated) as exc:
+        check_cocycle(table, z6, gf3)
+    assert exc.value.triple == scan_witness(table, z6, gf3)
+    for n, p in [(9, 3), (8, 2)]:
+        f, z = Field(p, 1), cyclic(n)
+        rows = np.zeros((n, n), dtype=np.int64)
+        rows[1, 1:] = rng.integers(0, p, n - 1)
+        t = propagate(rows, z, f)
+        assert tree_verdict(t, z, f)
+        assert not identity_violations(t, z, f).any()
+
+
+def test_groups_without_a_tree_keep_the_scan(tree_calls, gf3):
+    """S_3 and Z_4 x Z_2 with dependent greedy generators have no Cayley
+    tree, so check_cocycle scans even with the crossover at 0, and its
+    verdicts and witnesses agree with all v^3 triples."""
+    rng = np.random.default_rng(2)
+    for group in (Group(s3_table()), z4_times_z2_with_dependent_generators()):
+        v = group.order
+        f = gf3 if v == 6 else Field(2, 1)
+        psi = coboundary(rng.integers(0, f.q, v), group, f)
+        check_cocycle(psi.table, group, f)
+        t = psi.table.copy()
+        t[2, 3] = f.add(int(t[2, 3]), 1)
+        with pytest.raises(CocycleIdentityViolated) as exc:
+            check_cocycle(t, group, f)
+        assert identity_violations(t, group, f)[exc.value.triple]
+        assert tree_calls == []
+
+
+def test_the_crossover_sends_p43_to_the_scan_and_p53_to_the_tree(
+        monkeypatch, bench_recipes):
+    """No timing: the tree check runs for P(5,3) (v = 243, five
+    generators) and not for P(4,3) (v = 81, four), nor for any structure
+    kind, each over the fresh group its construction builds."""
+    import workloads
+
+    calls = []
+    real = cocycles._identity_on_tree
+    monkeypatch.setattr(cocycles, "_identity_on_tree",
+                        lambda *args: calls.append(len(args[1])) or real(*args))
+    _, build = bench_recipes
+    for recipe, want in [(("planar", 4, 3), []), (("planar", 5, 3), [243])]:
+        psi = build(recipe)
+        calls.clear()
+        check_cocycle(psi.table, psi.group, psi.field)
+        assert calls == want, recipe
+    calls.clear()
+    for recipe in workloads.Structure.KINDS:
+        psi = build(recipe)
+        check_cocycle(psi.table, psi.group, psi.field)
+    assert calls == []
+
+
+@pytest.mark.slow
+def test_relabeled_planar_coboundary_at_a7_takes_the_tree(monkeypatch):
+    """Table-1 scale: P(7,3) (v = 2187) over a randomly relabeled Z_3^7,
+    whose tree rows are gathers.  check_cocycle takes the tree on the valid
+    table and on one with an entry changed; the tree agrees with the scan
+    on both, and the corrupted table raises the scan's triple, the one
+    check_cocycle raised before the tree."""
+    verdicts = []
+    real = cocycles._identity_on_tree
+    monkeypatch.setattr(cocycles, "_identity_on_tree",
+                        lambda *args: verdicts.append(real(*args))
+                        or verdicts[-1])
+    psi = planar_coboundary(7, 3)
+    f = psi.field
+    group, inv = relabeled_group(psi.group, np.random.default_rng(7))
+    table = psi.table[inv][:, inv]
+    assert group.cayley_tree()[0] is not None
+    assert tree_verdict(table, group, f)
+    assert scan_witness(table, group, f) is None
+    check_cocycle(table, group, f)
+    table[1500, 700] = f.add(int(table[1500, 700]), 1)
+    assert not tree_verdict(table, group, f)
+    want = scan_witness(table, group, f)
+    with pytest.raises(CocycleIdentityViolated) as exc:
+        check_cocycle(table, group, f)
+    assert exc.value.triple == want
+    assert verdicts == [True, True, False, False]
+    g, h, k = want
+    gt = group.table
+    assert f.add(int(table[g, h]), int(table[gt[g, h], k])) != \
+        f.add(int(table[g, gt[h, k]]), int(table[h, k]))

@@ -21,6 +21,7 @@ from ghfp import (
 from ghfp import extension
 from ghfp.errors import (CocycleIdentityViolated, NotAbelian, NotAGroup,
                          NotAssociative, NotNormal)
+from ghfp.fields import row_histograms
 from ghfp.groups import _invariants, abelian_invariants, elementary_abelian
 
 import paper_data
@@ -373,6 +374,27 @@ def test_fh_intersection_profile(order4_cocycle, s9_cocycle, s8_cocycle):
         assert int((values == v // q).sum()) == q * v - q
 
 
+def fh_profile_oracle(P):
+    """The F_H intersection profile counted, not read from the theorem:
+    one bincount of -psi^T, the row-product offsets, into q*v values, the
+    value at (rho, a) at a*v + rho."""
+    f, v, q = P.field, P.v, P.q
+    _, c = P.row_products()
+    return np.bincount((f.vneg(c) * v + np.arange(v)[:, None]).ravel(),
+                       minlength=q * v)
+
+
+def column_counts_oracle(P):
+    """(column_counts_flat, witness) of coset_zero_sets counted, not read
+    from the theorem: a q-bin histogram of every column j > 0 of H, and the
+    first column that is not flat with its counts."""
+    v, q = P.v, P.q
+    counts = row_histograms(P.H[:, 1:].T, q)  # row j-1 counts column j
+    bad = np.flatnonzero((counts != v // q).any(axis=1))
+    return not bad.size, ((int(bad[0]) + 1, counts[bad[0]]) if bad.size
+                          else None)
+
+
 def test_fh_intersection_profile_matches_brute_force(corpus):
     from ghfp import Code
 
@@ -386,12 +408,37 @@ def test_fh_intersection_profile_matches_brute_force(corpus):
         want = [sum(fh.contains(star(P, x, f)) for f in P.H)
                 for x in P.code.words()]  # x = a*1 + f_rho at a*v + rho
         assert np.asarray(prof["values"]).tolist() == want
+        assert fh_profile_oracle(P).tolist() == want
         expected = [v if k == 0 else (0 if k % v == 0 else v // q)
                     for k in range(q * v)]
         bad = sorted((k % v, k // v) for k in range(q * v)
                      if want[k] != expected[k])
         assert prof["ok"] == (not bad)
         assert prof["witness"] == (bad[0] if bad else None)
+
+
+def test_structure_views_by_theorem_equal_the_oracles(bench_recipes, corpus):
+    """The profile and the column counts, read from P's orthogonal verdict,
+    equal the bincount and the histograms on every structure kind (relabeled
+    by a random automorphism, as the benchmark's jobs are, seeds 0-2) and
+    every orthogonal corpus cocycle, the point included."""
+    import workloads
+
+    _, build = bench_recipes
+    cases = [workloads.automorphic(np.random.default_rng(seed), build(kind))
+             for kind in workloads.Structure.KINDS for seed in range(3)]
+    cases += [psi for psi in corpus.values() if is_orthogonal(psi)[0]]
+    cases.append(trivial_cocycle(Group(np.zeros((1, 1), dtype=np.int64)),
+                                 Field(3, 1)))
+    for psi in cases:
+        P = PropelinearCode(psi)
+        prof = fh_intersection_profile(P)
+        assert np.array_equal(prof["values"], fh_profile_oracle(P)), psi
+        assert (prof["ok"], prof["witness"]) == (True, None)
+        report = coset_zero_sets(P)
+        assert (report["column_counts_flat"], report["witness"]) \
+            == column_counts_oracle(P) == (True, None), psi
+        assert report["d1_is_fh"] == bool((P.H[:, 0] == 0).all())
 
 
 def test_cocycle_from_code_roundtrip(corpus):
@@ -428,9 +475,10 @@ def test_coset_zero_sets(order4_cocycle, s9_cocycle, s8_cocycle):
 
 
 def test_coset_zero_sets_witness_is_first_unflat_column():
-    """coset_zero_sets reads only H, v and q.  Flat rows (orthogonal),
-    distinct, whose columns are not flat: no cocycle, so a stand-in holds
-    them in place of a PropelinearCode, which would refuse them."""
+    """The column-count oracle reads only H, v and q.  Flat rows
+    (orthogonal), distinct, whose columns are not flat: no cocycle, so a
+    stand-in holds them in place of a PropelinearCode, which would refuse
+    them (coset_zero_sets itself reads the columns from P's verdict)."""
     from types import SimpleNamespace
 
     rng = np.random.default_rng(2)
@@ -438,10 +486,9 @@ def test_coset_zero_sets_witness_is_first_unflat_column():
     t = np.zeros((9, 9), dtype=np.int64)
     for i in range(1, 9):
         t[i, 1:] = rng.permutation(rest)
-    report = coset_zero_sets(SimpleNamespace(H=t, v=9, q=3))
+    ok, witness = column_counts_oracle(SimpleNamespace(H=t, v=9, q=3))
     flat = [(np.bincount(t[:, j], minlength=3) == 3).all() for j in range(9)]
     j = flat.index(False, 1)
-    assert not report["column_counts_flat"]
-    assert report["witness"][0] == j
-    assert report["witness"][1].tolist() == np.bincount(t[:, j],
-                                                        minlength=3).tolist()
+    assert not ok
+    assert witness[0] == j
+    assert witness[1].tolist() == np.bincount(t[:, j], minlength=3).tolist()

@@ -180,6 +180,44 @@ def test_opposite_is_the_transposed_group(loop5):
     assert exc.value.triple == loop.associativity_failure()
 
 
+def test_opposite_holds_its_group_weakly(tmp_path, s8_cocycle):
+    """G^op holds G by a weak reference, so with the cyclic collector off a
+    .cay group and its fileio._groups entry go with their last user, even
+    after PropelinearCode.row_products built G^op.  While G lives, G^op's
+    opposite is G; once G is gone, it is G's table rebuilt by transposing,
+    and that group's opposite is G^op again."""
+    import gc
+
+    from ghfp import PropelinearCode, fileio
+    from ghfp.fileio import read_coc, write_coc
+
+    write_cay(tmp_path / "s8.cay", s8_cocycle.group)
+    write_coc(tmp_path / "s8.coc", s8_cocycle, group_path="s8.cay")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        psi = read_coc(tmp_path / "s8.coc")
+        P = PropelinearCode(psi)
+        P.row_products()
+        G = psi.group
+        assert len(fileio._groups) == 1
+        assert G.opposite().opposite() is G
+        del psi, P, G
+        assert len(fileio._groups) == 0
+
+        g = Group(s3_table())
+        op = g.opposite()
+        assert op.opposite() is g
+        table = np.array(g.table)
+        del g
+        back = op.opposite()
+        assert np.array_equal(back.table, table)
+        assert back.opposite() is op and op.opposite() is back
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_is_abelian_is_decided_once_and_shared_with_the_opposite():
     """is_abelian is kept like the Latin and associativity verdicts:
     opposite() decides it before G^op is built, both read the kept answer,
