@@ -8,7 +8,10 @@ gathering cached token words, one per entry, and parsed from the positions of
 its separators (the per-line loop only locates a ParseError).  The Field of a
 header and the default group of an order are built once and shared, with
 read-only arrays; so is the Group of a group file's exact bytes, decided once
-while some caller holds it.
+while some caller holds it.  A table body is decided once too: read_coc keeps
+the verdict of each body it accepts while some caller holds the Cocycle, and
+read_ghm returns a .ghm with the same header field, order and body bytes over
+that cocycle's group, unparsed and holding the verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .cocycles import Cocycle, check_cocycle
 from .errors import FieldMismatch, NotAGroup, ParseError
 from .fields import Field, integer_log, largest_entry
-from .ghmatrix import GHMatrix
+from .ghmatrix import GHMatrix, matrix_of
 from .groups import Group, elementary_abelian
 
 
@@ -33,7 +36,19 @@ def field_header(field: Field) -> str:
     return f"p={field.p} m={field.m} poly={poly}"
 
 
+# The largest field a header may name.  Field's tables are built in
+# pure-Python loops (on a 2-vCPU Xeon, GF(2^14) takes 0.9 s and GF(3^10)
+# 8.5 s), so a larger p^m could hang a reader.  The fields in scope (up to
+# GF(3^7), Field.ADD_TABLE_MAX_Q) and every field a test or golden file
+# writes lie below it, and a GH matrix over a larger field has v >= q, so
+# more than 2.6 * 10^8 entries.
+MAX_HEADER_Q = 1 << 14
+
+
 def parse_field_header(line: str, lineno: int) -> Field:
+    """The Field of a header line, shared (_field); ParseError for a bad
+    line, a p^m above MAX_HEADER_Q (refused before p is tested for
+    primality, and without computing p^m of a large m), or no field."""
     try:
         parts = dict(tok.split("=", 1) for tok in _tokens(line))
         values = [parts["p"], parts["m"], *parts["poly"].split(",")]
@@ -41,6 +56,9 @@ def parse_field_header(line: str, lineno: int) -> Field:
         if bad:
             raise ValueError(f"{bad[0][:20]!r} is not unsigned decimal")
         p, m, *poly = map(int, values)
+        if p > 1 and (p > MAX_HEADER_Q or m >= MAX_HEADER_Q.bit_length()
+                      or p ** m > MAX_HEADER_Q):
+            raise ValueError(f"p^m is above {MAX_HEADER_Q}")
         return _field(p, m, tuple(poly))
     except (KeyError, ValueError) as e:
         raise ParseError(f"bad field header ({e})", line=lineno) from None
@@ -51,6 +69,12 @@ _field = lru_cache(maxsize=32)(Field)
 # the Group of each group file read, by its exact bytes, while some caller
 # holds it; a file that fails to parse or check stores nothing
 _groups = weakref.WeakValueDictionary()
+# the verdict of each .coc table that read_coc accepted, by (Field, v, the
+# raw bytes after the header lines), while some caller holds the Cocycle it
+# returned: a twin of that Cocycle, with its own read-only copy of the
+# table, which the Cocycle holds; a file that fails to parse or check stores
+# nothing
+_verdicts = weakref.WeakValueDictionary()
 
 
 def _expect(cond: bool, msg: str, lineno: int, column: Optional[int] = None):
@@ -236,8 +260,13 @@ def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
 
 
 def read_coc(path) -> Cocycle:
+    """The checked cocycle of a .coc file.  Its verdict is kept for read_ghm
+    in _verdicts while the returned Cocycle lives: the twin there holds a
+    read-only copy of the table, so a write into the returned table, which
+    is the caller's own, cannot reach a later read_ghm."""
     path = Path(path)
-    lines = _decode_lines(_read_bytes(path), path)
+    data = _read_bytes(path)
+    lines = _decode_lines(data, path)
     _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
     field = parse_field_header(lines[0], 1)
     v = _parse_v(lines[1], 2)
@@ -253,7 +282,12 @@ def read_coc(path) -> Cocycle:
         _expect(group is not None,
                 f"v={v} is not a power of p={field.p}; supply group=", 2)
     _expect(group.order == v, f"group order {group.order} != v={v}", 2)
-    return check_cocycle(table, group, field)
+    psi = check_cocycle(table, group, field)
+    frozen = table.copy()
+    frozen.setflags(write=False)
+    psi._twin = Cocycle(group, field, frozen, check="theorem")
+    _verdicts[field, v, data.split(b"\n", row_start)[-1]] = psi._twin
+    return psi
 
 
 @lru_cache(maxsize=32)
@@ -279,14 +313,42 @@ def write_ghm(path, matrix: GHMatrix) -> None:
 def read_ghm(path) -> GHMatrix:
     """The matrix over read_coc's default group Z_p^k (None when v is no
     power of p).  The group is a proposal: GHMatrix.cocycle() checks the
-    identity in full, once, and a table that fails it reads as bare."""
-    lines = _decode_lines(_read_bytes(path), path)
+    identity in full, once, and a table that fails it reads as bare.
+
+    A file with the field, order and body bytes of a .coc that read_coc
+    accepted, while its Cocycle is held, is not parsed: it is matrix_of
+    the twin (_held_verdict), over the cocycle's group and holding its
+    verdict.  Its entries, the file's, are the twin's read-only table, so
+    that verdict cannot go stale; copy them to write.  Any other file, or
+    any doubt about the header, takes the parse above."""
+    data = _read_bytes(path)
+    if (twin := _held_verdict(data)) is not None:
+        return matrix_of(twin)
+    lines = _decode_lines(data, path)
     _expect(len(lines) >= 3 and lines[0].strip(" \t") == "ghm 1",
             "missing 'ghm 1' magic", 1)
     field = parse_field_header(lines[1], 2)
     v = _parse_v(lines[2], 3)
     entries = _parse_rows(lines[3:3 + v], 4, v, field.q)
     return GHMatrix(field, entries, group=_default_group(v, field.p))
+
+
+def _held_verdict(data: bytes) -> Optional[Cocycle]:
+    """The twin in _verdicts for a .ghm file's bytes, or None.  Only the
+    three header lines are decoded, as _decode_lines would; the body is
+    looked up by its raw bytes.  Same bytes under the same field and v
+    parse to the same table, so a hit is the table read_coc checked."""
+    if not _verdicts:
+        return None
+    try:
+        *head, body = data.split(b"\n", 3)
+        magic, header, order = (x.decode().removesuffix("\r") for x in head)
+        if magic.strip(" \t") != "ghm 1":
+            return None
+        return _verdicts.get((parse_field_header(header, 2),
+                              _parse_v(order, 3), body))
+    except ValueError:  # too few lines, not UTF-8, or a ParseError
+        return None
 
 
 def sha256_of(path) -> str:

@@ -77,13 +77,6 @@ class PropelinearCode:
 
     # -- the propelinear structure ---------------------------------------------------
 
-    def star_oracle(self, x, y) -> np.ndarray:
-        """Test oracle: decode, multiply in the extension group, encode."""
-        ku, gu = self.decode(x)
-        kw, gw = self.decode(y)
-        k = self.field.add(self.field.add(ku, kw), int(self.psi.table[gu, gw]))
-        return self.encode(k, int(self.group.table[gu, gw]))
-
     def row_products(self) -> Tuple[np.ndarray, np.ndarray]:
         """The row-product table (G^op's table, psi^T), built once:
         f_rho * f_r equals offsets[rho, r]*1 + f_{rows[rho, r]}.  The arrays

@@ -10,8 +10,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# brute-force oracles kept beside the fast paths they check
-ORACLES = {"star_oracle"}
 
 class _Uses(ast.NodeVisitor):
     """Definitions as (qualified name, name, is_method), and the names read
@@ -70,6 +68,5 @@ def test_every_library_name_is_used():
     dead = sorted(
         qualname for qualname, name, method in library.defined
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in ORACLES
         and name not in attrs and (method or name not in names))
     assert not dead, f"defined in src/ghfp but used nowhere: {dead}"

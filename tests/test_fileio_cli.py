@@ -1131,3 +1131,268 @@ def test_only_ascii_space_and_tab_separate_entries(tmp_path, suffix, sep):
             _READERS[suffix](path)
         assert err.value.args[0].startswith(msg), (row, err.value)
         assert (err.value.line, err.value.column) == (len(lines) - 1, column)
+
+
+@pytest.mark.parametrize("suffix", ["coc", "ghm"])
+@pytest.mark.parametrize("header", [
+    "p=99999999977 m=1 poly=0,1", "p=16411 m=1 poly=0,1",
+    "p=2 m=15 poly=1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=3 m=9 poly=1,0,0,0,0,0,0,0,0,1", "p=3 m=" + "9" * 4000 + " poly=0,1"],
+    ids=["p=99999999977", "p=16411", "2^15", "3^9", "m of 4000 digits"])
+def test_a_field_too_large_to_build_is_a_parse_error(tmp_path, capsys,
+                                                    monkeypatch, suffix,
+                                                    header):
+    """A header naming p^m above MAX_HEADER_Q is a ParseError, and exit 2,
+    before any Field is built (Field's tables would take minutes, and a
+    large m would make p^m a huge integer).  _field is patched to fail the
+    test if it is called, so the test cannot hang."""
+    built = []
+    monkeypatch.setattr(fileio, "_field", lambda *a: built.append(a))
+    lines = list(_GOOD_FILES[suffix])
+    h = _HEADER_LINE[suffix]
+    lines[h] = header
+    path = tmp_path / f"big.{suffix}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        _READERS[suffix](path)
+    assert err.value.args[0].startswith(
+        f"bad field header (p^m is above {fileio.MAX_HEADER_Q})")
+    assert err.value.line == h + 1
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+    assert built == []
+
+
+def test_every_field_up_to_the_header_bound_is_built(monkeypatch):
+    """GF(2^14), the bound itself, the largest prime below it and GF(3^8)
+    pass the bound and reach _field (patched, so none is built)."""
+    from ghfp.fileio import parse_field_header
+
+    built = []
+    monkeypatch.setattr(fileio, "_field", lambda *a: built.append(a))
+    assert fileio.MAX_HEADER_Q == 2 ** 14
+    for line in ["p=2 m=14 poly=1", "p=16381 m=1 poly=0,1",
+                 "p=3 m=8 poly=1", "p=1 m=99 poly=1"]:
+        parse_field_header(line, 1)
+    assert [a[:2] for a in built] == [(2, 14), (16381, 1), (3, 8), (1, 99)]
+
+
+@pytest.fixture
+def relabeled_p43(tmp_path, dphi43):
+    """P(4,3) over Z_3^4 relabeled at random, written as ghfp build writes
+    it: p.coc naming p.cay, and p.ghm of the same table.  Read bare, the
+    .ghm is no cocycle over the lexicographic Z_3^4 and q = v, so is_gh
+    scans every row pair; its code is not linear."""
+    import gc
+
+    from ghfp import Cocycle
+
+    gc.collect()  # cocycles of earlier tests that only a cycle still holds
+    rng = np.random.default_rng(31)
+    img = np.concatenate(([0], 1 + rng.permutation(80)))
+    inv = np.argsort(img)
+    group = Group(img[dphi43.group.table[inv][:, inv]])
+    psi = Cocycle(group, dphi43.field, dphi43.table[inv][:, inv])
+    write_coc(tmp_path / "p.coc", psi)
+    write_ghm(tmp_path / "p.ghm", matrix_of(psi))
+    return tmp_path / "p.coc", tmp_path / "p.ghm", psi.table
+
+
+def _spy_scans(monkeypatch):
+    from ghfp import ghmatrix
+
+    real, scanned = ghmatrix.row_pair_counts, []
+    monkeypatch.setattr(ghmatrix, "row_pair_counts",
+                        lambda m, rows: scanned.append(rows) or real(m, rows))
+    return scanned
+
+
+def test_a_held_coc_decides_its_ghm_body(relabeled_p43, monkeypatch):
+    """A .ghm whose body is a held .coc's is that cocycle's matrix: over
+    its group, holding its verdict, so is_gh scans only range(1).  Its
+    is_gh, min_distance and report equal those of the same file read
+    bare (before the .coc), which scans every row."""
+    from ghfp import GHCode, is_gh
+
+    coc, ghm, table = relabeled_p43
+    bare = read_ghm(ghm)
+    assert bare.group is fileio._default_group(81, 3)
+    assert bare.cocycle() is None and not GHCode(bare).is_linear()
+    scanned = _spy_scans(monkeypatch)
+    want = is_gh(bare), GHCode(bare).min_distance(), consolidated_report(ghm)
+    assert want[0] == (True, None) and want[1].mode == "exhaustive"
+    assert range(1, 80) in scanned
+
+    psi = read_coc(coc)
+    M = read_ghm(ghm)
+    assert M.group is psi.group and M.cocycle() is psi._twin
+    assert (M.entries == table).all()
+    scanned.clear()
+    assert is_gh(M) == want[0] and scanned == [range(1)]
+    got = GHCode(M).min_distance()
+    assert got.value == want[1].value and got.mode == "theorem"
+    assert consolidated_report(ghm) == want[2]
+
+
+def test_another_body_or_header_misses(relabeled_p43):
+    """One byte changed in the body (a digit, or a tab for a space), one
+    more (a leading zero, a blank last line), another field or another v=
+    line: the .ghm is parsed, as with nothing held.  A header the parse
+    reads as the same (v=081, a trailing space) is the same key."""
+    from ghfp import GHMatrix
+
+    coc, ghm, table = relabeled_p43
+    psi = read_coc(coc)
+    parts = ghm.read_bytes().split(b"\n", 3)
+    head, body = parts[:3], parts[3]
+    other = table.copy()
+    other[1, 1] += 1 if other[1, 1] % 10 != 9 else -1
+    digit = GHMatrix(psi.field, other)
+    write_ghm(ghm.with_name("digit.ghm"), digit)
+    at = body.index(b"\n0 ") + 3  # the second entry of row 1
+    for i, (lines, tail) in enumerate([
+            (head, body.replace(b" ", b"\t", 1)),
+            (head, body[:at] + b"0" + body[at:]),
+            (head, body + b"\n"),
+            ([head[0], b"p=3 m=4 poly=1,0,1,1,1", head[2]], body)]):
+        path = ghm.with_name(f"miss{i}.ghm")
+        path.write_bytes(b"\n".join([*lines, tail]))
+        M = read_ghm(path)
+        assert M.group is fileio._default_group(81, 3) and M.cocycle() is None
+        assert M.entries.flags.writeable and (M.entries == table).all()
+    M = read_ghm(ghm.with_name("digit.ghm"))
+    assert len(ghm.with_name("digit.ghm").read_bytes()) == len(b"\n".join(parts))
+    assert M.cocycle() is None and M == digit
+    path = ghm.with_name("v80.ghm")
+    path.write_bytes(b"\n".join([*head[:2], b"v=80", body]))
+    with pytest.raises(ParseError, match="expected 80 entries, got 81"):
+        read_ghm(path)
+    for i, lines in enumerate([[head[0], head[1], b"v=081"],
+                               [head[0], head[1] + b" ", head[2]]]):
+        path = ghm.with_name(f"same{i}.ghm")
+        path.write_bytes(b"\n".join([*lines, body]))
+        assert read_ghm(path).cocycle() is psi._twin
+
+
+def test_a_coc_that_fails_stores_nothing(relabeled_p43):
+    """A .coc that fails its identity check, or its parse, keeps no
+    verdict, and a .ghm of its body reads bare, with the bare witness."""
+    from ghfp import GHMatrix, is_gh
+    from ghfp.errors import CocycleIdentityViolated
+
+    coc, ghm, _ = relabeled_p43
+    for path in (coc, ghm):
+        text = path.read_bytes()
+        at = text.rindex(b" ") + 1  # the last entry of the last row
+        digit = b"1" if text[at:at + 1] != b"1" else b"2"
+        path.write_bytes(text[:at] + digit + text[at + 1:])
+    with pytest.raises(CocycleIdentityViolated):
+        read_coc(coc)
+    coc.write_bytes(coc.read_bytes().replace(b"\n0 ", b"\nx ", 1))
+    with pytest.raises(ParseError):
+        read_coc(coc)
+    assert len(fileio._verdicts) == 0
+    M = read_ghm(ghm)
+    assert M.group is fileio._default_group(81, 3)
+    assert is_gh(M) == is_gh(GHMatrix(M.field, M.entries.copy()))
+    assert not is_gh(M)[0]
+
+
+def test_a_ghm_read_before_its_coc_stays_bare(relabeled_p43):
+    """A .ghm read before its .coc is parsed and keeps the default group;
+    reading the .coc afterwards changes nothing in it, and the next read
+    of the .ghm takes the held verdict."""
+    coc, ghm, _ = relabeled_p43
+    before = read_ghm(ghm)
+    assert before.cocycle() is None
+    psi = read_coc(coc)
+    assert before.cocycle() is None
+    assert before.group is fileio._default_group(81, 3)
+    assert read_ghm(ghm).cocycle() is psi._twin
+
+
+@pytest.mark.parametrize("line,header", [
+    (0, b"ghm 2"), (1, b"p=3 m=4 poly=2,1,0,0,x"), (1, b"p=3 m=4 poly=1,0,0,0,1"),
+    (2, b"v=x"), (2, b"v=0"), (1, b"p=3 m=4 poly=2,1,0,0,\xff")])
+def test_a_bad_ghm_header_with_a_held_body_is_the_parse_error(
+        relabeled_p43, line, header):
+    """A .ghm whose body is a held .coc's but whose header is malformed
+    raises the ParseError it raises with nothing held."""
+    import gc
+
+    coc, ghm, _ = relabeled_p43
+    lines = ghm.read_bytes().split(b"\n", 3)
+    lines[line] = header
+    path = ghm.with_name("bad.ghm")
+    path.write_bytes(b"\n".join(lines))
+    errors = []
+    for held in (True, False):
+        psi = read_coc(coc) if held else None
+        assert len(fileio._verdicts) == held
+        with pytest.raises(ParseError) as err:
+            read_ghm(path)
+        errors.append((err.value.args, err.value.line, err.value.column))
+        del psi
+        gc.collect()
+    assert errors[0] == errors[1]
+
+
+def test_the_verdict_goes_with_its_last_holder(relabeled_p43):
+    """With the cyclic collector off, the entry lives while the Cocycle
+    read_coc returned, or a matrix read over it, lives, and goes with the
+    last of them."""
+    import gc
+
+    coc, ghm, _ = relabeled_p43
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        psi = read_coc(coc)
+        assert len(fileio._verdicts) == 1
+        M = read_ghm(ghm)
+        del psi
+        assert len(fileio._verdicts) == 1
+        assert read_ghm(ghm).cocycle() is M.cocycle()
+        del M
+        assert len(fileio._verdicts) == 0
+        psi = read_coc(coc)
+        del psi
+        assert len(fileio._verdicts) == 0
+        assert read_ghm(ghm).cocycle() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_write_into_a_read_cocycle_reaches_no_ghm(relabeled_p43):
+    """read_coc's table is the caller's to write; the verdict read_ghm
+    takes is a read-only twin of the table as read, so a later .ghm hit
+    returns the file's entries, read-only, and its verdict still holds."""
+    from ghfp import is_gh
+
+    coc, ghm, table = relabeled_p43
+    psi = read_coc(coc)
+    psi.table[1, 1] = (psi.table[1, 1] + 1) % 81
+    M = read_ghm(ghm)
+    assert M.cocycle() is psi._twin
+    assert (M.entries == table).all() and is_gh(M) == (True, None)
+    with pytest.raises(ValueError, match="read-only"):
+        M.entries[1, 1] = 0
+
+
+def test_a_report_is_the_same_whatever_was_read_before(tmp_path):
+    """consolidated_report of a built .ghm (S_27 in primitive-power order,
+    no cocycle over the lexicographic Z_3^3) is the same dict read fresh
+    and after read_coc of its .coc, while that cocycle is held."""
+    import gc
+
+    gc.collect()
+    assert main(["build", "--construction", "sylvester", "--q", "27",
+                 "--ordering", "primitive-power", "--out", str(tmp_path),
+                 "--name", "s"]) == 0
+    ghm = tmp_path / "s.ghm"
+    fresh = consolidated_report(ghm)
+    assert read_ghm(ghm).cocycle() is None
+    psi = read_coc(tmp_path / "s.coc")
+    assert read_ghm(ghm).cocycle() is psi._twin
+    assert consolidated_report(ghm) == fresh

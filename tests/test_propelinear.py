@@ -51,6 +51,15 @@ def bare(psi) -> PropelinearCode:
     return P
 
 
+def star_oracle(P, x, y) -> np.ndarray:
+    """Test oracle of star: decode, multiply in the extension group,
+    encode."""
+    ku, gu = P.decode(x)
+    kw, gw = P.decode(y)
+    k = P.field.add(P.field.add(ku, kw), int(P.psi.table[gu, gw]))
+    return P.encode(k, int(P.group.table[gu, gw]))
+
+
 def searched_row_products(P):
     """Test oracle of PropelinearCode.row_products: f_rho * f_r located by
     one GHCode.index call per rho, so f_rho * f_r = offsets[rho, r]*1 +
@@ -133,7 +142,7 @@ def test_star_matches_oracle_exhaustive(p4, p9, p8):
         words = P.code.words()
         for x in words:
             for y in words:
-                assert (star(P, x, y) == P.star_oracle(x, y)).all()
+                assert (star(P, x, y) == star_oracle(P, x, y)).all()
 
 
 def test_star_matches_oracle_sampled_planar(p81):
@@ -141,7 +150,7 @@ def test_star_matches_oracle_sampled_planar(p81):
     for _ in range(200):
         x = p81.encode(int(rng.integers(0, 81)), int(rng.integers(0, 81)))
         y = p81.encode(int(rng.integers(0, 81)), int(rng.integers(0, 81)))
-        assert (star(p81, x, y) == p81.star_oracle(x, y)).all()
+        assert (star(p81, x, y) == star_oracle(p81, x, y)).all()
 
 
 def test_encode_decode_roundtrip(p9, p81):
