@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .extension import (
     transversal_rds_check,
 )
 from .fields import Field, integer_log, prime_factors
-from .fileio import read_coc, read_ghm, sha256_of, write_coc, write_ghm
+from .fileio import (MAX_HEADER_Q, above_header_bound, read_coc, read_ghm,
+                     sha256_of, write_coc, write_ghm)
 from .ghmatrix import (GHMatrix, gen_sylvester_cocycle, is_gh, matrix_of,
                        normalize, sylvester_cocycle, sylvester_power_cocycle)
 from .monomial import automorphisms_from_star, scalar_pairs_are_automorphisms
@@ -86,7 +87,19 @@ def _load_matrix(path) -> GHMatrix:
     return matrix_of(obj) if isinstance(obj, Cocycle) else obj
 
 
+def _bounded(p: int, m: int) -> Tuple[int, int]:
+    """(p, m), or GHFPError when p^m is above fileio.MAX_HEADER_Q: no file
+    could name that field (read_coc and read_ghm refuse its header), and
+    its Field would take minutes to build, so nothing is built."""
+    if above_header_bound(p, m):
+        order = p if m == 1 else f"{p}^{m}"
+        raise GHFPError(f"the field order {order} is above {MAX_HEADER_Q}, "
+                        f"the largest a file header may name")
+    return p, m
+
+
 def _field_of_order(q: int) -> Field:
+    _bounded(q, 1)  # before q is factored
     primes = prime_factors(q)
     if len(primes) != 1:
         raise GHFPError("q is not a prime power")
@@ -110,9 +123,9 @@ CONSTRUCTIONS = {
     "sylvester-power": (("q",), lambda a: sylvester_power_cocycle(
         _field_of_order(a.q), a.t), "s{q}_pow{t}"),
     "gen-sylvester": (("p", "m", "k"), lambda a: gen_sylvester_cocycle(
-        a.p, a.m, a.k), "d_{p}_{m}_{k}"),
-    "planar": (("a", "b"), lambda a: planar_mod.planar_coboundary(a.a, a.b),
-               "planar_{a}_{b}"),
+        *_bounded(a.p, a.m), a.k), "d_{p}_{m}_{k}"),
+    "planar": (("a", "b"), lambda a: planar_mod.planar_coboundary(
+        a.a, a.b, Field(*_bounded(3, a.a))), "planar_{a}_{b}"),
     "kronecker": (("left", "right"), _kronecker, "kronecker"),
 }
 

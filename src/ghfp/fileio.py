@@ -12,11 +12,23 @@ while some caller holds it.  A table body is decided once too: read_coc keeps
 the verdict of each body it accepts while some caller holds the Cocycle, and
 read_ghm returns a .ghm with the same header field, order and body bytes over
 that cocycle's group, unparsed and holding the verdict.
+
+A writer builds all its bytes before it opens a file, so a table it
+refuses writes nothing.  It then rewrites the file in place, through its
+inode (hard links and symlinks see the new bytes), and truncates it to
+their length: opening with O_TRUNC would free the old blocks first, and
+ext4 then also flushes the new ones when the file closes.  A write that
+fails part way leaves the file empty, never new bytes over an old tail (a
+reader running during a write may see such a mix).  Nothing is fsynced:
+the library makes no durability promise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import stat
 import weakref
 from functools import lru_cache
 from pathlib import Path
@@ -45,6 +57,13 @@ def field_header(field: Field) -> str:
 MAX_HEADER_Q = 1 << 14
 
 
+def above_header_bound(p: int, m: int) -> bool:
+    """Whether p^m, for p > 1, is above MAX_HEADER_Q; decided without
+    computing p^m of a large m."""
+    return p > 1 and (p > MAX_HEADER_Q or m >= MAX_HEADER_Q.bit_length()
+                      or p ** m > MAX_HEADER_Q)
+
+
 def parse_field_header(line: str, lineno: int) -> Field:
     """The Field of a header line, shared (_field); ParseError for a bad
     line, a p^m above MAX_HEADER_Q (refused before p is tested for
@@ -56,8 +75,7 @@ def parse_field_header(line: str, lineno: int) -> Field:
         if bad:
             raise ValueError(f"{bad[0][:20]!r} is not unsigned decimal")
         p, m, *poly = map(int, values)
-        if p > 1 and (p > MAX_HEADER_Q or m >= MAX_HEADER_Q.bit_length()
-                      or p ** m > MAX_HEADER_Q):
+        if above_header_bound(p, m):
             raise ValueError(f"p^m is above {MAX_HEADER_Q}")
         return _field(p, m, tuple(poly))
     except (KeyError, ValueError) as e:
@@ -211,11 +229,31 @@ def _token_words(hi: int):
     return words
 
 
+def _write_file(path, data: bytes) -> None:
+    """Write data over path in place (see the module docstring): opened
+    without O_TRUNC, with mode 0o666 under the umask as Path.write_bytes
+    does, and cut to len(data) unless it is a device or FIFO, which cannot
+    be cut.  On any exception the file is cut to 0 bytes, best effort."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 # -- .cay ------------------------------------------------------------------------
 
 def write_cay(path, group: Group) -> None:
-    Path(path).write_bytes(_file_bytes(["cay 1", f"v={group.order}"],
-                                       group.table, group.order, NotAGroup))
+    _write_file(path, _file_bytes(["cay 1", f"v={group.order}"],
+                                  group.table, group.order, NotAGroup))
 
 
 def read_cay(path) -> Group:
@@ -256,7 +294,7 @@ def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
     text = _file_bytes(lines, psi.table, psi.q, FieldMismatch)
     if cay is not None:
         write_cay(cay, psi.group)
-    path.write_bytes(text)
+    _write_file(path, text)
 
 
 def read_coc(path) -> Cocycle:
@@ -305,7 +343,7 @@ def _default_group(v: int, p: int) -> Optional[Group]:
 # -- .ghm ------------------------------------------------------------------------
 
 def write_ghm(path, matrix: GHMatrix) -> None:
-    Path(path).write_bytes(_file_bytes(
+    _write_file(path, _file_bytes(
         ["ghm 1", field_header(matrix.field), f"v={matrix.v}"],
         matrix.entries, matrix.q, FieldMismatch))
 

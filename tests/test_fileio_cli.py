@@ -1,7 +1,11 @@
+import errno
 import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from ghfp.fileio import (
     read_cay,
     read_coc,
     read_ghm,
+    sha256_of,
     write_cay,
     write_coc,
     write_ghm,
@@ -202,7 +207,20 @@ def test_cli_build_reads_back(tmp_path, capsys, construction, ordering):
         opts = BUILDS[construction]
     assert main(["build", "--construction", construction, *opts,
                  "--name", "x", *args]) == 0
+    # the in-place writer leaves the bytes Path.write_bytes leaves
+    ref = tmp_path / "ref"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fileio, "_write_file",
+                  lambda path, data: Path(path).write_bytes(data))
+        assert main(["build", "--construction", construction, *opts,
+                     "--name", "x", "--ordering", ordering,
+                     "--out", str(ref)]) == 0
     capsys.readouterr()
+    assert sorted(f.name for f in ref.iterdir()) == sorted(
+        f.name for f in tmp_path.glob("x.*"))
+    for f in ref.iterdir():
+        assert f.read_bytes() == (tmp_path / f.name).read_bytes()
+        assert sha256_of(f) == sha256_of(tmp_path / f.name)
     psi = read_coc(tmp_path / "x.coc")
     assert (psi.table == read_ghm(tmp_path / "x.ghm").entries).all()
     # byte for byte what the string join gives
@@ -1016,21 +1034,33 @@ def test_entries_outside_the_field_write_no_file(tmp_path, gf3, s9_cocycle):
     z9 = elementary_abelian(3, 2)
     img = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
     swapped = Group(img[z9.table[img][:, img]])
-    for bad in (-1, 3):
-        table = s9_cocycle.table.copy()
-        table[4, 5] = bad
-        for group in (z9, swapped):
-            with pytest.raises(FieldMismatch, match=f"entry {bad} is outside"):
-                write_coc(tmp_path / "bad.coc",
-                          Cocycle(group, gf3, table, check="skip"))
-        with pytest.raises(FieldMismatch):
-            write_ghm(tmp_path / "bad.ghm", GHMatrix(gf3, table))
-    for bad in (-1, 9):
-        table = np.array(z9.table)
-        table[4, 5] = bad
-        with pytest.raises(NotAGroup, match=f"entry {bad} is outside"):
-            write_cay(tmp_path / "bad.cay", Group(table, check=False))
+
+    def write_bad_tables():
+        for bad in (-1, 3):
+            table = s9_cocycle.table.copy()
+            table[4, 5] = bad
+            for group in (z9, swapped):
+                with pytest.raises(FieldMismatch,
+                                   match=f"entry {bad} is outside"):
+                    write_coc(tmp_path / "bad.coc",
+                              Cocycle(group, gf3, table, check="skip"))
+            with pytest.raises(FieldMismatch):
+                write_ghm(tmp_path / "bad.ghm", GHMatrix(gf3, table))
+        for bad in (-1, 9):
+            table = np.array(z9.table)
+            table[4, 5] = bad
+            with pytest.raises(NotAGroup, match=f"entry {bad} is outside"):
+                write_cay(tmp_path / "bad.cay", Group(table, check=False))
+
+    write_bad_tables()
     assert list(tmp_path.iterdir()) == []
+    # nor is an existing target opened: each keeps its bytes
+    old = {f"bad.{suffix}": f"old {suffix}\n".encode() * 50
+           for suffix in ("coc", "ghm", "cay")}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    write_bad_tables()
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == old
 
 
 def test_parse_rows_reads_tokens_of_up_to_18_digits(monkeypatch):
@@ -1175,6 +1205,56 @@ def test_every_field_up_to_the_header_bound_is_built(monkeypatch):
                  "p=3 m=8 poly=1", "p=1 m=99 poly=1"]:
         parse_field_header(line, 1)
     assert [a[:2] for a in built] == [(2, 14), (16381, 1), (3, 8), (1, 99)]
+
+
+@pytest.mark.parametrize("opts", [
+    ["sylvester", "--q", "99999999977"], ["sylvester", "--q", "59049"],
+    ["sylvester", "--q", "16411"], ["sylvester-power", "--q", "32768"],
+    ["sylvester", "--q", "1" + "0" * 4000],
+    ["gen-sylvester", "--p", "3", "--m", "10", "--k", "1"],
+    ["gen-sylvester", "--p", "99999999977", "--m", "1", "--k", "1"],
+    ["gen-sylvester", "--p", "2", "--m", "9" * 4000, "--k", "1"],
+    ["planar", "--a", "9", "--b", "1"]],
+    ids=["q=99999999977", "q=3^10", "q=16411", "power q=2^15",
+         "q of 4001 digits", "3^10", "p=99999999977", "m of 4000 digits",
+         "a=9"])
+def test_build_refuses_a_field_above_the_header_bound(tmp_path, capsys,
+                                                      monkeypatch, opts):
+    """ghfp build refuses a field order above MAX_HEADER_Q, which no file
+    header may name, with a message and exit 1, before q is factored or a
+    Field is built (Field is patched to fail the test if it is called, so
+    the test cannot hang) and with nothing written."""
+    def built(*args):
+        raise AssertionError(f"Field{args} was built")
+
+    monkeypatch.setattr(Field, "__init__", built)
+    assert main(["build", "--construction", *opts,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the field order ")
+    assert f"is above {fileio.MAX_HEADER_Q}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("opts", [
+    ["sylvester", "--q", "16384"], ["sylvester", "--q", "16381"],
+    ["gen-sylvester", "--p", "2", "--m", "14", "--k", "1"],
+    ["planar", "--a", "8", "--b", "1"]])
+def test_build_reaches_every_field_up_to_the_header_bound(monkeypatch, opts):
+    """GF(2^14), the largest prime below the bound and GF(3^8) pass it and
+    reach Field (patched to raise, so none is built)."""
+    class Reached(Exception):
+        pass
+
+    def reached(self, p, m, poly=None):
+        raise Reached(p, m)
+
+    monkeypatch.setattr(Field, "__init__", reached)
+    with pytest.raises(Reached) as reached_:
+        main(["build", "--construction", *opts])
+    p, m = reached_.value.args
+    assert 1 < p ** m <= fileio.MAX_HEADER_Q
 
 
 @pytest.fixture
@@ -1396,3 +1476,147 @@ def test_a_report_is_the_same_whatever_was_read_before(tmp_path):
     psi = read_coc(tmp_path / "s.coc")
     assert read_ghm(ghm).cocycle() is psi._twin
     assert consolidated_report(ghm) == fresh
+
+
+# -- writes in place ---------------------------------------------------------------
+
+def _write_each(tmp_path, name, obj):
+    """obj written to tmp_path/name by its writer: a Cocycle as a .coc (and
+    its .cay), a GHMatrix as a .ghm, a Group as a .cay."""
+    from ghfp import Cocycle, GHMatrix
+
+    writer = {Cocycle: write_coc, GHMatrix: write_ghm, Group: write_cay}
+    writer[type(obj)](tmp_path / name, obj)
+
+
+def _relabeled(psi, seed):
+    """psi over its group relabeled at random (0 kept), so that its .coc
+    needs a .cay."""
+    from ghfp import Cocycle
+
+    rng = np.random.default_rng(seed)
+    img = np.concatenate(([0], 1 + rng.permutation(psi.v - 1)))
+    inv = np.argsort(img)
+    return Cocycle(Group(img[psi.group.table[inv][:, inv]]), psi.field,
+                   psi.table[inv][:, inv])
+
+
+def test_a_rewrite_leaves_exactly_the_new_bytes(tmp_path, order4_cocycle,
+                                                dphi43):
+    """A long file rewritten with a short one, and a short one with a long
+    one, holds exactly the bytes a fresh file gets, for each writer (the
+    .cay of a relabeled group too); a file's mode is kept, and a new file
+    gets the mode Path.write_bytes gives it."""
+    short, long = order4_cocycle, dphi43
+    objects = {"x.coc": (short, _relabeled(long, 32)), "x.ghm": (
+        matrix_of(short), matrix_of(long)), "x.cay": (short.group, long.group)}
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for name, (a, b) in objects.items():
+        for first, second in ((a, b), (b, a)):
+            _write_each(tmp_path, name, first)
+            os.chmod(tmp_path / name, 0o640)
+            _write_each(tmp_path, name, second)
+            _write_each(fresh, name, second)
+            for f in fresh.iterdir():
+                assert (tmp_path / f.name).read_bytes() == f.read_bytes()
+                f.unlink()
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
+    (tmp_path / "by_path").write_bytes(b"")
+    write_ghm(tmp_path / "new.ghm", matrix_of(short))
+    assert os.stat(tmp_path / "new.ghm").st_mode == os.stat(
+        tmp_path / "by_path").st_mode
+
+
+def test_a_rewrite_goes_through_links_and_to_devices(tmp_path, s9_cocycle):
+    """A hard link and a symlink to the target see the new bytes, and the
+    target keeps its inode; the null device, which cannot be truncated,
+    takes a write; a path Path.write_bytes cannot open raises the same
+    OSError."""
+    target = tmp_path / "s.ghm"
+    target.write_bytes(b"old\n" * 1000)
+    inode = target.stat().st_ino
+    os.link(target, tmp_path / "hard.ghm")
+    (tmp_path / "soft.ghm").symlink_to(target)
+    write_ghm(tmp_path / "soft.ghm", matrix_of(s9_cocycle))
+    assert (tmp_path / "soft.ghm").is_symlink()
+    assert target.stat().st_ino == inode
+    for name in ("s.ghm", "hard.ghm", "soft.ghm"):
+        assert (read_ghm(tmp_path / name).entries == s9_cocycle.table).all()
+    write_ghm(os.devnull, matrix_of(s9_cocycle))
+    write_cay(os.devnull, s9_cocycle.group)
+    for bad in (tmp_path / "no" / "dir.ghm", tmp_path):
+        with pytest.raises(OSError) as by_path:
+            bad.write_bytes(b"")
+        with pytest.raises(OSError) as err:
+            write_ghm(bad, matrix_of(s9_cocycle))
+        assert type(err.value) is type(by_path.value)
+        assert err.value.errno == by_path.value.errno
+
+
+@pytest.mark.parametrize("suffix", ["coc", "ghm", "cay"])
+def test_a_write_that_fails_part_way_leaves_an_empty_file(
+        tmp_path, suffix, order4_cocycle, dphi43):
+    """With os.write failing (ENOSPC) after a first short write, the error
+    propagates and the file is left empty, which reads as a ParseError: no
+    new bytes over the tail of the longer old body, which could read as a
+    well-formed table."""
+    def as_file(psi):
+        return {"coc": psi, "ghm": matrix_of(psi), "cay": psi.group}[suffix]
+
+    path = tmp_path / f"x.{suffix}"
+    _write_each(tmp_path, path.name, as_file(dphi43))
+    old = path.read_bytes()
+    real_write, calls = os.write, []
+
+    def fail_after_a_part(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fileio.os, "write", fail_after_a_part)
+        with pytest.raises(OSError) as err:
+            _write_each(tmp_path, path.name, as_file(order4_cocycle))
+    assert err.value.errno == errno.ENOSPC
+    assert len(calls) == 2 and len(old) > calls[0]
+    assert path.read_bytes() == b""
+    with pytest.raises(ParseError):
+        _READERS[suffix](path)
+
+
+def test_every_writer_rewrites_in_place(tmp_path, s8_cocycle, dphi43):
+    """write_cay, write_coc (with its .cay) and write_ghm each write through
+    fileio._write_file, which opens no file with O_TRUNC, so an overwrite
+    never frees the old blocks first.  Timing-free: a writer moved back to
+    Path.write_bytes or open(..., "wb") fails here."""
+    opened, written = [], []
+    real_open, real_write_file = os.open, fileio._write_file
+
+    def spy_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    def spy_write_file(path, data):
+        written.append(os.fspath(path))
+        return real_write_file(path, data)
+
+    relabeled = _relabeled(s8_cocycle, 8)
+    for _ in range(2):  # new files, then overwrites
+        opened.clear()
+        written.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fileio.os, "open", spy_open)
+            m.setattr(fileio, "_write_file", spy_write_file)
+            write_cay(tmp_path / "g.cay", dphi43.group)
+            write_coc(tmp_path / "r.coc", relabeled)
+            write_ghm(tmp_path / "m.ghm", matrix_of(dphi43))
+        names = [str(tmp_path / n) for n in ("g.cay", "r.cay", "r.coc",
+                                             "m.ghm")]
+        assert written == names
+        assert [path for path, _ in opened] == names
+        for _, flags in opened:
+            assert not flags & os.O_TRUNC
+            assert flags & (os.O_WRONLY | os.O_CREAT) == (
+                os.O_WRONLY | os.O_CREAT)
