@@ -1,6 +1,7 @@
 """Command-line front end: build constructions, verify, report.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 parse error.
+Exit codes: 0 all requested checks pass, 1 a check failed, 2 parse error
+or an order above MAX_BUILD_ORDER.
 Every --json payload carries a run record (command, input hashes, wall
 time); identical inputs reproduce identical output apart from the time.
 A file is read by its suffix: .coc as a cocycle, .ghm as a matrix.
@@ -20,7 +21,7 @@ import numpy as np
 from . import planar as planar_mod
 from .cocycles import Cocycle, check_cocycle, is_orthogonal, lift, tensor
 from .codes import GHCode
-from .errors import GHFPError, ParseError
+from .errors import GHFPError, OrderAboveBound, ParseError
 from .extension import (
     coset_zero_sets,
     fh_intersection_profile,
@@ -87,19 +88,36 @@ def _load_matrix(path) -> GHMatrix:
     return matrix_of(obj) if isinstance(obj, Cocycle) else obj
 
 
-def _bounded(p: int, m: int) -> Tuple[int, int]:
+# The largest order v that `ghfp build` builds: a v x v int64 table of
+# 2^13 is 512 MiB, and the largest order a documented command builds is
+# GF(3^8)'s 6561.
+MAX_BUILD_ORDER = 1 << 13
+
+
+def _bounded(p: int, m: int, k: int = 1) -> Tuple[int, int]:
     """(p, m), or GHFPError when p^m is above fileio.MAX_HEADER_Q: no file
     could name that field (read_coc and read_ghm refuse its header), and
-    its Field would take minutes to build, so nothing is built."""
+    its Field would take minutes to build, so nothing is built.  Then
+    OrderAboveBound when the order (p^m)^k is above MAX_BUILD_ORDER,
+    decided without computing p^(mk) of a large mk."""
     if above_header_bound(p, m):
         order = p if m == 1 else f"{p}^{m}"
         raise GHFPError(f"the field order {order} is above {MAX_HEADER_Q}, "
                         f"the largest a file header may name")
+    if p > 1 and m > 0 and k > 0 and (
+            m * k >= MAX_BUILD_ORDER.bit_length()
+            or p ** (m * k) > MAX_BUILD_ORDER):
+        raise _too_large(p if m * k == 1 else f"{p}^{m * k}")
     return p, m
 
 
-def _field_of_order(q: int) -> Field:
-    _bounded(q, 1)  # before q is factored
+def _too_large(order) -> OrderAboveBound:
+    return OrderAboveBound(f"the order v={order} is above {MAX_BUILD_ORDER}, "
+                          f"the largest ghfp build builds")
+
+
+def _field_of_order(q: int, t: int = 1) -> Field:
+    _bounded(q, 1, t)  # before q is factored
     primes = prime_factors(q)
     if len(primes) != 1:
         raise GHFPError("q is not a prime power")
@@ -109,6 +127,8 @@ def _field_of_order(q: int) -> Field:
 def _kronecker(args) -> Cocycle:
     left = read_coc(args.left)
     right = read_coc(args.right)
+    if left.v * right.v > MAX_BUILD_ORDER:
+        raise _too_large(left.v * right.v)
     if left.field != right.field and left.field.m == 1 \
             and left.field.p == right.field.p:
         left = lift(left, right.field)
@@ -121,9 +141,9 @@ CONSTRUCTIONS = {
     "sylvester": (("q",), lambda a: sylvester_cocycle(
         _field_of_order(a.q), a.ordering), "s{q}"),
     "sylvester-power": (("q",), lambda a: sylvester_power_cocycle(
-        _field_of_order(a.q), a.t), "s{q}_pow{t}"),
+        _field_of_order(a.q, a.t), a.t), "s{q}_pow{t}"),
     "gen-sylvester": (("p", "m", "k"), lambda a: gen_sylvester_cocycle(
-        *_bounded(a.p, a.m), a.k), "d_{p}_{m}_{k}"),
+        *_bounded(a.p, a.m, a.k), a.k), "d_{p}_{m}_{k}"),
     "planar": (("a", "b"), lambda a: planar_mod.planar_coboundary(
         a.a, a.b, Field(*_bounded(3, a.a))), "planar_{a}_{b}"),
     "kronecker": (("left", "right"), _kronecker, "kronecker"),
@@ -430,7 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except GHFPError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, OrderAboveBound) else 1
 
 
 if __name__ == "__main__":

@@ -95,6 +95,10 @@ class OrderMismatch(GHFPError):
     pass
 
 
+class OrderAboveBound(GHFPError):
+    """An order larger than the command builds (cli.MAX_BUILD_ORDER)."""
+
+
 class NotMonomial(GHFPError):
     pass
 

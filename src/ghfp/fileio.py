@@ -4,8 +4,12 @@ Every format is line-oriented ASCII.  Field header lines read
     p=<p> m=<m> poly=<c_0>,<c_1>,...,<c_m>
 and elements are serialized as their integer encodings, unsigned ASCII
 decimal integers separated by spaces or tabs.  A table body is written by
-gathering cached token words, one per entry, and parsed from the positions of
-its separators (the per-line loop only locates a ParseError).  The Field of a
+gathering cached token words, one per entry; the last body built is kept
+while its table lives and serves an equal table (so a .ghm written after
+its .coc reuses that body).  A reader decodes only its header lines and
+parses a plain body in place from the file's bytes, by the positions of
+its separators; any doubt sends the file to its decoded lines, where the
+per-line loop only locates a ParseError.  The Field of a
 header and the default group of an order are built once and shared, with
 read-only arrays; so is the Group of a group file's exact bytes, decided once
 while some caller holds it.  A table body is decided once too: read_coc keeps
@@ -121,41 +125,53 @@ def _parse_v(line: str, lineno: int) -> int:
     return v
 
 
-def _parse_rows(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
-    """The v x v table of the body lines, entries in [0, limit).
-
-    The body is read from the positions of its non-digits (newline
-    sentinels around it) when it is plain: v^2 + 1 non-digits, each a space,
-    tab or newline, a newline after every v-th token, and tokens of 1 to 18
-    digits, so that int64 cannot overflow.  The values are then gathered
-    digit by digit back from the token ends.  Any other body, or a value out
-    of range, goes to _parse_lines, which finds the ParseError.
-    """
-    body = np.frombuffer(("\n" + "\n".join(lines) + "\n").encode(
-        "ascii", "replace"), dtype=np.uint8)
-    digits = body - ord("0")  # a non-digit wraps to 10 or more
+def _parse_rows(data: bytes, pos: int, v: int, limit: int
+                ) -> Optional[np.ndarray]:
+    """The v x v table of the body data[pos:], viewed in place from the
+    newline data[pos - 1] (a sentinel), or None unless it is plain and its
+    entries are in [0, limit).  Plain is v^2 + 1 non-digits, each a space,
+    tab or newline, a newline after every v-th token and as the last byte,
+    and tokens of 1 to 18 digits.  The values are gathered digit by digit
+    back from the token ends in the narrowest word of the widest token
+    (uint16 to 4 digits, uint32 to 9, int64 to 18: no product wraps)."""
+    body = np.frombuffer(data, dtype=np.uint8, offset=pos - 1)
+    digits = body - np.uint8(ord("0"))  # a non-digit wraps to 10 or more
     cut = np.flatnonzero(digits >= 10)
-    if len(cut) == v * v + 1:
-        sep, width = body[cut], np.diff(cut) - 1
-        newline = sep == ord("\n")
-        if (newline[::v].all() and np.count_nonzero(newline) == v + 1
-                and (newline | (sep == ord(" ")) | (sep == ord("\t"))).all()
-                and 1 <= width.min() and width.max() <= 18):
-            digits[cut] = 0  # a token's separator reads as leading zeros
-            ends = cut[1:]
-            table = digits[ends - 1].astype(np.int64)
-            for k in range(1, int(width.max())):
-                # multiplied in int64: a uint8 product would wrap at 10^2
-                # wherever a scalar is cast by its value (NumPy 1.x)
-                at = np.maximum(ends - 1 - k, cut[:-1])
-                table += np.multiply(digits[at], 10 ** k, dtype=np.int64)
-            if table.max() < limit:
-                return table.reshape(v, v)
-    return _parse_lines(lines, start_lineno, v, limit)
+    if len(cut) != v * v + 1 or cut[-1] != len(body) - 1:
+        return None
+    sep, width = body[cut], np.diff(cut) - 1
+    newline = sep == ord("\n")
+    if not (newline[::v].all() and np.count_nonzero(newline) == v + 1
+            and (newline | (sep == ord(" ")) | (sep == ord("\t"))).all()
+            and 1 <= width.min() and width.max() <= 18):
+        return None
+    wide = int(width.max())
+    word = np.uint16 if wide <= 4 else np.uint32 if wide <= 9 else np.int64
+    digits[cut] = 0  # a token's separator reads as a leading zero
+    ends = cut[1:] - 1  # the last digit of each token
+    table = digits[ends].astype(word)
+    for k in range(1, wide):
+        digit = digits[ends - k]
+        if k >= 2:  # beyond the separator lie the previous token's digits
+            digit *= width > k
+        table += np.multiply(digit, 10 ** k, dtype=word)
+    if table.max() >= limit:
+        return None
+    return table.astype(np.int64).reshape(v, v)
+
+
+def _parse_body(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
+    """The table of decoded body lines: _parse_rows of the lines joined
+    with newlines, or else the ParseError that _parse_lines finds."""
+    table = _parse_rows(("\n" + "\n".join(lines) + "\n").encode(), 1, v,
+                        limit)
+    if table is None:
+        return _parse_lines(lines, start_lineno, v, limit)
+    return table
 
 
 def _parse_lines(lines, start_lineno: int, v: int, limit: int) -> np.ndarray:
-    """_parse_rows one line at a time: the same table, or the ParseError of
+    """_parse_body one line at a time: the same table, or the ParseError of
     the first bad line."""
     rows = []
     for lineno, line in enumerate(lines, start_lineno):
@@ -197,18 +213,65 @@ def _decode_lines(data: bytes, path, lineno: Optional[int] = None):
     return [x[:-1] if x.endswith("\r") else x for x in lines]
 
 
+def _head(data: bytes, count: int):
+    """The first count lines of data, decoded as _decode_lines decodes
+    them, and the offsets where lines 0..count start; ValueError when data
+    has fewer lines or one is not UTF-8."""
+    ends = [0]
+    for _ in range(count):
+        ends.append(data.index(b"\n", ends[-1]) + 1)
+    return [data[a:b - 1].decode().removesuffix("\r")
+            for a, b in zip(ends, ends[1:])], ends
+
+
+def _read_table(data: bytes, path, header, lineno: Optional[int] = None):
+    """(head, n, rows) of a table file.  header(lines) checks its header
+    lines and returns (head, v, limit, n), n the number of them; rows() is
+    the table of the body after them.  A plain body is parsed in place
+    (_parse_rows) before this returns.  On any doubt, the file's decoded
+    lines are read, and rows() parses them as _parse_body does: what the
+    head names (a .coc's group= file) may be read in between, as before."""
+    try:
+        lines, ends = _head(data, 3)
+        head, v, limit, n = header(lines)
+        if (table := _parse_rows(data, ends[n], v, limit)) is not None:
+            return head, n, lambda: table
+    except ValueError:
+        pass
+    lines = _decode_lines(data, path, lineno)
+    head, v, limit, n = header(lines)
+    return head, n, lambda: _parse_body(lines[n:n + v], n + 1, v, limit)
+
+
+# the last body _file_bytes built: a finalizer that empties this list when
+# the table it was built from is freed (so it keeps no caller's table
+# alive), a read-only copy of that table (in uint16 when its entries fit:
+# a quarter of the memory), and the body bytes
+_last_body: list = []
+
+
 def _file_bytes(header, table, limit: int, error) -> bytes:
     """The header lines, then one line of space-separated integers per row;
     error when an entry is outside [0, limit).
 
     Each entry gathers its token word (_token_words) with one take, the
     last of a row the word that ends in a newline; the words, viewed as
-    bytes, are the body once their NUL pad bytes are dropped."""
-    spaced, ended = _token_words(largest_entry(table, limit, error))
-    words = spaced.take(table)
-    words[:, -1] = ended.take(table[:, -1])
-    body = words.view(np.uint8)
-    return ("\n".join(header) + "\n").encode() + body[body != 0].tobytes()
+    bytes, are the body once their NUL pad bytes are dropped.  A table
+    equal to the last one built from reuses its body (_last_body)."""
+    hi = largest_entry(table, limit, error)
+    if not (_last_body and np.array_equal(_last_body[1], table)):
+        spaced, ended = _token_words(hi)
+        words = spaced.take(table)
+        words[:, -1] = ended.take(table[:, -1])
+        body = words.view(np.uint8)
+        # entries are in [0, hi], so a uint16 copy compares as the table
+        frozen = table.astype(np.uint16 if hi < 1 << 16 else np.int64)
+        frozen.setflags(write=False)
+        if _last_body:
+            _last_body[0].detach()
+        _last_body[:] = (weakref.finalize(table, _last_body.clear), frozen,
+                         body[body != 0].tobytes())
+    return ("\n".join(header) + "\n").encode() + _last_body[2]
 
 
 @lru_cache(maxsize=16)
@@ -252,8 +315,12 @@ def _write_file(path, data: bytes) -> None:
 # -- .cay ------------------------------------------------------------------------
 
 def write_cay(path, group: Group) -> None:
-    _write_file(path, _file_bytes(["cay 1", f"v={group.order}"],
-                                  group.table, group.order, NotAGroup))
+    _write_file(path, _cay_bytes(group))
+
+
+def _cay_bytes(group: Group) -> bytes:
+    return _file_bytes(["cay 1", f"v={group.order}"], group.table,
+                       group.order, NotAGroup)
 
 
 def read_cay(path) -> Group:
@@ -265,14 +332,18 @@ def _read_group(path, lineno: Optional[int] = None) -> Group:
     a file that cannot be read is a ParseError at lineno (_read_bytes)."""
     data = _read_bytes(path, lineno)
     if (group := _groups.get(data)) is None:
-        lines = _decode_lines(data, path, lineno)
-        _expect(len(lines) >= 2 and lines[0].strip(" \t") == "cay 1",
-                "missing 'cay 1' magic", 1)
-        v = _parse_v(lines[1], 2)
-        group = Group(_parse_rows(lines[2:2 + v], 3, v, v), check=False)
+        rows = _read_table(data, path, _cay_header, lineno)[2]
+        group = Group(rows(), check=False)
         group.check()
         _groups[data] = group
     return group
+
+
+def _cay_header(lines):
+    _expect(len(lines) >= 2 and lines[0].strip(" \t") == "cay 1",
+            "missing 'cay 1' magic", 1)
+    v = _parse_v(lines[1], 2)
+    return v, v, v, 2
 
 
 # -- .coc ------------------------------------------------------------------------
@@ -291,9 +362,11 @@ def write_coc(path, psi: Cocycle, group_path: Optional[str] = None) -> None:
             cay = path.parent / group_path
     if group_path is not None:
         lines.append(f"group={group_path}")
+    if cay is not None:  # built first, so _last_body keeps psi's body
+        cay_bytes = _cay_bytes(psi.group)
     text = _file_bytes(lines, psi.table, psi.q, FieldMismatch)
     if cay is not None:
-        write_cay(cay, psi.group)
+        _write_file(cay, cay_bytes)
     _write_file(path, text)
 
 
@@ -304,17 +377,10 @@ def read_coc(path) -> Cocycle:
     is the caller's own, cannot reach a later read_ghm."""
     path = Path(path)
     data = _read_bytes(path)
-    lines = _decode_lines(data, path)
-    _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
-    field = parse_field_header(lines[0], 1)
-    v = _parse_v(lines[1], 2)
-    row_start, group = 2, None
-    if len(lines) > 2 and lines[2].startswith("group="):
-        cay = path.parent / lines[2][len("group="):]
-        group = _read_group(cay, 3)
-        row_start = 3
+    (field, v, cay), row_start, rows = _read_table(data, path, _coc_header)
+    group = None if cay is None else _read_group(path.parent / cay, 3)
+    table = rows()
     # the rows first: a short file claiming a large v builds no Z_p^k
-    table = _parse_rows(lines[row_start:row_start + v], row_start + 1, v, field.q)
     if group is None:
         group = _default_group(v, field.p)
         _expect(group is not None,
@@ -326,6 +392,15 @@ def read_coc(path) -> Cocycle:
     psi._twin = Cocycle(group, field, frozen, check="theorem")
     _verdicts[field, v, data.split(b"\n", row_start)[-1]] = psi._twin
     return psi
+
+
+def _coc_header(lines):
+    """The Field, v and group= path (or None) of a .coc (_read_table)."""
+    _expect(len(lines) >= 2, "truncated file", max(1, len(lines)))
+    field, v = parse_field_header(lines[0], 1), _parse_v(lines[1], 2)
+    if len(lines) > 2 and lines[2].startswith("group="):
+        return (field, v, lines[2][len("group="):]), v, field.q, 3
+    return (field, v, None), v, field.q, 2
 
 
 @lru_cache(maxsize=32)
@@ -355,38 +430,28 @@ def read_ghm(path) -> GHMatrix:
 
     A file with the field, order and body bytes of a .coc that read_coc
     accepted, while its Cocycle is held, is not parsed: it is matrix_of
-    the twin (_held_verdict), over the cocycle's group and holding its
-    verdict.  Its entries, the file's, are the twin's read-only table, so
+    the twin in _verdicts, over the cocycle's group and holding its
+    verdict (same bytes under the same field and v parse to the same
+    table).  Its entries, the file's, are the twin's read-only table, so
     that verdict cannot go stale; copy them to write.  Any other file, or
     any doubt about the header, takes the parse above."""
     data = _read_bytes(path)
-    if (twin := _held_verdict(data)) is not None:
+    twin = None
+    if _verdicts:
+        with contextlib.suppress(ValueError):  # any doubt: the parse below
+            lines, ends = _head(data, 3)
+            twin = _verdicts.get((*_ghm_header(lines)[0], data[ends[3]:]))
+    if twin is not None:
         return matrix_of(twin)
-    lines = _decode_lines(data, path)
+    (field, v), _, rows = _read_table(data, path, _ghm_header)
+    return GHMatrix(field, rows(), group=_default_group(v, field.p))
+
+
+def _ghm_header(lines):
     _expect(len(lines) >= 3 and lines[0].strip(" \t") == "ghm 1",
             "missing 'ghm 1' magic", 1)
-    field = parse_field_header(lines[1], 2)
-    v = _parse_v(lines[2], 3)
-    entries = _parse_rows(lines[3:3 + v], 4, v, field.q)
-    return GHMatrix(field, entries, group=_default_group(v, field.p))
-
-
-def _held_verdict(data: bytes) -> Optional[Cocycle]:
-    """The twin in _verdicts for a .ghm file's bytes, or None.  Only the
-    three header lines are decoded, as _decode_lines would; the body is
-    looked up by its raw bytes.  Same bytes under the same field and v
-    parse to the same table, so a hit is the table read_coc checked."""
-    if not _verdicts:
-        return None
-    try:
-        *head, body = data.split(b"\n", 3)
-        magic, header, order = (x.decode().removesuffix("\r") for x in head)
-        if magic.strip(" \t") != "ghm 1":
-            return None
-        return _verdicts.get((parse_field_header(header, 2),
-                              _parse_v(order, 3), body))
-    except ValueError:  # too few lines, not UTF-8, or a ParseError
-        return None
+    field, v = parse_field_header(lines[1], 2), _parse_v(lines[2], 3)
+    return (field, v), v, field.q, 3
 
 
 def sha256_of(path) -> str:

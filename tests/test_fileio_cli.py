@@ -949,19 +949,23 @@ def _outcome(parse, lines, v, limit):
 def test_one_pass_parse_matches_per_line_loop(tmp_path, monkeypatch, request,
                                                name, mutation):
     """Every mutation of a fixture's table gives the same table, or the same
-    ParseError (message, line, column), through _parse_rows as through the
-    per-line loop alone; plain bodies never reach the loop."""
+    ParseError (message, line, column), through _parse_body (_parse_rows of
+    the joined lines, then the loop) as through the per-line loop alone;
+    plain bodies never reach the loop."""
     psi = request.getfixturevalue(name)
     rng = np.random.default_rng(sum(map(ord, name + mutation)))
     for _ in range(3):
         lines = _mutated_body(tmp_path, psi.table, mutation, rng)
         loop = _outcome(fileio._parse_lines, lines, psi.v, psi.q)
-        assert _outcome(fileio._parse_rows, lines, psi.v, psi.q) == loop
+        assert _outcome(fileio._parse_body, lines, psi.v, psi.q) == loop
         if mutation in _PLAIN:
             with monkeypatch.context() as m:
                 m.setattr(fileio, "_parse_lines", None)
-                assert fileio._parse_rows(lines, 1, psi.v, psi.q).tolist() \
+                assert fileio._parse_body(lines, 1, psi.v, psi.q).tolist() \
                     == loop == psi.table.tolist()
+                body = ("\n" + "\n".join(lines) + "\n").encode()
+                assert fileio._parse_rows(body, 1, psi.v, psi.q).tolist() \
+                    == loop
 
 
 # -- the token-word writer against the string join -------------------------
@@ -1064,24 +1068,34 @@ def test_entries_outside_the_field_write_no_file(tmp_path, gf3, s9_cocycle):
 
 
 def test_parse_rows_reads_tokens_of_up_to_18_digits(monkeypatch):
-    """A token of 18 digits is read by the separator pass itself, exactly;
-    one of 19 digits, which could overflow int64, goes to the per-line
-    loop, which reads the same value."""
+    """A token of up to 18 digits is read by the separator pass itself,
+    exactly, at each edge of its word (uint16 to 4 digits, uint32 to 9,
+    int64 to 18), also beside one-digit tokens; one of 19 digits, which
+    could overflow int64, goes to the per-line loop, which reads the same
+    value.  The largest value out of range is the loop's ParseError."""
     loop = fileio._parse_lines
-    cases = [("0" * 17 + "7", 7, 8, False),
-             ("9" * 18, 10 ** 18 - 1, 10 ** 18, False),
-             ("0" * 18 + "7", 7, 8, True)]
-    for token, value, limit, through_loop in cases:
-        calls = []
-        monkeypatch.setattr(fileio, "_parse_lines",
-                            lambda *a: calls.append(a) or loop(*a))
-        table = fileio._parse_rows([f"0 {token}", "1\t0"], 1, 2, limit)
-        assert table.tolist() == [[0, value], [1, 0]]
-        assert table.dtype == np.int64 and bool(calls) == through_loop
-    # the largest 18-digit value out of range is the loop's ParseError
-    with pytest.raises(ParseError, match="out of range") as err:
-        fileio._parse_rows(["0 " + "9" * 18, "1 0"], 5, 2, 10 ** 18 - 1)
-    assert err.value.line == 5
+    cases = [("0" * 3 + "7", 4), ("9" * 4, 4), ("9" * 5, 5), ("65535", 5),
+             ("65536", 5), ("0" * 8 + "7", 9), ("9" * 9, 9), ("9" * 10, 10),
+             ("4294967295", 10), ("4294967296", 10), ("0" * 17 + "7", 18),
+             ("9" * 18, 18), ("0" * 18 + "7", 19), ("1" + "0" * 18, 19)]
+    for token, wide in cases:
+        value = int(token)
+        body = f"\n0 {token} 3\n1\t0 2\n{token} 5 0\n".encode()
+        lines = body.decode().split("\n")[1:-1]
+        for limit in (value + 1, 10 ** 19 + 1):
+            table = fileio._parse_rows(body, 1, 3, limit)
+            assert (table is None) == (wide > 18), token
+            calls = []
+            monkeypatch.setattr(fileio, "_parse_lines",
+                                lambda *a: calls.append(a) or loop(*a))
+            table = fileio._parse_body(lines, 1, 3, limit)
+            assert table.tolist() == [[0, value, 3], [1, 0, 2], [value, 5, 0]]
+            assert table.dtype == np.int64 and bool(calls) == (wide > 18)
+        monkeypatch.setattr(fileio, "_parse_lines", loop)
+        assert fileio._parse_rows(body, 1, 3, value) is None
+        with pytest.raises(ParseError, match="out of range") as err:
+            fileio._parse_body(lines, 5, 3, value)
+        assert err.value.line == 5
 
 
 # -- the shared Field and default group ---------------------------------------
@@ -1243,7 +1257,10 @@ def test_build_refuses_a_field_above_the_header_bound(tmp_path, capsys,
     ["planar", "--a", "8", "--b", "1"]])
 def test_build_reaches_every_field_up_to_the_header_bound(monkeypatch, opts):
     """GF(2^14), the largest prime below the bound and GF(3^8) pass it and
-    reach Field (patched to raise, so none is built)."""
+    reach Field (patched to raise, so none is built).  The order bound,
+    which refuses the first three, is raised to the header bound here."""
+    from ghfp import cli
+
     class Reached(Exception):
         pass
 
@@ -1251,10 +1268,80 @@ def test_build_reaches_every_field_up_to_the_header_bound(monkeypatch, opts):
         raise Reached(p, m)
 
     monkeypatch.setattr(Field, "__init__", reached)
+    monkeypatch.setattr(cli, "MAX_BUILD_ORDER", fileio.MAX_HEADER_Q)
     with pytest.raises(Reached) as reached_:
         main(["build", "--construction", *opts])
     p, m = reached_.value.args
     assert 1 < p ** m <= fileio.MAX_HEADER_Q
+
+
+@pytest.mark.parametrize("opts, order", [
+    (["gen-sylvester", "--p", "2", "--m", "1", "--k", "40"], "2^40"),
+    (["gen-sylvester", "--p", "2", "--m", "7", "--k", "2"], "2^14"),
+    (["sylvester-power", "--q", "2", "--t", "40"], "2^40"),
+    (["sylvester-power", "--q", "3", "--t", "9" * 4000], "3^" + "9" * 4000),
+    (["sylvester", "--q", "16384"], "16384"),
+    (["sylvester", "--q", "8209"], "8209")])
+def test_build_refuses_an_order_above_the_build_bound(tmp_path, capsys,
+                                                      monkeypatch, opts,
+                                                      order):
+    """ghfp build refuses an order v above cli.MAX_BUILD_ORDER = 2^13 (a
+    512 MiB int64 table) with a message and exit 2, from the options
+    alone: before any Field is built (Field is patched to fail the test),
+    without computing q^t of a large t, and with nothing written."""
+    from ghfp import cli
+
+    def built(*args):
+        raise AssertionError(f"Field{args} was built")
+
+    monkeypatch.setattr(Field, "__init__", built)
+    assert cli.MAX_BUILD_ORDER == 2 ** 13
+    assert main(["build", "--construction", *opts,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the order v={order} is above 8192, the largest "
+                   f"ghfp build builds\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("opts", [
+    ["sylvester", "--q", "8192"], ["sylvester-power", "--q", "2", "--t", "13"],
+    ["gen-sylvester", "--p", "3", "--m", "2", "--k", "4"],
+    ["planar", "--a", "8", "--b", "1"]])
+def test_build_reaches_every_order_up_to_the_build_bound(monkeypatch, opts):
+    """2^13 itself and GF(3^8)'s 6561, the largest order a documented
+    command builds, pass the order bound and reach Field (patched to
+    raise, so none is built)."""
+    class Reached(Exception):
+        pass
+
+    def reached(self, p, m, poly=None):
+        raise Reached(p, m)
+
+    monkeypatch.setattr(Field, "__init__", reached)
+    with pytest.raises(Reached):
+        main(["build", "--construction", *opts])
+
+
+def test_kronecker_refuses_a_product_above_the_build_bound(tmp_path, capsys,
+                                                           monkeypatch):
+    """The order of a Kronecker product, left.v * right.v, is bounded too:
+    two S_128 files (128 * 128 = 2^14) are refused before tensor runs."""
+    from ghfp import cli
+
+    assert main(["build", "--construction", "sylvester", "--q", "128",
+                 "--out", str(tmp_path), "--name", "s"]) == 0
+    capsys.readouterr()
+
+    def tensor(*args):
+        raise AssertionError("tensor ran")
+
+    monkeypatch.setattr(cli, "tensor", tensor)
+    s = str(tmp_path / "s.coc")
+    assert main(["build", "--construction", "kronecker", "--left", s,
+                 "--right", s, "--out", str(tmp_path / "out")]) == 2
+    assert "order v=16384 is above 8192" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
